@@ -158,16 +158,11 @@ func main() {
 	defer flushProfiles()
 
 	base := dbt.DefaultConfig()
-	switch *width {
-	case 2:
-		base.Core = vliw.NarrowConfig()
-	case 4:
-		base.Core = vliw.DefaultConfig()
-	case 8:
-		base.Core = vliw.WideConfig()
-	default:
-		usageError("gbbench: unsupported width %d", *width)
+	geom, err := vliw.ConfigForWidth(*width)
+	if err != nil {
+		usageError("gbbench: %v", err)
 	}
+	base.Core = geom
 
 	if *injectTrans > 0 || *injectCache > 0 || *injectIntr > 0 {
 		base.FaultInject = &dbt.FaultInject{

@@ -122,15 +122,8 @@ func main() {
 	m, err := ghostbusters.ParseMode(*mode)
 	fail(err)
 	cfg := ghostbusters.WithMitigation(ghostbusters.DefaultConfig(), m)
-	switch *width {
-	case 2:
-		cfg.Core = vliw.NarrowConfig()
-	case 4:
-	case 8:
-		cfg.Core = vliw.WideConfig()
-	default:
-		fail(fmt.Errorf("unsupported width %d", *width))
-	}
+	cfg.Core, err = vliw.ConfigForWidth(*width)
+	fail(err)
 	cfg.DisableTranslation = *interp
 	cfg.Audit = *audit || *auditJSON != ""
 	var detector *ghostbusters.Detector

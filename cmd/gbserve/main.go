@@ -113,16 +113,11 @@ func main() {
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 
 	base := dbt.DefaultConfig()
-	switch *width {
-	case 2:
-		base.Core = vliw.NarrowConfig()
-	case 4:
-		base.Core = vliw.DefaultConfig()
-	case 8:
-		base.Core = vliw.WideConfig()
-	default:
-		logger.Fatalf("gbserve: unsupported width %d", *width)
+	geom, err := vliw.ConfigForWidth(*width)
+	if err != nil {
+		logger.Fatalf("gbserve: %v", err)
 	}
+	base.Core = geom
 
 	var transCache *tcache.Cache
 	if *useTCache || *tcacheDir != "" {

@@ -1,10 +1,11 @@
-package core
+package core_test
 
 import (
 	"reflect"
 	"strings"
 	"testing"
 
+	"ghostbusters/internal/core"
 	"ghostbusters/internal/ir"
 )
 
@@ -13,7 +14,7 @@ import (
 // guarded by the bounds-check branch n1.
 func TestAuditV1Provenance(t *testing.T) {
 	b := spectreV1Block(t)
-	rep, aud := ApplyAudited(b, ModeGhostBusters)
+	rep, aud := mitigateAudited(b, core.ModeGhostBusters)
 	if !rep.PatternFound() {
 		t.Fatal("v1 pattern not detected")
 	}
@@ -47,7 +48,7 @@ func TestAuditV1Provenance(t *testing.T) {
 
 func TestAuditV4Provenance(t *testing.T) {
 	b := spectreV4Block(t)
-	_, aud := ApplyAudited(b, ModeGhostBusters)
+	_, aud := mitigateAudited(b, core.ModeGhostBusters)
 	if len(aud.Pinned) != 1 {
 		t.Fatalf("Pinned = %+v, want one chain", aud.Pinned)
 	}
@@ -67,7 +68,7 @@ func TestAuditV4Provenance(t *testing.T) {
 // source loads explain themselves at depth 0.
 func TestAuditPoisonedChains(t *testing.T) {
 	b := benignBlock(t)
-	rep, aud := AnalyzeAudited(b)
+	rep, aud := analyzeAudited(b)
 	if len(aud.Pinned) != 0 {
 		t.Fatalf("benign block has pinned chains: %+v", aud.Pinned)
 	}
@@ -104,11 +105,11 @@ func TestAuditPoisonedChains(t *testing.T) {
 // requireGuardEdges only in ghostbusters mode, where pins materialise
 // as guard edges.
 func TestAuditReplaysUnderAllModes(t *testing.T) {
-	for _, mode := range []Mode{ModeUnsafe, ModeGhostBusters, ModeFence, ModeNoSpeculation} {
+	for _, mode := range []core.Mode{core.ModeUnsafe, core.ModeGhostBusters, core.ModeFence, core.ModeNoSpeculation} {
 		for _, mk := range []func(*testing.T) *ir.Block{spectreV1Block, spectreV4Block, benignBlock} {
 			b := mk(t)
-			_, aud := ApplyAudited(b, mode)
-			if err := aud.Verify(b, mode == ModeGhostBusters); err != nil {
+			_, aud := mitigateAudited(b, mode)
+			if err := aud.Verify(b, mode == core.ModeGhostBusters); err != nil {
 				t.Fatalf("mode %s: %v", mode, err)
 			}
 		}
@@ -119,8 +120,8 @@ func TestAuditReplaysUnderAllModes(t *testing.T) {
 // agree on every report field.
 func TestAuditedReportMatchesPlain(t *testing.T) {
 	for _, mk := range []func(*testing.T) *ir.Block{spectreV1Block, spectreV4Block, benignBlock} {
-		plain := Analyze(mk(t))
-		audited, _ := AnalyzeAudited(mk(t))
+		plain := core.Analyze(mk(t))
+		audited, _ := analyzeAudited(mk(t))
 		if !reflect.DeepEqual(plain, audited) {
 			t.Fatalf("audited analysis diverged:\nplain   %+v\naudited %+v", plain, audited)
 		}
@@ -132,7 +133,7 @@ func TestAuditedReportMatchesPlain(t *testing.T) {
 func TestAuditVerifyCatchesTampering(t *testing.T) {
 	fresh := func() (*ir.Block, *ir.AuditReport) {
 		b := spectreV1Block(t)
-		_, aud := ApplyAudited(b, ModeGhostBusters)
+		_, aud := mitigateAudited(b, core.ModeGhostBusters)
 		return b, aud
 	}
 	tampers := []func(*ir.AuditReport){
@@ -169,7 +170,7 @@ func TestAuditVerifyCatchesTampering(t *testing.T) {
 // conclusions for Dot rendering.
 func TestAuditOverlay(t *testing.T) {
 	b := spectreV1Block(t)
-	_, aud := ApplyAudited(b, ModeGhostBusters)
+	_, aud := mitigateAudited(b, core.ModeGhostBusters)
 	ov := aud.Overlay()
 	if !ov.Pinned[4] || !ov.Guards[1] {
 		t.Fatalf("overlay misses pin/guard: %+v", ov)

@@ -19,9 +19,11 @@
 // dependency between the risky access and the instructions that cause
 // the speculation (the guards), pinning only that access — everything
 // else in the block keeps speculating, which is why the countermeasure
-// is nearly free. The package also implements the two baselines the
-// paper compares against: a fence at the guard (no speculation may cross
-// it) and turning speculation off entirely.
+// is nearly free. This package owns the analysis (AnalyzePins) and the
+// pinning primitive (PinRisky); the mitigation modes built on them —
+// the paper's approach and the two baselines it compares against, a
+// fence at the guard and no speculation at all — are passes in
+// internal/core/pipeline.
 //
 // Because a DBT engine only speculates inside one IR block, the whole
 // analysis is block-local (contrast with whole-binary tools like oo7).
@@ -143,23 +145,12 @@ func (g guardSet) union(o guardSet) guardSet {
 	return g
 }
 
-// Analyze runs the poison analysis without modifying the block. It
-// returns the detection report (used by ModeUnsafe callers that still
-// want statistics, by tests, and by the ablation benchmarks).
+// Analyze runs the poison analysis without modifying the block and
+// returns the detection report (used by tests and the ablation
+// benchmarks).
 func Analyze(b *ir.Block) Report {
 	rep, _ := analyze(b, nil)
 	return rep
-}
-
-// AnalyzeAudited is Analyze plus the per-block audit report: a
-// provenance chain for every poisoned node and every risky access. The
-// audit costs one extra allocation pass over the block and is only
-// paid when asked for — the plain Analyze/Apply entry points hand
-// analyze a nil collector and skip all provenance bookkeeping.
-func AnalyzeAudited(b *ir.Block) (Report, *ir.AuditReport) {
-	aud := &ir.AuditReport{}
-	rep, _ := analyze(b, aud)
-	return rep, aud
 }
 
 // analyze computes the report plus, for every risky load, the guard set
@@ -340,71 +331,10 @@ func sortedKeys(g guardSet) []int {
 	return out
 }
 
-// Apply runs the mitigation for the selected mode, modifying the block's
-// edges in place, and returns the report.
-//
-//   - ModeUnsafe: detection only (report), no changes.
-//   - ModeGhostBusters: each risky load is made non-speculative
-//     (PinInto) and receives a hard guard edge from every instruction
-//     that caused the poisoning — the paper's fine-grained control
-//     dependency (Fig. 3C).
-//   - ModeFence: all speculation across each implicated guard is
-//     disabled (PinFrom) — coarse fence semantics.
-//   - ModeNoSpeculation: every relaxable edge is pinned; no analysis
-//     needed, but the detection report is still returned for symmetry.
-func Apply(b *ir.Block, mode Mode) Report {
-	return applyWith(b, mode, nil)
-}
-
-// ApplyAudited is Apply plus the audit report. In ghostbusters mode
-// the report's pinned chains are backed by the guard edges Apply just
-// inserted, so aud.Verify(b, true) holds on the returned block; other
-// modes keep the same chains as explanations of what the analysis
-// detected (and, for fence/nospec, pinned by coarser means).
-func ApplyAudited(b *ir.Block, mode Mode) (Report, *ir.AuditReport) {
-	aud := &ir.AuditReport{}
-	rep := applyWith(b, mode, aud)
-	return rep, aud
-}
-
-// ApplyInto is Apply writing the audit into a caller-owned report (nil
-// aud skips all provenance bookkeeping). The pass pipeline uses it so
-// one AuditReport spans every pass applied to the block.
-func ApplyInto(b *ir.Block, mode Mode, aud *ir.AuditReport) Report {
-	return applyWith(b, mode, aud)
-}
-
-func applyWith(b *ir.Block, mode Mode, aud *ir.AuditReport) Report {
-	if mode == ModeNoSpeculation {
-		rep, _ := analyze(b, aud)
-		b.PinAll()
-		return rep
-	}
-	rep, pins := analyze(b, aud)
-	switch mode {
-	case ModeUnsafe:
-		// report only
-	case ModeGhostBusters:
-		for _, load := range rep.RiskyLoads {
-			// Guard order must be deterministic: b.Edges order decides
-			// gbdump -dot bytes and every audit guard-edge scan.
-			rep.GuardEdges += PinRisky(b, load, sortedKeys(pins[load]))
-		}
-	case ModeFence:
-		for _, g := range rep.Guards {
-			b.PinFrom(g)
-		}
-	}
-	if aud != nil {
-		aud.GuardEdges = rep.GuardEdges
-	}
-	return rep
-}
-
 // AnalyzePins runs the poison analysis and additionally returns, for
 // every risky load, the sorted guard list the mitigation must order it
-// after. aud may be nil (no provenance bookkeeping). This is the
-// entry point the pass pipeline builds alternative mitigations on.
+// after. aud may be nil (no provenance bookkeeping). Every mitigation
+// pass in internal/core/pipeline builds on this entry point.
 func AnalyzePins(b *ir.Block, aud *ir.AuditReport) (Report, map[int][]int) {
 	rep, pins := analyze(b, aud)
 	out := make(map[int][]int, len(pins))

@@ -1,12 +1,34 @@
-package core
+package core_test
 
 import (
 	"reflect"
 	"testing"
 
+	"ghostbusters/internal/core"
+	"ghostbusters/internal/core/pipeline"
 	"ghostbusters/internal/ir"
 	"ghostbusters/internal/riscv"
 )
+
+// mitigate runs mode's registered pipeline — the one dispatch from a
+// mode to its mitigation — over b and returns the aggregate report.
+func mitigate(b *ir.Block, mode core.Mode) core.Report {
+	rep, _ := pipeline.MustFor(mode).Apply(b)
+	return rep
+}
+
+// mitigateAudited is mitigate with the pipeline-spanning audit report.
+func mitigateAudited(b *ir.Block, mode core.Mode) (core.Report, *ir.AuditReport) {
+	rep, aud, _ := pipeline.MustFor(mode).ApplyAudited(b)
+	return rep, aud
+}
+
+// analyzeAudited runs the audited analysis without touching the block.
+func analyzeAudited(b *ir.Block) (core.Report, *ir.AuditReport) {
+	aud := &ir.AuditReport{}
+	rep, _ := core.AnalyzePins(b, aud)
+	return rep, aud
+}
 
 // spectreV1Block models Fig. 1: bounds check branch, then the two
 // dependent loads (secret read + leaking access).
@@ -60,7 +82,7 @@ func benignBlock(t *testing.T) *ir.Block {
 
 func TestAnalyzeDetectsV1(t *testing.T) {
 	b := spectreV1Block(t)
-	rep := Analyze(b)
+	rep := core.Analyze(b)
 	if !rep.PatternFound() {
 		t.Fatal("v1 pattern not detected")
 	}
@@ -81,7 +103,7 @@ func TestAnalyzeDetectsV1(t *testing.T) {
 
 func TestAnalyzeDetectsV4(t *testing.T) {
 	b := spectreV4Block(t)
-	rep := Analyze(b)
+	rep := core.Analyze(b)
 	if !rep.PatternFound() {
 		t.Fatal("v4 pattern not detected")
 	}
@@ -95,7 +117,7 @@ func TestAnalyzeDetectsV4(t *testing.T) {
 
 func TestAnalyzeBenign(t *testing.T) {
 	b := benignBlock(t)
-	rep := Analyze(b)
+	rep := core.Analyze(b)
 	if rep.PatternFound() {
 		t.Fatalf("benign block flagged: %+v", rep)
 	}
@@ -110,7 +132,7 @@ func TestAnalyzeBenign(t *testing.T) {
 
 func TestApplyGhostBustersPinsOnlyRiskyLoad(t *testing.T) {
 	b := spectreV1Block(t)
-	rep := Apply(b, ModeGhostBusters)
+	rep := mitigate(b, core.ModeGhostBusters)
 	if !rep.PatternFound() || rep.GuardEdges == 0 {
 		t.Fatalf("report = %+v", rep)
 	}
@@ -140,7 +162,7 @@ func TestApplyGhostBustersPinsOnlyRiskyLoad(t *testing.T) {
 
 func TestApplyGhostBustersV4(t *testing.T) {
 	b := spectreV4Block(t)
-	Apply(b, ModeGhostBusters)
+	mitigate(b, core.ModeGhostBusters)
 	if b.HasRelaxableIn(4) {
 		t.Fatal("risky load still speculative")
 	}
@@ -151,7 +173,7 @@ func TestApplyGhostBustersV4(t *testing.T) {
 
 func TestApplyFencePinsWholeGuard(t *testing.T) {
 	b := spectreV1Block(t)
-	Apply(b, ModeFence)
+	mitigate(b, core.ModeFence)
 	// Fence at the branch: neither load may cross it any more.
 	if b.HasRelaxableIn(2) || b.HasRelaxableIn(4) {
 		t.Fatal("fence left speculation across the guard")
@@ -160,7 +182,7 @@ func TestApplyFencePinsWholeGuard(t *testing.T) {
 
 func TestApplyFenceBenignKeepsSpeculation(t *testing.T) {
 	b := benignBlock(t)
-	Apply(b, ModeFence)
+	mitigate(b, core.ModeFence)
 	// No pattern, no fence: speculation preserved (paper: fence variant
 	// costs nothing on the standard suite because the pattern is rare).
 	if !b.HasRelaxableIn(2) || !b.HasRelaxableIn(3) {
@@ -170,7 +192,7 @@ func TestApplyFenceBenignKeepsSpeculation(t *testing.T) {
 
 func TestApplyNoSpecPinsEverything(t *testing.T) {
 	b := benignBlock(t)
-	Apply(b, ModeNoSpeculation)
+	mitigate(b, core.ModeNoSpeculation)
 	for _, e := range b.Edges {
 		if e.Relaxable {
 			t.Fatal("nospec left a relaxable edge")
@@ -181,7 +203,7 @@ func TestApplyNoSpecPinsEverything(t *testing.T) {
 func TestApplyUnsafeChangesNothing(t *testing.T) {
 	b := spectreV1Block(t)
 	before := len(b.Edges)
-	rep := Apply(b, ModeUnsafe)
+	rep := mitigate(b, core.ModeUnsafe)
 	if !rep.PatternFound() {
 		t.Fatal("unsafe mode should still report detection")
 	}
@@ -192,9 +214,9 @@ func TestApplyUnsafeChangesNothing(t *testing.T) {
 
 func TestApplyIdempotent(t *testing.T) {
 	b := spectreV1Block(t)
-	Apply(b, ModeGhostBusters)
+	mitigate(b, core.ModeGhostBusters)
 	edges := len(b.Edges)
-	rep := Apply(b, ModeGhostBusters)
+	rep := mitigate(b, core.ModeGhostBusters)
 	if len(b.Edges) != edges {
 		t.Fatalf("second Apply added %d edges", len(b.Edges)-edges)
 	}
@@ -216,7 +238,7 @@ func TestPoisonPropagatesThroughChains(t *testing.T) {
 	}
 	leak := bu.Emit(ir.Inst{Op: riscv.LBU, A: ir.FromInst(cur), DestArch: 11})
 	b := bu.Block()
-	rep := Analyze(b)
+	rep := core.Analyze(b)
 	if len(rep.RiskyLoads) != 1 || rep.RiskyLoads[0] != leak {
 		t.Fatalf("RiskyLoads = %v, want [%d]", rep.RiskyLoads, leak)
 	}
@@ -231,20 +253,20 @@ func TestPoisonedStoreDataIsNotAPattern(t *testing.T) {
 	bu.Emit(ir.Inst{Op: riscv.SD, A: ir.RegIn(8), B: ir.RegIn(5), DestArch: -1})
 	n1 := bu.Emit(ir.Inst{Op: riscv.LD, A: ir.RegIn(9), DestArch: 10})
 	bu.Emit(ir.Inst{Op: riscv.SD, A: ir.RegIn(8), B: ir.FromInst(n1), Imm: 8, DestArch: -1})
-	rep := Analyze(bu.Block())
+	rep := core.Analyze(bu.Block())
 	if rep.PatternFound() {
 		t.Fatalf("store with poisoned data flagged: %+v", rep)
 	}
 }
 
 func TestModeParseAndString(t *testing.T) {
-	for _, m := range []Mode{ModeUnsafe, ModeGhostBusters, ModeFence, ModeNoSpeculation, ModeLoadFence, ModeSFIClamp, ModeFenceMin} {
-		got, err := ParseMode(m.String())
+	for _, m := range []core.Mode{core.ModeUnsafe, core.ModeGhostBusters, core.ModeFence, core.ModeNoSpeculation, core.ModeLoadFence, core.ModeSFIClamp, core.ModeFenceMin} {
+		got, err := core.ParseMode(m.String())
 		if err != nil || got != m {
 			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)
 		}
 	}
-	if _, err := ParseMode("bogus"); err == nil {
+	if _, err := core.ParseMode("bogus"); err == nil {
 		t.Error("ParseMode(bogus) should fail")
 	}
 }
@@ -267,16 +289,16 @@ func multiGuardBlock(t *testing.T) *ir.Block {
 	return b
 }
 
-// Regression: applyWith used to range over the guard-set map when
-// pinning a risky load, so with more than one guard the inserted guard
-// edges landed in map-iteration order — two runs on identical blocks
-// could disagree on b.Edges and on the rendered DOT. The pinning now
-// walks sorted guard indices; repeated applications must be
-// byte-identical.
+// Regression: the ghostbusters mitigation used to range over the
+// guard-set map when pinning a risky load, so with more than one guard
+// the inserted guard edges landed in map-iteration order — two runs on
+// identical blocks could disagree on b.Edges and on the rendered DOT.
+// The pinning now walks sorted guard indices; repeated applications
+// must be byte-identical.
 func TestApplyGhostBustersDeterministic(t *testing.T) {
 	apply := func() ([]ir.Edge, string) {
 		b := multiGuardBlock(t)
-		rep, aud := ApplyAudited(b, ModeGhostBusters)
+		rep, aud := mitigateAudited(b, core.ModeGhostBusters)
 		if len(rep.RiskyLoads) != 1 {
 			t.Fatalf("RiskyLoads = %v, want one", rep.RiskyLoads)
 		}
@@ -307,7 +329,7 @@ func TestMultiplePatterns(t *testing.T) {
 	c := bu.Emit(ir.Inst{Op: riscv.LD, A: ir.RegIn(13), DestArch: 8})
 	l2 := bu.Emit(ir.Inst{Op: riscv.LBU, A: ir.FromInst(c), DestArch: 9})
 	b := bu.Block()
-	rep := Apply(b, ModeGhostBusters)
+	rep := mitigate(b, core.ModeGhostBusters)
 	if len(rep.RiskyLoads) != 2 || rep.RiskyLoads[0] != l1 || rep.RiskyLoads[1] != l2 {
 		t.Fatalf("RiskyLoads = %v, want [%d %d]", rep.RiskyLoads, l1, l2)
 	}

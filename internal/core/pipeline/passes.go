@@ -6,38 +6,37 @@ import (
 	"ghostbusters/internal/riscv"
 )
 
-// The built-in pipelines. The four legacy modes wrap core.Apply so the
-// pipeline path stays byte-identical with the seed behaviour (the
-// differential tests and the fig4 byte-identity gate rely on it); the
-// ported mitigations are implemented as native passes.
+// The built-in pipelines: the paper's four Figure 4 modes, then the
+// mitigations ported from the related work. Every mode is one native
+// pass over core.AnalyzePins.
 func init() {
 	Register(&Pipeline{
 		Mode: core.ModeUnsafe, Name: "unsafe",
 		Mechanism: "detection only; full speculation",
 		Lineage:   "Rokicki DATE'20 baseline",
 		Fig4:      true,
-		Passes:    []Pass{legacyPass("detect", core.ModeUnsafe)},
+		Passes:    []Pass{{Name: "detect", Apply: detectOnly}},
 	})
 	Register(&Pipeline{
 		Mode: core.ModeGhostBusters, Name: "ghostbusters",
 		Mechanism: "pin each risky access behind fine-grained guard edges",
 		Lineage:   "Rokicki DATE'20 (the paper's contribution)",
 		Fig4:      true,
-		Passes:    []Pass{legacyPass("ghostbusters", core.ModeGhostBusters)},
+		Passes:    []Pass{{Name: "ghostbusters", Apply: ghostBusters}},
 	})
 	Register(&Pipeline{
 		Mode: core.ModeFence, Name: "fence",
 		Mechanism: "forbid all speculation across each implicated guard",
 		Lineage:   "Rokicki DATE'20 fence baseline (lfence-on-detect)",
 		Fig4:      true,
-		Passes:    []Pass{legacyPass("fence", core.ModeFence)},
+		Passes:    []Pass{{Name: "fence", Apply: fence}},
 	})
 	Register(&Pipeline{
 		Mode: core.ModeNoSpeculation, Name: "nospec",
 		Mechanism: "disable both speculation mechanisms globally",
 		Lineage:   "Rokicki DATE'20 no-speculation baseline",
 		Fig4:      true,
-		Passes:    []Pass{legacyPass("nospec", core.ModeNoSpeculation)},
+		Passes:    []Pass{{Name: "nospec", Apply: noSpec}},
 	})
 	Register(&Pipeline{
 		Mode: core.ModeLoadFence, Name: "loadfence",
@@ -59,23 +58,43 @@ func init() {
 	})
 }
 
-// legacyPass wraps one core.Apply mode as a single pipeline pass.
-func legacyPass(name string, mode core.Mode) Pass {
-	return Pass{Name: name, Apply: func(b *ir.Block, aud *ir.AuditReport) PassReport {
-		before := relaxableEdges(b)
-		rep := core.ApplyInto(b, mode, aud)
-		return PassReport{Report: rep, PinnedEdges: before - relaxableEdges(b)}
-	}}
+// detectOnly is the unsafe baseline: the analysis runs for the report
+// (and the audit's explanation of what would leak), and the block keeps
+// full speculation.
+func detectOnly(b *ir.Block, aud *ir.AuditReport) PassReport {
+	rep, _ := core.AnalyzePins(b, aud)
+	return PassReport{Report: rep}
 }
 
-func relaxableEdges(b *ir.Block) int {
-	n := 0
-	for _, e := range b.Edges {
-		if e.Relaxable {
-			n++
-		}
+// ghostBusters is the paper's mitigation (Fig. 3C): each risky load is
+// made non-speculative and receives a guard edge from every instruction
+// that caused its poisoning; every other load keeps speculating.
+func ghostBusters(b *ir.Block, aud *ir.AuditReport) PassReport {
+	rep, pins := core.AnalyzePins(b, aud)
+	pr := PassReport{Report: rep}
+	for _, load := range rep.RiskyLoads {
+		pr.PinnedEdges += b.PinInto(load)
+		pr.Report.GuardEdges += core.PinRisky(b, load, pins[load])
 	}
-	return n
+	return pr
+}
+
+// fence is the coarse baseline: no speculation may cross a guard the
+// analysis implicated in a Spectre pattern.
+func fence(b *ir.Block, aud *ir.AuditReport) PassReport {
+	rep, _ := core.AnalyzePins(b, aud)
+	pr := PassReport{Report: rep}
+	for _, g := range rep.Guards {
+		pr.PinnedEdges += b.PinFrom(g)
+	}
+	return pr
+}
+
+// noSpec is the naive baseline: both speculation mechanisms off. It
+// needs no analysis; the report is kept for symmetry with the others.
+func noSpec(b *ir.Block, aud *ir.AuditReport) PassReport {
+	rep, _ := core.AnalyzePins(b, aud)
+	return PassReport{Report: rep, PinnedEdges: b.PinAll()}
 }
 
 // loadFence pins every load with a relaxable incoming edge: no load

@@ -1,11 +1,10 @@
-// Package pipeline turns the DBT engine's single hardcoded mitigation
-// step into a registry of named, ordered, independently-testable IR
-// passes. A core.Mode no longer selects a branch inside core.applyWith;
-// it selects a Pipeline — an ordered list of passes applied to the
-// block before scheduling — so alternative mitigations from the related
-// work (blanket load fencing, SFI-style address clamping, Blade-style
-// minimal cuts) plug in next to the paper's modes without touching the
-// back end.
+// Package pipeline is the DBT engine's mitigation step: a registry of
+// named, ordered, independently-testable IR passes. A core.Mode selects
+// a Pipeline — an ordered list of passes applied to the block before
+// scheduling — so the paper's modes and the alternative mitigations
+// from the related work (blanket load fencing, SFI-style address
+// clamping, Blade-style minimal cuts) share one dispatch and plug in
+// without touching the back end.
 //
 // Determinism contract: a pass may only mutate the block through
 // deterministic iteration (program-order loops, sorted guard lists), so
@@ -61,7 +60,7 @@ type Pipeline struct {
 	Name      string // mode name (matches core.ParseMode)
 	Mechanism string // one-line description of how it mitigates
 	Lineage   string // paper lineage of the technique
-	// Fig4 marks the four legacy modes the paper's Figure 4 compares;
+	// Fig4 marks the four modes the paper's Figure 4 compares;
 	// harness.Fig4Modes derives from this flag so the byte-identity and
 	// -checkperf gates keep covering exactly the seed modes.
 	Fig4   bool
@@ -183,7 +182,7 @@ func Modes() []core.Mode {
 }
 
 // Fig4Modes returns the registered modes flagged as part of the paper's
-// Figure 4 comparison, in mode-value order (the four legacy modes).
+// Figure 4 comparison, in mode-value order (the paper's four modes).
 func Fig4Modes() []core.Mode {
 	var out []core.Mode
 	for _, m := range order {

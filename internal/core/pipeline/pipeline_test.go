@@ -93,28 +93,89 @@ func TestFig4ModesAreTheSeedFour(t *testing.T) {
 	}
 }
 
-// The four legacy pipelines must transform a block exactly as the
-// monolithic core.Apply does: same instructions, same edges, same
-// report. This is the differential gate behind the fig4 byte-identity
-// guarantee.
-func TestLegacyPipelinesMatchCoreApply(t *testing.T) {
-	for _, mode := range Fig4Modes() {
-		for variant, mk := range blockMakers {
-			legacy, piped := mk(t), mk(t)
-			repL := core.Apply(legacy, mode)
-			repP, passes := MustFor(mode).Apply(piped)
-			if !reflect.DeepEqual(repL, repP) {
-				t.Errorf("%s/%s: report diverged:\nlegacy   %+v\npipeline %+v", mode, variant, repL, repP)
-			}
-			if !reflect.DeepEqual(legacy.Insts, piped.Insts) {
-				t.Errorf("%s/%s: instructions diverged", mode, variant)
-			}
-			if !reflect.DeepEqual(legacy.Edges, piped.Edges) {
-				t.Errorf("%s/%s: edges diverged:\nlegacy   %v\npipeline %v", mode, variant, legacy.Edges, piped.Edges)
-			}
-			if len(passes) == 0 {
-				t.Errorf("%s/%s: no pass reports", mode, variant)
-			}
+// The Figure 4 pipelines must transform the v1/v4 blocks exactly as
+// the monolithic core.Apply they replaced did. The report, the final
+// edge list and the pass attribution below were recorded from that
+// implementation; they pin the fig4 byte-identity guarantee at the
+// block level.
+func TestFig4PipelinesMatchRecordedReference(t *testing.T) {
+	detected := core.Report{SpeculativeLoads: 2, PoisonedInsts: 2, Poisoned: []int{2, 3},
+		RiskyLoads: []int{4}, Guards: []int{1}}
+	pinned := detected
+	pinned.GuardEdges = 1
+	ctrl := func(from, to int, relax bool) ir.Edge {
+		return ir.Edge{From: from, To: to, Kind: ir.EdgeCtrl, Relaxable: relax}
+	}
+	mem := func(from, to int, relax bool) ir.Edge {
+		return ir.Edge{From: from, To: to, Kind: ir.EdgeMem, Relaxable: relax}
+	}
+	guard := ir.Edge{From: 1, To: 4, Kind: ir.EdgeGuard}
+	cases := []struct {
+		mode    core.Mode
+		variant string
+		rep     core.Report
+		edges   []ir.Edge
+		pass    ir.PassAttribution
+	}{
+		{core.ModeUnsafe, "v1", detected,
+			[]ir.Edge{ctrl(0, 1, false), ctrl(1, 2, true), ctrl(1, 3, true), ctrl(1, 4, true)},
+			ir.PassAttribution{Pass: "detect", RiskyLoads: 1}},
+		{core.ModeUnsafe, "v4", detected,
+			[]ir.Edge{mem(1, 2, true), mem(1, 4, true)},
+			ir.PassAttribution{Pass: "detect", RiskyLoads: 1}},
+		{core.ModeGhostBusters, "v1", pinned,
+			[]ir.Edge{ctrl(0, 1, false), ctrl(1, 2, true), ctrl(1, 3, true), ctrl(1, 4, false), guard},
+			ir.PassAttribution{Pass: "ghostbusters", RiskyLoads: 1, GuardEdges: 1, PinnedEdges: 1}},
+		{core.ModeGhostBusters, "v4", pinned,
+			[]ir.Edge{mem(1, 2, true), mem(1, 4, false), guard},
+			ir.PassAttribution{Pass: "ghostbusters", RiskyLoads: 1, GuardEdges: 1, PinnedEdges: 1}},
+		{core.ModeFence, "v1", detected,
+			[]ir.Edge{ctrl(0, 1, false), ctrl(1, 2, false), ctrl(1, 3, false), ctrl(1, 4, false)},
+			ir.PassAttribution{Pass: "fence", RiskyLoads: 1, PinnedEdges: 3}},
+		{core.ModeFence, "v4", detected,
+			[]ir.Edge{mem(1, 2, false), mem(1, 4, false)},
+			ir.PassAttribution{Pass: "fence", RiskyLoads: 1, PinnedEdges: 2}},
+		{core.ModeNoSpeculation, "v1", detected,
+			[]ir.Edge{ctrl(0, 1, false), ctrl(1, 2, false), ctrl(1, 3, false), ctrl(1, 4, false)},
+			ir.PassAttribution{Pass: "nospec", RiskyLoads: 1, PinnedEdges: 3}},
+		{core.ModeNoSpeculation, "v4", detected,
+			[]ir.Edge{mem(1, 2, false), mem(1, 4, false)},
+			ir.PassAttribution{Pass: "nospec", RiskyLoads: 1, PinnedEdges: 2}},
+	}
+	covered := map[core.Mode]int{}
+	for _, tc := range cases {
+		covered[tc.mode]++
+		name := tc.mode.String() + "/" + tc.variant
+		mk := blockMakers[tc.variant]
+		orig := mk(t)
+
+		b := mk(t)
+		rep, passes := MustFor(tc.mode).Apply(b)
+		if !reflect.DeepEqual(rep, tc.rep) {
+			t.Errorf("%s: report\n got  %+v\n want %+v", name, rep, tc.rep)
+		}
+		if !reflect.DeepEqual(b.Edges, tc.edges) {
+			t.Errorf("%s: edges\n got  %v\n want %v", name, b.Edges, tc.edges)
+		}
+		if !reflect.DeepEqual(b.Insts, orig.Insts) {
+			t.Errorf("%s: instructions changed", name)
+		}
+		if len(passes) != 1 {
+			t.Errorf("%s: %d pass reports, want 1", name, len(passes))
+		}
+
+		b = mk(t)
+		repA, aud, _ := MustFor(tc.mode).ApplyAudited(b)
+		if !reflect.DeepEqual(repA, tc.rep) || !reflect.DeepEqual(b.Edges, tc.edges) {
+			t.Errorf("%s: audited application diverged from the plain one", name)
+		}
+		if want := []ir.PassAttribution{tc.pass}; !reflect.DeepEqual(aud.Passes, want) {
+			t.Errorf("%s: pass attribution\n got  %+v\n want %+v", name, aud.Passes, want)
+		}
+	}
+	for _, m := range Fig4Modes() {
+		if covered[m] != len(blockMakers) {
+			t.Errorf("%s: %d recorded cases, want one per block maker", m, covered[m])
 		}
 	}
 }

@@ -48,9 +48,13 @@ func fuzzProgram(data []byte) *riscv.Program {
 
 // fuzzRun executes prog on a fresh machine and reports the outcome plus
 // the final architectural state. selfModified reports whether the guest
-// overwrote its own text with different words — translated code is
-// deliberately not invalidated by guest stores, so such guests may
-// legitimately diverge between modes.
+// overwrote its own text with different words; such guests may
+// legitimately diverge between modes. The store hook
+// (Machine.onGuestStore) drops the overlapping regions only for later
+// dispatches: the region that issued the store runs its translated
+// bundles to the region exit, so an instruction it overwrote later in
+// the same region still executes in its old form, while the
+// interpreter fetches the new word at once.
 func fuzzRun(t *testing.T, cfg Config, prog *riscv.Program) (res *Result, x [32]uint64, ferr *trap.Fault, selfModified bool) {
 	t.Helper()
 	m, err := New(cfg)
@@ -115,7 +119,8 @@ func FuzzInterpVsVLIW(f *testing.F) {
 
 		// Timing is mode-specific by design: once either side ran out of
 		// budget the other may be anywhere. Same for self-modifying
-		// guests: translated code is not invalidated by guest stores.
+		// guests: a region that overwrites its own later instructions
+		// finishes with the stale translation (see fuzzRun).
 		if trap.IsKind(faultI, trap.CycleBudgetExceeded) || trap.IsKind(faultT, trap.CycleBudgetExceeded) ||
 			modI || modT {
 			return

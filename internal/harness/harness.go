@@ -44,7 +44,9 @@ type KernelRun struct {
 
 // RunSpec executes a kernel spec on a fresh machine and validates every
 // output array against the reference. A mismatch is an error: the
-// benchmark harness doubles as an end-to-end correctness check.
+// benchmark harness doubles as an end-to-end correctness check. Like
+// Bench.Run, a failure after the guest ran still returns the KernelRun
+// carrying the cycles the machine consumed.
 func RunSpec(spec *polybench.Spec, cfg dbt.Config) (*KernelRun, error) {
 	art, err := BuildArtifact(spec)
 	if err != nil {
@@ -81,34 +83,35 @@ func runArtifact(art *Artifact, cfg dbt.Config) (*KernelRun, error) {
 		}
 	}
 	res, err := m.Run()
+	run := &KernelRun{Name: spec.Name, Mode: cfg.Mitigation, Cycles: m.Cycles(), TransNS: m.TranslateHostNS()}
 	if err != nil {
-		return nil, fmt.Errorf("harness: %s (%s): %w", spec.Name, cfg.Mitigation, err)
+		return run, fmt.Errorf("harness: %s (%s): %w", spec.Name, cfg.Mitigation, err)
 	}
+	run.Stats = res.Stats
 	if res.Exit.Code != 0 {
-		return nil, fmt.Errorf("harness: %s: guest exit code %d", spec.Name, res.Exit.Code)
+		return run, fmt.Errorf("harness: %s: guest exit code %d", spec.Name, res.Exit.Code)
 	}
 	if res.Stats.CompileErrs != 0 {
-		return nil, fmt.Errorf("harness: %s: %d DBT compile errors", spec.Name, res.Stats.CompileErrs)
+		return run, fmt.Errorf("harness: %s: %d DBT compile errors", spec.Name, res.Stats.CompileErrs)
 	}
 	for _, out := range spec.Outputs {
 		pl, err := art.placeFor(out)
 		if err != nil {
-			return nil, err
+			return run, err
 		}
 		got, err := pl.Read(m.Mem())
 		if err != nil {
-			return nil, err
+			return run, err
 		}
 		want := spec.Expected[out]
 		for i := range want {
 			if got[i] != want[i] {
-				return nil, fmt.Errorf("harness: %s (%s): output %s[%d] = %d, reference %d",
+				return run, fmt.Errorf("harness: %s (%s): output %s[%d] = %d, reference %d",
 					spec.Name, cfg.Mitigation, out, i, got[i], want[i])
 			}
 		}
 	}
-	return &KernelRun{Name: spec.Name, Mode: cfg.Mitigation, Cycles: res.Cycles,
-		Stats: res.Stats, TransNS: m.TranslateHostNS()}, nil
+	return run, nil
 }
 
 // validateSpec checks the spec's internal consistency up front — most
@@ -146,6 +149,12 @@ type Row struct {
 	Stats    map[core.Mode]dbt.Stats
 	HostNS   map[core.Mode]int64 // host wall clock per run (perf layer; not rendered in tables)
 
+	// Spent is the simulated cycles each cell consumed over all its
+	// attempts — failed, trapped and interrupted ones included — with
+	// each attempt capped at the cycle budget it ran under. It is what
+	// a metered caller bills; 0 for a cell that never ran.
+	Spent map[core.Mode]uint64
+
 	// Faults holds the guest trap that killed a cell when the Runner ran
 	// with TolerateFaults; such cells have no Cycles/Stats entry and the
 	// renderers print "n/a" for them.
@@ -159,6 +168,7 @@ func newRow(name string) *Row {
 		Slowdown: map[core.Mode]float64{},
 		Stats:    map[core.Mode]dbt.Stats{},
 		HostNS:   map[core.Mode]int64{},
+		Spent:    map[core.Mode]uint64{},
 		Faults:   map[core.Mode]*trap.Fault{},
 	}
 }
@@ -177,7 +187,7 @@ func (r *Row) normalize() {
 // variant from the text's third experiment). The list derives from the
 // mitigation-pass registry so the byte-identity and -checkperf gates
 // keep covering exactly the pipelines flagged as part of the paper's
-// comparison — the four legacy modes.
+// comparison.
 var Fig4Modes = pipeline.Fig4Modes()
 
 // AllModes returns every registered mitigation mode, in mode-value

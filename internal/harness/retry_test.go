@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -157,5 +158,71 @@ func TestRunnerTolerateFaultsHostErrors(t *testing.T) {
 	_, err := r.RunMatrix(context.Background(), dbt.DefaultConfig(), []Bench{hostErr}, []core.Mode{core.ModeUnsafe})
 	if err == nil {
 		t.Fatal("host error was tolerated")
+	}
+}
+
+// burner models a guest that burns `per` cycles per attempt and
+// then hits an injected (transient) fault, under the machine's budget
+// rule: an attempt whose budget is smaller than `per` traps with
+// cycle-budget-exceeded one cycle past the budget, like dbt.Machine,
+// which only checks the budget at block boundaries. It records the
+// budget every attempt ran under.
+type burner struct {
+	per     uint64
+	budgets []uint64
+}
+
+func (b *burner) bench() Bench {
+	return Bench{
+		Name: "burner",
+		Run: func(_ context.Context, cfg dbt.Config, _ *Artifacts) (*KernelRun, error) {
+			b.budgets = append(b.budgets, cfg.MaxCycles)
+			if cfg.MaxCycles > 0 && b.per > cfg.MaxCycles {
+				f := trap.Newf(trap.CycleBudgetExceeded, "cycle budget exceeded (max %d)", cfg.MaxCycles)
+				f.Cycle = cfg.MaxCycles + 1
+				return &KernelRun{Name: "burner", Mode: cfg.Mitigation, Cycles: f.Cycle}, f
+			}
+			f := transientFault()
+			f.Cycle = b.per
+			return &KernelRun{Name: "burner", Mode: cfg.Mitigation, Cycles: b.per}, f
+		},
+	}
+}
+
+// TestRetriesShareTheCellBudget: MaxCycles bounds a cell, not each
+// attempt. Retries run under what earlier attempts left, the cell ends
+// with cycle-budget-exceeded once the budget is gone — never by handing
+// a retry MaxCycles = 0, which would mean unlimited — and Row.Spent
+// meters every attempt without exceeding the budget.
+func TestRetriesShareTheCellBudget(t *testing.T) {
+	const budget = 1000
+	for _, tc := range []struct {
+		name    string
+		per     uint64
+		budgets []uint64
+	}{
+		// The third attempt gets 200 cycles and traps on the budget.
+		{"trap-on-remainder", 400, []uint64{1000, 600, 200}},
+		// Two attempts use the budget up exactly; a third would run
+		// unlimited if the remainder (0) were passed as MaxCycles.
+		{"exhausted-between-attempts", 500, []uint64{1000, 500}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := &burner{per: tc.per}
+			r := &Runner{Workers: 1, Retries: 10}
+			base := dbt.DefaultConfig()
+			base.MaxCycles = budget
+			rows, err := r.RunMatrix(context.Background(), base, []Bench{b.bench()}, []core.Mode{core.ModeUnsafe})
+			f := trap.As(err)
+			if f == nil || f.Kind != trap.CycleBudgetExceeded {
+				t.Fatalf("cell ended with %v, want a %s trap", err, trap.CycleBudgetExceeded)
+			}
+			if !reflect.DeepEqual(b.budgets, tc.budgets) {
+				t.Fatalf("attempt budgets = %v, want %v", b.budgets, tc.budgets)
+			}
+			if got := rows[0].Spent[core.ModeUnsafe]; got == 0 || got > budget {
+				t.Fatalf("Spent = %d, want in (0, %d]", got, budget)
+			}
+		})
 	}
 }

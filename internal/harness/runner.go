@@ -116,7 +116,10 @@ type CellUpdate struct {
 // Bench is one benchmark of the experiment matrix: a named job factory
 // the Runner instantiates once per mitigation mode. Run must be safe to
 // call concurrently (each call receives its own Config and must build
-// its own machine).
+// its own machine). A Run that fails after its guest ran may return the
+// KernelRun alongside the error, with Cycles set to what the machine
+// consumed, so the Runner can meter the failed attempt (Row.Spent);
+// otherwise the Runner falls back to the cycle stamp of a guest trap.
 type Bench struct {
 	Name string
 	Run  func(ctx context.Context, cfg dbt.Config, arts *Artifacts) (*KernelRun, error)
@@ -214,6 +217,7 @@ func (r *Runner) RunMatrix(ctx context.Context, base dbt.Config, benches []Bench
 	type job struct{ bi, mi int }
 	jobs := make(chan job)
 	runs := make([]*KernelRun, nb*nm)
+	spent := make([]uint64, nb*nm)
 	errs := make([]error, nb*nm)
 
 	var wg sync.WaitGroup
@@ -236,7 +240,7 @@ func (r *Runner) RunMatrix(ctx context.Context, base dbt.Config, benches []Bench
 					r.OnCell(CellUpdate{Bench: benches[j.bi].Name, Mode: modes[j.mi],
 						Index: idx, Total: nb * nm})
 				}
-				runs[idx], errs[idx] = r.runOne(ctx, base, benches[j.bi], modes[j.mi])
+				runs[idx], spent[idx], errs[idx] = r.runOne(ctx, base, benches[j.bi], modes[j.mi])
 				if r.OnCell != nil {
 					r.OnCell(CellUpdate{Bench: benches[j.bi].Name, Mode: modes[j.mi],
 						Index: idx, Total: nb * nm, Done: true, Run: runs[idx], Err: errs[idx]})
@@ -275,6 +279,7 @@ func (r *Runner) RunMatrix(ctx context.Context, base dbt.Config, benches []Bench
 		row := newRow(b.Name)
 		for mi, mode := range modes {
 			idx := bi*nm + mi
+			row.Spent[mode] = spent[idx]
 			if f := faults[idx]; f != nil {
 				row.Faults[mode] = f
 				continue
@@ -318,13 +323,29 @@ func (r *Runner) RunMatrix(ctx context.Context, base dbt.Config, benches []Bench
 // its own wall-clock guard, its own machine. Transient (injected)
 // faults are retried up to r.Retries times with capped exponential
 // backoff and a reseeded injector; any fault still standing afterwards
-// is surfaced.
-func (r *Runner) runOne(ctx context.Context, base dbt.Config, b Bench, mode core.Mode) (*KernelRun, error) {
+// is surfaced. A cycle budget (base.MaxCycles) covers the cell, not
+// each attempt: a retry runs under what earlier attempts left, and a
+// cell that has used it all ends with a cycle-budget-exceeded trap.
+// The second result is the cycles the cell consumed (Row.Spent).
+func (r *Runner) runOne(ctx context.Context, base dbt.Config, b Bench, mode core.Mode) (*KernelRun, uint64, error) {
 	bo := Backoff{Base: r.Backoff, Max: r.BackoffMax, Seed: r.BackoffSeed}
 	key := b.Name + "|" + mode.String()
 	cell := r.Span.Child("cell", hspan.Str("bench", b.Name), hspan.Str("mode", mode.String()))
+	var spent uint64
 	var lastErr error
 	for attempt := 0; attempt <= r.Retries; attempt++ {
+		cfg := base
+		if base.MaxCycles > 0 {
+			// MaxCycles = 0 would mean unlimited: an exhausted budget
+			// must end the cell instead.
+			if spent >= base.MaxCycles {
+				f := trap.Newf(trap.CycleBudgetExceeded, "cycle budget %d exhausted across %d attempts", base.MaxCycles, attempt)
+				f.Cycle = spent
+				lastErr = fmt.Errorf("harness: %s (%s): %w", b.Name, mode, f)
+				break
+			}
+			cfg.MaxCycles = base.MaxCycles - spent
+		}
 		if attempt > 0 {
 			bs := cell.Child("backoff", hspan.Int("attempt", int64(attempt)))
 			err := bo.Sleep(ctx, attempt, key)
@@ -334,11 +355,12 @@ func (r *Runner) runOne(ctx context.Context, base dbt.Config, b Bench, mode core
 			}
 		}
 		as := cell.Child("attempt", hspan.Int("attempt", int64(attempt)))
-		run, err := r.attemptOne(ctx, base, b, mode, attempt)
+		run, err := r.attemptOne(ctx, cfg, b, mode, attempt)
+		spent += attemptCycles(run, err, cfg.MaxCycles)
 		if err == nil {
 			endAttempt(as, run)
 			cell.End(hspan.Str("outcome", "ok"))
-			return run, nil
+			return run, spent, nil
 		}
 		as.End(hspan.Str("outcome", "error"))
 		lastErr = err
@@ -347,7 +369,25 @@ func (r *Runner) runOne(ctx context.Context, base dbt.Config, b Bench, mode core
 		}
 	}
 	cell.End(hspan.Str("outcome", "error"))
-	return nil, lastErr
+	return nil, spent, lastErr
+}
+
+// attemptCycles is what one attempt consumed: the run's own count, or
+// for a failure without a run the cycle stamp of the trap that ended
+// it. The charge is capped at the attempt's budget — the machine only
+// notices an exhausted budget at a block boundary, and the overshoot
+// of that last block is not billed.
+func attemptCycles(run *KernelRun, err error, budget uint64) uint64 {
+	var c uint64
+	if run != nil {
+		c = run.Cycles
+	} else if f := trap.As(err); f != nil {
+		c = f.Cycle
+	}
+	if budget > 0 && c > budget {
+		c = budget
+	}
+	return c
 }
 
 // endAttempt finishes a successful attempt's span, splitting it into
@@ -368,7 +408,8 @@ func endAttempt(as hspan.Span, run *KernelRun) {
 }
 
 // attemptOne is one try of a matrix cell. attempt > 0 reseeds the fault
-// injector so the retried run draws a fresh fault schedule.
+// injector so the retried run draws a fresh fault schedule. On failure
+// the bench's partial run (if any) rides along with the error.
 func (r *Runner) attemptOne(ctx context.Context, base dbt.Config, b Bench, mode core.Mode, attempt int) (*KernelRun, error) {
 	runCtx := ctx
 	if r.Timeout > 0 {
@@ -396,9 +437,9 @@ func (r *Runner) attemptOne(ctx context.Context, base dbt.Config, b Bench, mode 
 			prefix = fmt.Sprintf("harness: %s (%s): ", b.Name, mode)
 		}
 		if cerr := runCtx.Err(); cerr != nil {
-			return nil, fmt.Errorf("%s%w: %v", prefix, cerr, err)
+			return run, fmt.Errorf("%s%w: %v", prefix, cerr, err)
 		}
-		return nil, fmt.Errorf("%s%w", prefix, err)
+		return run, fmt.Errorf("%s%w", prefix, err)
 	}
 	run.HostNS = hostNS
 	return run, nil

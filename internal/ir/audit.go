@@ -59,7 +59,8 @@ type ProvenanceChain struct {
 
 	// Pass names the mitigation pipeline pass that produced (or, for
 	// detection-only modes, explained) this chain. Empty when the
-	// report was produced outside a pipeline (direct core.ApplyAudited).
+	// report came from the bare analysis (core.AnalyzePins) rather than
+	// a pipeline.
 	Pass string
 }
 
@@ -93,8 +94,8 @@ type AuditReport struct {
 
 	// Passes attributes the mitigation work to the pipeline passes that
 	// performed it, in application order. Populated only when the block
-	// was mitigated through a pipeline (internal/core/pipeline); direct
-	// core.ApplyAudited leaves it empty.
+	// was mitigated through a pipeline (internal/core/pipeline); the
+	// bare analysis (core.AnalyzePins) leaves it empty.
 	Passes []PassAttribution
 }
 

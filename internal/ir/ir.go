@@ -240,30 +240,43 @@ func (b *Block) HasRelaxableIn(i int) bool {
 }
 
 // PinAll makes every edge non-relaxable (the NoSpeculation baseline).
-func (b *Block) PinAll() {
+// Like PinFrom and PinInto, it returns how many relaxable edges it made
+// hard — the mitigation passes' PinnedEdges attribution.
+func (b *Block) PinAll() int {
+	n := 0
 	for i := range b.Edges {
-		b.Edges[i].Relaxable = false
+		if b.Edges[i].Relaxable {
+			b.Edges[i].Relaxable = false
+			n++
+		}
 	}
+	return n
 }
 
 // PinFrom makes every edge leaving instruction g non-relaxable (fence
 // semantics at guard g: nothing may be hoisted above it).
-func (b *Block) PinFrom(g int) {
+func (b *Block) PinFrom(g int) int {
+	n := 0
 	for i := range b.Edges {
-		if b.Edges[i].From == g {
+		if b.Edges[i].From == g && b.Edges[i].Relaxable {
 			b.Edges[i].Relaxable = false
+			n++
 		}
 	}
+	return n
 }
 
 // PinInto makes every edge entering instruction i non-relaxable (the
 // instruction can no longer be scheduled speculatively).
-func (b *Block) PinInto(i int) {
+func (b *Block) PinInto(i int) int {
+	n := 0
 	for k := range b.Edges {
-		if b.Edges[k].To == i {
+		if b.Edges[k].To == i && b.Edges[k].Relaxable {
 			b.Edges[k].Relaxable = false
+			n++
 		}
 	}
+	return n
 }
 
 // Verify checks structural invariants:

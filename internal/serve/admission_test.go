@@ -160,6 +160,32 @@ func TestCycleBudgetEnforcedBySimulator(t *testing.T) {
 	}
 }
 
+// A metered sweep whose cells trap on their share of the allowance is
+// charged the cycles those cells ran — the same metering a run job
+// gets — not only the cycles of cells that completed.
+func TestSweepChargesTrappedCells(t *testing.T) {
+	const budget = 40_000
+	s := newTestServer(t, func(c *Config) {
+		c.Tenants = map[string]Quota{"metered": {CycleBudget: budget}}
+	})
+	j, _, aerr := s.admit(JobRequest{Tenant: "metered", Kind: KindKernel, Kernel: "gemm",
+		Modes: []string{"unsafe", "ghostbusters"}})
+	if aerr != nil {
+		t.Fatalf("admit: %v", aerr)
+	}
+	st := waitJob(t, s, j)
+	if st.State != StateFailed || st.Error == nil || st.Error.TrapKind != trap.CycleBudgetExceeded.String() {
+		t.Fatalf("capped sweep ended %s (%+v), want failed with %s", st.State, st.Error, trap.CycleBudgetExceeded)
+	}
+	s.mu.Lock()
+	used := s.tenants["metered"].cyclesUsed
+	reserved := s.tenants["metered"].cyclesReserved
+	s.mu.Unlock()
+	if used == 0 || used > budget || reserved != 0 {
+		t.Fatalf("ledger used=%d reserved=%d, want 0 < used <= %d and reserved=0", used, reserved, budget)
+	}
+}
+
 func TestRequestMaxCyclesOnlyTightens(t *testing.T) {
 	s := newTestServer(t, func(c *Config) {
 		c.Tenants = map[string]Quota{

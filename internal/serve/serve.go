@@ -15,12 +15,15 @@
 //     more cycles than it was granted. A full queue sheds load with
 //     429 + Retry-After instead of accepting unbounded work.
 //
-//   - Job lifecycle (worker.go): per-job deadlines, cancellation that
-//     tears the machine down through the Interrupt hook (guest memory
-//     is recycled via Machine.Release on every path), transient-fault
-//     retries with the harness's capped exponential backoff, and a
-//     panic-isolation boundary per job — one poisoned request returns
-//     a structured error while the fleet keeps serving.
+//   - Job lifecycle (worker.go): every job kind runs as a
+//     harness.Runner matrix (a run job is a one-cell matrix), giving
+//     per-job deadlines, cancellation that tears the machine down
+//     through the Interrupt hook (guest memory is recycled via
+//     Machine.Release on every path), transient-fault retries with the
+//     harness's capped exponential backoff under what is left of the
+//     cell's cycle budget, and a panic-isolation boundary per job —
+//     one poisoned request returns a structured error while the fleet
+//     keeps serving.
 //
 //   - Degradation paths: generated kernels and translated code are
 //     shared across tenants through harness.Artifacts and the

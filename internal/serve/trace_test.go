@@ -75,8 +75,8 @@ loop:
 
 // TestTraceReplayAfterCompletion proves the replay path: a finished
 // job's trace is the complete span tree — admission, queue wait, the
-// attempt with its translate/execute split — terminated by the root
-// record, and a second fetch replays it identically.
+// cell and its attempt with the translate/execute split — terminated
+// by the root record, and a second fetch replays it identically.
 func TestTraceReplayAfterCompletion(t *testing.T) {
 	s := newTestServer(t, nil)
 	ts := httptest.NewServer(s.Handler())
@@ -110,7 +110,16 @@ func TestTraceReplayAfterCompletion(t *testing.T) {
 		if qw.End < qw.Start {
 			t.Fatalf("queue-wait span runs backwards: %d..%d", qw.Start, qw.End)
 		}
-		at := requireChild(t, root, "attempt")
+		// A run job is a one-cell matrix: its attempt hangs off the
+		// cell span, exactly as a sweep's do.
+		cell := requireChild(t, root, "cell")
+		if a, ok := cell.Attr("bench"); !ok || a.Str != "program" {
+			t.Fatalf("cell bench attr = %+v, want program", a)
+		}
+		if a, ok := cell.Attr("mode"); !ok || a.Str != "unsafe" {
+			t.Fatalf("cell mode attr = %+v, want unsafe", a)
+		}
+		at := requireChild(t, cell, "attempt")
 		if a, ok := at.Attr("outcome"); !ok || a.Str != "ok" {
 			t.Fatalf("attempt outcome = %+v", a)
 		}

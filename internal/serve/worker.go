@@ -122,27 +122,7 @@ func (s *Server) execute(j *Job) (res *JobResult, spent uint64, aerr *APIError) 
 	}
 	ctx, cancel := context.WithTimeout(j.ctx, s.jobTimeout(&j.Req))
 	defer cancel()
-
-	cfg := s.base
-	cfg.TransCache = s.cfg.TransCache
-	if j.Req.Kind == KindRun {
-		return s.executeRun(ctx, j, cfg)
-	}
-	return s.executeSweep(ctx, j, cfg)
-}
-
-// injectFor builds the job's fault injector for one attempt (reseeded
-// per retry, like the harness).
-func injectFor(spec *InjectSpec, attempt int) *dbt.FaultInject {
-	if spec == nil {
-		return nil
-	}
-	return &dbt.FaultInject{
-		Seed:                   spec.Seed + uint64(attempt),
-		TranslationFailureRate: spec.TranslationRate,
-		CacheFaultRate:         spec.CacheRate,
-		SpuriousInterruptRate:  spec.InterruptRate,
-	}
+	return s.executeMatrix(ctx, j)
 }
 
 // retryBudget resolves a job's transient-fault retry count.
@@ -153,133 +133,26 @@ func (s *Server) retryBudget(j *Job) int {
 	return s.cfg.Retries
 }
 
-// executeRun assembles and runs an untrusted guest program. The
-// tenant's cycle allowance is enforced by MaxCycles across all
-// attempts together: each retry runs under whatever remains.
-func (s *Server) executeRun(ctx context.Context, j *Job, cfg dbt.Config) (*JobResult, uint64, *APIError) {
-	prog, err := riscv.Assemble(j.Req.Program)
-	if err != nil {
-		return nil, 0, &APIError{Code: CodeInvalid, Message: fmt.Sprintf("assembly failed: %v", err)}
-	}
-	cfg.Mitigation = j.modes[0]
-	cfg.Interrupt = ctx.Done()
-	bo := harness.Backoff{Base: s.cfg.Backoff, Max: s.cfg.BackoffMax, Seed: s.cfg.BackoffSeed}
-	retries := s.retryBudget(j)
-
-	s.appendEvent(j, JobEvent{Type: EventCellStarted, Bench: "program", Mode: j.modes[0].String(), Total: 1})
-	var total uint64
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			bs := j.root.Child("backoff", hspan.Int("attempt", int64(attempt)))
-			err := bo.Sleep(ctx, attempt, j.ID)
-			bs.End()
-			if err != nil {
-				return nil, total, s.ctxError(ctx)
-			}
-		}
-		if j.cycleAllowance > 0 {
-			remaining := j.cycleAllowance - total
-			if total >= j.cycleAllowance {
-				return nil, total, &APIError{
-					Code:     CodeGuestTrap,
-					Message:  fmt.Sprintf("cycle allowance %d exhausted across %d attempts", j.cycleAllowance, attempt),
-					TrapKind: trap.CycleBudgetExceeded.String(),
-				}
-			}
-			cfg.MaxCycles = remaining
-		}
-		cfg.FaultInject = injectFor(j.Req.Inject, attempt)
-
-		// Detection is per attempt: each retry gets a fresh detector,
-		// so the verdict describes exactly the run that succeeded.
-		var det *detect.Detector
-		cfg.Tracer = nil
-		if j.Req.Detect {
-			det = detect.New(detect.Config{})
-			cfg.Tracer = obs.New(obs.LevelSpec, det)
-		}
-		as := j.root.Child("attempt", hspan.Int("attempt", int64(attempt)))
-		res, cycles, transNS, runErr := runGuest(cfg, prog)
-		_ = cfg.Tracer.Close() // flush the stream's tail into the detector
-		total += cycles
-		if transNS > 0 {
-			// Attribute the attempt's host time to its translate and
-			// execute phases (consecutive intervals — translation
-			// actually interleaves; see harness.endAttempt).
-			start := as.StartNS()
-			as.Emit("translate", start, start+transNS, hspan.Int("ns", transNS))
-			as.Emit("execute", start+transNS, s.spans.Now(), hspan.Int("cycles", int64(cycles)))
-		}
-		outcome := "ok"
-		if runErr != nil {
-			outcome = "error"
-		}
-		hostNS := s.spans.Now() - as.StartNS()
-		as.End(hspan.Str("outcome", outcome), hspan.Int("cycles", int64(cycles)))
-		s.metrics.observeCellHost(j.Tenant, j.modes[0].String(), hostNS)
-		if runErr == nil {
-			out := &JobResult{
-				ExitCode: int(res.Exit.Code),
-				Cycles:   res.Cycles,
-				Instret:  res.Instret,
-				Metrics:  res.Snapshot(),
-			}
-			if det != nil {
-				rep := det.Report()
-				out.Detect = rep
-				rep.AddMetrics(out.Metrics)
-				if rep.Alarm {
-					out.DetectAlarms = 1
-					s.appendEvent(j, JobEvent{Type: EventDetectAlarm, Bench: "program",
-						Mode: j.modes[0].String(), Alarm: true,
-						Confidence: rep.Confidence, AlarmCycle: rep.AlarmCycle})
-				}
-			}
-			s.appendEvent(j, JobEvent{Type: EventCellFinished, Bench: "program",
-				Mode: j.modes[0].String(), Total: 1, Cycles: res.Cycles})
-			return out, total, nil
-		}
-		if f := trap.As(runErr); f != nil {
-			if f.Transient() && attempt < retries && ctx.Err() == nil {
-				continue
-			}
-			return nil, total, trapError(f)
-		}
-		if errors.Is(runErr, dbt.ErrInterrupted) || ctx.Err() != nil {
-			return nil, total, s.ctxError(ctx)
-		}
-		return nil, total, &APIError{Code: CodeHostError, Message: runErr.Error()}
-	}
-}
-
-// runGuest is one machine lifecycle: build, load, run, release. The
-// returned cycle count is what the guest consumed regardless of
-// outcome (faulted and interrupted runs are metered too); the third
-// return is the machine's host-side translation time for the span
-// layer's translate/execute split.
-func runGuest(cfg dbt.Config, prog *riscv.Program) (*dbt.Result, uint64, int64, error) {
-	m, err := dbt.New(cfg)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	defer m.Release()
-	if err := m.Load(prog); err != nil {
-		return nil, 0, 0, err
-	}
-	res, err := m.Run()
-	if err != nil {
-		return nil, m.Cycles(), m.TranslateHostNS(), err
-	}
-	return res, res.Cycles, m.TranslateHostNS(), nil
-}
-
-// executeSweep runs a kernel or fig4 matrix job on a harness Runner
-// that shares the server-wide artifact and translation caches. The
-// cycle allowance is split evenly across the matrix cells and enforced
-// per cell through MaxCycles.
-func (s *Server) executeSweep(ctx context.Context, j *Job, cfg dbt.Config) (*JobResult, uint64, *APIError) {
+// executeMatrix runs a job on a harness Runner that shares the
+// server-wide artifact and translation caches. A run job is a
+// one-bench, one-mode matrix over its assembled program; kernel and
+// fig4 jobs are sweeps. The cycle allowance is split evenly across the
+// matrix cells and enforced per cell through MaxCycles; the Runner
+// runs each retry under what the cell's earlier attempts left and
+// meters every attempt, so the job is charged the cycles that ran.
+func (s *Server) executeMatrix(ctx context.Context, j *Job) (*JobResult, uint64, *APIError) {
+	cfg := s.base
+	cfg.TransCache = s.cfg.TransCache
 	var benches []harness.Bench
+	var prog *programRun
 	switch j.Req.Kind {
+	case KindRun:
+		p, err := riscv.Assemble(j.Req.Program)
+		if err != nil {
+			return nil, 0, &APIError{Code: CodeInvalid, Message: fmt.Sprintf("assembly failed: %v", err)}
+		}
+		prog = &programRun{prog: p}
+		benches = []harness.Bench{prog.bench()}
 	case KindKernel:
 		k, err := polybench.ByName(j.Req.Kernel)
 		if err != nil {
@@ -296,12 +169,24 @@ func (s *Server) executeSweep(ctx context.Context, j *Job, cfg dbt.Config) (*Job
 		}
 		cfg.MaxCycles = per
 	}
-	cfg.FaultInject = injectFor(j.Req.Inject, 0)
+	if spec := j.Req.Inject; spec != nil {
+		// The Runner reseeds the injector per retry (Seed + attempt).
+		cfg.FaultInject = &dbt.FaultInject{
+			Seed:                   spec.Seed,
+			TranslationFailureRate: spec.TranslationRate,
+			CacheFaultRate:         spec.CacheRate,
+			SpuriousInterruptRate:  spec.InterruptRate,
+		}
+	}
 
 	var alarms atomic.Int64
 	if j.Req.Detect {
+		var keep func(*detect.Report)
+		if prog != nil {
+			keep = func(rep *detect.Report) { prog.det = rep }
+		}
 		for i := range benches {
-			benches[i] = s.detectBench(j, benches[i], &alarms)
+			benches[i] = s.detectBench(j, benches[i], &alarms, keep)
 		}
 	}
 	runner := &harness.Runner{
@@ -311,7 +196,6 @@ func (s *Server) executeSweep(ctx context.Context, j *Job, cfg dbt.Config) (*Job
 		Backoff:     s.cfg.Backoff,
 		BackoffMax:  s.cfg.BackoffMax,
 		BackoffSeed: s.cfg.BackoffSeed,
-		TransCache:  s.cfg.TransCache,
 		Span:        j.root, // per-cell spans land in the job's trace
 		OnCell: func(u harness.CellUpdate) {
 			ev := JobEvent{Type: EventCellStarted, Bench: u.Bench, Mode: u.Mode.String(),
@@ -340,6 +224,9 @@ func (s *Server) executeSweep(ctx context.Context, j *Job, cfg dbt.Config) (*Job
 		}
 		return nil, spent, &APIError{Code: CodeHostError, Message: err.Error()}
 	}
+	if prog != nil {
+		return prog.result(), spent, nil
+	}
 
 	res := &JobResult{
 		Table:   renderTable(j.Req.Kind, rows, j.modes),
@@ -360,13 +247,68 @@ func (s *Server) executeSweep(ctx context.Context, j *Job, cfg dbt.Config) (*Job
 	return res, spent, nil
 }
 
-// detectBench wraps one sweep bench so each of its cells runs with a
+// programRun is a run job's single bench: every attempt runs the
+// assembled guest on a fresh machine, and the result (plus, with
+// detection, the verdict) of the attempt that succeeded is kept for
+// the job result.
+type programRun struct {
+	prog *riscv.Program
+	res  *dbt.Result
+	det  *detect.Report
+}
+
+func (p *programRun) bench() harness.Bench {
+	return harness.Bench{
+		Name: "program",
+		Run: func(_ context.Context, cfg dbt.Config, _ *harness.Artifacts) (*harness.KernelRun, error) {
+			m, err := dbt.New(cfg)
+			if err != nil {
+				return nil, err
+			}
+			defer m.Release()
+			if err := m.Load(p.prog); err != nil {
+				return nil, err
+			}
+			res, err := m.Run()
+			run := &harness.KernelRun{Name: "program", Mode: cfg.Mitigation, Cycles: m.Cycles(),
+				TransNS: m.TranslateHostNS()}
+			if err != nil {
+				return run, err // trapped and interrupted attempts are metered too
+			}
+			run.Stats = res.Stats
+			p.res = res
+			return run, nil
+		},
+	}
+}
+
+// result renders the successful attempt as the run job's result.
+func (p *programRun) result() *JobResult {
+	out := &JobResult{
+		ExitCode: int(p.res.Exit.Code),
+		Cycles:   p.res.Cycles,
+		Instret:  p.res.Instret,
+		Metrics:  p.res.Snapshot(),
+	}
+	if p.det != nil {
+		out.Detect = p.det
+		p.det.AddMetrics(out.Metrics)
+		if p.det.Alarm {
+			out.DetectAlarms = 1
+		}
+	}
+	return out
+}
+
+// detectBench wraps one bench so each attempt of its cells runs with a
 // private online detector teed into the machine's event stream. An
-// alarm increments the job's count and lands on the event stream; the
+// alarm of a successful attempt increments the job's count and lands
+// on the event stream; keep, when non-nil, receives that attempt's
+// verdict (run jobs only: their one cell never runs concurrently). The
 // cell's guest-visible results are untouched (the tracer rides the
 // observability plane — cycle counts are pinned identical by the
 // harness differential tests).
-func (s *Server) detectBench(j *Job, b harness.Bench, alarms *atomic.Int64) harness.Bench {
+func (s *Server) detectBench(j *Job, b harness.Bench, alarms *atomic.Int64, keep func(*detect.Report)) harness.Bench {
 	inner := b.Run
 	return harness.Bench{
 		Name: b.Name,
@@ -374,11 +316,15 @@ func (s *Server) detectBench(j *Job, b harness.Bench, alarms *atomic.Int64) harn
 			det := detect.New(detect.Config{})
 			cfg.Tracer = obs.New(obs.LevelSpec, det)
 			run, err := inner(ctx, cfg, arts)
-			_ = cfg.Tracer.Close()
+			_ = cfg.Tracer.Close() // flush the stream's tail into the detector
 			if err != nil {
-				return nil, err
+				return run, err
 			}
-			if rep := det.Report(); rep.Alarm {
+			rep := det.Report()
+			if keep != nil {
+				keep(rep)
+			}
+			if rep.Alarm {
 				alarms.Add(1)
 				s.appendEvent(j, JobEvent{Type: EventDetectAlarm, Bench: b.Name,
 					Mode: cfg.Mitigation.String(), Alarm: true,
@@ -389,13 +335,13 @@ func (s *Server) detectBench(j *Job, b harness.Bench, alarms *atomic.Int64) harn
 	}
 }
 
-// sweepCycles totals the simulated cycles of every completed cell —
-// partial rows from a failed or interrupted matrix are metered too.
+// sweepCycles totals the simulated cycles every cell consumed, failed
+// and interrupted attempts included (harness.Row.Spent).
 func sweepCycles(rows []*harness.Row, modes []core.Mode) uint64 {
 	var total uint64
 	for _, r := range rows {
 		for _, m := range modes {
-			total += r.Cycles[m]
+			total += r.Spent[m]
 		}
 	}
 	return total

@@ -248,6 +248,20 @@ func NarrowConfig() Config {
 	}
 }
 
+// ConfigForWidth maps a CLI issue width (2, 4 or 8) to its core
+// geometry: NarrowConfig, DefaultConfig or WideConfig.
+func ConfigForWidth(width int) (Config, error) {
+	switch width {
+	case 2:
+		return NarrowConfig(), nil
+	case 4:
+		return DefaultConfig(), nil
+	case 8:
+		return WideConfig(), nil
+	}
+	return Config{}, fmt.Errorf("unsupported width %d", width)
+}
+
 // Width returns the issue width.
 func (c *Config) Width() int { return len(c.Slots) }
 

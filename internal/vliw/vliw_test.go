@@ -2,6 +2,7 @@ package vliw
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -784,5 +785,22 @@ func TestWritesToR0Discarded(t *testing.T) {
 	}
 	if regs[0] != 0 || regs[5] != 1 {
 		t.Fatalf("r0=%d r5=%d", regs[0], regs[5])
+	}
+}
+
+func TestConfigForWidth(t *testing.T) {
+	for _, width := range []int{2, 4, 8} {
+		c, err := ConfigForWidth(width)
+		if err != nil || c.Width() != width {
+			t.Errorf("ConfigForWidth(%d) = width %d, %v", width, c.Width(), err)
+		}
+	}
+	if c, _ := ConfigForWidth(4); !reflect.DeepEqual(c, DefaultConfig()) {
+		t.Error("width 4 is not the default core")
+	}
+	for _, width := range []int{0, 3, 16} {
+		if _, err := ConfigForWidth(width); err == nil {
+			t.Errorf("ConfigForWidth(%d) accepted an unsupported width", width)
+		}
 	}
 }

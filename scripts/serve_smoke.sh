@@ -10,8 +10,9 @@
 #   5. /metrics exposes fleet, tenant-ledger and simulator counters,
 #      latency histograms are populated, and the whole exposition
 #      parses under the Prometheus text-format grammar
-#   6. /v1/jobs/{id}/trace replays the job's span tree and every
-#      response carries an X-Request-Id
+#   6. /v1/jobs/{id}/trace replays the run job's span tree (job, queue
+#      wait, its one matrix cell, the attempt) and every response
+#      carries an X-Request-Id
 #   7. SIGTERM drains gracefully: the process exits 0, logs the drain,
 #      and the -spans timeline ends with the drain span
 #
@@ -162,6 +163,7 @@ grep -qi "^X-Job-Id: $runid" "$logdir/trace.headers"
 head -1 "$logdir/trace.jsonl" | grep -q 'ghostbusters/span/v1'
 grep -q '"name":"job"' "$logdir/trace.jsonl"
 grep -q '"name":"queue-wait"' "$logdir/trace.jsonl"
+grep -q '"name":"cell"' "$logdir/trace.jsonl"
 grep -q '"name":"attempt"' "$logdir/trace.jsonl"
 grep -q "rid=" "$log"
 echo "ok: trace endpoint replays the span tree; responses carry X-Request-Id"

@@ -40,6 +40,11 @@
 // wall time, per-cell host time) are always collected and exposed on
 // /metrics in Prometheus histogram exposition, spans file or not.
 //
+// Flag errors exit 2 (see internal/cli): a -width other than 2, 4 or 8
+// and a negative -retries, -retry-backoff or -retry-backoff-max are
+// rejected up front. Startup failures exit 1; the -tcache summary is
+// logged on every exit.
+//
 // -pprof serves net/http/pprof on a second, loopback-only listener.
 // The profiling surface is never mounted on the public API mux, and
 // gbserve refuses to start if the address does not resolve to a
@@ -57,24 +62,22 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"os"
-	"os/signal"
 	"runtime"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	httppprof "net/http/pprof"
 
+	"ghostbusters/internal/cli"
 	"ghostbusters/internal/dbt"
-	"ghostbusters/internal/hspan"
 	"ghostbusters/internal/serve"
-	"ghostbusters/internal/tcache"
-	"ghostbusters/internal/vliw"
 )
 
 func main() {
+	t := cli.New("gbserve")
+	logger := t.Log
+	logger.SetFlags(log.LstdFlags)
 	addr := flag.String("addr", ":8433", "listen address")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "job-fleet size (concurrently executing jobs)")
 	jobPar := flag.Int("job-parallelism", 2, "harness workers inside one sweep job")
@@ -84,15 +87,11 @@ func main() {
 	quotaInflight := flag.Int("quota-inflight", 8, "default per-tenant cap on queued+running jobs (-1 = unlimited)")
 	quotaCycles := flag.Uint64("quota-cycles", 0, "default per-tenant cumulative simulated-cycle budget (0 = unlimited)")
 	quotaMem := flag.Uint64("quota-mem", 0, "default per-tenant cumulative guest-memory budget in bytes (0 = unlimited)")
-	retries := flag.Int("retries", 0, "default transient-fault retries per run")
-	retryBackoff := flag.Duration("retry-backoff", 10*time.Millisecond, "base retry backoff (doubles per attempt, jittered)")
-	retryBackoffMax := flag.Duration("retry-backoff-max", 0, "retry backoff cap (0 = 8x base)")
-	retrySeed := flag.Uint64("retry-seed", 0, "deterministic jitter seed")
-	useTCache := flag.Bool("tcache", false, "share a persistent translation cache across jobs and tenants (default cache dir)")
-	tcacheDir := flag.String("tcache-dir", "", "translation cache directory (implies -tcache)")
-	width := flag.Int("width", 4, "VLIW issue width: 2, 4 or 8")
-	spansOut := flag.String("spans", "", "write the fleet's host-side span timeline (JSONL, schema ghostbusters/span/v1) to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060); never mounted on the public API")
+	t.WidthFlag()
+	t.RetryFlags(10 * time.Millisecond)
+	t.TCacheFlags()
+	t.SpanFlags()
 
 	tenants := map[string]serve.Quota{}
 	flag.Func("tenant", "per-tenant quota `name=inflight:cycles:mem` (repeatable; 0 = unlimited, inflight -1 = unlimited)", func(v string) error {
@@ -103,62 +102,26 @@ func main() {
 		tenants[name] = q
 		return nil
 	})
-	flag.Parse()
+	t.Parse()
 	if flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: gbserve [flags]")
-		flag.Usage()
-		os.Exit(2)
+		t.UsageError("usage: gbserve [flags]")
 	}
 
-	logger := log.New(os.Stderr, "", log.LstdFlags)
-
+	// The fleet's host-side span timeline (admission decisions, queue
+	// waits, attempts and drain, one job tree per admitted job) has no
+	// root: Close flushes it after the drain, so the drain span itself
+	// is captured.
 	base := dbt.DefaultConfig()
-	geom, err := vliw.ConfigForWidth(*width)
-	if err != nil {
-		logger.Fatalf("gbserve: %v", err)
-	}
-	base.Core = geom
-
-	var transCache *tcache.Cache
-	if *useTCache || *tcacheDir != "" {
-		dir := *tcacheDir
-		if dir == "" {
-			var err error
-			dir, err = tcache.DefaultDir()
-			if err != nil {
-				logger.Fatalf("gbserve: %v", err)
-			}
-		}
-		transCache = tcache.New(dir)
-		logger.Printf("gbserve: translation cache at %s (shared across tenants)", dir)
-	}
-
-	// The fleet's host-side span timeline: admission decisions, queue
-	// waits, attempts and drain, one job tree per admitted job. The
-	// tracer is concurrency-safe; the file closes after the drain so the
-	// drain span itself is captured.
-	var spanTracer *hspan.Tracer
-	var spanFile *os.File
-	if *spansOut != "" {
-		f, err := os.Create(*spansOut)
-		if err != nil {
-			logger.Fatalf("gbserve: %v", err)
-		}
-		spanFile = f
-		spanTracer = hspan.New(hspan.NewJSONLSink(f))
-		logger.Printf("gbserve: span timeline to %s", *spansOut)
-	}
+	ctx := t.Start(&base, "")
 
 	// pprof lives on its own loopback-only listener: the profiling
 	// surface (heap contents, CPU samples, symbol tables) must never be
 	// reachable through the public API address.
 	if *pprofAddr != "" {
 		pln, err := net.Listen("tcp", *pprofAddr)
-		if err != nil {
-			logger.Fatalf("gbserve: pprof: %v", err)
-		}
+		t.Fail(err)
 		if tcpAddr, ok := pln.Addr().(*net.TCPAddr); !ok || !tcpAddr.IP.IsLoopback() {
-			logger.Fatalf("gbserve: pprof: %s is not a loopback address; refusing to expose profiles", pln.Addr())
+			t.Fail(fmt.Errorf("pprof: %s is not a loopback address; refusing to expose profiles", pln.Addr()))
 		}
 		pprofMux := http.NewServeMux()
 		pprofMux.HandleFunc("/debug/pprof/", httppprof.Index)
@@ -187,35 +150,29 @@ func main() {
 		Tenants:      tenants,
 		JobTimeout:   *jobTimeout,
 		DrainTimeout: *drainTimeout,
-		Retries:      *retries,
-		Backoff:      *retryBackoff,
-		BackoffMax:   *retryBackoffMax,
-		BackoffSeed:  *retrySeed,
-		TransCache:   transCache,
-		Spans:        spanTracer,
+		Retries:      t.Retry.Retries,
+		Backoff:      t.Retry.Backoff,
+		BackoffMax:   t.Retry.BackoffMax,
+		BackoffSeed:  t.Retry.Seed,
+		TransCache:   t.TransCache(),
+		Spans:        t.Spans(),
 		Log:          logger,
 	})
-	if err != nil {
-		logger.Fatalf("gbserve: %v", err)
-	}
+	t.Fail(err)
 
 	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		logger.Fatalf("gbserve: %v", err)
-	}
+	t.Fail(err)
 	httpSrv := &http.Server{Handler: s.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	logger.Printf("gbserve: listening on %s", ln.Addr())
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case <-ctx.Done():
 	case err := <-serveErr:
-		logger.Fatalf("gbserve: %v", err)
+		t.Fail(err)
 	}
-	stop() // a second signal now kills the process the default way
+	t.StopSignals() // a second signal now kills the process the default way
 	logger.Printf("gbserve: signal received, draining (grace %v)", *drainTimeout)
 
 	// Drain the fleet first — the HTTP server stays up so status polls
@@ -229,19 +186,7 @@ func main() {
 	if err := httpSrv.Shutdown(shCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Printf("gbserve: http shutdown: %v", err)
 	}
-	if transCache != nil {
-		if err := transCache.Err(); err != nil {
-			logger.Printf("gbserve: warning: %v", err)
-		}
-	}
-	if spanTracer != nil {
-		if err := spanTracer.Close(); err != nil {
-			logger.Printf("gbserve: spans: %v", err)
-		}
-		if err := spanFile.Close(); err != nil {
-			logger.Printf("gbserve: spans: %v", err)
-		}
-	}
+	t.Close()
 	logger.Printf("gbserve: bye")
 }
 

@@ -46,6 +46,12 @@
 // into the same Perfetto document on a second clock domain, so one
 // file shows the attack's simulated-cycle events and its host-time
 // cost side by side.
+//
+// Exit codes are the ones every run CLI shares (see internal/cli): 1
+// for errors, including a single-run flag in matrix mode; 2 for usage
+// errors; 3 when the attack died on a guest trap; 4 when SIGINT/SIGTERM
+// cancelled it through the machine's interrupt hook — a -traceout
+// stream is flushed first, so the partial trace survives.
 package main
 
 import (
@@ -57,25 +63,25 @@ import (
 	"strings"
 
 	"ghostbusters"
+	"ghostbusters/internal/cli"
+	"ghostbusters/internal/hspan"
 )
 
 func main() {
+	t := cli.New("gbspectre")
 	variant := flag.String("variant", "", "v1 | v4 (empty = full matrix)")
 	mode := flag.String("mode", "unsafe", "mitigation mode")
 	secretHex := flag.String("secret", "", "secret bytes in hex (empty = random)")
 	protect := flag.Bool("protect", false, "read-protect the secret region")
 	lineflush := flag.Bool("lineflush", false, "line-by-line cache flush (paper's RISC-V variant)")
-	traceOut := flag.String("traceout", "", "write the attack's trace event stream to this file")
-	traceFormat := flag.String("trace-format", "perfetto", "trace file format: text | jsonl | perfetto")
 	stats := flag.Bool("stats", false, "print machine statistics after the attack")
 	jsonOut := flag.Bool("json", false, "with -stats, print the metrics snapshot (machine + attack.*) as JSON")
-	audit := flag.Bool("audit", false, "collect poison provenance and print the audit table")
-	auditJSON := flag.String("audit-json", "", "write the audit as JSON (schema ghostbusters/audit/v1) to this file")
-	detectFlag := flag.Bool("detect", false, "run the online attack-phase detector against the attack and print its verdict")
-	detectJSON := flag.String("detect-json", "", "write the detection verdict as JSON (schema ghostbusters/detect/v1) to this file")
 	matrixJSON := flag.String("matrix-json", "", "matrix mode: write the leakage matrix as JSON (schema ghostbusters/leakmatrix/v1) to this file")
-	spansOut := flag.String("spans", "", "write the host-side span timeline (JSONL, schema ghostbusters/span/v1) to this file")
-	flag.Parse()
+	t.TraceFlags(false)
+	t.AuditFlags()
+	t.DetectFlags()
+	t.SpanFlags()
+	t.Parse()
 
 	cfg := ghostbusters.DefaultConfig()
 
@@ -102,20 +108,22 @@ func main() {
 			if len(offending) > 1 {
 				verb = "need"
 			}
-			fail(fmt.Errorf("%s %s a single run: pick a -variant", strings.Join(offending, ", "), verb))
+			t.Fail(fmt.Errorf("%s %s a single run: pick a -variant", strings.Join(offending, ", "), verb))
 		}
+		cfg.Interrupt = t.Start(&cfg, "").Done()
 		table, lm, err := ghostbusters.RunLeakageMatrix(cfg)
-		fail(err)
+		t.Fail(err)
 		fmt.Print(table)
 		if *matrixJSON != "" {
 			out, err := lm.JSON()
-			fail(err)
-			fail(os.WriteFile(*matrixJSON, out, 0o644))
+			t.Fail(err)
+			t.Fail(os.WriteFile(*matrixJSON, out, 0o644))
 		}
+		t.Close()
 		return
 	}
 	if *matrixJSON != "" {
-		fail(fmt.Errorf("-matrix-json applies to the matrix: drop -variant"))
+		t.Fail(fmt.Errorf("-matrix-json applies to the matrix: drop -variant"))
 	}
 
 	var v ghostbusters.AttackVariant
@@ -125,10 +133,10 @@ func main() {
 	case "v4":
 		v = ghostbusters.SpectreV4
 	default:
-		fail(fmt.Errorf("unknown variant %q", *variant))
+		t.Fail(fmt.Errorf("unknown variant %q", *variant))
 	}
 	m, err := ghostbusters.ParseMode(*mode)
-	fail(err)
+	t.Fail(err)
 
 	params := ghostbusters.AttackParams{ProtectSecret: *protect}
 	if *lineflush {
@@ -136,92 +144,21 @@ func main() {
 	}
 	if *secretHex != "" {
 		b, err := hex.DecodeString(*secretHex)
-		fail(err)
+		t.Fail(err)
 		params.Secret = b
 	}
 
-	var traceFile *os.File
-	var fileSink ghostbusters.TraceSink
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		fail(err)
-		traceFile = f
-		fileSink, err = ghostbusters.TraceSinkFor(*traceFormat, f)
-		fail(err)
-	}
-	var detector *ghostbusters.Detector
-	if *detectFlag || *detectJSON != "" {
-		detector = ghostbusters.NewDetector(ghostbusters.DetectConfig{})
-	}
-	switch {
-	case fileSink != nil && detector != nil:
-		cfg.Tracer = ghostbusters.NewTracer(ghostbusters.TraceSpec, ghostbusters.NewTraceTee(fileSink, detector))
-	case fileSink != nil:
-		cfg.Tracer = ghostbusters.NewTracer(ghostbusters.TraceSpec, fileSink)
-	case detector != nil:
-		cfg.Tracer = ghostbusters.NewTracer(ghostbusters.TraceSpec, detector)
-	}
-	cfg.Audit = *audit || *auditJSON != ""
-
-	// The host-side span layer: a JSONL file, plus a mirror into the
-	// -traceout Perfetto document when one is open, so the attack's
-	// guest-cycle events and the host-ns timeline land in one file.
-	var spanTracer *ghostbusters.SpanTracer
-	var spanFile *os.File
-	var root ghostbusters.Span
-	if *spansOut != "" {
-		f, err := os.Create(*spansOut)
-		fail(err)
-		spanFile = f
-		sinks := []ghostbusters.SpanSink{ghostbusters.NewSpanJSONLSink(f)}
-		if pf, ok := ghostbusters.NewSpanPerfettoSink(fileSink); ok {
-			sinks = append(sinks, pf)
-		}
-		spanTracer = ghostbusters.NewSpanTracer(ghostbusters.NewSpanMultiSink(sinks...))
-		root = spanTracer.Start("gbspectre",
-			ghostbusters.SpanStr("variant", *variant), ghostbusters.SpanStr("mode", *mode))
-	}
-
-	as := root.Child("attack")
+	cfg.Interrupt = t.Start(&cfg, "gbspectre", hspan.Str("variant", *variant), hspan.Str("mode", *mode)).Done()
+	as := t.Root().Child("attack")
 	res, err := ghostbusters.RunAttack(v, ghostbusters.WithMitigation(cfg, m), params)
-	if err == nil {
-		as.End(ghostbusters.SpanInt("cycles", int64(res.Cycles)),
-			ghostbusters.SpanInt("bytes_leaked", int64(res.BytesCorrect)))
-	} else {
-		as.End(ghostbusters.SpanStr("outcome", "error"))
-	}
-	var detectRep *ghostbusters.DetectReport
-	if detector != nil && err == nil {
-		// Flush the stream tail into the detector and append the
-		// inferred phase/rounds/alarm tracks to the still-open trace.
-		_ = cfg.Tracer.Flush()
-		detectRep = detector.Report()
-		detectRep.EmitTracks(cfg.Tracer)
-	}
-	// Close the span layer before the cycle tracer: its Perfetto mirror
-	// writes into the document the tracer's Close terminates.
-	if spanTracer != nil {
-		root.End()
-		if cerr := spanTracer.Close(); cerr != nil {
-			fmt.Fprintln(os.Stderr, "gbspectre: spans:", cerr)
-		}
-		if cerr := spanFile.Close(); cerr != nil {
-			fmt.Fprintln(os.Stderr, "gbspectre: spans:", cerr)
-		}
-	}
-	if cfg.Tracer != nil {
-		// Flush even when the attack errored, so a partial trace of the
+	if err != nil {
+		// Fail flushes the trace first, so a partial trace of the
 		// failing run survives for inspection.
-		if cerr := cfg.Tracer.Close(); cerr != nil {
-			fmt.Fprintln(os.Stderr, "gbspectre: trace:", cerr)
-		}
-		if traceFile != nil {
-			if cerr := traceFile.Close(); cerr != nil {
-				fmt.Fprintln(os.Stderr, "gbspectre: trace:", cerr)
-			}
-		}
+		as.End(hspan.Str("outcome", "error"))
+		t.Fail(err)
 	}
-	fail(err)
+	as.End(hspan.Int("cycles", int64(res.Cycles)), hspan.Int("bytes_leaked", int64(res.BytesCorrect)))
+	detectRep := t.Verdict()
 	fmt.Printf("%s under %s\n", res.Variant, m)
 	fmt.Printf("  secret:    %x\n", res.Secret)
 	fmt.Printf("  recovered: %x\n", res.Recovered)
@@ -242,25 +179,8 @@ func main() {
 			fmt.Printf("  alarm latency: %+d cycles vs the first secret-dependent speculative fill\n",
 				int64(detectRep.AlarmCycle)-int64(res.Leakage.FirstSecretFillCycle))
 		}
-		if *detectJSON != "" {
-			out, err := detectRep.JSON()
-			fail(err)
-			fail(os.WriteFile(*detectJSON, out, 0o644))
-		}
 	}
-	if *audit || *auditJSON != "" {
-		if res.Audit == nil {
-			fail(fmt.Errorf("audit requested but none collected"))
-		}
-		if *audit {
-			fmt.Print(res.Audit.Format())
-		}
-		if *auditJSON != "" {
-			out, err := json.MarshalIndent(res.Audit.Doc(), "", "  ")
-			fail(err)
-			fail(os.WriteFile(*auditJSON, append(out, '\n'), 0o644))
-		}
-	}
+	t.WriteAudit(res.Audit)
 	if *stats {
 		snap := res.Stats.Snapshot(res.Cycles)
 		res.Leakage.AddMetrics(snap)
@@ -269,7 +189,7 @@ func main() {
 		}
 		if *jsonOut {
 			out, err := json.MarshalIndent(snap, "", "  ")
-			fail(err)
+			t.Fail(err)
 			fmt.Println(string(out))
 		} else {
 			s := res.Stats
@@ -281,6 +201,7 @@ func main() {
 				s.PatternsFound, s.RiskyLoads, s.GuardEdges, s.CompileErrs)
 		}
 	}
+	t.Close()
 }
 
 // indent prefixes every line with two spaces, matching the rest of the
@@ -291,11 +212,4 @@ func indent(s string) string {
 		lines[i] = "  " + l
 	}
 	return strings.Join(lines, "\n") + "\n"
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gbspectre:", err)
-		os.Exit(1)
-	}
 }

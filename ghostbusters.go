@@ -30,7 +30,6 @@
 package ghostbusters
 
 import (
-	"context"
 	"io"
 
 	"ghostbusters/internal/attack"
@@ -116,16 +115,13 @@ type Result = dbt.Result
 // failure path of the simulator returns instead of panicking. It
 // carries the trap kind, guest PC, faulting address, cycle count and —
 // for faults inside translated code — the translated region's entry PC.
+// Extract it from an error chain with errors.As.
 type Fault = trap.Fault
 
 // TrapKind classifies a Fault (illegal-instruction, misaligned-access,
 // out-of-range-access, invalid-branch-target, translation-failure,
 // cycle-budget-exceeded, ...).
 type TrapKind = trap.Kind
-
-// AsFault extracts the *Fault from an error chain (nil when the error
-// is not a guest trap — e.g. a host-side assembly or I/O failure).
-func AsFault(err error) *Fault { return trap.As(err) }
 
 // ErrInterrupted is returned (wrapped) by Machine.Run when the run was
 // aborted through Config.Interrupt — the hook tools use for timeouts
@@ -184,21 +180,6 @@ func NewTracer(level TraceLevel, sink TraceSink) *Tracer { return obs.New(level,
 // "perfetto" (alias "chrome").
 func TraceSinkFor(format string, w io.Writer) (TraceSink, error) { return obs.SinkFor(format, w) }
 
-// NewTextSink returns the human-readable line sink (the gbrun -trace
-// format).
-func NewTextSink(w io.Writer) TraceSink { return obs.NewTextSink(w) }
-
-// NewTraceMultiSink fans events out to several sinks.
-func NewTraceMultiSink(sinks ...TraceSink) TraceSink { return obs.NewMultiSink(sinks...) }
-
-// NewTraceTee fans one event stream out to a primary sink plus pure
-// observers: observer errors are swallowed so a broken observer (or a
-// detector) can never poison the primary trace. Use it to attach a
-// Detector next to a trace file over the same stream.
-func NewTraceTee(primary TraceSink, observers ...TraceSink) TraceSink {
-	return obs.NewTee(primary, observers...)
-}
-
 // DetectConfig tunes the streaming attack-phase detector. The zero
 // value selects the documented defaults.
 type DetectConfig = detect.Config
@@ -207,9 +188,8 @@ type DetectConfig = detect.Config
 // consumes the live event stream and classifies simulated-cycle
 // windows into benign / prime / trigger / probe, raising an alarm once
 // enough prime→trigger rounds have alternated over enough distinct
-// cache lines. Attach it as Config.Tracer's sink (or as a NewTraceTee
-// observer next to a trace file); read the verdict with Report after
-// the run.
+// cache lines. Attach it as Config.Tracer's sink; read the verdict
+// with Report after the run.
 type Detector = detect.Detector
 
 // NewDetector builds a detector (zero cfg = defaults).
@@ -222,25 +202,6 @@ type DetectReport = detect.Report
 
 // DetectReportSchema identifies the detection verdict JSON format.
 const DetectReportSchema = detect.ReportSchema
-
-// DetectEvalConfig parameterizes a detector accuracy evaluation: the
-// benign corpus (polybench) and the Spectre PoCs under every
-// mitigation mode, fanned out over the parallel harness.
-type DetectEvalConfig = detect.EvalConfig
-
-// DetectEvalDoc is the scored evaluation matrix (schema
-// DetectEvalSchema): per-cell verdicts against ground-truth leakage
-// labels, with precision/recall/FPR in the summary.
-type DetectEvalDoc = detect.EvalDoc
-
-// DetectEvalSchema identifies the evaluation JSON document format.
-const DetectEvalSchema = detect.EvalSchema
-
-// RunDetectEval scores the detector over the labeled corpus (gbbench
-// -exp detect).
-func RunDetectEval(ctx context.Context, cfg Config, ecfg DetectEvalConfig) (*DetectEvalDoc, error) {
-	return detect.Eval(ctx, cfg, ecfg)
-}
 
 // Snapshot is the flat metrics map with stable names produced from a
 // finished run (Result.Snapshot, gbrun -stats -json, gbbench -perfjson).
@@ -389,7 +350,7 @@ type Span = hspan.Span
 // SpanAttr is one typed span attribute (string or int64).
 type SpanAttr = hspan.Attr
 
-// SpanRecord is one finished span as parsed back from a span stream.
+// SpanRecord is one finished span, as a SpanSink receives it.
 type SpanRecord = hspan.Record
 
 // SpanSink consumes finished span records (JSONL file, Perfetto doc).
@@ -402,35 +363,5 @@ const SpanSchema = hspan.Schema
 // timed and observable but not persisted).
 func NewSpanTracer(sink SpanSink) *SpanTracer { return hspan.New(sink) }
 
-// SpanStr and SpanInt build typed span attributes.
-func SpanStr(key, val string) SpanAttr       { return hspan.Str(key, val) }
-func SpanInt(key string, val int64) SpanAttr { return hspan.Int(key, val) }
-
 // NewSpanJSONLSink writes the ghostbusters/span/v1 JSONL stream.
 func NewSpanJSONLSink(w io.Writer) SpanSink { return hspan.NewJSONLSink(w) }
-
-// NewSpanMultiSink fans span records out to several sinks.
-func NewSpanMultiSink(sinks ...SpanSink) SpanSink { return hspan.NewMultiSink(sinks...) }
-
-// NewSpanPerfettoSink adapts a Perfetto trace sink (TraceSinkFor
-// "perfetto") so host-time spans land in the same Perfetto document as
-// the simulated-cycle events — one file, two clock domains, rendered
-// as separate process tracks. Returns false when doc is not a Perfetto
-// sink. The adapter never terminates the document: close the span
-// tracer first, then the cycle tracer that owns doc.
-func NewSpanPerfettoSink(doc TraceSink) (SpanSink, bool) {
-	p, ok := doc.(*obs.PerfettoSink)
-	if !ok {
-		return nil, false
-	}
-	return hspan.NewPerfettoSink(p), true
-}
-
-// ParseSpanJSONL reads a span/v1 JSONL stream back into records.
-func ParseSpanJSONL(r io.Reader) ([]SpanRecord, error) { return hspan.ParseJSONL(r) }
-
-// SpanNode is one node of a reconstructed span tree.
-type SpanNode = hspan.Node
-
-// BuildSpanTree reconstructs the span forest from parsed records.
-func BuildSpanTree(recs []SpanRecord) []*SpanNode { return hspan.BuildTree(recs) }

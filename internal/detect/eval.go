@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"ghostbusters/internal/attack"
 	"ghostbusters/internal/core"
@@ -25,17 +24,13 @@ const EvalSchema = "ghostbusters/detect-eval/v1"
 // recall is measured against a non-degenerate positive.
 var evalSecret = []byte{0x11, 0x23, 0x35, 0x47, 0x59, 0x6B, 0x7D, 0x8F}
 
-// EvalConfig parameterizes one evaluation sweep.
+// EvalConfig parameterizes one evaluation sweep. How the matrix fans
+// out (workers, timeouts, retries, translation cache, spans, progress)
+// is the caller's harness.Runner, passed to Eval.
 type EvalConfig struct {
 	// Detector is the configuration under evaluation (zero value =
 	// defaults).
 	Detector Config
-	// Workers/Timeout/Retries/Backoff go straight to the harness
-	// Runner fanning the matrix out.
-	Workers int
-	Timeout time.Duration
-	Retries int
-	Backoff time.Duration
 	// KernelN overrides every kernel's problem size (0 = per-kernel
 	// default). The benign corpus only needs enough cycles to span
 	// many detector windows, so eval callers typically shrink it.
@@ -46,9 +41,6 @@ type EvalConfig struct {
 	Modes []core.Mode
 	// Secret overrides the attack corpus secret (nil = evalSecret).
 	Secret []byte
-	// OnCell, when non-nil, receives the harness's per-cell progress
-	// stream (started/finished); must be safe for concurrent use.
-	OnCell func(harness.CellUpdate)
 }
 
 // EvalCell is one scored matrix cell: a (benchmark, mode) run, its
@@ -172,39 +164,41 @@ func (s *evalState) get(bench string, mode core.Mode) *cellData {
 	return s.m[bench+"|"+mode.String()]
 }
 
-// observe wraps a bench so each cell runs with its own detector
-// attached as the tracer sink. The machine never flushes cfg.Tracer
-// itself, so the wrapper closes the tracer to push the stream's tail
-// into the detector before reading the verdict.
-func (s *evalState) observe(b harness.Bench, after func(run *harness.KernelRun, cfg dbt.Config) *cellData) harness.Bench {
+// Observe wraps b so each attempt of its cells runs with a private
+// detector (configured by dcfg) as the machine's spec-level tracer
+// sink. After a successful attempt, done receives the attempt's config
+// and verdict. A failed attempt reports nothing and returns the
+// bench's partial run with its error, so the Runner still meters it
+// (Row.Spent). The machine never flushes cfg.Tracer itself, so the
+// wrapper closes the tracer to push the stream's tail into the
+// detector before reading the verdict.
+func Observe(b harness.Bench, dcfg Config, done func(cfg dbt.Config, rep *Report)) harness.Bench {
 	inner := b.Run
 	return harness.Bench{
 		Name: b.Name,
 		Run: func(ctx context.Context, cfg dbt.Config, arts *harness.Artifacts) (*harness.KernelRun, error) {
-			det := New(s.dcfg)
-			tr := obs.New(obs.LevelSpec, det)
-			cfg.Tracer = tr
+			det := New(dcfg)
+			cfg.Tracer = obs.New(obs.LevelSpec, det)
 			run, err := inner(ctx, cfg, arts)
-			_ = tr.Close() // detector sinks never fail
+			_ = cfg.Tracer.Close() // detector sinks never fail
 			if err != nil {
-				return nil, err
+				return run, err
 			}
-			d := after(run, cfg)
-			d.rep = det.Report()
-			s.put(b.Name, cfg.Mitigation, d)
+			done(cfg, det.Report())
 			return run, nil
 		},
 	}
 }
 
 func (s *evalState) kernelBench(k polybench.Kernel, n int) harness.Bench {
-	return s.observe(harness.KernelBench(k, n),
-		func(*harness.KernelRun, dbt.Config) *cellData { return &cellData{} })
+	return Observe(harness.KernelBench(k, n), s.dcfg, func(cfg dbt.Config, rep *Report) {
+		s.put(k.Name, cfg.Mitigation, &cellData{rep: rep})
+	})
 }
 
 func (s *evalState) attackBench(v attack.Variant, secret []byte) harness.Bench {
 	name := v.String()
-	return s.observe(harness.Bench{
+	return Observe(harness.Bench{
 		Name: name,
 		Run: func(_ context.Context, cfg dbt.Config, _ *harness.Artifacts) (*harness.KernelRun, error) {
 			res, err := attack.Run(v, cfg, attack.Params{Secret: secret})
@@ -215,21 +209,21 @@ func (s *evalState) attackBench(v attack.Variant, secret []byte) harness.Bench {
 			s.put(name+"|leak", cfg.Mitigation, &cellData{leak: res.Leakage})
 			return run, nil
 		},
-	}, func(run *harness.KernelRun, cfg dbt.Config) *cellData {
-		d := s.get(name+"|leak", cfg.Mitigation)
-		if d == nil {
-			d = &cellData{}
+	}, s.dcfg, func(cfg dbt.Config, rep *Report) {
+		d := &cellData{rep: rep}
+		if l := s.get(name+"|leak", cfg.Mitigation); l != nil {
+			d.leak = l.leak
 		}
-		return d
+		s.put(name, cfg.Mitigation, d)
 	})
 }
 
 // Eval runs the full labeled corpus — every benign kernel and both
-// Spectre variants, across the mitigation-mode axis — with a private
-// detector per cell, and scores the verdicts against ground truth.
-// Deterministic at any worker count: cell order is bench-major, and
-// each cell's detector sees exactly its own machine's event stream.
-func Eval(ctx context.Context, base dbt.Config, ecfg EvalConfig) (*EvalDoc, error) {
+// Spectre variants, across the mitigation-mode axis — on r with a
+// private detector per cell, and scores the verdicts against ground
+// truth. Deterministic at any worker count: cell order is bench-major,
+// and each cell's detector sees exactly its own machine's event stream.
+func Eval(ctx context.Context, r *harness.Runner, base dbt.Config, ecfg EvalConfig) (*EvalDoc, error) {
 	modes := ecfg.Modes
 	if modes == nil {
 		modes = pipeline.Modes()
@@ -255,14 +249,6 @@ func Eval(ctx context.Context, base dbt.Config, ecfg EvalConfig) (*EvalDoc, erro
 		benches = append(benches, st.attackBench(v, secret))
 	}
 
-	r := &harness.Runner{
-		Workers:   ecfg.Workers,
-		Timeout:   ecfg.Timeout,
-		Retries:   ecfg.Retries,
-		Backoff:   ecfg.Backoff,
-		Artifacts: harness.NewArtifacts(),
-		OnCell:    ecfg.OnCell,
-	}
 	rows, err := r.RunMatrix(ctx, base, benches, modes)
 	if err != nil {
 		return nil, err

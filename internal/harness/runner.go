@@ -358,7 +358,7 @@ func (r *Runner) runOne(ctx context.Context, base dbt.Config, b Bench, mode core
 		run, err := r.attemptOne(ctx, cfg, b, mode, attempt)
 		spent += attemptCycles(run, err, cfg.MaxCycles)
 		if err == nil {
-			endAttempt(as, run)
+			EndAttempt(as, run)
 			cell.End(hspan.Str("outcome", "ok"))
 			return run, spent, nil
 		}
@@ -390,12 +390,13 @@ func attemptCycles(run *KernelRun, err error, budget uint64) uint64 {
 	return c
 }
 
-// endAttempt finishes a successful attempt's span, splitting it into
-// the translation and execution phases from the machine's own
-// accounting. The split renders the two as consecutive intervals —
-// translation actually interleaves with execution — so the children
-// are attributed durations on the cell timeline, not precise phases.
-func endAttempt(as hspan.Span, run *KernelRun) {
+// EndAttempt finishes a successful run's span (a matrix attempt, or
+// gbrun's run span), splitting it into the translation and execution
+// phases from the machine's own accounting (run.TransNS, run.Cycles).
+// The split renders the two as consecutive intervals — translation
+// actually interleaves with execution — so the children are attributed
+// durations on the timeline, not precise phases.
+func EndAttempt(as hspan.Span, run *KernelRun) {
 	if !as.Enabled() {
 		return
 	}

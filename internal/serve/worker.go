@@ -300,39 +300,27 @@ func (p *programRun) result() *JobResult {
 	return out
 }
 
-// detectBench wraps one bench so each attempt of its cells runs with a
-// private online detector teed into the machine's event stream. An
-// alarm of a successful attempt increments the job's count and lands
-// on the event stream; keep, when non-nil, receives that attempt's
-// verdict (run jobs only: their one cell never runs concurrently). The
-// cell's guest-visible results are untouched (the tracer rides the
-// observability plane — cycle counts are pinned identical by the
-// harness differential tests).
+// detectBench wraps one bench with detect.Observe: each attempt of its
+// cells runs with a private online detector teed into the machine's
+// event stream, and a failed attempt still hands the Runner its
+// partial run to meter. An alarm of a successful attempt increments
+// the job's count and lands on the event stream; keep, when non-nil,
+// receives that attempt's verdict (run jobs only: their one cell never
+// runs concurrently). The cell's guest-visible results are untouched
+// (the tracer rides the observability plane — cycle counts are pinned
+// identical by the harness differential tests).
 func (s *Server) detectBench(j *Job, b harness.Bench, alarms *atomic.Int64, keep func(*detect.Report)) harness.Bench {
-	inner := b.Run
-	return harness.Bench{
-		Name: b.Name,
-		Run: func(ctx context.Context, cfg dbt.Config, arts *harness.Artifacts) (*harness.KernelRun, error) {
-			det := detect.New(detect.Config{})
-			cfg.Tracer = obs.New(obs.LevelSpec, det)
-			run, err := inner(ctx, cfg, arts)
-			_ = cfg.Tracer.Close() // flush the stream's tail into the detector
-			if err != nil {
-				return run, err
-			}
-			rep := det.Report()
-			if keep != nil {
-				keep(rep)
-			}
-			if rep.Alarm {
-				alarms.Add(1)
-				s.appendEvent(j, JobEvent{Type: EventDetectAlarm, Bench: b.Name,
-					Mode: cfg.Mitigation.String(), Alarm: true,
-					Confidence: rep.Confidence, AlarmCycle: rep.AlarmCycle})
-			}
-			return run, nil
-		},
-	}
+	return detect.Observe(b, detect.Config{}, func(cfg dbt.Config, rep *detect.Report) {
+		if keep != nil {
+			keep(rep)
+		}
+		if rep.Alarm {
+			alarms.Add(1)
+			s.appendEvent(j, JobEvent{Type: EventDetectAlarm, Bench: b.Name,
+				Mode: cfg.Mitigation.String(), Alarm: true,
+				Confidence: rep.Confidence, AlarmCycle: rep.AlarmCycle})
+		}
+	})
 }
 
 // sweepCycles totals the simulated cycles every cell consumed, failed

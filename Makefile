@@ -48,6 +48,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzStep$$'         -fuzztime $(FUZZTIME) ./internal/riscv
 	$(GO) test -run '^$$' -fuzz '^FuzzInterpVsVLIW$$' -fuzztime $(FUZZTIME) ./internal/dbt
 	$(GO) test -run '^$$' -fuzz '^FuzzWindowClassifier$$' -fuzztime $(FUZZTIME) ./internal/detect
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlock$$'  -fuzztime $(FUZZTIME) ./internal/vliw
 
 # Full benchmark sweep across every package, with allocation counts.
 # The output is benchstat-compatible: run it on two checkouts with

@@ -138,8 +138,9 @@ type Config struct {
 	Tracer *obs.Tracer
 
 	// VerifyEncoding round-trips every translated block through the
-	// binary VLIW encoding and executes the decoded form — an integrity
-	// check that the code cache contents are fully representable in the
+	// binary VLIW encoding the disk cache stores (words plus GuestPC
+	// side table) and executes the decoded form — an integrity check
+	// that the code cache contents are fully representable in the
 	// target ISA (debug builds; small translation-time cost).
 	VerifyEncoding bool
 
@@ -643,23 +644,20 @@ func (m *Machine) translateWith(pc uint64, asTrace, noMemSpec bool) {
 	}
 	blk := res.Block
 	if m.cfg.VerifyEncoding {
-		data, err := vliw.EncodeBlock(blk)
+		// Execute the decoded form: the encoding is live. The codec is
+		// the lossless one the disk cache uses, so fault PCs and the SMC
+		// extent below come from the decoded block's GuestPCs.
+		data, err := vliw.AppendBlock(nil, blk)
+		if err == nil {
+			blk, _, err = vliw.ConsumeBlock(data)
+		}
 		if err != nil {
 			m.stats.CompileErrs++
 			m.transFail(pc, false, err)
 			return
 		}
-		decoded, err := vliw.DecodeBlock(data)
-		if err != nil {
-			m.stats.CompileErrs++
-			m.transFail(pc, false, err)
-			return
-		}
-		blk = decoded // execute the decoded form: the encoding is live
 	}
-	// The guest extent is computed from the pre-encoding block: the
-	// binary encoding drops guest PCs, and SMC invalidation needs them.
-	lo, hi := blockExtent(res.Block)
+	lo, hi := blockExtent(blk)
 	blk.Prepare() // build the threaded-dispatch table off the hot path
 	m.install(pc, &transEntry{
 		blk: blk, isTrace: asTrace, noMemSpec: noMemSpec,
@@ -675,8 +673,8 @@ func (m *Machine) translateWith(pc uint64, asTrace, noMemSpec bool) {
 	m.stats.Translations++
 	if m.tcr != nil {
 		// Record the installed block for publication. With the cache
-		// active VerifyEncoding is off, so blk is the pre-encoding block
-		// and its guest PCs are intact (SMC invalidation needs them).
+		// active VerifyEncoding is off, so blk is the compiled block
+		// itself: the in-memory layer shares it, never a decoded copy.
 		m.tcr.Record(&tcache.Region{
 			PC: pc, Trace: asTrace, NoMemSpec: noMemSpec,
 			Lo: lo, Hi: hi,

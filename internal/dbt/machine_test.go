@@ -950,3 +950,41 @@ loop:
 		t.Fatalf("encode round trip failed %d times", encoded.Stats.CompileErrs)
 	}
 }
+
+// A fault inside translated code must report the same guest PC whether
+// the block ran as compiled or through the binary encoding: the codec
+// VerifyEncoding executes keeps every GuestPC.
+func TestVerifyEncodingKeepsFaultPC(t *testing.T) {
+	// The load strides 512 KiB per iteration until it leaves guest
+	// memory, long after the loop was translated.
+	src := `
+	.data
+buf:	.dword 0
+	.text
+main:
+	la t2, buf
+	li t3, 0x80000
+loop:
+	addi s2, s2, 3
+	addi s2, s2, 5
+	ld t0, 0(t2)
+	add t2, t2, t3
+	j loop
+`
+	plain, _ := runForFault(t, src, nil, DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.VerifyEncoding = true
+	encoded, m := runForFault(t, src, nil, cfg)
+	if plain.Block == 0 {
+		t.Fatalf("fault was raised outside translated code: %v", plain)
+	}
+	if plain.PC != 0x10014 {
+		t.Fatalf("plain run faulted at pc=%#x, want 0x10014", plain.PC)
+	}
+	if encoded.PC != plain.PC || encoded.Block != plain.Block || encoded.Kind != plain.Kind {
+		t.Errorf("encoded run faulted as %v, plain run as %v", encoded, plain)
+	}
+	if m.stats.CompileErrs != 0 {
+		t.Fatalf("encode round trip failed %d times", m.stats.CompileErrs)
+	}
+}

@@ -18,21 +18,29 @@
 // The cache has two layers: a process-wide in-memory store shared by
 // every machine with the same key (an experiment sweep translates each
 // kernel once per mode, not once per cell), and an optional on-disk
-// layer (schema ghostbusters/tcache/v1) so separate processes share
-// warm translations. Disk writes are atomic (tmp + rename) and happen
-// once per run key when a clean run published new regions; a corrupt,
-// missing or foreign file degrades to a cold run, never to an error.
+// layer so separate processes share warm translations. A disk document
+// (schema ghostbusters/tcache/v2) is binary: each region's metadata and
+// its block in the VLIW encoding (vliw.AppendBlock: the EncodeBlock
+// words plus a GuestPC side table), closed by a CRC-32C. Disk writes
+// are atomic (tmp + rename) and happen once per run key when a clean
+// run published new regions. A corrupt or truncated document, or a file
+// that is no document at all, degrades to a cold run and an Err(); a
+// document of another schema version or key is skipped quietly. None of
+// them can cause a wrong hit or a panic.
 package tcache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 
 	"ghostbusters/internal/riscv"
@@ -42,7 +50,7 @@ import (
 // Schema identifies the on-disk document format. Bump it when Region or
 // the vliw.Block serialization changes incompatibly; loading rejects
 // other schemas and treats the key as cold.
-const Schema = "ghostbusters/tcache/v1"
+const Schema = "ghostbusters/tcache/v2"
 
 // Region is one cached translation: the compiled block (with guest PCs
 // preserved — self-modifying-code invalidation and fault attribution
@@ -51,22 +59,21 @@ const Schema = "ghostbusters/tcache/v1"
 // same *vliw.Block pointer and rebuild only the per-block dispatch
 // table, which is atomically published (see vliw.Block).
 type Region struct {
-	PC        uint64 `json:"pc"`
-	Trace     bool   `json:"trace,omitempty"`
-	NoMemSpec bool   `json:"no_mem_spec,omitempty"`
+	PC        uint64
+	Trace     bool
+	NoMemSpec bool
 
 	// Lo/Hi is the guest text extent [Lo, Hi) the region was translated
 	// from, for store-hook invalidation.
-	Lo uint64 `json:"lo"`
-	Hi uint64 `json:"hi"`
+	Lo, Hi uint64
 
 	// Static mitigation report of the compiled code.
-	SpecLoads  int  `json:"spec_loads"`
-	RiskyLoads int  `json:"risky_loads"`
-	GuardEdges int  `json:"guard_edges"`
-	Pattern    bool `json:"pattern,omitempty"`
+	SpecLoads  int
+	RiskyLoads int
+	GuardEdges int
+	Pattern    bool
 
-	Block *vliw.Block `json:"block"`
+	Block *vliw.Block
 }
 
 // regionKey identifies a region within one run: a PC is compiled at
@@ -142,11 +149,150 @@ func sanitize(s string) string {
 	return string(out)
 }
 
-// document is the on-disk form of one key's region set.
-type document struct {
-	Schema  string    `json:"schema"`
-	Key     string    `json:"key"`
-	Regions []*Region `json:"regions"`
+// The on-disk document of one key's region set, in order:
+//
+//	"ghostbusters/tcache/v2\n"       the schema line (Schema)
+//	uvarint len(key), key            Key.Full
+//	uvarint region count
+//	per region, sorted by (PC, Trace, NoMemSpec):
+//	  uvarint PC, flags (1 Trace, 2 NoMemSpec, 4 Pattern), Lo, Hi,
+//	          SpecLoads, RiskyLoads, GuardEdges
+//	  block   vliw.AppendBlock
+//	uint32  CRC-32C of everything before it, little-endian
+const (
+	flagTrace = 1 << iota
+	flagNoMemSpec
+	flagPattern
+)
+
+// schemaFamily prefixes every schema this package has written: a first
+// line that carries it but names another version is a document from an
+// older or newer build, not corruption.
+const schemaFamily = "ghostbusters/tcache/"
+
+// minRegionBytes is the smallest encoded region: seven one-byte uvarints
+// and a six-word block image. It bounds a document's region count.
+const minRegionBytes = 7 + 6*8
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// encodeDocument renders a key's regions, already sorted, as a document.
+func encodeDocument(key string, regions []*Region) ([]byte, error) {
+	data := binary.AppendUvarint([]byte(Schema+"\n"), uint64(len(key)))
+	data = append(data, key...)
+	data = binary.AppendUvarint(data, uint64(len(regions)))
+	for _, rg := range regions {
+		var flags uint64
+		if rg.Trace {
+			flags |= flagTrace
+		}
+		if rg.NoMemSpec {
+			flags |= flagNoMemSpec
+		}
+		if rg.Pattern {
+			flags |= flagPattern
+		}
+		for _, v := range [...]uint64{rg.PC, flags, rg.Lo, rg.Hi, uint64(rg.SpecLoads), uint64(rg.RiskyLoads), uint64(rg.GuardEdges)} {
+			data = binary.AppendUvarint(data, v)
+		}
+		var err error
+		if data, err = vliw.AppendBlock(data, rg.Block); err != nil {
+			return nil, fmt.Errorf("region %#x: %w", rg.PC, err)
+		}
+	}
+	return binary.LittleEndian.AppendUint32(data, crc32.Checksum(data, castagnoli)), nil
+}
+
+// errForeign marks a well-formed document that is not for this build
+// and key: another schema version, or a key that hashed to the same
+// path. Loading skips it without an error.
+var errForeign = errors.New("foreign document")
+
+// decodeDocument parses a document written for key. Any defect —
+// truncation, a bad checksum, a malformed region — is an error, and no
+// region of a defective document is returned.
+func decodeDocument(data []byte, key string) ([]Region, error) {
+	nl := bytes.IndexByte(data[:min(len(data), len(Schema)+8)], '\n')
+	if nl < 0 {
+		return nil, errors.New("not a translation-cache document")
+	}
+	if schema := string(data[:nl]); schema != Schema {
+		if strings.HasPrefix(schema, schemaFamily) {
+			return nil, errForeign
+		}
+		return nil, fmt.Errorf("not a translation-cache document (first line %q)", schema)
+	}
+	if len(data) < nl+1+4 {
+		return nil, errors.New("truncated document")
+	}
+	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
+	if crc32.Checksum(body, castagnoli) != sum {
+		return nil, errors.New("checksum mismatch")
+	}
+	r := reader{b: body[nl+1:]}
+	if string(r.bytes(r.uvarint())) != key {
+		if r.err != nil {
+			return nil, r.err
+		}
+		return nil, errForeign
+	}
+	n := r.uvarint()
+	if n > uint64(len(r.b))/minRegionBytes {
+		return nil, fmt.Errorf("region count %d exceeds the document", n)
+	}
+	regions := make([]Region, n)
+	for i := range regions {
+		rg := &regions[i]
+		rg.PC = r.uvarint()
+		flags := r.uvarint()
+		rg.Trace, rg.NoMemSpec, rg.Pattern = flags&flagTrace != 0, flags&flagNoMemSpec != 0, flags&flagPattern != 0
+		rg.Lo, rg.Hi = r.uvarint(), r.uvarint()
+		rg.SpecLoads, rg.RiskyLoads, rg.GuardEdges = int(r.uvarint()), int(r.uvarint()), int(r.uvarint())
+		if r.err != nil {
+			return nil, r.err
+		}
+		blk, k, err := vliw.ConsumeBlock(r.b)
+		if err != nil {
+			return nil, fmt.Errorf("region %#x: %w", rg.PC, err)
+		}
+		rg.Block, r.b = blk, r.b[k:]
+	}
+	if len(r.b) != 0 {
+		return nil, fmt.Errorf("%d bytes after the last region", len(r.b))
+	}
+	return regions, nil
+}
+
+// reader consumes a document body; the first short read sticks in err
+// and turns every later read into a zero.
+type reader struct {
+	b   []byte
+	err error
+}
+
+var errShort = errors.New("truncated document")
+
+func (r *reader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.err = errShort
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *reader) bytes(n uint64) []byte {
+	if r.err != nil || n > uint64(len(r.b)) {
+		r.err = errShort
+		return nil
+	}
+	v := r.b[:n]
+	r.b = r.b[n:]
+	return v
 }
 
 // store is the in-memory region set of one key.
@@ -214,9 +360,10 @@ func (c *Cache) Stats() (hits, misses uint64, persisted int) {
 	return c.hits, c.misses, c.persisted
 }
 
-// path returns the document path for a key: <dir>/<image>/<mode>/<config>.json.
+// path returns the document path for a key: <dir>/<image>/<mode>/<config>.bin.
+// Documents of earlier schemas (v1 wrote <config>.json) are never read.
 func (c *Cache) path(k Key) string {
-	return filepath.Join(c.dir, k.Image, k.Mode, k.Config+".json")
+	return filepath.Join(c.dir, k.Image, k.Mode, k.Config+".bin")
 }
 
 // Run opens the per-run view for a key, loading the key's disk document
@@ -237,30 +384,27 @@ func (c *Cache) Run(k Key) *Run {
 }
 
 // load populates a fresh store from the key's disk document. Failures
-// (missing file, corrupt JSON, schema or key mismatch) leave the store
-// empty: the run is simply cold.
+// (missing file, a corrupt or truncated document, a schema or key
+// mismatch) leave the store empty: the run is simply cold. Everything
+// but a missing file or a foreign document also lands in Err().
 func (c *Cache) load(k Key, st *store) {
-	data, err := os.ReadFile(c.path(k))
+	path := c.path(k)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		if !os.IsNotExist(err) {
-			c.setErr(fmt.Errorf("tcache: reading %s: %w", c.path(k), err))
+			c.setErr(fmt.Errorf("tcache: reading %s: %w", path, err))
 		}
 		return
 	}
-	var doc document
-	if err := json.Unmarshal(data, &doc); err != nil {
-		c.setErr(fmt.Errorf("tcache: parsing %s: %w", c.path(k), err))
-		return
-	}
-	if doc.Schema != Schema || doc.Key != k.Full {
-		// Foreign schema version or a hash collision with different key
-		// material: never serve it.
-		return
-	}
-	for _, rg := range doc.Regions {
-		if rg.Block == nil {
-			continue
+	regions, err := decodeDocument(data, k.Full)
+	if err != nil {
+		if !errors.Is(err, errForeign) {
+			c.setErr(fmt.Errorf("tcache: parsing %s: %w", path, err))
 		}
+		return
+	}
+	for i := range regions {
+		rg := &regions[i]
 		st.regions[regionKey{rg.PC, rg.Trace, rg.NoMemSpec}] = rg
 	}
 }
@@ -277,8 +421,7 @@ func (c *Cache) persist(k Key, regions []*Region) {
 		}
 		return rb.NoMemSpec
 	})
-	doc := document{Schema: Schema, Key: k.Full, Regions: regions}
-	data, err := json.Marshal(&doc)
+	data, err := encodeDocument(k.Full, regions)
 	if err != nil {
 		c.setErr(fmt.Errorf("tcache: encoding %s: %w", c.path(k), err))
 		return
@@ -293,7 +436,7 @@ func (c *Cache) persist(k Key, regions []*Region) {
 		c.setErr(fmt.Errorf("tcache: %w", err))
 		return
 	}
-	_, werr := tmp.Write(append(data, '\n'))
+	_, werr := tmp.Write(data)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())

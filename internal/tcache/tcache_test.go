@@ -1,9 +1,13 @@
 package tcache
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"ghostbusters/internal/riscv"
@@ -99,7 +103,8 @@ func TestDiskRoundTrip(t *testing.T) {
 	r1 := c1.Run(k)
 	want := testRegion(0x1000)
 	r1.Record(want)
-	r1.Record(&Region{PC: 0x1010, Lo: 0x1010, Hi: 0x1014, Block: &vliw.Block{EntryPC: 0x1010}})
+	empty := &Region{PC: 0x1010, Lo: 0x1010, Hi: 0x1014, Block: &vliw.Block{EntryPC: 0x1010}}
+	r1.Record(empty)
 	r1.Publish()
 	if err := c1.Err(); err != nil {
 		t.Fatalf("publish: %v", err)
@@ -114,15 +119,13 @@ func TestDiskRoundTrip(t *testing.T) {
 	if got == nil {
 		t.Fatal("published region not found by a fresh cache")
 	}
-	// Compare via JSON: the block's unexported dispatch-table pointer is
-	// host state, not content.
-	wantJS, _ := json.Marshal(want)
-	gotJS, _ := json.Marshal(got)
-	if string(wantJS) != string(gotJS) {
-		t.Errorf("region did not round-trip:\nwant %s\ngot  %s", wantJS, gotJS)
+	// Neither block has built its dispatch table, so DeepEqual compares
+	// content only — every syllable's GuestPC included.
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("region did not round-trip:\nwant %+v\n%v\ngot  %+v\n%v", *want, want.Block, *got, got.Block)
 	}
-	if r2.Lookup(0x1010, false, false) == nil {
-		t.Error("second region lost in the round trip")
+	if got := r2.Lookup(0x1010, false, false); !reflect.DeepEqual(got, empty) {
+		t.Errorf("empty-block region did not round-trip: %+v", got)
 	}
 	if r2.Lookup(0x1000, false, false) != nil {
 		t.Error("lookup ignores the trace bit: block-shaped probe returned the trace")
@@ -151,12 +154,19 @@ func cacheFiles(t *testing.T, dir string) []string {
 	return files
 }
 
-// Corrupt or foreign documents must degrade to a cold run, never to an
-// error or to wrong code.
+// reseal replaces a document's CRC-32C with the one its new body needs,
+// so a test edit reaches the check behind the checksum.
+func reseal(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
+}
+
+// Corrupt, truncated or foreign documents must degrade to a cold run,
+// never to a panic or to wrong code. Defects surface through Err();
+// documents of another schema version or key are skipped quietly.
 func TestLoadRejectsBadDocuments(t *testing.T) {
 	k := RunKey(testProg(), "unsafe", "cfg", "")
-	publish := func(t *testing.T) string {
-		dir := t.TempDir()
+	publish := func(t *testing.T) (dir, doc string, data []byte) {
+		dir = t.TempDir()
 		c := New(dir)
 		r := c.Run(k)
 		r.Record(testRegion(0x1000))
@@ -165,59 +175,108 @@ func TestLoadRejectsBadDocuments(t *testing.T) {
 			t.Fatal(err)
 		}
 		files := cacheFiles(t, dir)
-		if len(files) != 1 {
-			t.Fatalf("expected exactly one document, found %v", files)
+		if len(files) != 1 || !strings.HasSuffix(files[0], ".bin") {
+			t.Fatalf("expected exactly one .bin document, found %v", files)
 		}
-		return dir
+		data, err := os.ReadFile(files[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, []byte(Schema+"\n")) {
+			t.Fatalf("document does not open with the schema line: %q", data[:min(len(data), 32)])
+		}
+		return dir, files[0], data
 	}
-	cold := func(t *testing.T, dir string) {
-		t.Helper()
+	// load opens a fresh cache on dir and reports whether the published
+	// region was served, and the cache's error.
+	load := func(dir string) (served bool, err error) {
 		c := New(dir)
-		if c.Run(k).Lookup(0x1000, true, false) != nil {
-			t.Error("bad document served a region")
+		served = c.Run(k).Lookup(0x1000, true, false) != nil
+		return served, c.Err()
+	}
+	write := func(t *testing.T, path string, data []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 
 	t.Run("truncated", func(t *testing.T) {
-		dir := publish(t)
-		f := cacheFiles(t, dir)[0]
-		if err := os.WriteFile(f, []byte(`{"schema":"ghostbusters/tca`), 0o644); err != nil {
-			t.Fatal(err)
+		// Every proper prefix of the document, from empty to one byte
+		// short, as a torn write could leave it.
+		dir, doc, data := publish(t)
+		for n := 0; n < len(data); n++ {
+			write(t, doc, data[:n])
+			served, err := load(dir)
+			if served || err == nil {
+				t.Fatalf("document cut to %d of %d bytes: served=%v err=%v", n, len(data), served, err)
+			}
 		}
-		cold(t, dir)
+	})
+	t.Run("flipped bit", func(t *testing.T) {
+		// Every single-bit error after the schema line, checksum
+		// included, must fail the CRC.
+		dir, doc, data := publish(t)
+		for i := len(Schema) + 1; i < len(data); i++ {
+			for bit := 0; bit < 8; bit++ {
+				bad := bytes.Clone(data)
+				bad[i] ^= 1 << bit
+				write(t, doc, bad)
+				served, err := load(dir)
+				if served || err == nil || !strings.Contains(err.Error(), "checksum") {
+					t.Fatalf("byte %d bit %d flipped: served=%v err=%v", i, bit, served, err)
+				}
+			}
+		}
 	})
 	t.Run("wrong schema", func(t *testing.T) {
-		dir := publish(t)
-		f := cacheFiles(t, dir)[0]
-		doc := map[string]any{}
-		raw, _ := os.ReadFile(f)
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			t.Fatal(err)
+		// Another version's document, correctly sealed: skipped, not an
+		// error.
+		dir, doc, data := publish(t)
+		body := bytes.Replace(data[:len(data)-4], []byte(Schema), []byte("ghostbusters/tcache/v0"), 1)
+		write(t, doc, reseal(body))
+		if served, err := load(dir); served || err != nil {
+			t.Errorf("served=%v err=%v, want a quiet cold run", served, err)
 		}
-		doc["schema"] = "ghostbusters/tcache/v0"
-		out, _ := json.Marshal(doc)
-		if err := os.WriteFile(f, out, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		cold(t, dir)
 	})
 	t.Run("foreign key", func(t *testing.T) {
 		// A document whose full (unhashed) key disagrees with the probe
 		// — the defense against path-hash collisions and stale
 		// fingerprint rules — must be ignored.
-		dir := publish(t)
-		f := cacheFiles(t, dir)[0]
-		doc := map[string]any{}
-		raw, _ := os.ReadFile(f)
-		if err := json.Unmarshal(raw, &doc); err != nil {
+		dir, doc, data := publish(t)
+		hdr := len(Schema) + 1
+		keyLen, n := binary.Uvarint(data[hdr:])
+		rest := data[hdr+n+int(keyLen) : len(data)-4]
+		other := "someone|else|entirely|"
+		body := binary.AppendUvarint([]byte(Schema+"\n"), uint64(len(other)))
+		body = append(append(body, other...), rest...)
+		write(t, doc, reseal(body))
+		if served, err := load(dir); served || err != nil {
+			t.Errorf("served=%v err=%v, want a quiet cold run", served, err)
+		}
+	})
+	t.Run("leftover v1 json", func(t *testing.T) {
+		// A schema v1 document sits at <config>.json beside the v2 one;
+		// nothing reads it, with or without the .bin present.
+		dir, doc, _ := publish(t)
+		v1 := strings.TrimSuffix(doc, ".bin") + ".json"
+		write(t, v1, []byte(`{"schema":"ghostbusters/tcache/v1","key":"`+k.Full+`","regions":[]}`+"\n"))
+		if served, err := load(dir); !served || err != nil {
+			t.Errorf("with the .bin present: served=%v err=%v, want a warm run", served, err)
+		}
+		if err := os.Remove(doc); err != nil {
 			t.Fatal(err)
 		}
-		doc["key"] = "someone|else|entirely|"
-		out, _ := json.Marshal(doc)
-		if err := os.WriteFile(f, out, 0o644); err != nil {
-			t.Fatal(err)
+		if served, err := load(dir); served || err != nil {
+			t.Errorf("with only the .json: served=%v err=%v, want a quiet cold run", served, err)
 		}
-		cold(t, dir)
+	})
+	t.Run("not a document", func(t *testing.T) {
+		dir, doc, _ := publish(t)
+		write(t, doc, []byte(`{"schema":"ghostbusters/tcache/v1"}`+"\n"))
+		if served, err := load(dir); served || err == nil {
+			t.Errorf("served=%v err=%v, want a cold run and an error", served, err)
+		}
 	})
 }
 

@@ -71,3 +71,28 @@ func BenchmarkExecSteadyState(b *testing.B) {
 		}
 	}
 }
+
+// Decoding reads the image in place and backs every bundle and recovery
+// with one syllable slice: four allocations per block (the Block, the
+// syllables, the bundle and recovery headers) whatever its size.
+func TestDecodeBlockAllocs(t *testing.T) {
+	blk := steadyStateBlock(DefaultConfig())
+	blk.Recoveries = [][]Syllable{
+		{{Kind: KLoad, Op: riscv.LD, Dst: 7, Ra: 5, GuestPC: 0x108}},
+		{{Kind: KAluRR, Op: riscv.ADD, Dst: 9, Ra: 7, Rb: 8, GuestPC: 0x110}},
+	}
+	words, err := EncodeBlock(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := AppendBlock(nil, blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { DecodeBlock(words) }); n != 4 {
+		t.Errorf("DecodeBlock allocates %.0f objects, want 4", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { ConsumeBlock(full) }); n != 4 {
+		t.Errorf("ConsumeBlock allocates %.0f objects, want 4", n)
+	}
+}

@@ -1,6 +1,7 @@
 package vliw
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -581,13 +582,19 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 					Tag:  uint8(r.Intn(8)),
 					Rec:  int16(r.Intn(4)) - 1,
 				}
+				switch r.Intn(3) { // GuestPC: padding, nearby, or anywhere
+				case 1:
+					bun[j].GuestPC = blk.EntryPC + uint64(4*r.Intn(64))
+				case 2:
+					bun[j].GuestPC = r.Uint64()
+				}
 			}
 			blk.Bundles = append(blk.Bundles, bun)
 		}
 		for i := 0; i < r.Intn(3); i++ {
 			var rec []Syllable
 			for j := 0; j < 1+r.Intn(4); j++ {
-				rec = append(rec, Syllable{Kind: KLoad, Op: riscv.LD, Dst: uint8(r.Intn(64)), Ra: uint8(r.Intn(64)), Imm: int64(r.Intn(1 << 20))})
+				rec = append(rec, Syllable{Kind: KLoad, Op: riscv.LD, Dst: uint8(r.Intn(64)), Ra: uint8(r.Intn(64)), Imm: int64(r.Intn(1 << 20)), GuestPC: r.Uint64()})
 			}
 			blk.Recoveries = append(blk.Recoveries, rec)
 		}
@@ -623,6 +630,18 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 				}
 			}
 		}
+		// The lossless codec restores everything, GuestPCs included.
+		full, err := AppendBlock([]byte("prefix"), blk)
+		if err != nil {
+			t.Fatalf("append: %v", err)
+		}
+		lossless, n, err := ConsumeBlock(full[len("prefix"):])
+		if err != nil {
+			t.Fatalf("consume: %v", err)
+		}
+		if n != len(full)-len("prefix") || !reflect.DeepEqual(lossless, blk) {
+			t.Fatalf("lossless round trip (%d of %d bytes):\n%v\nwant\n%v", n, len(full)-len("prefix"), lossless, blk)
+		}
 	}
 }
 
@@ -642,6 +661,50 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := DecodeBlock(data[:len(data)-8]); err == nil {
 		t.Error("missing pool accepted")
+	}
+	if _, _, err := ConsumeBlock(data); err == nil {
+		t.Error("missing GuestPC table accepted")
+	}
+}
+
+// Hostile images — counts that overflow or overrun the data — must be
+// rejected before any arithmetic on them can index out of range.
+func TestDecodeRejectsHostileCounts(t *testing.T) {
+	image := func(words ...uint64) []byte {
+		var b []byte
+		for _, w := range words {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+		return b
+	}
+	nop := uint64(KNop) | 1<<35 // rec+1 = 1: Rec 0
+	cases := map[string][]byte{
+		// One recovery whose length word is 1<<63 (it once panicked
+		// with index out of range [-9223372036854775802]).
+		"recovery length 1<<63":                              image(blockMagic, 0, 0, 0, 1<<32, 1<<63, 0),
+		"recovery length past the end":                       image(blockMagic, 0, 0, 0, 1<<32, 2, 0),
+		"two recoveries, the first eats the second's length": image(blockMagic, 0, 0, 0, 2<<32, 1, nop, 0),
+		"recovery count 1<<32-1":                             image(blockMagic, 0, 0, 0, 0xFFFFFFFF<<32, 0, 0),
+		"bundle count 1<<32-1":                               image(blockMagic, 0, 0, 1<<32, 0xFFFFFFFF, nop, 0),
+		"width 65":                                           image(blockMagic, 0, 0, 65<<32, 1, nop, 0),
+		"width 0 with a bundle":                              image(blockMagic, 0, 0, 0, 1, nop, 0),
+		"width 1 with no bundles":                            image(blockMagic, 0, 0, 1<<32, 0, 0),
+		"pool length 1<<63":                                  image(blockMagic, 0, 0, 1<<32, 1, nop, 1<<63),
+		"pool index past the pool":                           image(blockMagic, 0, 0, 1<<32, 1, uint64(KMovI)|1<<47|3<<48, 1, 42),
+		"rec field 0xFFF":                                    image(blockMagic, 0, 0, 1<<32, 1, uint64(KChk)|0xFFF<<35, 0),
+		"kind past KCommit":                                  image(blockMagic, 0, 0, 1<<32, 1, uint64(KCommit+1), 0),
+	}
+	for name, data := range cases {
+		if _, err := DecodeBlock(data); err == nil {
+			t.Errorf("%s: DecodeBlock accepted it", name)
+		}
+		if _, _, err := ConsumeBlock(append(data, 0, 0, 0)); err == nil {
+			t.Errorf("%s: ConsumeBlock accepted it", name)
+		}
+	}
+	// The well-formed neighbour of the cases above decodes.
+	if _, err := DecodeBlock(image(blockMagic, 0, 0, 1<<32, 1, nop, 0)); err != nil {
+		t.Errorf("one-nop image rejected: %v", err)
 	}
 }
 

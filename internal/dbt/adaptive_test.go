@@ -1,9 +1,11 @@
 package dbt
 
 import (
+	"reflect"
 	"testing"
 
 	"ghostbusters/internal/riscv"
+	"ghostbusters/internal/tcache"
 )
 
 // alwaysConflictSrc stores and immediately reloads the same location
@@ -115,5 +117,54 @@ loop:
 	}
 	if res.Stats.SpecLoads == 0 {
 		t.Error("speculation should stay enabled")
+	}
+}
+
+// A region's lifecycle — translate or cache hit, install, dispatch,
+// deopt, retranslate — is one path whichever way it is driven: uncached,
+// from a cold or a warm translation cache, chained or not, a run with
+// deopts ends with the same Stats (bar the translation and cache probe
+// counters) and the same per-region profile.
+func TestAdaptiveLifecycleParity(t *testing.T) {
+	type outcome struct {
+		stats   Stats
+		profile []HotRegion
+	}
+	run := func(cfg Config) (outcome, Stats) {
+		res, m := runSrc(t, alwaysConflictSrc, cfg)
+		prof := m.ProfileReport()
+		for i := range prof {
+			prof[i].TransNS = 0
+		}
+		return outcome{zeroTCacheStats(res.Stats), prof}, res.Stats
+	}
+	var want outcome
+	for _, chained := range []bool{true, false} {
+		cfg := DefaultConfig()
+		cfg.AdaptiveRetranslation = true
+		cfg.DisableChaining = !chained
+		tc := tcache.New("")
+		for _, pass := range []string{"uncached", "cold", "warm"} {
+			if pass != "uncached" {
+				cfg.TransCache = tc
+			}
+			got, raw := run(cfg)
+			if pass == "warm" && (raw.Translations != 0 || raw.TCacheHits == 0) {
+				t.Errorf("chained=%v: warm run compiled %d regions, hit %d", chained, raw.Translations, raw.TCacheHits)
+			}
+			if want.profile == nil {
+				want = got
+				if want.stats.Deopts != 2 {
+					t.Fatalf("want 2 deopts to exercise retranslation, got %d", want.stats.Deopts)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got.stats, want.stats) {
+				t.Errorf("chained=%v %s: stats diverge\n got %+v\nwant %+v", chained, pass, got.stats, want.stats)
+			}
+			if !reflect.DeepEqual(got.profile, want.profile) {
+				t.Errorf("chained=%v %s: profile diverges\n got %+v\nwant %+v", chained, pass, got.profile, want.profile)
+			}
+		}
 	}
 }

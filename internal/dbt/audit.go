@@ -44,7 +44,7 @@ func (m *Machine) Audit() *Audit {
 		if e.audit == nil {
 			continue
 		}
-		a.Blocks = append(a.Blocks, BlockAudit{PC: pc, IsTrace: e.isTrace, Report: e.audit, IR: e.auditIR})
+		a.Blocks = append(a.Blocks, BlockAudit{PC: pc, IsTrace: e.Trace, Report: e.audit, IR: e.auditIR})
 	}
 	sort.Slice(a.Blocks, func(i, j int) bool { return a.Blocks[i].PC < a.Blocks[j].PC })
 	return a

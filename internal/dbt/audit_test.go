@@ -220,3 +220,37 @@ func TestDumpIRDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// DumpIR renders the region the DBT engine installed, not a longer one:
+// a basic block stops at the engine's block cap even when MaxTraceInsts
+// allows more. The loop body is 60 single-node addi instructions, so the
+// block the engine installs at the loop head is the cap's worth of them
+// and every rendered IR node stands for one guest instruction.
+func TestDumpIRBasicBlockLength(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("main:\n\tli s2, 0\nloop:\n")
+	for i := 0; i < 60; i++ {
+		sb.WriteString("\taddi s1, s1, 1\n")
+	}
+	sb.WriteString("\taddi s2, s2, 1\n\tli t0, 50\n\tblt s2, t0, loop\n\tli a0, 0\n\tecall\n")
+	cfg := DefaultConfig()
+	cfg.MaxTraceInsts = 96
+	cfg.DisableTraces = true
+	_, m := runSrc(t, sb.String(), cfg)
+	const loopPC = 0x10004
+	blk := m.BlockAt(loopPC)
+	if blk == nil {
+		t.Fatalf("loop head %#x not translated (have %#x)", loopPC, m.TranslatedPCs())
+	}
+	if blk.GuestInsts != maxBlockInsts {
+		t.Fatalf("installed block covers %d guest insts, want the %d-inst cap", blk.GuestInsts, maxBlockInsts)
+	}
+	dot, err := m.DumpIR(loopPC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nodes := strings.Count(dot, ": addi"); nodes != blk.GuestInsts || strings.Count(dot, "[label=\"n") != nodes {
+		t.Fatalf("DumpIR renders %d nodes (%d addi), installed block covers %d guest insts",
+			strings.Count(dot, "[label=\"n"), nodes, blk.GuestInsts)
+	}
+}

@@ -1,10 +1,8 @@
 package dbt
 
 import (
-	"fmt"
 	"sync"
 
-	"ghostbusters/internal/trap"
 	"ghostbusters/internal/vliw"
 )
 
@@ -59,24 +57,6 @@ var transPool = sync.Pool{New: func() any {
 		noTrans:  make(map[uint64]struct{}),
 	}
 }}
-
-// install publishes a translated region and invalidates every cached
-// chain link (the epoch bump): links resolved against the old contents
-// of m.trans must be re-resolved.
-func (m *Machine) install(pc uint64, e *transEntry) {
-	m.trans[pc] = e
-	m.chainEpoch++
-	// Both fresh translations and persistent-cache installs route
-	// through here, so this is the one place to attribute host-side
-	// translation latency to the machine.
-	m.transHostNS += e.transNS
-	if e.lo < m.transLo {
-		m.transLo = e.lo
-	}
-	if e.hi > m.transHi {
-		m.transHi = e.hi
-	}
-}
 
 // blockExtent computes the guest text range [lo, hi) a translated block
 // covers, from the guest PCs stamped on its syllables (traces can reach
@@ -133,7 +113,7 @@ func (m *Machine) invalidateRange(addr, size uint64) {
 	end := addr + size
 	dropped := false
 	for pc, e := range m.trans {
-		if e.lo < end && addr < e.hi {
+		if e.Lo < end && addr < e.Hi {
 			delete(m.trans, pc)
 			m.stats.SMCInvalidations++
 			dropped = true
@@ -183,11 +163,11 @@ func (m *Machine) chainStep(e *transEntry, next uint64) *transEntry {
 	if lk := e.chainTo(next, m.chainEpoch); lk != nil {
 		if lk.cnt != nil {
 			*lk.cnt++
-			// Mirror of onEnter's trace-upgrade trigger. The upgrade
-			// replaces the entry and bumps the epoch, so resolve the
-			// successor fresh from the map.
-			if !lk.e.isTrace && !m.cfg.DisableTraces && *lk.cnt >= m.cfg.TraceThreshold {
-				m.translateAt(next, true)
+			// onEnter's thresholds, minus its map lookups. A trace
+			// upgrade replaces the entry and bumps the epoch, so resolve
+			// the successor fresh from the map.
+			if asTrace, due := m.promotion(lk.e, *lk.cnt); due {
+				m.translateWith(next, asTrace, false)
 				return m.trans[next]
 			}
 		}
@@ -221,69 +201,32 @@ func (m *Machine) syncState(pc uint64) {
 }
 
 // runChain executes translated blocks back-to-back starting at pc/e.
-// On return the architectural state is synchronised. A non-nil fault is
-// terminal (the caller raises it with the returned PC); a non-nil error
-// is an interrupt; both nil means the chain surfaced cleanly and the
-// outer loop continues at m.state.PC.
+// On return the architectural state is synchronised. A non-nil error is
+// terminal — a raised fault or an interrupt; nil means the chain
+// surfaced cleanly and the outer loop continues at m.state.PC.
 //
-// The per-dispatch operation sequence is exactly the outer loop's —
-// profile attribution, deopt checks, entry counting, translation
-// thresholds, MaxCycles and interrupt polling all behave identically;
-// only the map lookups, register-file copies and tracer branches are
-// elided. The differential tests pin this equivalence down to exact
-// cycle counts and trap identity.
-func (m *Machine) runChain(pc uint64, e *transEntry, poll *int, budget int) (*trap.Fault, uint64, error) {
-	m.wasTrans = true
+// Each transfer takes the outer loop's own steps — dispatch (profile
+// attribution, deopt check), the entry protocol (chainStep) and the
+// MaxCycles/interrupt guard — so only the map lookups, register-file
+// copies and tracer events are elided. The differential tests pin this
+// equivalence down to exact cycle counts and trap identity.
+func (m *Machine) runChain(pc uint64, e *transEntry, budget int) error {
 	copy(m.vregs[:32], m.state.X[:])
 	for n := 1; ; n++ {
-		start := m.cycles
-		csBefore := m.core.Stats
-		ei := m.core.Exec(e.blk, &m.vregs, m.b, &m.cycles)
-		m.stats.BlockExecs++
-		cs := m.core.Stats
-		e.cycles += m.cycles - start
-		e.bundles += cs.Bundles - csBefore.Bundles
-		e.sideExits += cs.SideExits - csBefore.SideExits
-		e.specLoads += cs.SpecLoads - csBefore.SpecLoads
-		e.squashes += cs.SpecSquash - csBefore.SpecSquash
+		ei := m.dispatch(pc, e)
 		if ei.Fault != nil {
 			m.syncState(pc)
-			f := ei.Fault
-			f.Block = pc
-			return f, ei.FaultPC, nil
-		}
-		e.execs++
-		e.recov += cs.Recoveries - csBefore.Recoveries
-		if m.cfg.AdaptiveRetranslation && !e.noMemSpec &&
-			e.execs >= m.cfg.DeoptWindow &&
-			e.recov*100 >= e.execs*m.cfg.DeoptRatioPct {
-			m.translateWith(pc, e.isTrace, true)
-			m.stats.Deopts++
+			return m.raise(ei.Fault, ei.FaultPC)
 		}
 		next := ei.NextPC
 		succ := m.chainStep(e, next)
 		if succ == nil || n >= budget {
 			m.syncState(next)
-			return nil, 0, nil
+			return nil
 		}
-		// The outer loop's per-iteration guards, inlined for the next
-		// transfer (the fault injector is never active under chaining,
-		// so only the budget trap and the interrupt channel remain).
-		if m.cfg.MaxCycles != 0 && m.cycles > m.cfg.MaxCycles {
+		if err := m.guard(next); err != nil {
 			m.syncState(next)
-			f := trap.Newf(trap.CycleBudgetExceeded, "cycle budget exceeded (max %d)", m.cfg.MaxCycles)
-			return f, next, nil
-		}
-		if m.cfg.Interrupt != nil {
-			if *poll++; *poll >= interruptPollEvery {
-				*poll = 0
-				select {
-				case <-m.cfg.Interrupt:
-					m.syncState(next)
-					return nil, 0, fmt.Errorf("dbt: %w at cycle %d", ErrInterrupted, m.cycles)
-				default:
-				}
-			}
+			return err
 		}
 		pc, e = next, succ
 	}

@@ -239,14 +239,11 @@ type Result struct {
 	Stats   Stats
 }
 
+// transEntry is one installed region: the record the persistent
+// translation cache stores (shape, guest text extent, static mitigation
+// report, compiled block) plus the dynamic state this machine keeps.
 type transEntry struct {
-	blk     *vliw.Block
-	isTrace bool
-
-	// lo/hi is the guest text extent [lo, hi) this region was
-	// translated from; a guest store into it invalidates the region
-	// (self-modifying code).
-	lo, hi uint64
+	tcache.Region
 
 	// Direct-chaining link cache: resolved successors of this region,
 	// patched lazily on first chained dispatch. linkEpoch validates the
@@ -258,9 +255,8 @@ type transEntry struct {
 	linkVictim uint8
 
 	// Adaptive-retranslation bookkeeping.
-	execs     uint64
-	recov     uint64
-	noMemSpec bool
+	execs uint64
+	recov uint64
 
 	// Cycle-attributed profile, maintained on every dispatch (cheap:
 	// a handful of counter subtractions against the core's totals).
@@ -269,16 +265,12 @@ type transEntry struct {
 	cycles    uint64 // simulated cycles spent inside this region
 	bundles   uint64 // bundles executed
 	sideExits uint64
-	specLoads uint64
+	specLoads uint64 // speculative loads issued (Region.SpecLoads is the static count)
 	squashes  uint64
 
-	// Static mitigation report and host-side translation latency,
-	// recorded at translation time.
-	staticSpecLoads int
-	riskyLoads      int
-	guardEdges      int
-	pattern         bool
-	transNS         int64
+	// transNS is the host-side latency of producing and installing the
+	// region (compilation or cache lookup).
+	transNS int64
 
 	// Audit retention (Config.Audit only): the provenance report and
 	// the mitigated IR block it replays against. Deopts and trace
@@ -286,6 +278,14 @@ type transEntry struct {
 	// the code currently installed at this PC.
 	audit   *ir.AuditReport
 	auditIR *ir.Block
+}
+
+// kind names the region's shape in trace events.
+func (e *transEntry) kind() string {
+	if e.Trace {
+		return "trace"
+	}
+	return "block"
 }
 
 type brStat struct{ taken, total uint64 }
@@ -328,6 +328,11 @@ type Machine struct {
 	chainEpoch uint64
 	transLo    uint64
 	transHi    uint64
+
+	// poll counts transfers since the last Interrupt poll and cycleCap
+	// is MaxCycles, or the largest count when unlimited (see guard).
+	poll     int
+	cycleCap uint64
 
 	// tcr is this run's view of the persistent translation cache (nil
 	// when no cache is configured or the run is ineligible). A guest
@@ -560,18 +565,21 @@ func (m *Machine) onEnter(pc uint64) {
 		m.entries[pc] = cnt
 	}
 	*cnt++
-	c := *cnt
-	e := m.trans[pc]
-	switch {
-	case e == nil && c >= m.cfg.HotThreshold:
-		m.translateAt(pc, false)
-	case e != nil && !e.isTrace && !m.cfg.DisableTraces && c >= m.cfg.TraceThreshold:
-		m.translateAt(pc, true)
+	if asTrace, due := m.promotion(m.trans[pc], *cnt); due {
+		m.translateWith(pc, asTrace, false)
 	}
 }
 
-func (m *Machine) translateAt(pc uint64, asTrace bool) {
-	m.translateWith(pc, asTrace, false)
+// promotion applies the translation thresholds to the c-th profiled
+// entry of a PC whose installed region is e (nil when the PC is
+// interpreted): a hot entry is due its first-pass block, a hotter one
+// its trace. Both the outer dispatch loop (through onEnter) and chained
+// transfers (through chainStep) decide here.
+func (m *Machine) promotion(e *transEntry, c uint64) (asTrace, due bool) {
+	if e == nil {
+		return false, c >= m.cfg.HotThreshold
+	}
+	return true, !e.Trace && !m.cfg.DisableTraces && c >= m.cfg.TraceThreshold
 }
 
 // transFail records a failed translation attempt at pc as a
@@ -601,13 +609,16 @@ func (m *Machine) transFail(pc uint64, injected bool, cause error) {
 	}
 }
 
+// translateWith produces the region at pc in the requested shape — from
+// the persistent translation cache when it holds one, from the DBT
+// engine otherwise — and installs it. Only a fresh compilation counts
+// as a translation and is recorded for publication.
 func (m *Machine) translateWith(pc uint64, asTrace, noMemSpec bool) {
 	if m.inj.translationFailure() {
 		m.transFail(pc, true, nil)
 		return
 	}
-	tron := m.tr.BlockOn()
-	if tron {
+	if m.tr.BlockOn() {
 		var tr uint64
 		if asTrace {
 			tr = 1
@@ -618,29 +629,60 @@ func (m *Machine) translateWith(pc uint64, asTrace, noMemSpec bool) {
 	if m.tcr != nil {
 		if rg := m.tcr.Lookup(pc, asTrace, noMemSpec); rg != nil {
 			m.stats.TCacheHits++
-			m.installCached(pc, rg, tron, t0)
+			m.install(&transEntry{Region: *rg}, t0)
 			return
 		}
 		m.stats.TCacheMisses++
 	}
-	lim := translateLimits{MaxInsts: m.cfg.MaxTraceInsts, MaxUnroll: m.cfg.MaxUnroll}
+	e := m.compile(pc, asTrace, noMemSpec)
+	if e == nil {
+		return
+	}
+	m.install(e, t0)
+	m.stats.Translations++
+	if m.tcr != nil {
+		// Record a copy: a pointer into the entry would let the shared
+		// store keep this machine's chain links, and through them its
+		// other entries, alive. VerifyEncoding is off with the cache
+		// active, so the store shares the compiled block itself.
+		rg := e.Region
+		m.tcr.Record(&rg)
+	}
+}
+
+// maxBlockInsts bounds a first-pass basic block; Config.MaxTraceInsts
+// bounds traces only.
+const maxBlockInsts = 48
+
+// frontEnd translates the guest code at pc into IR the way the DBT
+// engine does for the given shape: a trace follows the branch profile
+// up to MaxTraceInsts, a basic block stops at its first branch or at
+// maxBlockInsts. It returns the IR and the guest instructions covered.
+func (m *Machine) frontEnd(pc uint64, asTrace bool) (*ir.Block, int, error) {
+	lim := translateLimits{MaxInsts: maxBlockInsts, MaxUnroll: m.cfg.MaxUnroll}
 	var orc branchOracle
 	if asTrace {
+		lim.MaxInsts = m.cfg.MaxTraceInsts
 		orc = m.oracle
-	} else {
-		lim.MaxInsts = 48 // basic blocks are naturally bounded
 	}
-	irBlk, guestInsts, err := translate(m.b, pc, orc, lim)
+	return translate(m.b, pc, orc, lim)
+}
+
+// compile runs the DBT engine on the region at pc: front end, the
+// mitigation pipeline, scheduling and codegen. A failure is recorded
+// (transFail) and yields nil.
+func (m *Machine) compile(pc uint64, asTrace, noMemSpec bool) *transEntry {
+	irBlk, guestInsts, err := m.frontEnd(pc, asTrace)
 	if err != nil {
 		m.transFail(pc, false, err)
-		return
+		return nil
 	}
 	opts := compileOpts{DisableMemSpec: noMemSpec, Audit: m.cfg.Audit}
 	res, err := compileWith(irBlk, guestInsts, &m.cfg.Core, m.cfg.Mitigation, opts)
 	if err != nil {
 		m.stats.CompileErrs++
 		m.transFail(pc, false, err)
-		return
+		return nil
 	}
 	blk := res.Block
 	if m.cfg.VerifyEncoding {
@@ -654,28 +696,12 @@ func (m *Machine) translateWith(pc uint64, asTrace, noMemSpec bool) {
 		if err != nil {
 			m.stats.CompileErrs++
 			m.transFail(pc, false, err)
-			return
+			return nil
 		}
 	}
 	lo, hi := blockExtent(blk)
-	blk.Prepare() // build the threaded-dispatch table off the hot path
-	m.install(pc, &transEntry{
-		blk: blk, isTrace: asTrace, noMemSpec: noMemSpec,
-		lo: lo, hi: hi,
-		staticSpecLoads: res.Report.SpeculativeLoads,
-		riskyLoads:      len(res.Report.RiskyLoads),
-		guardEdges:      res.Report.GuardEdges,
-		pattern:         res.Report.PatternFound(),
-		transNS:         time.Since(t0).Nanoseconds(),
-		audit:           res.Audit,
-		auditIR:         res.AuditIR,
-	})
-	m.stats.Translations++
-	if m.tcr != nil {
-		// Record the installed block for publication. With the cache
-		// active VerifyEncoding is off, so blk is the compiled block
-		// itself: the in-memory layer shares it, never a decoded copy.
-		m.tcr.Record(&tcache.Region{
+	return &transEntry{
+		Region: tcache.Region{
 			PC: pc, Trace: asTrace, NoMemSpec: noMemSpec,
 			Lo: lo, Hi: hi,
 			SpecLoads:  res.Report.SpeculativeLoads,
@@ -683,33 +709,51 @@ func (m *Machine) translateWith(pc uint64, asTrace, noMemSpec bool) {
 			GuardEdges: res.Report.GuardEdges,
 			Pattern:    res.Report.PatternFound(),
 			Block:      blk,
-		})
+		},
+		audit:   res.Audit,
+		auditIR: res.AuditIR,
 	}
-	if asTrace {
+}
+
+// install is the one way a region enters the translation cache, fresh
+// compilation and persistent-cache hit alike, so both land with the same
+// statistics, guest cycle charge and trace events. t0 is when the
+// translation request started.
+func (m *Machine) install(e *transEntry, t0 time.Time) {
+	blk := e.Block
+	blk.Prepare() // build the threaded-dispatch table off the hot path
+	e.transNS = time.Since(t0).Nanoseconds()
+	m.transHostNS += e.transNS
+	m.trans[e.PC] = e
+	// Links resolved against the old contents of m.trans must be
+	// re-resolved: the epoch bump severs them all.
+	m.chainEpoch++
+	if e.Lo < m.transLo {
+		m.transLo = e.Lo
+	}
+	if e.Hi > m.transHi {
+		m.transHi = e.Hi
+	}
+	if e.Trace {
 		m.stats.Traces++
 	} else {
 		m.stats.Blocks++
 	}
-	m.stats.StaticSpecLoads += res.Report.SpeculativeLoads
-	if res.Report.PatternFound() {
+	m.stats.StaticSpecLoads += e.SpecLoads
+	if e.Pattern {
 		m.stats.PatternsFound++
 	}
-	m.stats.RiskyLoads += len(res.Report.RiskyLoads)
-	m.stats.GuardEdges += res.Report.GuardEdges
-	m.cycles += m.cfg.TranslateCost * uint64(guestInsts)
-	if tron {
-		e := m.trans[pc]
-		kind := "block"
-		if asTrace {
-			kind = "trace"
-		}
-		m.tr.Emit(obs.Event{Kind: obs.EvMitigation, Cycle: m.cycles, PC: pc,
-			Arg1: uint64(res.Report.SpeculativeLoads),
-			Arg2: uint64(len(res.Report.RiskyLoads)),
-			Arg3: uint64(res.Report.GuardEdges)})
-		m.tr.Emit(obs.Event{Kind: obs.EvTranslateDone, Cycle: m.cycles, PC: pc,
+	m.stats.RiskyLoads += e.RiskyLoads
+	m.stats.GuardEdges += e.GuardEdges
+	m.cycles += m.cfg.TranslateCost * uint64(blk.GuestInsts)
+	if m.tr.BlockOn() {
+		m.tr.Emit(obs.Event{Kind: obs.EvMitigation, Cycle: m.cycles, PC: e.PC,
+			Arg1: uint64(e.SpecLoads),
+			Arg2: uint64(e.RiskyLoads),
+			Arg3: uint64(e.GuardEdges)})
+		m.tr.Emit(obs.Event{Kind: obs.EvTranslateDone, Cycle: m.cycles, PC: e.PC,
 			Arg1: uint64(blk.GuestInsts), Arg2: uint64(len(blk.Bundles)),
-			Arg3: uint64(e.transNS), Str: kind})
+			Arg3: uint64(e.transNS), Str: e.kind()})
 		if m.tr.SpecOn() {
 			// Counter track: cumulative Spectre-pattern loads found so
 			// far (pinned in every mitigating mode), sampled whenever a
@@ -720,58 +764,11 @@ func (m *Machine) translateWith(pc uint64, asTrace, noMemSpec bool) {
 	}
 }
 
-// installCached installs a region served by the persistent translation
-// cache, mirroring the fresh-compilation path exactly: same statistics,
-// same guest cycle charge, same trace events — only Translations stays
-// untouched, which is how a warm run reports 0 compilations.
-func (m *Machine) installCached(pc uint64, rg *tcache.Region, tron bool, t0 time.Time) {
-	blk := rg.Block
-	blk.Prepare()
-	m.install(pc, &transEntry{
-		blk: blk, isTrace: rg.Trace, noMemSpec: rg.NoMemSpec,
-		lo: rg.Lo, hi: rg.Hi,
-		staticSpecLoads: rg.SpecLoads,
-		riskyLoads:      rg.RiskyLoads,
-		guardEdges:      rg.GuardEdges,
-		pattern:         rg.Pattern,
-		transNS:         time.Since(t0).Nanoseconds(),
-	})
-	if rg.Trace {
-		m.stats.Traces++
-	} else {
-		m.stats.Blocks++
-	}
-	m.stats.StaticSpecLoads += rg.SpecLoads
-	if rg.Pattern {
-		m.stats.PatternsFound++
-	}
-	m.stats.RiskyLoads += rg.RiskyLoads
-	m.stats.GuardEdges += rg.GuardEdges
-	m.cycles += m.cfg.TranslateCost * uint64(blk.GuestInsts)
-	if tron {
-		kind := "block"
-		if rg.Trace {
-			kind = "trace"
-		}
-		m.tr.Emit(obs.Event{Kind: obs.EvMitigation, Cycle: m.cycles, PC: pc,
-			Arg1: uint64(rg.SpecLoads),
-			Arg2: uint64(rg.RiskyLoads),
-			Arg3: uint64(rg.GuardEdges)})
-		m.tr.Emit(obs.Event{Kind: obs.EvTranslateDone, Cycle: m.cycles, PC: pc,
-			Arg1: uint64(blk.GuestInsts), Arg2: uint64(len(blk.Bundles)),
-			Arg3: uint64(m.trans[pc].transNS), Str: kind})
-		if m.tr.SpecOn() {
-			m.tr.Emit(obs.Event{Kind: obs.EvCounter, Cycle: m.cycles,
-				Arg1: uint64(m.stats.RiskyLoads), Str: obs.CtrPinnedLoads})
-		}
-	}
-}
-
 // ErrInterrupted is returned (wrapped) by Run when the configured
 // Interrupt channel fires before the guest exits.
 var ErrInterrupted = errors.New("run interrupted")
 
-// interruptPollEvery is how many dispatch-loop iterations pass between
+// interruptPollEvery is how many transfers of control pass between
 // Interrupt channel polls: frequent enough that a cancelled run stops
 // within microseconds, rare enough that the interpreter hot loop does
 // not pay a per-instruction channel operation.
@@ -803,7 +800,11 @@ func (m *Machine) raise(f *trap.Fault, pc uint64) *trap.Fault {
 // PC of the translated region.
 func (m *Machine) Run() (*Result, error) {
 	m.onEnter(m.state.PC)
-	poll := 0
+	m.poll = 0
+	m.cycleCap = m.cfg.MaxCycles
+	if m.cycleCap == 0 {
+		m.cycleCap = ^uint64(0)
+	}
 	// Chaining keeps per-dispatch observation out of the loop, so it
 	// stands down whenever a tracer or fault injector needs to see (or
 	// perturb) every dispatch.
@@ -813,102 +814,24 @@ func (m *Machine) Run() (*Result, error) {
 		budget = defaultChainBudget
 	}
 	for {
-		if m.cfg.MaxCycles != 0 && m.cycles > m.cfg.MaxCycles {
-			f := trap.Newf(trap.CycleBudgetExceeded, "cycle budget exceeded (max %d)", m.cfg.MaxCycles)
-			return nil, m.raise(f, m.state.PC)
-		}
-		if m.cfg.Interrupt != nil || m.inj != nil {
-			if poll++; poll >= interruptPollEvery {
-				poll = 0
-				if m.cfg.Interrupt != nil {
-					select {
-					case <-m.cfg.Interrupt:
-						return nil, fmt.Errorf("dbt: %w at cycle %d", ErrInterrupted, m.cycles)
-					default:
-					}
-				}
-				if m.inj.spuriousInterrupt() {
-					f := trap.Newf(trap.SpuriousInterrupt, "injected spurious interrupt")
-					f.Injected = true
-					return nil, m.raise(f, m.state.PC)
-				}
-			}
-		}
 		pc := m.state.PC
+		if err := m.guard(pc); err != nil {
+			return nil, err
+		}
 		if e := m.trans[pc]; e != nil {
+			m.wasTrans = true
 			if chainOK {
-				f, fpc, err := m.runChain(pc, e, &poll, budget)
-				if err != nil {
+				if err := m.runChain(pc, e, budget); err != nil {
 					return nil, err
-				}
-				if f != nil {
-					return nil, m.raise(f, fpc)
 				}
 				continue
 			}
-			tron := m.tr.BlockOn()
-			if tron {
-				kind := "block"
-				if e.isTrace {
-					kind = "trace"
-				}
-				m.tr.Emit(obs.Event{Kind: obs.EvBlockEnter, Cycle: m.cycles, PC: pc,
-					Arg1: uint64(e.blk.GuestInsts), Arg2: uint64(len(e.blk.Bundles)), Str: kind})
-			}
-			m.wasTrans = true
-			start := m.cycles
-			csBefore := m.core.Stats
 			copy(m.vregs[:32], m.state.X[:])
-			ei := m.core.Exec(e.blk, &m.vregs, m.b, &m.cycles)
+			ei := m.dispatch(pc, e)
 			copy(m.state.X[:], m.vregs[:32])
 			m.state.X[0] = 0
-			m.stats.BlockExecs++
-			// Attribute what this dispatch cost to the region (the
-			// -profile ranking): a handful of counter deltas per
-			// dispatch, cheap next to executing the block itself.
-			cs := m.core.Stats
-			e.cycles += m.cycles - start
-			e.bundles += cs.Bundles - csBefore.Bundles
-			e.sideExits += cs.SideExits - csBefore.SideExits
-			e.specLoads += cs.SpecLoads - csBefore.SpecLoads
-			e.squashes += cs.SpecSquash - csBefore.SpecSquash
 			if ei.Fault != nil {
-				if tron {
-					m.tr.Emit(obs.Event{Kind: obs.EvBlockExit, Cycle: m.cycles, PC: pc,
-						Arg1: ei.FaultPC, Arg3: 1})
-				}
-				f := ei.Fault
-				f.Block = pc
-				return nil, m.raise(f, ei.FaultPC)
-			}
-			if tron {
-				var side uint64
-				if ei.SideExit {
-					side = 1
-				}
-				m.tr.Emit(obs.Event{Kind: obs.EvBlockExit, Cycle: m.cycles, PC: pc,
-					Arg1: ei.NextPC, Arg2: side})
-				if m.tr.SpecOn() {
-					// Counter track: running data-cache hit rate, sampled
-					// at block granularity — dips line up with the flush
-					// phases of an attack in the Perfetto view.
-					m.tr.Emit(obs.Event{Kind: obs.EvCounter, Cycle: m.cycles,
-						Arg1: m.b.DC.Stats().HitRatePct(), Str: obs.CtrCacheHitRate})
-				}
-			}
-			e.execs++
-			e.recov += cs.Recoveries - csBefore.Recoveries
-			if m.cfg.AdaptiveRetranslation && !e.noMemSpec &&
-				e.execs >= m.cfg.DeoptWindow &&
-				e.recov*100 >= e.execs*m.cfg.DeoptRatioPct {
-				// Recovery storm: this block's memory speculation loses
-				// more to rollbacks than it gains; retranslate without it
-				// (Transmeta-style adaptive retranslation).
-				if tron {
-					m.tr.Emit(obs.Event{Kind: obs.EvDeopt, Cycle: m.cycles, PC: pc})
-				}
-				m.translateWith(pc, e.isTrace, true)
-				m.stats.Deopts++
+				return nil, m.raise(ei.Fault, ei.FaultPC)
 			}
 			m.state.PC = ei.NextPC
 			m.onEnter(ei.NextPC)
@@ -953,6 +876,105 @@ func (m *Machine) Run() (*Result, error) {
 	}
 }
 
+// guard runs the checks due before every transfer of control, in the
+// outer loop and between chained transfers alike: the MaxCycles budget
+// and, every interruptPollEvery transfers, the Interrupt channel and the
+// fault injector's spurious interrupt. pc is where execution continues.
+// The common case is small enough to inline; trip does the rest.
+func (m *Machine) guard(pc uint64) error {
+	if m.poll++; m.poll < interruptPollEvery && m.cycles <= m.cycleCap {
+		return nil
+	}
+	return m.trip(pc)
+}
+
+// trip raises the cycle-budget trap, or polls the interrupt sources.
+func (m *Machine) trip(pc uint64) error {
+	if m.cycles > m.cycleCap {
+		f := trap.Newf(trap.CycleBudgetExceeded, "cycle budget exceeded (max %d)", m.cfg.MaxCycles)
+		return m.raise(f, pc)
+	}
+	m.poll = 0
+	if m.cfg.Interrupt != nil {
+		select {
+		case <-m.cfg.Interrupt:
+			return fmt.Errorf("dbt: %w at cycle %d", ErrInterrupted, m.cycles)
+		default:
+		}
+	}
+	if m.inj.spuriousInterrupt() {
+		f := trap.Newf(trap.SpuriousInterrupt, "injected spurious interrupt")
+		f.Injected = true
+		return m.raise(f, pc)
+	}
+	return nil
+}
+
+// dispatch executes the region e, entered at pc, once on the register
+// file in m.vregs: the one dispatch step of both the outer loop and the
+// chained inner loop. It attributes the execution to e's profile and,
+// after a clean exit, runs the adaptive-deoptimisation check. It emits
+// the dispatch's trace events too; a tracer turns chaining off, so only
+// the outer loop ever has one. A fault comes back with Block set to pc.
+func (m *Machine) dispatch(pc uint64, e *transEntry) vliw.ExitInfo {
+	tron := m.tr.BlockOn()
+	if tron {
+		m.tr.Emit(obs.Event{Kind: obs.EvBlockEnter, Cycle: m.cycles, PC: pc,
+			Arg1: uint64(e.Block.GuestInsts), Arg2: uint64(len(e.Block.Bundles)), Str: e.kind()})
+	}
+	start := m.cycles
+	csBefore := m.core.Stats
+	ei := m.core.Exec(e.Block, &m.vregs, m.b, &m.cycles)
+	m.stats.BlockExecs++
+	// Attribute what this dispatch cost to the region (the -profile
+	// ranking): a handful of counter deltas per dispatch, cheap next to
+	// executing the block itself.
+	cs := m.core.Stats
+	e.cycles += m.cycles - start
+	e.bundles += cs.Bundles - csBefore.Bundles
+	e.sideExits += cs.SideExits - csBefore.SideExits
+	e.specLoads += cs.SpecLoads - csBefore.SpecLoads
+	e.squashes += cs.SpecSquash - csBefore.SpecSquash
+	if ei.Fault != nil {
+		if tron {
+			m.tr.Emit(obs.Event{Kind: obs.EvBlockExit, Cycle: m.cycles, PC: pc,
+				Arg1: ei.FaultPC, Arg3: 1})
+		}
+		ei.Fault.Block = pc
+		return ei
+	}
+	if tron {
+		var side uint64
+		if ei.SideExit {
+			side = 1
+		}
+		m.tr.Emit(obs.Event{Kind: obs.EvBlockExit, Cycle: m.cycles, PC: pc,
+			Arg1: ei.NextPC, Arg2: side})
+		if m.tr.SpecOn() {
+			// Counter track: running data-cache hit rate, sampled at block
+			// granularity — dips line up with the flush phases of an
+			// attack in the Perfetto view.
+			m.tr.Emit(obs.Event{Kind: obs.EvCounter, Cycle: m.cycles,
+				Arg1: m.b.DC.Stats().HitRatePct(), Str: obs.CtrCacheHitRate})
+		}
+	}
+	e.execs++
+	e.recov += cs.Recoveries - csBefore.Recoveries
+	if m.cfg.AdaptiveRetranslation && !e.NoMemSpec &&
+		e.execs >= m.cfg.DeoptWindow &&
+		e.recov*100 >= e.execs*m.cfg.DeoptRatioPct {
+		// Recovery storm: this block's memory speculation loses more to
+		// rollbacks than it gains; retranslate without it (Transmeta-
+		// style adaptive retranslation).
+		if tron {
+			m.tr.Emit(obs.Event{Kind: obs.EvDeopt, Cycle: m.cycles, PC: pc})
+		}
+		m.translateWith(pc, e.Trace, true)
+		m.stats.Deopts++
+	}
+	return ei
+}
+
 func (m *Machine) result(ev riscv.Event) *Result {
 	// A clean guest exit publishes this run's fresh translations to the
 	// shared cache (and, when configured, to disk). Faulted or
@@ -987,13 +1009,13 @@ func (m *Machine) TranslatedAt(pc uint64) (exists, isTrace bool) {
 	if e == nil {
 		return false, false
 	}
-	return true, e.isTrace
+	return true, e.Trace
 }
 
 // BlockAt returns the translated block at pc, for inspection.
 func (m *Machine) BlockAt(pc uint64) *vliw.Block {
 	if e := m.trans[pc]; e != nil {
-		return e.blk
+		return e.Block
 	}
 	return nil
 }
@@ -1007,13 +1029,7 @@ func (m *Machine) BlockAt(pc uint64) *vliw.Block {
 // guest code, under the machine's own mitigation mode.
 func (m *Machine) DumpIR(pc uint64) (string, error) {
 	e := m.trans[pc]
-	asTrace := e != nil && e.isTrace
-	lim := translateLimits{MaxInsts: m.cfg.MaxTraceInsts, MaxUnroll: m.cfg.MaxUnroll}
-	var orc branchOracle
-	if asTrace {
-		orc = m.oracle
-	}
-	irBlk, _, err := translate(m.b, pc, orc, lim)
+	irBlk, _, err := m.frontEnd(pc, e != nil && e.Trace)
 	if err != nil {
 		return "", fmt.Errorf("dbt: DumpIR(%#x): %w", pc, err)
 	}
@@ -1071,20 +1087,20 @@ func (m *Machine) ProfileReport() []HotRegion {
 			PC:              pc,
 			Entries:         entered,
 			Dispatches:      e.execs,
-			GuestInsts:      e.blk.GuestInsts,
-			Bundles:         len(e.blk.Bundles),
-			IsTrace:         e.isTrace,
-			Deopted:         e.noMemSpec,
+			GuestInsts:      e.Block.GuestInsts,
+			Bundles:         len(e.Block.Bundles),
+			IsTrace:         e.Trace,
+			Deopted:         e.NoMemSpec,
 			Cycles:          e.cycles,
 			BundleExecs:     e.bundles,
 			SideExits:       e.sideExits,
 			SpecLoads:       e.specLoads,
 			Squashes:        e.squashes,
 			Recoveries:      e.recov,
-			StaticSpecLoads: e.staticSpecLoads,
-			RiskyLoads:      e.riskyLoads,
-			GuardEdges:      e.guardEdges,
-			PatternFound:    e.pattern,
+			StaticSpecLoads: e.SpecLoads,
+			RiskyLoads:      e.RiskyLoads,
+			GuardEdges:      e.GuardEdges,
+			PatternFound:    e.Pattern,
 			TransNS:         e.transNS,
 		})
 	}

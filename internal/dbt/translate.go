@@ -31,8 +31,6 @@ type translateLimits struct {
 	MaxUnroll int // times the trace may pass through its entry (loop unrolling)
 }
 
-func defaultLimits() translateLimits { return translateLimits{MaxInsts: 48, MaxUnroll: 4} }
-
 // errUntranslatable marks guest code the DBT engine leaves to the
 // interpreter (blocks starting with ecall/ebreak or unfetchable code).
 var errUntranslatable = fmt.Errorf("dbt: untranslatable block")

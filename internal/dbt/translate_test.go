@@ -12,6 +12,9 @@ import (
 	"ghostbusters/internal/vliw"
 )
 
+// defaultLimits are DefaultConfig's trace limits.
+func defaultLimits() translateLimits { return translateLimits{MaxInsts: 48, MaxUnroll: 4} }
+
 // fetchFor loads a program into a bus for the translator.
 func fetchFor(t *testing.T, src string) (*bus.Bus, *riscv.Program) {
 	t.Helper()

@@ -141,6 +141,31 @@ func BenchmarkFig4Matrix(b *testing.B) {
 	}
 }
 
+// The Figure 4 matrix with no translation cache: every cell translates
+// its regions, so the DBT compiler (front end, mitigation passes,
+// scheduler and codegen) runs on every iteration next to execution.
+// Only the artifact cache is warmed before the clock starts.
+func BenchmarkFig4MatrixCold(b *testing.B) {
+	b.Run("j1", func(b *testing.B) {
+		arts := harness.NewArtifacts()
+		sweep := func() {
+			r := &harness.Runner{Workers: 1, Artifacts: arts}
+			rows, err := r.Fig4(context.Background(), dbt.DefaultConfig(), benchModes, 8)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(rows) != len(polybench.All())+2 {
+				b.Fatalf("matrix returned %d rows", len(rows))
+			}
+		}
+		sweep() // warm the artifact cache
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sweep()
+		}
+	})
+}
+
 func BenchmarkFig4(b *testing.B) {
 	for _, k := range polybench.All() {
 		for _, mode := range benchModes {

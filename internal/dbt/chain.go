@@ -39,14 +39,17 @@ type chainLink struct {
 	cnt *uint64
 }
 
-// transState owns the translation-state maps of one machine. The
-// harness creates and releases thousands of short-lived machines per
-// sweep; pooling keeps the map bucket storage alive across them.
+// transState owns the translation-state maps of one machine and the
+// scheduler memory its regions compile through. The harness creates and
+// releases thousands of short-lived machines per sweep; pooling keeps
+// the map bucket storage and the grown scheduling graph alive across
+// them.
 type transState struct {
 	entries  map[uint64]*uint64
 	branches map[uint64]*brStat
 	trans    map[uint64]*transEntry
 	noTrans  map[uint64]struct{}
+	sched    graph
 }
 
 var transPool = sync.Pool{New: func() any {

@@ -1,8 +1,9 @@
 package dbt
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ghostbusters/internal/core"
 	"ghostbusters/internal/core/pipeline"
@@ -41,12 +42,15 @@ type compileOpts struct {
 // compile runs the full back end on one IR block: mitigation, graph
 // construction, list scheduling, syllable emission, recovery-slice
 // generation. guestInsts is the number of guest instructions the block
-// covers.
+// covers. It schedules through a fresh graph.
 func compile(b *ir.Block, guestInsts int, cfg *vliw.Config, mode core.Mode) (*CompileResult, error) {
-	return compileWith(b, guestInsts, cfg, mode, compileOpts{})
+	return compileWith(new(graph), b, guestInsts, cfg, mode, compileOpts{})
 }
 
-func compileWith(b *ir.Block, guestInsts int, cfg *vliw.Config, mode core.Mode, opts compileOpts) (*CompileResult, error) {
+// compileWith is compile scheduling through g, the caller's reusable
+// scheduler memory. b stays the caller's: with opts.Audit the result
+// retains it.
+func compileWith(g *graph, b *ir.Block, guestInsts int, cfg *vliw.Config, mode core.Mode, opts compileOpts) (*CompileResult, error) {
 	if err := b.Verify(); err != nil {
 		return nil, err
 	}
@@ -65,8 +69,7 @@ func compileWith(b *ir.Block, guestInsts int, cfg *vliw.Config, mode core.Mode, 
 
 	try := func(ctrlSpec, memSpec bool) (*vliw.Block, error) {
 		memSpec = memSpec && !opts.DisableMemSpec
-		g, err := buildGraph(b, cfg, ctrlSpec, memSpec)
-		if err != nil {
+		if err := g.buildGraph(b, cfg, ctrlSpec, memSpec); err != nil {
 			return nil, err
 		}
 		place, numBundles, err := g.schedule()
@@ -82,6 +85,7 @@ func compileWith(b *ir.Block, guestInsts int, cfg *vliw.Config, mode core.Mode, 
 	if err == errHiddenOverflow {
 		blk, err = try(false, false) // no speculation at all
 	}
+	g.b, g.cfg = nil, nil // g outlives the region; keep nothing of it alive
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +191,8 @@ func (g *graph) syllable(id int) (vliw.Syllable, error) {
 
 // emit builds the final vliw.Block: syllables placed into bundles,
 // dependent loads promoted to dismissable form, recovery slices attached
-// to each chk.
+// to each chk. The block's bundles share one syllable array, as do its
+// recoveries; neither is g's memory.
 func (g *graph) emit(place []placement, numBundles, guestInsts int) (*vliw.Block, error) {
 	blk := &vliw.Block{
 		EntryPC:    g.b.EntryPC,
@@ -195,9 +200,10 @@ func (g *graph) emit(place []placement, numBundles, guestInsts int) (*vliw.Block
 		GuestInsts: guestInsts,
 	}
 	width := g.cfg.Width()
+	syls := make([]vliw.Syllable, numBundles*width)
 	blk.Bundles = make([]vliw.Bundle, numBundles)
 	for i := range blk.Bundles {
-		blk.Bundles[i] = make(vliw.Bundle, width)
+		blk.Bundles[i] = syls[i*width : (i+1)*width : (i+1)*width]
 	}
 
 	// Forward slices: for each MCB-speculated load, every node data-
@@ -205,25 +211,30 @@ func (g *graph) emit(place []placement, numBundles, guestInsts int) (*vliw.Block
 	// recovery code and for promoting dependent architectural loads to
 	// dismissable form (their first execution may use an unvalidated
 	// address).
-	sliceOf := make(map[int][]int) // load IR index -> slice node ids (scheduled order)
-	inAnySlice := make(map[int]bool)
+	nn := len(g.nodes)
+	inAnySlice := fill(g.inAnySlice, nn, false)
+	depends := resize(g.depends, nn)
+	g.inAnySlice, g.depends = inAnySlice, depends
 	// Node order for slice propagation: program position then kind rank.
-	order := make([]int, len(g.nodes))
+	order := resize(g.order, nn)
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		na, nb := &g.nodes[order[a]], &g.nodes[order[b]]
+	slices.SortStableFunc(order, func(a, b int) int {
+		na, nb := &g.nodes[a], &g.nodes[b]
 		if na.pos != nb.pos {
-			return na.pos < nb.pos
+			return cmp.Compare(na.pos, nb.pos)
 		}
-		return na.kind.rank() < nb.kind.rank()
+		return cmp.Compare(na.kind.rank(), nb.kind.rank())
 	})
-	for loadIdx, chkID := range g.chkOf {
-		chkCycle := place[chkID].cycle
-		depends := make([]bool, len(g.nodes))
+	g.order = order
+	sliceNodes := g.sliceNodes[:0]
+	sliceOff := resize(g.sliceOff, len(g.specLoads)+1)
+	sliceOff[0] = 0
+	for k, loadIdx := range g.specLoads {
+		chkCycle := place[g.chkOf[loadIdx]].cycle
+		clear(depends)
 		depends[loadIdx] = true
-		var slice []int
 		for _, id := range order {
 			nd := &g.nodes[id]
 			dep := depends[id]
@@ -260,19 +271,20 @@ func (g *graph) emit(place []placement, numBundles, guestInsts int) (*vliw.Block
 						return nil, fmt.Errorf("dbt: dependent %s scheduled before chk (cycle %d <= %d)", in.Op, place[id].cycle, chkCycle)
 					}
 				}
-				slice = append(slice, id)
+				sliceNodes = append(sliceNodes, id)
 				inAnySlice[id] = true
 			}
 		}
-		sort.SliceStable(slice, func(a, b int) bool {
-			pa, pb := place[slice[a]], place[slice[b]]
+		slices.SortStableFunc(sliceNodes[sliceOff[k]:], func(a, b int) int {
+			pa, pb := place[a], place[b]
 			if pa.cycle != pb.cycle {
-				return pa.cycle < pb.cycle
+				return cmp.Compare(pa.cycle, pb.cycle)
 			}
-			return pa.slot < pb.slot
+			return cmp.Compare(pa.slot, pb.slot)
 		})
-		sliceOf[loadIdx] = slice
+		sliceOff[k+1] = len(sliceNodes)
 	}
+	g.sliceNodes, g.sliceOff = sliceNodes, sliceOff
 
 	// Promote architectural loads that may execute with an unvalidated
 	// address to dismissable form.
@@ -287,33 +299,32 @@ func (g *graph) emit(place []placement, numBundles, guestInsts int) (*vliw.Block
 	// value lives from its defining bundle to its last reader — data
 	// consumers, its commit, and (for lds forward slices) the chk whose
 	// recovery may re-read and re-write it.
-	if err := g.allocHidden(place, sliceOf); err != nil {
+	if err := g.allocHidden(place); err != nil {
 		return nil, err
 	}
 
-	// Recovery sequences, one per chk, in tag order for determinism.
-	loads := make([]int, 0, len(g.chkOf))
-	for l := range g.chkOf {
-		loads = append(loads, l)
-	}
-	sort.Ints(loads)
-	recIdx := make(map[int]int16)
-	for _, l := range loads {
-		var rec []vliw.Syllable
-		for _, id := range sliceOf[l] {
-			s, err := g.syllable(id)
-			if err != nil {
-				return nil, err
+	// Recovery sequences, one per chk, in tag (program) order:
+	// Recoveries[k] belongs to specLoads[k].
+	if len(g.specLoads) > 0 {
+		recSyls := make([]vliw.Syllable, len(sliceNodes))
+		blk.Recoveries = make([][]vliw.Syllable, len(g.specLoads))
+		for k, l := range g.specLoads {
+			lo, hi := sliceOff[k], sliceOff[k+1]
+			rec := recSyls[lo:hi:hi]
+			for j, id := range sliceNodes[lo:hi] {
+				s, err := g.syllable(id)
+				if err != nil {
+					return nil, err
+				}
+				if id == l {
+					// The failing load re-executes architecturally.
+					s.Kind = vliw.KLoad
+					s.Tag = 0
+				}
+				rec[j] = s
 			}
-			if id == l {
-				// The failing load re-executes architecturally.
-				s.Kind = vliw.KLoad
-				s.Tag = 0
-			}
-			rec = append(rec, s)
+			blk.Recoveries[k] = rec
 		}
-		recIdx[l] = int16(len(blk.Recoveries))
-		blk.Recoveries = append(blk.Recoveries, rec)
 	}
 
 	// Place syllables.
@@ -323,7 +334,7 @@ func (g *graph) emit(place []placement, numBundles, guestInsts int) (*vliw.Block
 			return nil, err
 		}
 		if g.nodes[id].kind == nChk {
-			s.Rec = recIdx[g.nodes[id].irIdx]
+			s.Rec = int16(g.specRow[g.nodes[id].irIdx])
 		}
 		p := place[id]
 		if blk.Bundles[p.cycle][p.slot].Kind != vliw.KNop {
@@ -334,17 +345,28 @@ func (g *graph) emit(place []placement, numBundles, guestInsts int) (*vliw.Block
 	return blk, nil
 }
 
+// hiddenRange is the live range of one hidden-destination node.
+type hiddenRange struct {
+	id         int
+	start, end int
+}
+
+// activeRange is a hidden register held until the end of a range.
+type activeRange struct {
+	end int
+	reg uint8
+}
+
 // allocHidden assigns physical hidden registers (32..63) to every
 // hidden-destination node by linear scan over post-schedule live ranges.
 // Reuse requires the previous value's last use to be strictly before the
 // new definition's bundle, because MCB recovery code re-reads slice
 // values after the write phase of the chk's bundle.
-func (g *graph) allocHidden(place []placement, sliceOf map[int][]int) error {
-	type rng struct {
-		id         int
-		start, end int
-	}
-	end := make(map[int]int)
+func (g *graph) allocHidden(place []placement) error {
+	// end[id] is the last cycle node id's hidden value is read; -1 for
+	// nodes without one.
+	end := fill(g.end, len(g.nodes), -1)
+	g.end = end
 	for id := range g.nodes {
 		nd := &g.nodes[id]
 		if nd.kind == nInst && nd.hiddenDest {
@@ -352,7 +374,7 @@ func (g *graph) allocHidden(place []placement, sliceOf map[int][]int) error {
 		}
 	}
 	extend := func(id, cycle int) {
-		if e, ok := end[id]; ok && cycle > e {
+		if e := end[id]; e >= 0 && cycle > e {
 			end[id] = cycle
 		}
 	}
@@ -371,13 +393,15 @@ func (g *graph) allocHidden(place []placement, sliceOf map[int][]int) error {
 	}
 	// Commits read their instruction's hidden register.
 	for i, m := range g.commitOf {
-		extend(i, place[m].cycle)
+		if m >= 0 {
+			extend(i, place[m].cycle)
+		}
 	}
 	// Recovery keeps slice values (and their out-of-slice hidden inputs)
 	// live until the chk.
-	for load, slice := range sliceOf {
+	for k, load := range g.specLoads {
 		chkCycle := place[g.chkOf[load]].cycle
-		for _, id := range slice {
+		for _, id := range g.sliceNodes[g.sliceOff[k]:g.sliceOff[k+1]] {
 			nd := &g.nodes[id]
 			if nd.kind != nInst {
 				continue
@@ -396,26 +420,28 @@ func (g *graph) allocHidden(place []placement, sliceOf map[int][]int) error {
 		}
 	}
 
-	ranges := make([]rng, 0, len(end))
+	ranges := g.ranges[:0]
 	for id, e := range end {
-		ranges = append(ranges, rng{id: id, start: place[id].cycle, end: e})
-	}
-	sort.Slice(ranges, func(a, b int) bool {
-		if ranges[a].start != ranges[b].start {
-			return ranges[a].start < ranges[b].start
+		if e >= 0 {
+			ranges = append(ranges, hiddenRange{id: id, start: place[id].cycle, end: e})
 		}
-		return ranges[a].id < ranges[b].id
+	}
+	g.ranges = ranges
+	slices.SortFunc(ranges, func(a, b hiddenRange) int {
+		if a.start != b.start {
+			return cmp.Compare(a.start, b.start)
+		}
+		return cmp.Compare(a.id, b.id)
 	})
 
-	free := make([]uint8, 0, vliw.NumRegs-32)
+	// free is a queue: registers are taken from free[head] and returned
+	// to the back.
+	free := g.free[:0]
 	for r := uint8(32); r < vliw.NumRegs; r++ {
 		free = append(free, r)
 	}
-	type activeEntry struct {
-		end int
-		reg uint8
-	}
-	var active []activeEntry
+	head := 0
+	active := g.active[:0]
 	for _, r := range ranges {
 		kept := active[:0]
 		for _, a := range active {
@@ -426,13 +452,15 @@ func (g *graph) allocHidden(place []placement, sliceOf map[int][]int) error {
 			}
 		}
 		active = kept
-		if len(free) == 0 {
+		if head == len(free) {
+			g.free, g.active = free, active
 			return errHiddenOverflow
 		}
-		reg := free[0]
-		free = free[1:]
+		reg := free[head]
+		head++
 		g.nodes[r.id].hidden = reg
-		active = append(active, activeEntry{end: r.end, reg: reg})
+		active = append(active, activeRange{end: r.end, reg: reg})
 	}
+	g.free, g.active = free, active
 	return nil
 }

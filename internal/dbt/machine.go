@@ -678,7 +678,7 @@ func (m *Machine) compile(pc uint64, asTrace, noMemSpec bool) *transEntry {
 		return nil
 	}
 	opts := compileOpts{DisableMemSpec: noMemSpec, Audit: m.cfg.Audit}
-	res, err := compileWith(irBlk, guestInsts, &m.cfg.Core, m.cfg.Mitigation, opts)
+	res, err := compileWith(&m.ts.sched, irBlk, guestInsts, &m.cfg.Core, m.cfg.Mitigation, opts)
 	if err != nil {
 		m.stats.CompileErrs++
 		m.transFail(pc, false, err)

@@ -1,8 +1,10 @@
 package dbt
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"ghostbusters/internal/ir"
 	"ghostbusters/internal/riscv"
@@ -48,13 +50,17 @@ type dep struct {
 	lat  uint64
 }
 
+// edge is one scheduling dependency: to issues at least lat cycles
+// after from.
+type edge struct {
+	from, to int
+	lat      uint64
+}
+
 type schedNode struct {
 	kind  nodeKind
 	irIdx int // the IR instruction this node derives from
 	pos   int // program position (IR index)
-
-	preds []dep
-	succs []int
 
 	sylKind vliw.Kind
 	cap     vliw.SlotCap
@@ -68,16 +74,140 @@ type schedNode struct {
 	hidden     uint8 // allocated hidden register when hiddenDest
 }
 
+// writer is an architectural-register writer: a direct instruction or
+// the commit node of a hidden-destination instruction.
+type writer struct {
+	pos     int
+	node    int   // node id; -1 until the commit node exists
+	inst    int   // IR instruction index
+	chkPins []int // chk nodes that must precede this writer
+}
+
+// graph is the scheduling graph of one region. It is also the
+// scheduler's reusable memory: every table is index-addressed and keeps
+// its backing array from one region to the next, so a machine that
+// compiles its regions through one graph (transState.sched) stops
+// allocating for them once the graph has grown to its largest region.
+// buildGraph resets it; compileWith drops the region's block and core
+// configuration afterwards. The vliw.Block emit returns shares no
+// memory with it.
 type graph struct {
 	b     *ir.Block
 	cfg   *vliw.Config
 	nodes []schedNode
 
-	chkOf    map[int]int // load IR index -> chk node id
-	commitOf map[int]int // inst IR index -> commit node id
+	// edges holds every dependency in insertion order. index derives
+	// the CSR views from it: node id's predecessors are
+	// preds[predOff[id]:predOff[id+1]] and its successors
+	// succs[succOff[id]:succOff[id+1]], both in insertion order.
+	edges            []edge
+	predOff, succOff []int
+	preds            []dep
+	succs            []int
 
-	droppedStores   map[int][]int // load IR index -> store IR indices speculated across
-	droppedBranches map[int][]int // inst IR index -> branch IR indices speculated across
+	// Per IR instruction.
+	specCtrl, specMem, hiddenDest []bool
+	inAnyClosure                  []bool
+	relCtrl, relMem               []bool  // has a relaxable control / memory in-edge
+	chkOf                         []int   // chk node id of an lds, -1 otherwise
+	commitOf                      []int   // commit node id, -1 when none
+	specRow                       []int   // row of an lds in specLoads, -1 otherwise
+	droppedStores                 [][]int // lds -> stores it speculated across
+	droppedBranches               [][]int // inst -> branches it was hoisted above
+
+	// specLoads lists the lds in program order. specLoads[k] has MCB
+	// tag k, its speculative forward slice is row k of closures
+	// (len(specLoads) x n), and its recovery is Recoveries[k].
+	specLoads []int
+	closures  []bool
+
+	// writersOf lists each architectural register's writers in program
+	// order.
+	writersOf [32][]writer
+
+	branchPos, storePos, barrierPos []int
+
+	// Buffers of topoOrder, the late-exit floors and schedule.
+	topo, ready, indeg, floor  []int
+	place                      []placement
+	remaining, earliest        []int
+	readyList, cand, slotOrder []int
+	used                       []bool
+
+	// Buffers of emit and allocHidden: each lds's forward slice is
+	// sliceNodes[sliceOff[k]:sliceOff[k+1]].
+	order                []int
+	depends, inAnySlice  []bool
+	sliceNodes, sliceOff []int
+	end                  []int
+	ranges               []hiddenRange
+	active               []activeRange
+	free                 []uint8
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough; the contents are stale.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// fill returns s resized to n with every element set to v.
+func fill[T any](s []T, n int, v T) []T {
+	s = resize(s, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
+// addDep records that node to depends on node from.
+func (g *graph) addDep(to, from int, lat uint64) {
+	if to == from {
+		return
+	}
+	g.edges = append(g.edges, edge{from: from, to: to, lat: lat})
+}
+
+// index builds the predecessor and successor CSR arrays from the edge
+// list. Filling them in edge order keeps every node's entries in
+// insertion order.
+func (g *graph) index() {
+	nn := len(g.nodes)
+	g.predOff = fill(g.predOff, nn+1, 0)
+	g.succOff = fill(g.succOff, nn+1, 0)
+	for _, e := range g.edges {
+		g.predOff[e.to+1]++
+		g.succOff[e.from+1]++
+	}
+	for i := 0; i < nn; i++ {
+		g.predOff[i+1] += g.predOff[i]
+		g.succOff[i+1] += g.succOff[i]
+	}
+	g.preds = resize(g.preds, len(g.edges))
+	g.succs = resize(g.succs, len(g.edges))
+	// Each offset serves as its node's fill cursor, ending at the next
+	// node's start; the shift below restores the starts.
+	for _, e := range g.edges {
+		g.preds[g.predOff[e.to]] = dep{e.from, e.lat}
+		g.predOff[e.to]++
+		g.succs[g.succOff[e.from]] = e.to
+		g.succOff[e.from]++
+	}
+	copy(g.predOff[1:], g.predOff[:nn])
+	copy(g.succOff[1:], g.succOff[:nn])
+	g.predOff[0], g.succOff[0] = 0, 0
+}
+
+func (g *graph) predsOf(id int) []dep { return g.preds[g.predOff[id]:g.predOff[id+1]] }
+func (g *graph) succsOf(id int) []int { return g.succs[g.succOff[id]:g.succOff[id+1]] }
+
+// closure returns row k of the lds forward-slice matrix.
+func (g *graph) closure(k int) []bool {
+	n := len(g.b.Insts)
+	return g.closures[k*n : (k+1)*n]
 }
 
 // errHiddenOverflow asks the caller to retry with less speculation.
@@ -111,62 +241,66 @@ func syllKindFor(in *ir.Inst) vliw.Kind {
 	}
 }
 
-// hoistEnabledSet marks the instructions branch speculation applies to:
-// every value-producing instruction (loads and ALU operations). Stores,
-// branches and barriers never move above a side exit; everything else
-// may, writing a hidden register until its commit point — full
-// superblock scheduling, as in Transmeta-style DBT cores.
-func hoistEnabledSet(b *ir.Block) []bool {
-	enabled := make([]bool, len(b.Insts))
-	for i := range b.Insts {
-		in := &b.Insts[i]
-		if in.IsLoad() || (!in.IsStore() && !in.IsBranch() && !in.IsBarrier() && in.Op != riscv.JALR) {
-			enabled[i] = true
-		}
-	}
-	return enabled
+// hoistable reports whether branch speculation applies to an
+// instruction: every value-producing instruction (loads and ALU
+// operations). Stores, branches and barriers never move above a side
+// exit; everything else may, writing a hidden register until its commit
+// point — full superblock scheduling, as in Transmeta-style DBT cores.
+func hoistable(in *ir.Inst) bool {
+	return !in.IsStore() && !in.IsBranch() && !in.IsBarrier() && in.Op != riscv.JALR
 }
 
-// buildGraph assembles the scheduling graph, deciding which relaxable
-// edges to exploit. allowCtrlSpec / allowMemSpec disable the respective
-// speculation mechanisms (fallbacks when hidden registers run out).
-func buildGraph(b *ir.Block, cfg *vliw.Config, allowCtrlSpec, allowMemSpec bool) (*graph, error) {
-	g := &graph{
-		b: b, cfg: cfg,
-		chkOf:           make(map[int]int),
-		commitOf:        make(map[int]int),
-		droppedStores:   make(map[int][]int),
-		droppedBranches: make(map[int][]int),
-	}
+// buildGraph resets g and assembles the scheduling graph of b, deciding
+// which relaxable edges to exploit. allowCtrlSpec / allowMemSpec disable
+// the respective speculation mechanisms (fallbacks when hidden registers
+// run out).
+func (g *graph) buildGraph(b *ir.Block, cfg *vliw.Config, allowCtrlSpec, allowMemSpec bool) error {
 	n := len(b.Insts)
-	enabled := hoistEnabledSet(b)
+	g.b, g.cfg = b, cfg
+	g.nodes, g.edges = g.nodes[:0], g.edges[:0]
+	specCtrl := fill(g.specCtrl, n, false)
+	specMem := fill(g.specMem, n, false)
+	hiddenDest := fill(g.hiddenDest, n, false)
+	inAnyClosure := fill(g.inAnyClosure, n, false)
+	relCtrl := fill(g.relCtrl, n, false)
+	relMem := fill(g.relMem, n, false)
+	g.specCtrl, g.specMem, g.hiddenDest, g.inAnyClosure = specCtrl, specMem, hiddenDest, inAnyClosure
+	g.relCtrl, g.relMem = relCtrl, relMem
+	g.chkOf = fill(g.chkOf, n, -1)
+	g.commitOf = fill(g.commitOf, n, -1)
+	g.specRow = fill(g.specRow, n, -1)
+	g.droppedStores = resize(g.droppedStores, n)
+	g.droppedBranches = resize(g.droppedBranches, n)
+	for i := 0; i < n; i++ {
+		g.droppedStores[i] = g.droppedStores[i][:0]
+		g.droppedBranches[i] = g.droppedBranches[i][:0]
+	}
+	g.specLoads = g.specLoads[:0]
+	for r := range g.writersOf {
+		g.writersOf[r] = g.writersOf[r][:0]
+	}
 
 	// Classify per-instruction speculation.
-	specCtrl := make([]bool, n)
-	specMem := make([]bool, n)
-	tags := make(map[int]uint8)
-	nextTag := 0
+	for _, e := range b.Edges {
+		if !e.Relaxable {
+			continue
+		}
+		switch e.Kind {
+		case ir.EdgeCtrl:
+			relCtrl[e.To] = true
+		case ir.EdgeMem:
+			relMem[e.To] = true
+		}
+	}
 	for i := range b.Insts {
 		in := &b.Insts[i]
-		hasRelCtrl, hasRelMem := false, false
-		for _, e := range b.Edges {
-			if e.To != i || !e.Relaxable {
-				continue
-			}
-			switch e.Kind {
-			case ir.EdgeCtrl:
-				hasRelCtrl = true
-			case ir.EdgeMem:
-				hasRelMem = true
-			}
-		}
-		if allowCtrlSpec && hasRelCtrl && enabled[i] && !in.IsStore() && !in.IsBranch() && !in.IsBarrier() && in.Op != riscv.JALR {
+		if allowCtrlSpec && relCtrl[i] && hoistable(in) {
 			specCtrl[i] = true
 		}
-		if allowMemSpec && hasRelMem && in.IsLoad() && nextTag < vliw.MCBEntries {
+		if allowMemSpec && relMem[i] && in.IsLoad() && len(g.specLoads) < vliw.MCBEntries {
 			specMem[i] = true
-			tags[i] = uint8(nextTag)
-			nextTag++
+			g.specRow[i] = len(g.specLoads)
+			g.specLoads = append(g.specLoads, i)
 		}
 	}
 
@@ -178,8 +312,9 @@ func buildGraph(b *ir.Block, cfg *vliw.Config, allowCtrlSpec, allowMemSpec bool)
 	isBarrierLoad := func(i int) bool {
 		return b.Insts[i].IsLoad() && !specMem[i] && !specCtrl[i]
 	}
-	closureOf := func(l int) []bool {
-		cl := make([]bool, n)
+	g.closures = fill(g.closures, len(g.specLoads)*n, false)
+	for k, l := range g.specLoads {
+		cl := g.closure(k)
 		cl[l] = true
 		for i := l + 1; i < n; i++ {
 			if isBarrierLoad(i) {
@@ -193,18 +328,9 @@ func buildGraph(b *ir.Block, cfg *vliw.Config, allowCtrlSpec, allowMemSpec bool)
 				cl[i] = true
 			}
 		}
-		return cl
-	}
-	closures := make(map[int][]bool)
-	inAnyClosure := make([]bool, n)
-	for i := 0; i < n; i++ {
-		if specMem[i] {
-			cl := closureOf(i)
-			closures[i] = cl
-			for m, v := range cl {
-				if v {
-					inAnyClosure[m] = true
-				}
+		for m, v := range cl {
+			if v {
+				inAnyClosure[m] = true
 			}
 		}
 	}
@@ -216,7 +342,6 @@ func buildGraph(b *ir.Block, cfg *vliw.Config, allowCtrlSpec, allowMemSpec bool)
 	// chains of recycled guest temporaries, which would otherwise
 	// serialize exactly the latency-critical operations. Stores,
 	// branches and barriers never produce register results.
-	hiddenDest := make([]bool, n)
 	for i := 0; i < n; i++ {
 		if b.Insts[i].DestArch == ir.TempDest {
 			// Mitigation temporaries live only in hidden registers and
@@ -253,7 +378,9 @@ func buildGraph(b *ir.Block, cfg *vliw.Config, allowCtrlSpec, allowMemSpec bool)
 			specCtrl:   specCtrl[i],
 			specMem:    specMem[i],
 			hiddenDest: hiddenDest[i],
-			tag:        tags[i],
+		}
+		if specMem[i] {
+			node.tag = uint8(g.specRow[i])
 		}
 		syl := vliw.Syllable{Kind: k, Op: in.Op}
 		node.lat = cfg.Latency(&syl)
@@ -263,21 +390,15 @@ func buildGraph(b *ir.Block, cfg *vliw.Config, allowCtrlSpec, allowMemSpec bool)
 		g.nodes = append(g.nodes, node)
 	}
 
-	addDep := func(to, from int, lat uint64) {
-		if to == from {
-			return
-		}
-		g.nodes[to].preds = append(g.nodes[to].preds, dep{from, lat})
-		g.nodes[from].succs = append(g.nodes[from].succs, to)
-	}
-
 	// IR ordering edges (hard, or relaxable-but-unexploited).
+	hoisted := false
 	for _, e := range b.Edges {
 		if e.Relaxable {
 			switch e.Kind {
 			case ir.EdgeCtrl:
 				if specCtrl[e.To] {
 					g.droppedBranches[e.To] = append(g.droppedBranches[e.To], e.From)
+					hoisted = true
 					continue // exploited: hoisting allowed
 				}
 			case ir.EdgeMem:
@@ -287,7 +408,7 @@ func buildGraph(b *ir.Block, cfg *vliw.Config, allowCtrlSpec, allowMemSpec bool)
 				}
 			}
 		}
-		addDep(e.To, e.From, 1)
+		g.addDep(e.To, e.From, 1)
 	}
 
 	// Data dependencies from operands.
@@ -295,15 +416,15 @@ func buildGraph(b *ir.Block, cfg *vliw.Config, allowCtrlSpec, allowMemSpec bool)
 		in := &b.Insts[i]
 		for _, op := range [2]ir.Operand{in.A, in.B} {
 			if op.Kind == ir.OpInst {
-				addDep(i, op.Inst, g.nodes[op.Inst].lat)
+				g.addDep(i, op.Inst, g.nodes[op.Inst].lat)
 			}
 		}
 	}
 
 	// Helper index lists.
-	var branchPos []int // branches and terminators, in program order
-	var storePos []int
-	var barrierPos []int
+	branchPos := g.branchPos[:0] // branches and terminators, in program order
+	storePos := g.storePos[:0]
+	barrierPos := g.barrierPos[:0]
 	for i := range b.Insts {
 		in := &b.Insts[i]
 		if in.IsBranch() || in.Op == riscv.JALR {
@@ -316,17 +437,11 @@ func buildGraph(b *ir.Block, cfg *vliw.Config, allowCtrlSpec, allowMemSpec bool)
 			barrierPos = append(barrierPos, i)
 		}
 	}
+	g.branchPos, g.storePos, g.barrierPos = branchPos, storePos, barrierPos
 
-	// Architectural-register writers, in program order. A writer is a
-	// direct instruction or the commit node of a hidden-destination
-	// instruction; commit node ids are patched in once created.
-	type writer struct {
-		pos     int
-		node    int   // node id; -1 until the commit node exists
-		inst    int   // IR instruction index
-		chkPins []int // chk nodes that must precede this writer
-	}
-	writersOf := map[int8][]writer{}
+	// Architectural-register writers, in program order. Commit node ids
+	// are patched in once created; a reused slot keeps its chkPins
+	// storage.
 	for i := 0; i < n; i++ {
 		d := b.Insts[i].DestArch
 		if d <= 0 {
@@ -336,63 +451,61 @@ func buildGraph(b *ir.Block, cfg *vliw.Config, allowCtrlSpec, allowMemSpec bool)
 		if hiddenDest[i] {
 			node = -1
 		}
-		writersOf[d] = append(writersOf[d], writer{pos: i, node: node, inst: i})
+		ws := slices.Grow(g.writersOf[d], 1)[:len(g.writersOf[d])+1]
+		w := &ws[len(ws)-1]
+		*w = writer{pos: i, node: node, inst: i, chkPins: w.chkPins[:0]}
+		g.writersOf[d] = ws
 	}
 	nextWriterAfter := func(r int8, pos int) *writer {
-		for k := range writersOf[r] {
-			if writersOf[r][k].pos > pos {
-				return &writersOf[r][k]
+		for k := range g.writersOf[r] {
+			if g.writersOf[r][k].pos > pos {
+				return &g.writersOf[r][k]
 			}
 		}
 		return nil
 	}
 	firstWriter := func(r int8) *writer {
-		if ws := writersOf[r]; len(ws) > 0 {
+		if ws := g.writersOf[r]; len(ws) > 0 {
 			return &ws[0]
 		}
 		return nil
 	}
 
 	// Chk nodes for MCB-speculated loads.
-	var chkIDs []int
-	for i := 0; i < n; i++ {
-		if !specMem[i] {
-			continue
-		}
+	for k, i := range g.specLoads {
 		id := len(g.nodes)
 		g.nodes = append(g.nodes, schedNode{
 			kind: nChk, irIdx: i, pos: i,
 			sylKind: vliw.KChk, cap: vliw.CapALU, lat: 1,
-			tag: tags[i],
+			tag: uint8(k),
 		})
 		g.chkOf[i] = id
-		addDep(id, i, 1) // after the load issues
+		g.addDep(id, i, 1) // after the load issues
 		for _, s := range g.droppedStores[i] {
-			addDep(id, s, 1) // after every store it speculated across
+			g.addDep(id, s, 1) // after every store it speculated across
 		}
 		for _, bp := range branchPos {
 			if bp < i {
-				addDep(id, bp, 1) // stays in its region
+				g.addDep(id, bp, 1) // stays in its region
 			} else {
-				addDep(bp, id, 1) // validates before any later exit
+				g.addDep(bp, id, 1) // validates before any later exit
 			}
 		}
 		for _, sp := range storePos {
 			if sp > i {
-				addDep(sp, id, 1) // later stores must not hit a stale entry
+				g.addDep(sp, id, 1) // later stores must not hit a stale entry
 			}
 		}
 		for _, bp := range barrierPos {
 			if bp > i {
-				addDep(bp, id, 1)
+				g.addDep(bp, id, 1)
 			}
 		}
-		for _, prev := range chkIDs {
-			addDep(id, prev, 1) // chks validate in program order
+		for _, prev := range g.specLoads[:k] {
+			g.addDep(id, g.chkOf[prev], 1) // chks validate in program order
 		}
-		chkIDs = append(chkIDs, id)
 
-		cl := closures[i]
+		cl := g.closure(k)
 
 		// Validation ordering: a non-speculative load whose address
 		// derives from this lds must not execute until the chk has
@@ -402,7 +515,7 @@ func buildGraph(b *ir.Block, cfg *vliw.Config, allowCtrlSpec, allowMemSpec bool)
 		// execution never touches a secret-dependent line.
 		for m := i + 1; m < n; m++ {
 			if isBarrierLoad(m) && dependsThrough(b, m, cl) {
-				addDep(m, id, 1)
+				g.addDep(m, id, 1)
 			}
 		}
 
@@ -414,7 +527,7 @@ func buildGraph(b *ir.Block, cfg *vliw.Config, allowCtrlSpec, allowMemSpec bool)
 				return
 			}
 			if w.node >= 0 {
-				addDep(w.node, id, 1)
+				g.addDep(w.node, id, 1)
 			} else {
 				w.chkPins = append(w.chkPins, id)
 			}
@@ -455,51 +568,51 @@ func buildGraph(b *ir.Block, cfg *vliw.Config, allowCtrlSpec, allowMemSpec bool)
 			sylKind: vliw.KCommit, cap: vliw.CapALU, lat: cfg.LatALU,
 		})
 		g.commitOf[i] = id
-		addDep(id, i, g.nodes[i].lat)
+		g.addDep(id, i, g.nodes[i].lat)
 		for _, bp := range branchPos {
 			if bp < i {
-				addDep(id, bp, 1) // not above the branches it crossed
+				g.addDep(id, bp, 1) // not above the branches it crossed
 			} else {
-				addDep(bp, id, 0) // visible at any later exit (same bundle ok)
+				g.addDep(bp, id, 0) // visible at any later exit (same bundle ok)
 			}
 		}
 		// Publish only validated values: after the chk of every lds
 		// whose speculative slice contains this instruction.
-		for l, cl := range closures {
-			if cl[i] {
-				addDep(id, g.chkOf[l], 1)
+		for k, l := range g.specLoads {
+			if g.closure(k)[i] {
+				g.addDep(id, g.chkOf[l], 1)
 			}
 		}
 		// Patch the writer table and apply deferred recovery pins.
-		ws := writersOf[b.Insts[i].DestArch]
+		ws := g.writersOf[b.Insts[i].DestArch]
 		for k := range ws {
 			if ws[k].inst == i {
 				ws[k].node = id
 				for _, chk := range ws[k].chkPins {
-					addDep(id, chk, 1)
+					g.addDep(id, chk, 1)
 				}
-				ws[k].chkPins = nil
+				ws[k].chkPins = ws[k].chkPins[:0]
 			}
 		}
 	}
 
 	// Apply deferred recovery pins that landed on direct writers.
-	for _, ws := range writersOf {
+	for _, ws := range g.writersOf {
 		for k := range ws {
 			if ws[k].node < 0 {
-				return nil, fmt.Errorf("dbt: writer of x%d at pos %d has no node", ws[k].inst, ws[k].pos)
+				return fmt.Errorf("dbt: writer of x%d at pos %d has no node", ws[k].inst, ws[k].pos)
 			}
 			for _, chk := range ws[k].chkPins {
-				addDep(ws[k].node, chk, 1)
+				g.addDep(ws[k].node, chk, 1)
 			}
-			ws[k].chkPins = nil
+			ws[k].chkPins = ws[k].chkPins[:0]
 		}
 	}
 
 	// WAW ordering between successive writers of each arch register.
-	for _, ws := range writersOf {
+	for _, ws := range g.writersOf {
 		for k := 1; k < len(ws); k++ {
-			addDep(ws[k].node, ws[k-1].node, 1)
+			g.addDep(ws[k].node, ws[k-1].node, 1)
 		}
 	}
 	// WAR: every reader of an architectural value must read before the
@@ -514,7 +627,7 @@ func buildGraph(b *ir.Block, cfg *vliw.Config, allowCtrlSpec, allowMemSpec bool)
 			switch op.Kind {
 			case ir.OpRegIn:
 				if w := firstWriter(int8(op.Reg)); w != nil {
-					addDep(w.node, i, 0)
+					g.addDep(w.node, i, 0)
 				}
 			case ir.OpInst:
 				j := op.Inst
@@ -522,7 +635,7 @@ func buildGraph(b *ir.Block, cfg *vliw.Config, allowCtrlSpec, allowMemSpec bool)
 					continue // reads a hidden register: no WAR hazard
 				}
 				if w := nextWriterAfter(b.Insts[j].DestArch, j); w != nil {
-					addDep(w.node, i, 0)
+					g.addDep(w.node, i, 0)
 				}
 			}
 		}
@@ -536,15 +649,14 @@ func buildGraph(b *ir.Block, cfg *vliw.Config, allowCtrlSpec, allowMemSpec bool)
 	// The floor computation keeps the graph acyclic: a branch is never
 	// delayed behind a load that is itself (transitively) forced after
 	// that branch.
-	if len(g.droppedBranches) > 0 {
+	if hoisted {
+		g.index()
 		order, err := g.topoOrder()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		floor := make([]int, len(g.nodes))
-		for i := range floor {
-			floor[i] = -1
-		}
+		floor := fill(g.floor, len(g.nodes), -1)
+		g.floor = floor
 		isBranchNode := func(id int) bool {
 			nd := &g.nodes[id]
 			if nd.kind != nInst {
@@ -555,7 +667,7 @@ func buildGraph(b *ir.Block, cfg *vliw.Config, allowCtrlSpec, allowMemSpec bool)
 		}
 		for _, id := range order {
 			f := floor[id]
-			for _, p := range g.nodes[id].preds {
+			for _, p := range g.predsOf(id) {
 				if isBranchNode(p.from) && g.nodes[p.from].pos > f {
 					f = g.nodes[p.from].pos
 				}
@@ -571,13 +683,14 @@ func buildGraph(b *ir.Block, cfg *vliw.Config, allowCtrlSpec, allowMemSpec bool)
 			}
 			for _, bi := range brs {
 				if bi > floor[x] {
-					addDep(bi, x, 1)
+					g.addDep(bi, x, 1)
 				}
 			}
 		}
 	}
 
-	return g, nil
+	g.index()
+	return nil
 }
 
 // dependsThrough reports whether instruction m transitively consumes a
@@ -595,15 +708,14 @@ func dependsThrough(b *ir.Block, m int, cl []bool) bool {
 }
 
 // topoOrder returns a dependency-respecting order, erroring on cycles
-// (which would indicate a construction bug).
+// (which would indicate a construction bug). The order lives in g's
+// scratch until the next call.
 func (g *graph) topoOrder() ([]int, error) {
-	indeg := make([]int, len(g.nodes))
-	for i := range g.nodes {
-		indeg[i] = len(g.nodes[i].preds)
-	}
-	var order []int
-	var ready []int
-	for i := range g.nodes {
+	nn := len(g.nodes)
+	indeg := resize(g.indeg, nn)
+	order, ready := g.topo[:0], g.ready[:0]
+	for i := 0; i < nn; i++ {
+		indeg[i] = g.predOff[i+1] - g.predOff[i]
 		if indeg[i] == 0 {
 			ready = append(ready, i)
 		}
@@ -612,15 +724,16 @@ func (g *graph) topoOrder() ([]int, error) {
 		id := ready[len(ready)-1]
 		ready = ready[:len(ready)-1]
 		order = append(order, id)
-		for _, s := range g.nodes[id].succs {
+		for _, s := range g.succsOf(id) {
 			indeg[s]--
 			if indeg[s] == 0 {
 				ready = append(ready, s)
 			}
 		}
 	}
-	if len(order) != len(g.nodes) {
-		return nil, fmt.Errorf("dbt: dependency cycle in scheduling graph (%d/%d ordered)", len(order), len(g.nodes))
+	g.indeg, g.topo, g.ready = indeg, order, ready
+	if len(order) != nn {
+		return nil, fmt.Errorf("dbt: dependency cycle in scheduling graph (%d/%d ordered)", len(order), nn)
 	}
 	return order, nil
 }
@@ -633,6 +746,8 @@ type placement struct {
 	slot  int
 }
 
+// schedule returns the placement of every node, which lives in g's
+// scratch until the next region, and the bundle count.
 func (g *graph) schedule() ([]placement, int, error) {
 	order, err := g.topoOrder()
 	if err != nil {
@@ -643,7 +758,7 @@ func (g *graph) schedule() ([]placement, int, error) {
 		id := order[k]
 		nd := &g.nodes[id]
 		nd.prio = nd.lat
-		for _, s := range nd.succs {
+		for _, s := range g.succsOf(id) {
 			if p := g.nodes[s].prio + nd.lat; p > nd.prio {
 				nd.prio = p
 			}
@@ -652,39 +767,29 @@ func (g *graph) schedule() ([]placement, int, error) {
 
 	// Slot preference: fewer capabilities first, so ALU work does not
 	// occupy the memory or branch slot needlessly.
-	slotOrder := make([]int, len(g.cfg.Slots))
+	slots := g.cfg.Slots
+	slotOrder := resize(g.slotOrder, len(slots))
 	for i := range slotOrder {
 		slotOrder[i] = i
 	}
-	popcount := func(c vliw.SlotCap) int {
-		n := 0
-		for c != 0 {
-			n += int(c & 1)
-			c >>= 1
-		}
-		return n
-	}
-	sort.SliceStable(slotOrder, func(a, b int) bool {
-		return popcount(g.cfg.Slots[slotOrder[a]]) < popcount(g.cfg.Slots[slotOrder[b]])
+	slices.SortStableFunc(slotOrder, func(a, b int) int {
+		return cmp.Compare(bits.OnesCount8(uint8(slots[a])), bits.OnesCount8(uint8(slots[b])))
 	})
+	used := resize(g.used, len(slots))
+	g.slotOrder, g.used = slotOrder, used
 
-	place := make([]placement, len(g.nodes))
-	for i := range place {
-		place[i] = placement{cycle: -1}
-	}
-	unscheduled := len(g.nodes)
-	remaining := make([]int, len(g.nodes))
-	earliest := make([]int, len(g.nodes))
-	for i := range g.nodes {
-		remaining[i] = len(g.nodes[i].preds)
-	}
-
-	var readyList []int
-	for i := range g.nodes {
+	nn := len(g.nodes)
+	place := fill(g.place, nn, placement{cycle: -1})
+	remaining := resize(g.remaining, nn)
+	earliest := fill(g.earliest, nn, 0)
+	readyList := g.readyList[:0]
+	for i := 0; i < nn; i++ {
+		remaining[i] = g.predOff[i+1] - g.predOff[i]
 		if remaining[i] == 0 {
 			readyList = append(readyList, i)
 		}
 	}
+	unscheduled := nn
 
 	cycle := 0
 	const maxCycles = 1 << 16
@@ -693,29 +798,31 @@ func (g *graph) schedule() ([]placement, int, error) {
 			return nil, 0, fmt.Errorf("dbt: scheduler did not converge")
 		}
 		// Candidates whose dependencies are satisfied by this cycle.
-		var cand []int
+		cand := g.cand[:0]
 		for _, id := range readyList {
 			if place[id].cycle == -1 && earliest[id] <= cycle {
 				cand = append(cand, id)
 			}
 		}
-		sort.SliceStable(cand, func(a, b int) bool {
-			if g.nodes[cand[a]].prio != g.nodes[cand[b]].prio {
-				return g.nodes[cand[a]].prio > g.nodes[cand[b]].prio
+		g.cand = cand
+		slices.SortStableFunc(cand, func(a, b int) int {
+			na, nb := &g.nodes[a], &g.nodes[b]
+			if na.prio != nb.prio {
+				return cmp.Compare(nb.prio, na.prio)
 			}
-			return g.nodes[cand[a]].pos < g.nodes[cand[b]].pos
+			return cmp.Compare(na.pos, nb.pos)
 		})
-		used := make([]bool, len(g.cfg.Slots))
+		clear(used)
 		for _, id := range cand {
 			nd := &g.nodes[id]
 			for _, s := range slotOrder {
-				if used[s] || g.cfg.Slots[s]&nd.cap == 0 {
+				if used[s] || slots[s]&nd.cap == 0 {
 					continue
 				}
 				used[s] = true
 				place[id] = placement{cycle: cycle, slot: s}
 				unscheduled--
-				for _, succ := range nd.succs {
+				for _, succ := range g.succsOf(id) {
 					remaining[succ]--
 					if remaining[succ] == 0 {
 						readyList = append(readyList, succ)
@@ -730,7 +837,7 @@ func (g *graph) schedule() ([]placement, int, error) {
 				continue
 			}
 			e := 0
-			for _, p := range g.nodes[id].preds {
+			for _, p := range g.predsOf(id) {
 				pc := place[p.from].cycle + int(p.lat)
 				if pc > e {
 					e = pc
@@ -740,6 +847,7 @@ func (g *graph) schedule() ([]placement, int, error) {
 		}
 		cycle++
 	}
+	g.place, g.remaining, g.earliest, g.readyList = place, remaining, earliest, readyList
 
 	numBundles := 0
 	for _, p := range place {

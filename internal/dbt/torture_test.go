@@ -3,6 +3,7 @@ package dbt
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ghostbusters/internal/bus"
@@ -161,6 +162,11 @@ func TestSchedulerTorture(t *testing.T) {
 	if testing.Short() {
 		trials = 60
 	}
+	// One scheduler memory shared by every trial, mode and width, the
+	// way a machine reuses it region after region: each compile through
+	// it must equal the fresh-memory compile, so no table may carry
+	// stale data from a larger earlier region.
+	reused := new(graph)
 	for trial := 0; trial < trials; trial++ {
 		blk := genBlock(r)
 		if err := blk.Verify(); err != nil {
@@ -193,6 +199,15 @@ func TestSchedulerTorture(t *testing.T) {
 			res, err := compile(blk2, len(blk2.Insts), &coreCfg, mode)
 			if err != nil {
 				t.Fatalf("trial %d mode %s: compile: %v\n%s", trial, mode, err, blk)
+			}
+			blk3 := genBlockCopy(blk)
+			again, err := compileWith(reused, blk3, len(blk3.Insts), &coreCfg, mode, compileOpts{})
+			if err != nil {
+				t.Fatalf("trial %d mode %s: compile through reused scheduler memory: %v\n%s", trial, mode, err, blk)
+			}
+			if !reflect.DeepEqual(again.Block, res.Block) {
+				t.Fatalf("trial %d mode %s: reused scheduler memory changed the block\nIR:\n%s\nfresh:\n%s\nreused:\n%s",
+					trial, mode, blk, res.Block, again.Block)
 			}
 			mem := guestmem.New(tortureMemBase, tortureMemSize)
 			_ = mem.WriteBytes(tortureMemBase, initMem)

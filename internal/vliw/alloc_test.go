@@ -96,3 +96,26 @@ func TestDecodeBlockAllocs(t *testing.T) {
 		t.Errorf("ConsumeBlock allocates %.0f objects, want 4", n)
 	}
 }
+
+// Prepare sizes the threaded-dispatch table exactly (one op per non-nop
+// syllable plus one terminator per bundle), so building it allocates two
+// objects whatever the block's size: the table and its op slice.
+func TestPrepareAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	const runs = 100
+	blks := make([]*Block, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range blks {
+		blks[i] = steadyStateBlock(cfg)
+	}
+	next := 0
+	n := testing.AllocsPerRun(runs, func() {
+		blks[next].Prepare()
+		next++
+	})
+	if n != 2 {
+		t.Errorf("Prepare allocates %.0f objects on a fresh block, want 2", n)
+	}
+	if d := blks[0].decoded(); len(d.ops) != cap(d.ops) {
+		t.Errorf("dispatch table holds %d ops in a capacity of %d, want an exact fit", len(d.ops), cap(d.ops))
+	}
+}

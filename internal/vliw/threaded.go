@@ -371,9 +371,19 @@ func opEndBlock(c *Core, d *dop) ctl {
 	return ctlStop
 }
 
-// buildDecoded flattens a block into its threaded-dispatch table.
+// buildDecoded flattens a block into its threaded-dispatch table: one
+// op per non-nop syllable plus one terminator per bundle, allocated once
+// at that exact size.
 func buildDecoded(blk *Block) *decoded {
-	ops := make([]dop, 0, 8)
+	n := len(blk.Bundles)
+	for _, bundle := range blk.Bundles {
+		for i := range bundle {
+			if bundle[i].Kind != KNop {
+				n++
+			}
+		}
+	}
+	ops := make([]dop, 0, n)
 	for bi := range blk.Bundles {
 		bundle := blk.Bundles[bi]
 		for i := range bundle {

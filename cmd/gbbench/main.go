@@ -16,7 +16,7 @@
 //	                     verdict table; -detect-json writes the scored
 //	                     matrix (schema ghostbusters/detect-eval/v1)
 //
-// Matrix experiments (fig4/ptrmm/kernel) fan out over a worker pool:
+// Matrix experiments (fig4/poc/ptrmm/kernel) fan out over a worker pool:
 // -j bounds the pool (default GOMAXPROCS) and -timeout puts a
 // wall-clock guard on every individual run. Results are deterministic —
 // -j 8 produces byte-identical tables to -j 1, just faster.
@@ -159,10 +159,8 @@ func main() {
 		Workers:        *jobs,
 		Timeout:        *timeout,
 		Artifacts:      harness.NewArtifacts(),
-		Retries:        t.Retry.Retries,
-		Backoff:        t.Retry.Backoff,
-		BackoffMax:     t.Retry.BackoffMax,
-		BackoffSeed:    t.Retry.Seed,
+		Retries:        t.Retries,
+		Backoff:        t.Backoff,
 		TolerateFaults: *tolerateFaults,
 		TransCache:     t.TransCache(),
 		Span:           t.Root(),
@@ -219,7 +217,7 @@ func main() {
 		fmt.Print(harness.FormatRows(rows, modes))
 
 	case "poc":
-		table, _, err := harness.PoCMatrix(base)
+		table, _, err := runner.PoCMatrix(ctx, base)
 		t.Fail(err)
 		fmt.Println("Section V-A — Spectre proof-of-concept matrix")
 		fmt.Println()

@@ -150,10 +150,8 @@ func main() {
 		Tenants:      tenants,
 		JobTimeout:   *jobTimeout,
 		DrainTimeout: *drainTimeout,
-		Retries:      t.Retry.Retries,
-		Backoff:      t.Retry.Backoff,
-		BackoffMax:   t.Retry.BackoffMax,
-		BackoffSeed:  t.Retry.Seed,
+		Retries:      t.Retries,
+		Backoff:      t.Backoff,
 		TransCache:   t.TransCache(),
 		Spans:        t.Spans(),
 		Log:          logger,

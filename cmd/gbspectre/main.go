@@ -110,8 +110,8 @@ func main() {
 			}
 			t.Fail(fmt.Errorf("%s %s a single run: pick a -variant", strings.Join(offending, ", "), verb))
 		}
-		cfg.Interrupt = t.Start(&cfg, "").Done()
-		table, lm, err := ghostbusters.RunLeakageMatrix(cfg)
+		ctx := t.Start(&cfg, "")
+		table, lm, err := (&ghostbusters.Runner{}).PoCMatrix(ctx, cfg)
 		t.Fail(err)
 		fmt.Print(table)
 		if *matrixJSON != "" {

@@ -30,6 +30,7 @@
 package ghostbusters
 
 import (
+	"context"
 	"io"
 
 	"ghostbusters/internal/attack"
@@ -308,14 +309,6 @@ func FormatRows(rows []*Row, modes []Mode) string {
 	return harness.FormatRows(rows, modes)
 }
 
-// RunPoCMatrix runs the Section V-A proof-of-concept matrix — both
-// attack variants under every registered mitigation — and renders it as
-// a table.
-func RunPoCMatrix(cfg Config) (string, error) {
-	table, _, err := harness.PoCMatrix(cfg)
-	return table, err
-}
-
 // LeakMatrix is the machine-readable variants × mitigations leakage
 // matrix (schema LeakMatrixSchema): per cell, the scoreboard's
 // ground-truth bits leaked and the attack's slowdown versus the unsafe
@@ -325,14 +318,12 @@ type LeakMatrix = attack.LeakMatrix
 // LeakMatrixSchema identifies the leakage matrix JSON document format.
 const LeakMatrixSchema = attack.LeakMatrixSchema
 
-// RunLeakageMatrix runs the proof-of-concept matrix once and returns
-// both the rendered table and the machine-readable leakage matrix.
+// RunLeakageMatrix runs the Section V-A proof-of-concept matrix — both
+// attack variants under every registered mitigation — and returns both
+// the rendered table and the machine-readable leakage matrix. Use a
+// Runner's PoCMatrix to control parallelism and cancellation.
 func RunLeakageMatrix(cfg Config) (string, *LeakMatrix, error) {
-	table, entries, err := harness.PoCMatrix(cfg)
-	if err != nil {
-		return "", nil, err
-	}
-	return table, attack.BuildLeakMatrix(entries), nil
+	return (&Runner{}).PoCMatrix(context.Background(), cfg)
 }
 
 // SpanTracer is the host-side span tracing layer: host-wall-clock spans

@@ -100,9 +100,12 @@ func TestFacadePoCMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix is slow under -short")
 	}
-	table, err := ghostbusters.RunPoCMatrix(ghostbusters.DefaultConfig())
+	table, lm, err := ghostbusters.RunLeakageMatrix(ghostbusters.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := 2 * len(ghostbusters.AllModes()); len(lm.Cells) != want {
+		t.Fatalf("leak matrix has %d cells, want %d", len(lm.Cells), want)
 	}
 	for _, want := range []string{"spectre-v1", "spectre-v4", "unsafe", "ghostbusters", "YES", "NO"} {
 		if !strings.Contains(table, want) {

@@ -27,8 +27,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"ghostbusters/internal/core"
-	"ghostbusters/internal/core/pipeline"
 	"ghostbusters/internal/dbt"
 	"ghostbusters/internal/riscv"
 )
@@ -416,32 +414,4 @@ victim:
 	lbu a3, 0(t4)         # leaks it through the cache
 	ret
 `, n, p.TrainRounds, thresh, secretBytesDirective(p.Secret), flushSequence(p.Flush, "addrBuf", "one"), probeSequence)
-}
-
-// Matrix runs both variants under every mitigation mode and returns the
-// paper's Section V-A proof-of-concept matrix.
-type MatrixEntry struct {
-	Variant Variant
-	Mode    core.Mode
-	Result  *Result
-}
-
-// RunMatrix evaluates both attacks under every registered mitigation
-// mode with the base machine configuration. The mode list derives from
-// the mitigation-pass registry, so a newly registered pipeline appears
-// in the matrix automatically.
-func RunMatrix(base dbt.Config, params Params) ([]MatrixEntry, error) {
-	var out []MatrixEntry
-	for _, v := range []Variant{V1, V4} {
-		for _, mode := range pipeline.Modes() {
-			cfg := base
-			cfg.Mitigation = mode
-			res, err := Run(v, cfg, params)
-			if err != nil {
-				return nil, fmt.Errorf("attack matrix %s/%s: %w", v, mode, err)
-			}
-			out = append(out, MatrixEntry{Variant: v, Mode: mode, Result: res})
-		}
-	}
-	return out, nil
 }

@@ -3,8 +3,6 @@ package attack
 import (
 	"encoding/json"
 	"fmt"
-
-	"ghostbusters/internal/core"
 )
 
 // LeakMatrixSchema versions the machine-readable leakage matrix. Fields
@@ -37,38 +35,10 @@ type LeakCell struct {
 
 // LeakMatrix is the variants × mitigations leakage matrix the ROADMAP
 // asks for: every cell reports slowdown and ground-truth bits leaked.
+// The harness's Runner.PoCMatrix builds it from a matrix sweep.
 type LeakMatrix struct {
 	Schema string     `json:"schema"`
 	Cells  []LeakCell `json:"cells"`
-}
-
-// BuildLeakMatrix folds RunMatrix entries into the leakage matrix.
-func BuildLeakMatrix(entries []MatrixEntry) *LeakMatrix {
-	baseline := map[Variant]uint64{}
-	for _, e := range entries {
-		if e.Mode == core.ModeUnsafe {
-			baseline[e.Variant] = e.Result.Cycles
-		}
-	}
-	m := &LeakMatrix{Schema: LeakMatrixSchema}
-	for _, e := range entries {
-		cell := LeakCell{
-			Variant:      e.Variant.String(),
-			Mode:         e.Mode.String(),
-			SecretBytes:  len(e.Result.Secret),
-			BytesCorrect: e.Result.BytesCorrect,
-			Cycles:       e.Result.Cycles,
-		}
-		if l := e.Result.Leakage; l != nil {
-			cell.LeakedBytes = l.LeakedBytes
-			cell.BitsLeaked = l.BitsLeaked
-		}
-		if b := baseline[e.Variant]; b > 0 {
-			cell.Slowdown = float64(e.Result.Cycles) / float64(b)
-		}
-		m.Cells = append(m.Cells, cell)
-	}
-	return m
 }
 
 // JSON renders the matrix with stable indentation for CI artifacts.

@@ -37,6 +37,7 @@ import (
 
 	"ghostbusters/internal/dbt"
 	"ghostbusters/internal/detect"
+	"ghostbusters/internal/harness"
 	"ghostbusters/internal/hspan"
 	"ghostbusters/internal/obs"
 	"ghostbusters/internal/tcache"
@@ -75,7 +76,8 @@ type Tool struct {
 	AuditJSON   string
 	CPUProfile  string
 	MemProfile  string
-	Retry       Retry
+	Retries     int
+	Backoff     harness.Backoff
 	width       *Width
 
 	ctx        context.Context
@@ -167,26 +169,20 @@ func (w *Width) Set(s string) error {
 	return nil
 }
 
-// Retry is the transient-fault retry policy of a harness.Runner.
-type Retry struct {
-	Retries             int
-	Backoff, BackoffMax time.Duration
-	Seed                uint64
-}
-
 // RetryFlags registers -retries, -retry-backoff, -retry-backoff-max and
-// -retry-seed. backoff is the -retry-backoff default.
+// -retry-seed: the transient-fault retry policy of a harness.Runner
+// (Retries, Backoff). backoff is the -retry-backoff default.
 func (t *Tool) RetryFlags(backoff time.Duration) {
-	flag.IntVar(&t.Retry.Retries, "retries", 0, "retry attempts per run after a transient (injected) fault")
-	flag.DurationVar(&t.Retry.Backoff, "retry-backoff", backoff, "base pause before the first retry; doubles per attempt, with deterministic jitter")
-	flag.DurationVar(&t.Retry.BackoffMax, "retry-backoff-max", 0, "cap on the per-retry pause (0 = 8x the base)")
-	flag.Uint64Var(&t.Retry.Seed, "retry-seed", 0, "seed for the deterministic backoff jitter")
+	flag.IntVar(&t.Retries, "retries", 0, "retry attempts per run after a transient (injected) fault")
+	flag.DurationVar(&t.Backoff.Base, "retry-backoff", backoff, "base pause before the first retry; doubles per attempt, with deterministic jitter")
+	flag.DurationVar(&t.Backoff.Max, "retry-backoff-max", 0, "cap on the per-retry pause (0 = 8x the base)")
+	flag.Uint64Var(&t.Backoff.Seed, "retry-seed", 0, "seed for the deterministic backoff jitter")
 }
 
 // Parse parses the command line and validates the shared groups.
 func (t *Tool) Parse() {
 	flag.Parse()
-	if r := t.Retry; r.Retries < 0 || r.Backoff < 0 || r.BackoffMax < 0 {
+	if t.Retries < 0 || t.Backoff.Base < 0 || t.Backoff.Max < 0 {
 		t.UsageError("-retries, -retry-backoff and -retry-backoff-max must be >= 0")
 	}
 }

@@ -139,26 +139,20 @@ func (d *EvalDoc) JSON() ([]byte, error) {
 	return append(buf, '\n'), nil
 }
 
-// cellData is what an eval bench deposits for its cell: the verdict
-// and (for attacks) the ground-truth scoreboard.
-type cellData struct {
-	rep  *Report
-	leak *attack.Leakage
-}
-
+// evalState collects each cell's verdict, keyed by bench and mode.
 type evalState struct {
 	dcfg Config
 	mu   sync.Mutex
-	m    map[string]*cellData
+	m    map[string]*Report
 }
 
-func (s *evalState) put(bench string, mode core.Mode, d *cellData) {
+func (s *evalState) put(bench string, mode core.Mode, rep *Report) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.m[bench+"|"+mode.String()] = d
+	s.m[bench+"|"+mode.String()] = rep
 }
 
-func (s *evalState) get(bench string, mode core.Mode) *cellData {
+func (s *evalState) get(bench string, mode core.Mode) *Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.m[bench+"|"+mode.String()]
@@ -190,31 +184,10 @@ func Observe(b harness.Bench, dcfg Config, done func(cfg dbt.Config, rep *Report
 	}
 }
 
-func (s *evalState) kernelBench(k polybench.Kernel, n int) harness.Bench {
-	return Observe(harness.KernelBench(k, n), s.dcfg, func(cfg dbt.Config, rep *Report) {
-		s.put(k.Name, cfg.Mitigation, &cellData{rep: rep})
-	})
-}
-
-func (s *evalState) attackBench(v attack.Variant, secret []byte) harness.Bench {
-	name := v.String()
-	return Observe(harness.Bench{
-		Name: name,
-		Run: func(_ context.Context, cfg dbt.Config, _ *harness.Artifacts) (*harness.KernelRun, error) {
-			res, err := attack.Run(v, cfg, attack.Params{Secret: secret})
-			if err != nil {
-				return nil, err
-			}
-			run := &harness.KernelRun{Name: name, Mode: cfg.Mitigation, Cycles: res.Cycles, Stats: res.Stats}
-			s.put(name+"|leak", cfg.Mitigation, &cellData{leak: res.Leakage})
-			return run, nil
-		},
-	}, s.dcfg, func(cfg dbt.Config, rep *Report) {
-		d := &cellData{rep: rep}
-		if l := s.get(name+"|leak", cfg.Mitigation); l != nil {
-			d.leak = l.leak
-		}
-		s.put(name, cfg.Mitigation, d)
+// observe wraps b so each successful attempt files its verdict.
+func (s *evalState) observe(b harness.Bench) harness.Bench {
+	return Observe(b, s.dcfg, func(cfg dbt.Config, rep *Report) {
+		s.put(b.Name, cfg.Mitigation, rep)
 	})
 }
 
@@ -237,16 +210,16 @@ func Eval(ctx context.Context, r *harness.Runner, base dbt.Config, ecfg EvalConf
 		secret = evalSecret
 	}
 
-	st := &evalState{dcfg: ecfg.Detector.withDefaults(), m: make(map[string]*cellData)}
+	st := &evalState{dcfg: ecfg.Detector.withDefaults(), m: make(map[string]*Report)}
 	var benches []harness.Bench
 	benign := make(map[string]bool)
 	for _, k := range kernels {
-		b := st.kernelBench(k, ecfg.KernelN)
+		b := st.observe(harness.KernelBench(k, ecfg.KernelN))
 		benign[b.Name] = true
 		benches = append(benches, b)
 	}
 	for _, v := range []attack.Variant{attack.V1, attack.V4} {
-		benches = append(benches, st.attackBench(v, secret))
+		benches = append(benches, st.observe(harness.SpectreBench(v, attack.Params{Secret: secret})))
 	}
 
 	rows, err := r.RunMatrix(ctx, base, benches, modes)
@@ -264,30 +237,30 @@ func Eval(ctx context.Context, r *harness.Runner, base dbt.Config, ecfg EvalConf
 	}
 	for bi, b := range benches {
 		for _, mode := range modes {
-			d := st.get(b.Name, mode)
-			if d == nil || d.rep == nil {
+			rep := st.get(b.Name, mode)
+			if rep == nil {
 				return nil, fmt.Errorf("detect: eval cell %s (%s) produced no report", b.Name, mode)
 			}
 			cell := EvalCell{
 				Bench:      b.Name,
 				Mode:       mode.String(),
 				Class:      "attack",
-				Alarm:      d.rep.Alarm,
-				Confidence: d.rep.Confidence,
-				Rounds:     d.rep.Rounds,
-				Slots:      d.rep.Slots,
-				AlarmCycle: d.rep.AlarmCycle,
+				Alarm:      rep.Alarm,
+				Confidence: rep.Confidence,
+				Rounds:     rep.Rounds,
+				Slots:      rep.Slots,
+				AlarmCycle: rep.AlarmCycle,
 				Cycles:     rows[bi].Cycles[mode],
-				Report:     d.rep,
+				Report:     rep,
 			}
 			if benign[b.Name] {
 				cell.Class = "benign"
 			}
-			if d.leak != nil {
-				cell.TruthLeak = d.leak.BitsLeaked > 0
-				cell.BitsLeaked = d.leak.BitsLeaked
-				cell.TruthTriggerCycle = d.leak.FirstSecretFillCycle
-				cell.TruthProbeHitCycle = d.leak.FirstProbeHitCycle
+			if l := rows[bi].Leakage[mode]; l != nil {
+				cell.TruthLeak = l.BitsLeaked > 0
+				cell.BitsLeaked = l.BitsLeaked
+				cell.TruthTriggerCycle = l.FirstSecretFillCycle
+				cell.TruthProbeHitCycle = l.FirstProbeHitCycle
 				if cell.Alarm && cell.TruthTriggerCycle != 0 {
 					cell.LatencyValid = true
 					cell.LatencyCycles = int64(cell.AlarmCycle) - int64(cell.TruthTriggerCycle)

@@ -105,7 +105,7 @@ func TestRunnerBackoffCancellation(t *testing.T) {
 			return nil, transientFault()
 		},
 	}
-	r := &Runner{Workers: 1, Retries: 3, Backoff: time.Minute, BackoffMax: time.Minute}
+	r := &Runner{Workers: 1, Retries: 3, Backoff: Backoff{Base: time.Minute, Max: time.Minute}}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {

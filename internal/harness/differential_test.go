@@ -77,12 +77,12 @@ func TestPredecodeDifferential(t *testing.T) {
 		t.Helper()
 		cfg := dbt.DefaultConfig()
 		cfg.DisablePredecode = disable
-		table, entries, err := PoCMatrix(cfg)
+		table, lm, err := (&Runner{}).PoCMatrix(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("poc matrix (predecode disabled=%v): %v", disable, err)
 		}
-		if len(entries) == 0 {
-			t.Fatal("poc matrix produced no entries")
+		if len(lm.Cells) == 0 {
+			t.Fatal("poc matrix produced no cells")
 		}
 		return table
 	}
@@ -177,12 +177,12 @@ func TestChainingDifferential(t *testing.T) {
 		t.Helper()
 		cfg := dbt.DefaultConfig()
 		cfg.DisableChaining = disable
-		table, entries, err := PoCMatrix(cfg)
+		table, lm, err := (&Runner{}).PoCMatrix(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("poc matrix (chaining disabled=%v): %v", disable, err)
 		}
-		if len(entries) == 0 {
-			t.Fatal("poc matrix produced no entries")
+		if len(lm.Cells) == 0 {
+			t.Fatal("poc matrix produced no cells")
 		}
 		return table
 	}

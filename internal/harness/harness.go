@@ -40,6 +40,9 @@ type KernelRun struct {
 	// host spans attribute per cell. Zero for runs without machine
 	// access (the Spectre PoC bench).
 	TransNS int64
+	// Leakage is the side-channel scoreboard of a Spectre PoC run (nil
+	// for kernels).
+	Leakage *attack.Leakage
 }
 
 // RunSpec executes a kernel spec on a fresh machine and validates every
@@ -159,6 +162,10 @@ type Row struct {
 	// with TolerateFaults; such cells have no Cycles/Stats entry and the
 	// renderers print "n/a" for them.
 	Faults map[core.Mode]*trap.Fault
+
+	// Leakage is the scoreboard of each Spectre PoC cell; nil for rows
+	// whose runs carry none (kernels).
+	Leakage map[core.Mode]*attack.Leakage
 }
 
 func newRow(name string) *Row {
@@ -200,16 +207,6 @@ func AllModes() []core.Mode { return pipeline.Modes() }
 func RunKernel(k polybench.Kernel, n int, base dbt.Config, modes []core.Mode) (*Row, error) {
 	r := &Runner{Artifacts: NewArtifacts()}
 	return r.RunKernel(context.Background(), k, n, base, modes)
-}
-
-// RunSpectreApp measures a Spectre PoC application as a benchmark (the
-// paper's Figure 4 includes "Spectre v1" and "Spectre v4" applications).
-func RunSpectreApp(v attack.Variant, base dbt.Config, modes []core.Mode) (*Row, error) {
-	rows, err := (&Runner{}).RunMatrix(context.Background(), base, []Bench{SpectreBench(v)}, modes)
-	if err != nil {
-		return nil, err
-	}
-	return rows[0], nil
 }
 
 // Fig4 runs the whole Figure 4 experiment: every Polybench kernel plus
@@ -283,37 +280,63 @@ func FormatRows(rows []*Row, modes []core.Mode) string {
 	return sb.String()
 }
 
-// PoCMatrix renders the Section V-A proof-of-concept result matrix,
-// extended across every registered mitigation: each cell reports the
-// attacker's recovery, the scoreboard's ground-truth bits leaked, and
-// the attack's slowdown relative to the unsafe baseline.
-func PoCMatrix(base dbt.Config) (string, []attack.MatrixEntry, error) {
-	entries, err := attack.RunMatrix(base, attack.Params{})
+// PoCMatrix runs the Section V-A proof-of-concept matrix on the
+// runner — both attacks under every registered mitigation — and renders
+// it twice: as a table, and as the leakage matrix where each cell
+// reports the scoreboard's ground-truth bits leaked and the attack's
+// slowdown relative to the unsafe baseline. Every cell must have run: a
+// leakage matrix with a hole (a cell faulted under TolerateFaults, say)
+// cannot show that nothing leaked, so it is an error.
+func (r *Runner) PoCMatrix(ctx context.Context, base dbt.Config) (string, *attack.LeakMatrix, error) {
+	modes := AllModes()
+	var benches []Bench
+	for _, v := range []attack.Variant{attack.V1, attack.V4} {
+		benches = append(benches, SpectreBench(v, attack.Params{}))
+	}
+	rows, err := r.RunMatrix(ctx, base, benches, modes)
 	if err != nil {
 		return "", nil, err
 	}
-	lm := attack.BuildLeakMatrix(entries)
+	lm := &attack.LeakMatrix{Schema: attack.LeakMatrixSchema}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-12s %-14s %-10s %-10s %-10s %-9s %s\n",
 		"attack", "mitigation", "leaked", "bytes", "bits-gt", "slowdown", "notes")
-	for i, e := range entries {
-		cell := lm.Cells[i]
-		leaked := "NO"
-		if e.Result.Success() {
-			leaked = "YES"
-		} else if e.Result.BytesCorrect > 0 {
-			leaked = "PARTIAL"
+	for _, row := range rows {
+		for _, mode := range modes {
+			l := row.Leakage[mode]
+			if l == nil {
+				// Only a fault tolerated by TolerateFaults leaves a
+				// cell without a run in a matrix that succeeded.
+				return "", nil, fmt.Errorf("harness: %s (%s): a hole in the leakage matrix: %w", row.Name, mode, row.Faults[mode])
+			}
+			cell := attack.LeakCell{
+				Variant:      row.Name,
+				Mode:         mode.String(),
+				SecretBytes:  l.SecretBytes,
+				LeakedBytes:  l.LeakedBytes,
+				BitsLeaked:   l.BitsLeaked,
+				BytesCorrect: l.BytesCorrect,
+				Cycles:       row.Cycles[mode],
+				Slowdown:     row.Slowdown[mode],
+			}
+			lm.Cells = append(lm.Cells, cell)
+			leaked := "NO"
+			if l.BytesCorrect == l.SecretBytes {
+				leaked = "YES"
+			} else if l.BytesCorrect > 0 {
+				leaked = "PARTIAL"
+			}
+			slow := "n/a"
+			if cell.Slowdown > 0 {
+				slow = fmt.Sprintf("%.2fx", cell.Slowdown)
+			}
+			st := row.Stats[mode]
+			fmt.Fprintf(&sb, "%-12s %-14s %-10s %2d/%-7d %-10d %-9s specloads=%d recoveries=%d patterns=%d\n",
+				row.Name, mode, leaked, l.BytesCorrect, l.SecretBytes, l.BitsLeaked, slow,
+				st.SpecLoads, st.Recoveries, st.PatternsFound)
 		}
-		slow := "n/a"
-		if cell.Slowdown > 0 {
-			slow = fmt.Sprintf("%.2fx", cell.Slowdown)
-		}
-		notes := fmt.Sprintf("specloads=%d recoveries=%d patterns=%d",
-			e.Result.Stats.SpecLoads, e.Result.Stats.Recoveries, e.Result.Stats.PatternsFound)
-		fmt.Fprintf(&sb, "%-12s %-14s %-10s %2d/%-7d %-10d %-9s %s\n",
-			e.Variant, e.Mode, leaked, e.Result.BytesCorrect, len(e.Result.Secret), cell.BitsLeaked, slow, notes)
 	}
-	return sb.String(), entries, nil
+	return sb.String(), lm, nil
 }
 
 // SortRows orders rows by name for stable output.

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -111,13 +112,30 @@ func TestRunKernelSlowdowns(t *testing.T) {
 	}
 }
 
-func TestRunSpectreApp(t *testing.T) {
-	row, err := RunSpectreApp(attack.V1, dbt.DefaultConfig(), []core.Mode{core.ModeUnsafe, core.ModeGhostBusters})
+func TestSpectreBenchCarriesLeakage(t *testing.T) {
+	modes := []core.Mode{core.ModeUnsafe, core.ModeGhostBusters}
+	rows, err := (&Runner{}).RunMatrix(context.Background(), dbt.DefaultConfig(),
+		[]Bench{SpectreBench(attack.V1, attack.Params{Secret: []byte{0x5A, 0xC3}})}, modes)
 	if err != nil {
 		t.Fatal(err)
 	}
+	row := rows[0]
 	if row.Name != "spectre-v1" || row.Cycles[core.ModeUnsafe] == 0 {
 		t.Fatalf("row = %+v", row)
+	}
+	if l := row.Leakage[core.ModeUnsafe]; l == nil || l.SecretBytes != 2 || l.BitsLeaked != 16 {
+		t.Errorf("unsafe leakage = %+v, want 16 bits of a 2-byte secret", l)
+	}
+	if l := row.Leakage[core.ModeGhostBusters]; l == nil || l.BitsLeaked != 0 {
+		t.Errorf("ghostbusters leakage = %+v, want 0 bits", l)
+	}
+	k, _ := polybench.ByName("gemm")
+	krow, err := RunKernel(k, 6, dbt.DefaultConfig(), modes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if krow.Leakage != nil {
+		t.Errorf("kernel row has a leakage map: %v", krow.Leakage)
 	}
 }
 
@@ -149,28 +167,76 @@ func TestGeoMean(t *testing.T) {
 }
 
 func TestPoCMatrixShape(t *testing.T) {
-	table, entries, err := PoCMatrix(dbt.DefaultConfig())
+	table, lm, err := (&Runner{}).PoCMatrix(context.Background(), dbt.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 2 * len(AllModes()); len(entries) != want {
-		t.Fatalf("entries = %d, want %d (2 variants x all registered modes)", len(entries), want)
+	if want := 2 * len(AllModes()); len(lm.Cells) != want {
+		t.Fatalf("cells = %d, want %d (2 variants x all registered modes)", len(lm.Cells), want)
+	}
+	if lm.Schema != attack.LeakMatrixSchema {
+		t.Errorf("schema = %q", lm.Schema)
 	}
 	if !strings.Contains(table, "spectre-v1") || !strings.Contains(table, "ghostbusters") {
 		t.Fatalf("table malformed:\n%s", table)
 	}
-	// Count leaks: exactly the two unsafe rows.
+	// Count leaks: exactly the two unsafe cells, each recovering and
+	// (ground truth) leaking the whole secret.
 	leaks := 0
-	for _, e := range entries {
-		if e.Result.Success() {
+	for _, c := range lm.Cells {
+		if c.BytesCorrect == c.SecretBytes {
 			leaks++
-			if e.Mode != core.ModeUnsafe {
-				t.Errorf("leak under %s", e.Mode)
+			if c.Mode != core.ModeUnsafe.String() {
+				t.Errorf("leak under %s", c.Mode)
 			}
+			if c.BitsLeaked != 8*c.SecretBytes || c.Slowdown != 1 {
+				t.Errorf("%s unsafe cell = %+v", c.Variant, c)
+			}
+		} else if c.BytesCorrect != 0 || c.BitsLeaked != 0 {
+			t.Errorf("%s (%s): leak survived mitigation: %+v", c.Variant, c.Mode, c)
 		}
 	}
 	if leaks != 2 {
 		t.Fatalf("leaks = %d, want 2", leaks)
+	}
+}
+
+// TestPoCMatrixWorkers: the PoC matrix is an ordinary Runner sweep, so
+// its table and leakage matrix are byte-identical at any worker count,
+// and a cell that did not run is an error rather than a hole.
+func TestPoCMatrixWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full PoC matrices are slow under -short")
+	}
+	render := func(workers int) (string, string) {
+		t.Helper()
+		table, lm, err := (&Runner{Workers: workers}).PoCMatrix(context.Background(), dbt.DefaultConfig())
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		js, err := lm.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return table, string(js)
+	}
+	t1, j1 := render(1)
+	t4, j4 := render(4)
+	if t1 != t4 {
+		t.Errorf("tables differ:\nj1:\n%s\nj4:\n%s", t1, t4)
+	}
+	if j1 != j4 {
+		t.Errorf("leak matrices differ:\nj1:\n%s\nj4:\n%s", j1, j4)
+	}
+
+	cfg := dbt.DefaultConfig()
+	cfg.FaultInject = &dbt.FaultInject{CacheFaultRate: 1}
+	table, lm, err := (&Runner{Workers: 4, TolerateFaults: true}).PoCMatrix(context.Background(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "hole") {
+		t.Fatalf("faulted PoC matrix: err = %v, want a hole error", err)
+	}
+	if table != "" || lm != nil {
+		t.Errorf("faulted PoC matrix rendered:\n%s", table)
 	}
 }
 

@@ -23,7 +23,8 @@ import (
 // runs on its own dbt.Machine, so no simulator state is shared and the
 // per-job results are bit-identical to a sequential run — only the wall
 // clock changes. The zero value is ready to use: GOMAXPROCS workers, no
-// timeout, collect-all error policy, uncached artifacts.
+// timeout, uncached artifacts. A failed cell never stops the others:
+// the matrix runs to the end and returns every failure joined.
 type Runner struct {
 	// Workers bounds the pool; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
@@ -34,11 +35,6 @@ type Runner struct {
 	// fails with context.DeadlineExceeded (the machine aborts via the
 	// Config.Interrupt hook).
 	Timeout time.Duration
-
-	// FailFast cancels all outstanding jobs as soon as one fails and
-	// returns that job's error. The default (false) runs the whole
-	// matrix and returns every failure joined together.
-	FailFast bool
 
 	// Artifacts, when non-nil, memoizes generated kernel sources and
 	// assembled programs across jobs, so an N-mode sweep assembles each
@@ -52,21 +48,12 @@ type Runner struct {
 	// they are deterministic properties of the guest, not bad luck.
 	Retries int
 
-	// Backoff is the base pause of the retry schedule: attempt k waits
-	// min(Backoff << (k-1), BackoffMax) scaled by deterministic jitter
-	// in [0.5, 1.0) — capped exponential, not linear, so a burst of
-	// transient faults backs off quickly without ever sleeping past the
-	// cap. The sleep is context-aware: cancelling the matrix interrupts
-	// a backoff pause immediately. Zero disables sleeping.
-	Backoff time.Duration
-
-	// BackoffMax caps the exponential schedule; 0 means 8×Backoff.
-	BackoffMax time.Duration
-
-	// BackoffSeed selects the deterministic jitter stream (see Backoff
-	// in backoff.go); each matrix cell decorrelates further by keying
-	// the stream with its benchmark name and mode.
-	BackoffSeed uint64
+	// Backoff paces the retries (see Backoff): capped exponential
+	// pauses with deterministic jitter, each matrix cell keying the
+	// jitter stream with its benchmark name and mode. The sleep is
+	// context-aware: cancelling the matrix interrupts a backoff pause
+	// immediately. The zero value retries back-to-back.
+	Backoff Backoff
 
 	// TolerateFaults keeps the matrix going when a job exhausts its
 	// retries on a guest trap: instead of failing the whole matrix, the
@@ -145,29 +132,31 @@ func KernelBench(k polybench.Kernel, n int) Bench {
 }
 
 // SpectreBench wraps a Spectre proof-of-concept application as a
-// benchmark, with the fixed secret the Figure 4 runs use.
-func SpectreBench(v attack.Variant) Bench {
+// benchmark. Its runs carry the attack's scoreboard (KernelRun.Leakage).
+func SpectreBench(v attack.Variant, p attack.Params) Bench {
 	return Bench{
 		Name: v.String(),
 		Run: func(_ context.Context, cfg dbt.Config, _ *Artifacts) (*KernelRun, error) {
-			res, err := attack.Run(v, cfg, attack.Params{Secret: []byte{0x5A, 0xC3}})
+			res, err := attack.Run(v, cfg, p)
 			if err != nil {
 				return nil, err
 			}
-			return &KernelRun{Name: v.String(), Mode: cfg.Mitigation, Cycles: res.Cycles, Stats: res.Stats}, nil
+			return &KernelRun{Name: v.String(), Mode: cfg.Mitigation, Cycles: res.Cycles,
+				Stats: res.Stats, Leakage: res.Leakage}, nil
 		},
 	}
 }
 
 // Fig4Benches builds the full Figure 4 benchmark list: every Polybench
-// kernel plus the two Spectre applications, in the paper's order.
+// kernel plus the two Spectre applications (with a fixed two-byte
+// secret), in the paper's order.
 func Fig4Benches(sizeOverride int) []Bench {
 	var benches []Bench
 	for _, k := range polybench.All() {
 		benches = append(benches, KernelBench(k, sizeOverride))
 	}
 	for _, v := range []attack.Variant{attack.V1, attack.V4} {
-		benches = append(benches, SpectreBench(v))
+		benches = append(benches, SpectreBench(v, attack.Params{Secret: []byte{0x5A, 0xC3}}))
 	}
 	return benches
 }
@@ -205,6 +194,22 @@ func (r *Runner) RunMatrix(ctx context.Context, base dbt.Config, benches []Bench
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	// Every machine's interrupt hook is its job's context, so a
+	// caller's own base.Interrupt cancels the matrix instead.
+	if intr := base.Interrupt; intr != nil {
+		select {
+		case <-intr:
+			cancel()
+		default:
+			go func() {
+				select {
+				case <-intr:
+					cancel()
+				case <-ctx.Done():
+				}
+			}()
+		}
+	}
 
 	workers := r.Workers
 	if workers <= 0 {
@@ -244,9 +249,6 @@ func (r *Runner) RunMatrix(ctx context.Context, base dbt.Config, benches []Bench
 				if r.OnCell != nil {
 					r.OnCell(CellUpdate{Bench: benches[j.bi].Name, Mode: modes[j.mi],
 						Index: idx, Total: nb * nm, Done: true, Run: runs[idx], Err: errs[idx]})
-				}
-				if errs[idx] != nil && r.FailFast {
-					cancel()
 				}
 			}
 		}()
@@ -288,6 +290,12 @@ func (r *Runner) RunMatrix(ctx context.Context, base dbt.Config, benches []Bench
 				row.Cycles[mode] = run.Cycles
 				row.Stats[mode] = run.Stats
 				row.HostNS[mode] = run.HostNS
+				if run.Leakage != nil {
+					if row.Leakage == nil {
+						row.Leakage = map[core.Mode]*attack.Leakage{}
+					}
+					row.Leakage[mode] = run.Leakage
+				}
 			}
 		}
 		row.normalize()
@@ -304,16 +312,6 @@ func (r *Runner) RunMatrix(ctx context.Context, base dbt.Config, benches []Bench
 		}
 	}
 	if len(errList) > 0 {
-		if r.FailFast {
-			// The root cause is the first error that is not a
-			// cancellation ripple from the fail-fast cancel itself.
-			for _, err := range errList {
-				if !errors.Is(err, context.Canceled) {
-					return rows, err
-				}
-			}
-			return rows, errList[0]
-		}
 		return rows, errors.Join(errList...)
 	}
 	return rows, nil
@@ -328,7 +326,6 @@ func (r *Runner) RunMatrix(ctx context.Context, base dbt.Config, benches []Bench
 // cell that has used it all ends with a cycle-budget-exceeded trap.
 // The second result is the cycles the cell consumed (Row.Spent).
 func (r *Runner) runOne(ctx context.Context, base dbt.Config, b Bench, mode core.Mode) (*KernelRun, uint64, error) {
-	bo := Backoff{Base: r.Backoff, Max: r.BackoffMax, Seed: r.BackoffSeed}
 	key := b.Name + "|" + mode.String()
 	cell := r.Span.Child("cell", hspan.Str("bench", b.Name), hspan.Str("mode", mode.String()))
 	var spent uint64
@@ -348,7 +345,7 @@ func (r *Runner) runOne(ctx context.Context, base dbt.Config, b Bench, mode core
 		}
 		if attempt > 0 {
 			bs := cell.Child("backoff", hspan.Int("attempt", int64(attempt)))
-			err := bo.Sleep(ctx, attempt, key)
+			err := r.Backoff.Sleep(ctx, attempt, key)
 			bs.End()
 			if err != nil {
 				break // cancellation interrupts the backoff pause itself

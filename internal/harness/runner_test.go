@@ -116,31 +116,6 @@ func TestRunnerCollectAllErrors(t *testing.T) {
 	}
 }
 
-func TestRunnerFailFast(t *testing.T) {
-	boom := errors.New("boom")
-	bad := Bench{Name: "bad", Run: func(context.Context, dbt.Config, *Artifacts) (*KernelRun, error) {
-		return nil, boom
-	}}
-	slow := Bench{Name: "slow", Run: func(ctx context.Context, cfg dbt.Config, _ *Artifacts) (*KernelRun, error) {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(5 * time.Second):
-			return &KernelRun{Name: "slow", Mode: cfg.Mitigation, Cycles: 1}, nil
-		}
-	}}
-	r := &Runner{Workers: 2, FailFast: true}
-	start := time.Now()
-	_, err := r.RunMatrix(context.Background(), dbt.DefaultConfig(),
-		[]Bench{bad, slow}, []core.Mode{core.ModeUnsafe})
-	if !errors.Is(err, boom) {
-		t.Fatalf("fail-fast error = %v, want the root cause %v", err, boom)
-	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("fail-fast did not cancel the slow job (took %v)", elapsed)
-	}
-}
-
 // The wall-clock guard reaches into the machine's dispatch loop via
 // Config.Interrupt: a run that blows its timeout aborts mid-simulation.
 func TestRunnerTimeout(t *testing.T) {
@@ -152,6 +127,35 @@ func TestRunnerTimeout(t *testing.T) {
 	_, err = r.RunKernel(context.Background(), gemm, 8, dbt.DefaultConfig(), []core.Mode{core.ModeUnsafe})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+}
+
+// A caller's own Config.Interrupt cancels the matrix: the Runner's
+// per-job interrupt hook must not shadow it.
+func TestRunnerHonoursConfigInterrupt(t *testing.T) {
+	intr := make(chan struct{})
+	close(intr)
+	cfg := dbt.DefaultConfig()
+	cfg.Interrupt = intr
+	k, _ := polybench.ByName("gemm")
+	if _, err := RunKernel(k, 8, cfg, Fig4Modes); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunKernel with a closed Interrupt: err = %v, want context.Canceled", err)
+	}
+	if _, _, err := (&Runner{}).PoCMatrix(context.Background(), cfg); !errors.Is(err, context.Canceled) {
+		t.Errorf("PoCMatrix with a closed Interrupt: err = %v, want context.Canceled", err)
+	}
+
+	// An Interrupt that fires mid-sweep reaches the running job too.
+	live := make(chan struct{})
+	cfg.Interrupt = live
+	wait := Bench{Name: "wait", Run: func(ctx context.Context, _ dbt.Config, _ *Artifacts) (*KernelRun, error) {
+		close(live)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}}
+	_, err := (&Runner{Workers: 1}).RunMatrix(context.Background(), cfg, []Bench{wait}, []core.Mode{core.ModeUnsafe})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("Interrupt fired mid-sweep: err = %v, want context.Canceled", err)
 	}
 }
 

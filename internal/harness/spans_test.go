@@ -21,7 +21,7 @@ func TestSpansDoNotPerturbResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	benches := []Bench{KernelBench(atax, 6), SpectreBench(attack.V1)}
+	benches := []Bench{KernelBench(atax, 6), SpectreBench(attack.V1, attack.Params{Secret: []byte{0x5A, 0xC3}})}
 	modes := Fig4Modes
 
 	run := func(span hspan.Span) string {

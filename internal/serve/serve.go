@@ -98,14 +98,12 @@ type Config struct {
 	// jobs before cancelling them. <= 0 means 10s.
 	DrainTimeout time.Duration
 
-	// Retries / Backoff / BackoffMax / BackoffSeed configure the
-	// transient-fault retry policy applied to jobs that run with fault
-	// injection (see harness.Backoff). Retries <= 0 disables retrying
-	// unless the request asks for its own.
-	Retries     int
-	Backoff     time.Duration
-	BackoffMax  time.Duration
-	BackoffSeed uint64
+	// Retries and Backoff configure the transient-fault retry policy
+	// applied to jobs that run with fault injection (see
+	// harness.Runner). Retries <= 0 disables retrying unless the
+	// request asks for its own.
+	Retries int
+	Backoff harness.Backoff
 
 	// TransCache, when non-nil, is shared by every job of every tenant:
 	// the cache key includes the image hash, inputs, mode and machine

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ghostbusters/internal/harness"
 )
 
 // TestSoak hammers one server with hundreds of concurrent jobs from
@@ -48,8 +50,7 @@ func TestSoak(t *testing.T) {
 		c.Workers = 8
 		c.QueueDepth = 256
 		c.JobTimeout = 60 * time.Second
-		c.Backoff = time.Millisecond
-		c.BackoffMax = 4 * time.Millisecond
+		c.Backoff = harness.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond}
 		c.Tenants = map[string]Quota{
 			"free":    {MaxInFlight: -1},
 			"metered": {MaxInFlight: -1, CycleBudget: cycleBudget},

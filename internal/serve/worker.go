@@ -190,13 +190,11 @@ func (s *Server) executeMatrix(ctx context.Context, j *Job) (*JobResult, uint64,
 		}
 	}
 	runner := &harness.Runner{
-		Workers:     s.cfg.JobParallelism,
-		Artifacts:   s.arts,
-		Retries:     s.retryBudget(j),
-		Backoff:     s.cfg.Backoff,
-		BackoffMax:  s.cfg.BackoffMax,
-		BackoffSeed: s.cfg.BackoffSeed,
-		Span:        j.root, // per-cell spans land in the job's trace
+		Workers:   s.cfg.JobParallelism,
+		Artifacts: s.arts,
+		Retries:   s.retryBudget(j),
+		Backoff:   s.cfg.Backoff,
+		Span:      j.root, // per-cell spans land in the job's trace
 		OnCell: func(u harness.CellUpdate) {
 			ev := JobEvent{Type: EventCellStarted, Bench: u.Bench, Mode: u.Mode.String(),
 				Index: u.Index, Total: u.Total}

@@ -11,7 +11,7 @@
 //	                     labeled corpus: every polybench kernel (benign
 //	                     negatives) and both Spectre PoCs (positives
 //	                     where the scoreboard proves leakage), each under
-//	                     every registered mitigation mode. Prints the
+//	                     every mitigation mode. Prints the
 //	                     precision/recall/FPR headline and the per-cell
 //	                     verdict table; -detect-json writes the scored
 //	                     matrix (schema ghostbusters/detect-eval/v1)
@@ -245,7 +245,7 @@ func main() {
 
 	case "detect":
 		// -modes only narrows the matrix when set explicitly; the
-		// default detect corpus spans every registered mitigation.
+		// default detect corpus spans every mitigation mode.
 		var evalModes []core.Mode
 		flag.Visit(func(f *flag.Flag) {
 			if f.Name == "modes" {
@@ -300,18 +300,5 @@ func parseModes(s string) ([]core.Mode, error) {
 	case "all":
 		return harness.AllModes(), nil
 	}
-	var modes []core.Mode
-	seen := map[core.Mode]bool{}
-	for _, name := range strings.Split(s, ",") {
-		m, err := core.ParseMode(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		if seen[m] {
-			return nil, fmt.Errorf("-modes lists %s twice", m)
-		}
-		seen[m] = true
-		modes = append(modes, m)
-	}
-	return modes, nil
+	return core.ParseModes(strings.Split(s, ","))
 }

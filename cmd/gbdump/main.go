@@ -7,7 +7,7 @@
 // ghostbusters mode — the inserted guard edges rendered as dashed red
 // control dependencies.
 //
-//	gbdump [-mode unsafe|ghostbusters|fence|nospec] [-dot addr]
+//	gbdump [-mode <mitigation>] [-dot addr]
 //	       [-encode] program.s
 package main
 
@@ -23,7 +23,7 @@ import (
 )
 
 func main() {
-	mode := flag.String("mode", "unsafe", "mitigation mode")
+	mode := flag.String("mode", ghostbusters.ModeUnsafe.String(), "mitigation mode")
 	dotAt := flag.String("dot", "", "emit the IR DFG at this guest address (hex) as Graphviz")
 	encode := flag.Bool("encode", false, "also report binary-encoded block sizes")
 	flag.Parse()

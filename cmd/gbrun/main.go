@@ -1,7 +1,7 @@
 // Command gbrun assembles and runs an rv64im guest program on the
 // simulated DBT-based processor:
 //
-//	gbrun [-mode unsafe|ghostbusters|fence|nospec] [-width 2|4|8]
+//	gbrun [-mode <mitigation>] [-width 2|4|8]
 //	      [-interp] [-stats] [-json] [-trace] [-traceout file]
 //	      [-trace-format text|jsonl|perfetto] [-profile]
 //	      [-audit] [-audit-json file]
@@ -43,7 +43,7 @@
 // with the inferred phase timeline. -detect-json writes the verdict as
 // a stable JSON document (schema ghostbusters/detect/v1); either flag
 // enables detection. Detection composes with -traceout — the detector
-// rides the same stream as the trace file behind a tee, and the
+// rides the same stream as the trace file, and the
 // inferred phase/rounds/alarm tracks are appended to the trace so a
 // Perfetto timeline shows the detection overlaid on the raw counters.
 //
@@ -80,7 +80,7 @@ import (
 
 func main() {
 	t := cli.New("gbrun")
-	mode := flag.String("mode", "unsafe", "mitigation: unsafe | ghostbusters | fence | nospec")
+	mode := flag.String("mode", ghostbusters.ModeUnsafe.String(), "mitigation mode")
 	interp := flag.Bool("interp", false, "interpreter only (no translation)")
 	stats := flag.Bool("stats", false, "print machine statistics")
 	jsonOut := flag.Bool("json", false, "with -stats, print the metrics snapshot as JSON instead of text")

@@ -8,7 +8,7 @@
 //	          [-detect] [-detect-json file] [-spans file]
 //	          [-matrix-json file]
 //
-// With no flags it runs both variants under every registered mitigation
+// With no flags it runs both variants under every mitigation mode
 // (the Section V-A matrix extended with the ported mitigation zoo);
 // -matrix-json additionally writes the machine-readable leakage matrix
 // (schema ghostbusters/leakmatrix/v1) with per-cell ground-truth bits
@@ -70,7 +70,7 @@ import (
 func main() {
 	t := cli.New("gbspectre")
 	variant := flag.String("variant", "", "v1 | v4 (empty = full matrix)")
-	mode := flag.String("mode", "unsafe", "mitigation mode")
+	mode := flag.String("mode", ghostbusters.ModeUnsafe.String(), "mitigation mode")
 	secretHex := flag.String("secret", "", "secret bytes in hex (empty = random)")
 	protect := flag.Bool("protect", false, "read-protect the secret region")
 	lineflush := flag.Bool("lineflush", false, "line-by-line cache flush (paper's RISC-V variant)")

@@ -265,9 +265,8 @@ type Row = harness.Row
 // Fig4Modes are the modes the evaluation compares.
 var Fig4Modes = harness.Fig4Modes
 
-// AllModes returns every mitigation mode registered in the pass
-// pipeline, in mode-value order (the four paper modes plus the ported
-// mitigation zoo).
+// AllModes returns every mitigation mode in mode-value order (the
+// four paper modes plus the ported mitigation zoo).
 func AllModes() []Mode { return harness.AllModes() }
 
 // Runner is the parallel experiment engine: it fans a (benchmark x
@@ -319,7 +318,7 @@ type LeakMatrix = attack.LeakMatrix
 const LeakMatrixSchema = attack.LeakMatrixSchema
 
 // RunLeakageMatrix runs the Section V-A proof-of-concept matrix — both
-// attack variants under every registered mitigation — and returns both
+// attack variants under every mitigation mode — and returns both
 // the rendered table and the machine-readable leakage matrix. Use a
 // Runner's PoCMatrix to control parallelism and cancellation.
 func RunLeakageMatrix(cfg Config) (string, *LeakMatrix, error) {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ghostbusters/internal/core"
-	"ghostbusters/internal/core/pipeline"
 	"ghostbusters/internal/dbt"
 	"ghostbusters/internal/vliw"
 )
@@ -180,7 +179,7 @@ func TestDistinctSecrets(t *testing.T) {
 // TestRunMatrix runs both variants under every registered mode: only
 // the unsafe baseline leaks, and it leaks the whole secret.
 func TestRunMatrix(t *testing.T) {
-	modes := pipeline.Modes()
+	modes := core.Modes()
 	if len(modes) == 0 {
 		t.Fatal("no registered modes")
 	}

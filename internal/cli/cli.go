@@ -233,8 +233,8 @@ func (t *Tool) Start(cfg *dbt.Config, root string, attrs ...hspan.Attr) context.
 
 // startTracer builds the cycle tracer: -trace alone logs at block
 // granularity to stderr; -traceout records everything including
-// per-speculative-load events; a detector rides the same stream as a
-// tee observer (it needs spec-level events, so it raises the level even
+// per-speculative-load events; a detector rides the same stream next
+// to them (it needs spec-level events, so it raises the level even
 // without a trace file). nil when nothing asks for events.
 func (t *Tool) startTracer() *obs.Tracer {
 	var sink obs.Sink
@@ -260,7 +260,7 @@ func (t *Tool) startTracer() *obs.Tracer {
 		if sink == nil {
 			sink = t.det
 		} else {
-			sink = obs.NewTee(sink, t.det)
+			sink = obs.NewMultiSink(sink, t.det)
 		}
 	}
 	if sink == nil {

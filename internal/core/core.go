@@ -19,11 +19,12 @@
 // dependency between the risky access and the instructions that cause
 // the speculation (the guards), pinning only that access — everything
 // else in the block keeps speculating, which is why the countermeasure
-// is nearly free. This package owns the analysis (AnalyzePins) and the
-// pinning primitive (PinRisky); the mitigation modes built on them —
-// the paper's approach and the two baselines it compares against, a
-// fence at the guard and no speculation at all — are passes in
-// internal/core/pipeline.
+// is nearly free. This package owns the mode table (each mode's name
+// and whether Figure 4 compares it), the analysis (AnalyzePins) and the
+// pinning primitive (PinRisky). Each mode's mitigation — the paper's
+// approach, the three baselines it compares against and the three
+// ported from the related work — is one function in
+// internal/core/pipeline over the block's one analysis result.
 //
 // Because a DBT engine only speculates inside one IR block, the whole
 // analysis is block-local (contrast with whole-binary tools like oo7).
@@ -31,7 +32,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"ghostbusters/internal/ir"
 )
@@ -56,9 +59,9 @@ const (
 	// (the paper's naive countermeasure, "No speculation" in Fig. 4).
 	ModeNoSpeculation
 
-	// The modes below are alternative mitigations ported into the pass
-	// pipeline (internal/core/pipeline) from the related work; they are
-	// not part of the paper's Figure 4 comparison.
+	// The modes below are alternative mitigations ported from the
+	// related work (internal/core/pipeline); they are not part of the
+	// paper's Figure 4 comparison.
 
 	// ModeLoadFence pins every load (no load ever executes
 	// speculatively) — the blanket LOADLFENCE strawman: analysis-free,
@@ -76,31 +79,84 @@ const (
 	ModeFenceMin
 )
 
-var modeNames = map[Mode]string{
-	ModeUnsafe:        "unsafe",
-	ModeGhostBusters:  "ghostbusters",
-	ModeFence:         "fence",
-	ModeNoSpeculation: "nospec",
-	ModeLoadFence:     "loadfence",
-	ModeSFIClamp:      "sfi-clamp",
-	ModeFenceMin:      "fence-min",
+// modes is the mode table: each mode's name (as CLIs, config
+// fingerprints and reports spell it) and whether the paper's Figure 4
+// compares it. The byte-identity and -checkperf gates cover exactly the
+// Figure 4 modes. Each mode's mitigation function sits in the array of
+// the same index in internal/core/pipeline.
+var modes = [...]struct {
+	name string
+	fig4 bool
+}{
+	ModeUnsafe:        {"unsafe", true},
+	ModeGhostBusters:  {"ghostbusters", true},
+	ModeFence:         {"fence", true},
+	ModeNoSpeculation: {"nospec", true},
+	ModeLoadFence:     {"loadfence", false},
+	ModeSFIClamp:      {"sfi-clamp", false},
+	ModeFenceMin:      {"fence-min", false},
 }
 
+// Valid reports whether m is in the mode table.
+func (m Mode) Valid() bool { return int(m) < len(modes) }
+
 func (m Mode) String() string {
-	if s, ok := modeNames[m]; ok {
-		return s
+	if m.Valid() {
+		return modes[m].name
 	}
 	return fmt.Sprintf("mode(%d)", uint8(m))
 }
 
-// ParseMode resolves a mode name used by CLIs and config files.
-func ParseMode(s string) (Mode, error) {
-	for m, n := range modeNames {
-		if n == s {
-			return m, nil
+// Modes returns every mode in mode-value order. Harness matrices,
+// torture tests and the leakage matrix derive their mode lists from
+// this, so a mode added to the table appears everywhere.
+func Modes() []Mode {
+	out := make([]Mode, len(modes))
+	for i := range modes {
+		out[i] = Mode(i)
+	}
+	return out
+}
+
+// Fig4Modes returns the modes the paper's Figure 4 compares, in
+// mode-value order.
+func Fig4Modes() []Mode {
+	var out []Mode
+	for i, e := range modes {
+		if e.fig4 {
+			out = append(out, Mode(i))
 		}
 	}
-	return 0, fmt.Errorf("core: unknown mitigation mode %q (want unsafe|ghostbusters|fence|nospec|loadfence|sfi-clamp|fence-min)", s)
+	return out
+}
+
+// ParseMode resolves a mode name used by CLIs and config files.
+func ParseMode(s string) (Mode, error) {
+	names := make([]string, len(modes))
+	for i, e := range modes {
+		if e.name == s {
+			return Mode(i), nil
+		}
+		names[i] = e.name
+	}
+	return 0, fmt.Errorf("core: unknown mitigation mode %q (want %s)", s, strings.Join(names, "|"))
+}
+
+// ParseModes resolves a list of mode names (surrounding space trimmed),
+// keeping their order and rejecting a mode listed twice.
+func ParseModes(names []string) ([]Mode, error) {
+	out := make([]Mode, 0, len(names))
+	for _, name := range names {
+		m, err := ParseMode(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		if slices.Contains(out, m) {
+			return nil, fmt.Errorf("core: mitigation mode %s listed twice", m)
+		}
+		out = append(out, m)
+	}
+	return out, nil
 }
 
 // Report describes what the analysis found and changed in one block.

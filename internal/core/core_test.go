@@ -10,17 +10,16 @@ import (
 	"ghostbusters/internal/riscv"
 )
 
-// mitigate runs mode's registered pipeline — the one dispatch from a
-// mode to its mitigation — over b and returns the aggregate report.
+// mitigate applies mode's mitigation — the one dispatch from a mode to
+// its mitigation — to b and returns the report.
 func mitigate(b *ir.Block, mode core.Mode) core.Report {
-	rep, _ := pipeline.MustFor(mode).Apply(b)
-	return rep
+	return pipeline.Apply(mode, b, nil)
 }
 
-// mitigateAudited is mitigate with the pipeline-spanning audit report.
+// mitigateAudited is mitigate with an audit report.
 func mitigateAudited(b *ir.Block, mode core.Mode) (core.Report, *ir.AuditReport) {
-	rep, aud, _ := pipeline.MustFor(mode).ApplyAudited(b)
-	return rep, aud
+	aud := &ir.AuditReport{}
+	return pipeline.Apply(mode, b, aud), aud
 }
 
 // analyzeAudited runs the audited analysis without touching the block.
@@ -268,6 +267,21 @@ func TestModeParseAndString(t *testing.T) {
 	}
 	if _, err := core.ParseMode("bogus"); err == nil {
 		t.Error("ParseMode(bogus) should fail")
+	}
+}
+
+func TestParseModes(t *testing.T) {
+	got, err := core.ParseModes([]string{" fence-min", "unsafe ", "ghostbusters"})
+	want := []core.Mode{core.ModeFenceMin, core.ModeUnsafe, core.ModeGhostBusters}
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("ParseModes = %v, %v; want %v", got, err, want)
+	}
+	if _, err := core.ParseModes([]string{"unsafe", "fence", "unsafe"}); err == nil ||
+		err.Error() != "core: mitigation mode unsafe listed twice" {
+		t.Errorf("duplicate mode: err = %v", err)
+	}
+	if _, err := core.ParseModes([]string{"unsafe", "bogus"}); err == nil {
+		t.Error("unknown mode accepted")
 	}
 }
 

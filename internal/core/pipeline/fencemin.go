@@ -26,29 +26,20 @@ import (
 // edges); covered pure sources only need their relaxable in-edges
 // pinned. A sink left uncovered is safe because every source feeding
 // it is covered; a source left uncovered only feeds covered sinks.
-func fenceMin(b *ir.Block, aud *ir.AuditReport) PassReport {
-	rep, _ := core.AnalyzePins(b, aud)
-	pr := PassReport{Report: rep}
-
+func fenceMin(b *ir.Block, rep *core.Report, _ map[int][]int, _ *ir.AuditReport) {
 	sinkSrcs, sinkGuards := poisonFlow(b)
 	if len(sinkSrcs) == 0 {
-		return pr
+		return
 	}
 
 	cover := minVertexCover(sinkSrcs)
 	for _, node := range cover {
 		if guards, isSink := sinkGuards[node]; isSink {
-			pr.Report.GuardEdges += core.PinRisky(b, node, guards)
+			rep.GuardEdges += core.PinRisky(b, node, guards)
 		} else {
-			for _, e := range b.InEdges(node) {
-				if b.Edges[e].Relaxable {
-					b.Edges[e].Relaxable = false
-					pr.PinnedEdges++
-				}
-			}
+			b.PinInto(node)
 		}
 	}
-	return pr
 }
 
 // poisonFlow runs the poison propagation tracking, for every sink, the

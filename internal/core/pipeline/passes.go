@@ -6,95 +6,32 @@ import (
 	"ghostbusters/internal/riscv"
 )
 
-// The built-in pipelines: the paper's four Figure 4 modes, then the
-// mitigations ported from the related work. Every mode is one native
-// pass over core.AnalyzePins.
-func init() {
-	Register(&Pipeline{
-		Mode: core.ModeUnsafe, Name: "unsafe",
-		Mechanism: "detection only; full speculation",
-		Lineage:   "Rokicki DATE'20 baseline",
-		Fig4:      true,
-		Passes:    []Pass{{Name: "detect", Apply: detectOnly}},
-	})
-	Register(&Pipeline{
-		Mode: core.ModeGhostBusters, Name: "ghostbusters",
-		Mechanism: "pin each risky access behind fine-grained guard edges",
-		Lineage:   "Rokicki DATE'20 (the paper's contribution)",
-		Fig4:      true,
-		Passes:    []Pass{{Name: "ghostbusters", Apply: ghostBusters}},
-	})
-	Register(&Pipeline{
-		Mode: core.ModeFence, Name: "fence",
-		Mechanism: "forbid all speculation across each implicated guard",
-		Lineage:   "Rokicki DATE'20 fence baseline (lfence-on-detect)",
-		Fig4:      true,
-		Passes:    []Pass{{Name: "fence", Apply: fence}},
-	})
-	Register(&Pipeline{
-		Mode: core.ModeNoSpeculation, Name: "nospec",
-		Mechanism: "disable both speculation mechanisms globally",
-		Lineage:   "Rokicki DATE'20 no-speculation baseline",
-		Fig4:      true,
-		Passes:    []Pass{{Name: "nospec", Apply: noSpec}},
-	})
-	Register(&Pipeline{
-		Mode: core.ModeLoadFence, Name: "loadfence",
-		Mechanism: "pin every load; no load ever executes speculatively",
-		Lineage:   "blanket LOADLFENCE strawman (Bălucea & Irofti catalog)",
-		Passes:    []Pass{{Name: "loadfence", Apply: loadFence}},
-	})
-	Register(&Pipeline{
-		Mode: core.ModeSFIClamp, Name: "sfi-clamp",
-		Mechanism: "mask risky addresses with an inserted predicate chain",
-		Lineage:   "Venkman/Swivel SFI, SLH-style masking",
-		Passes:    []Pass{{Name: "sfi-clamp", Apply: sfiClamp}},
-	})
-	Register(&Pipeline{
-		Mode: core.ModeFenceMin, Name: "fence-min",
-		Mechanism: "min-cut pin placement over the poison data-flow graph",
-		Lineage:   "Blade (Vassena et al. POPL'21)",
-		Passes:    []Pass{{Name: "fence-min", Apply: fenceMin}},
-	})
-}
-
 // detectOnly is the unsafe baseline: the analysis runs for the report
 // (and the audit's explanation of what would leak), and the block keeps
 // full speculation.
-func detectOnly(b *ir.Block, aud *ir.AuditReport) PassReport {
-	rep, _ := core.AnalyzePins(b, aud)
-	return PassReport{Report: rep}
-}
+func detectOnly(*ir.Block, *core.Report, map[int][]int, *ir.AuditReport) {}
 
 // ghostBusters is the paper's mitigation (Fig. 3C): each risky load is
 // made non-speculative and receives a guard edge from every instruction
 // that caused its poisoning; every other load keeps speculating.
-func ghostBusters(b *ir.Block, aud *ir.AuditReport) PassReport {
-	rep, pins := core.AnalyzePins(b, aud)
-	pr := PassReport{Report: rep}
+func ghostBusters(b *ir.Block, rep *core.Report, pins map[int][]int, _ *ir.AuditReport) {
 	for _, load := range rep.RiskyLoads {
-		pr.PinnedEdges += b.PinInto(load)
-		pr.Report.GuardEdges += core.PinRisky(b, load, pins[load])
+		rep.GuardEdges += core.PinRisky(b, load, pins[load])
 	}
-	return pr
 }
 
 // fence is the coarse baseline: no speculation may cross a guard the
 // analysis implicated in a Spectre pattern.
-func fence(b *ir.Block, aud *ir.AuditReport) PassReport {
-	rep, _ := core.AnalyzePins(b, aud)
-	pr := PassReport{Report: rep}
+func fence(b *ir.Block, rep *core.Report, _ map[int][]int, _ *ir.AuditReport) {
 	for _, g := range rep.Guards {
-		pr.PinnedEdges += b.PinFrom(g)
+		b.PinFrom(g)
 	}
-	return pr
 }
 
 // noSpec is the naive baseline: both speculation mechanisms off. It
 // needs no analysis; the report is kept for symmetry with the others.
-func noSpec(b *ir.Block, aud *ir.AuditReport) PassReport {
-	rep, _ := core.AnalyzePins(b, aud)
-	return PassReport{Report: rep, PinnedEdges: b.PinAll()}
+func noSpec(b *ir.Block, _ *core.Report, _ map[int][]int, _ *ir.AuditReport) {
+	b.PinAll()
 }
 
 // loadFence pins every load with a relaxable incoming edge: no load
@@ -102,21 +39,17 @@ func noSpec(b *ir.Block, aud *ir.AuditReport) PassReport {
 // Spectre pattern cannot arise. ALU work keeps speculating, which
 // keeps it cheaper than nospec. The detection analysis still runs for
 // the report (and the audit explanation of what would have leaked).
-func loadFence(b *ir.Block, aud *ir.AuditReport) PassReport {
-	rep, _ := core.AnalyzePins(b, aud)
-	pr := PassReport{Report: rep}
+func loadFence(b *ir.Block, _ *core.Report, _ map[int][]int, _ *ir.AuditReport) {
 	for k := range b.Edges {
 		e := &b.Edges[k]
 		if e.Relaxable && b.Insts[e.To].IsLoad() {
 			e.Relaxable = false
-			pr.PinnedEdges++
 		}
 	}
-	return pr
 }
 
 // sfiClamp rewrites each risky access to use a clamped address instead
-// of pinning it: for every guard branch the pass materialises the
+// of pinning it: for every guard branch it materialises the
 // fall-through predicate from the branch's own operands, ANDs the
 // predicates together, expands the result to an all-ones/all-zero mask
 // (mask = 0 - p) and masks the access's address base with it. On the
@@ -130,10 +63,7 @@ func loadFence(b *ir.Block, aud *ir.AuditReport) PassReport {
 // hidden registers, are never committed, and mark an already-clamped
 // access for idempotence. Accesses guarded by a store (the v4 pattern —
 // no predicate to materialise) fall back to ghostbusters pinning.
-func sfiClamp(b *ir.Block, aud *ir.AuditReport) PassReport {
-	rep, pins := core.AnalyzePins(b, aud)
-	pr := PassReport{Report: rep}
-
+func sfiClamp(b *ir.Block, rep *core.Report, pins map[int][]int, aud *ir.AuditReport) {
 	var masked []int // risky loads to clamp, program order
 	for _, load := range rep.RiskyLoads {
 		switch {
@@ -142,7 +72,7 @@ func sfiClamp(b *ir.Block, aud *ir.AuditReport) PassReport {
 		case branchGuardsOnly(b, pins[load]):
 			masked = append(masked, load)
 		default:
-			pr.Report.GuardEdges += core.PinRisky(b, load, pins[load])
+			rep.GuardEdges += core.PinRisky(b, load, pins[load])
 		}
 	}
 
@@ -157,11 +87,10 @@ func sfiClamp(b *ir.Block, aud *ir.AuditReport) PassReport {
 		// The access now reads the clamped address (the chain's final
 		// AND, immediately before the shifted load).
 		b.Insts[load+len(chain)].A = ir.FromInst(load + len(chain) - 1)
-		pr.InsertedInsts += len(chain)
 		ins = append(ins, insertion{at: load, n: len(chain)})
 	}
 	if len(ins) == 0 {
-		return pr
+		return
 	}
 
 	// InsertInsts renumbered the block; renumber the report and audit
@@ -182,9 +111,9 @@ func sfiClamp(b *ir.Block, aud *ir.AuditReport) PassReport {
 			xs[i] = remap(xs[i])
 		}
 	}
-	remapAll(pr.Report.Poisoned)
-	remapAll(pr.Report.RiskyLoads)
-	remapAll(pr.Report.Guards)
+	remapAll(rep.Poisoned)
+	remapAll(rep.RiskyLoads)
+	remapAll(rep.Guards)
 	if aud != nil {
 		wasMasked := make(map[int]bool, len(masked))
 		for _, l := range masked {
@@ -193,7 +122,6 @@ func sfiClamp(b *ir.Block, aud *ir.AuditReport) PassReport {
 		remapChains(aud.Poisoned, remap, nil)
 		remapChains(aud.Pinned, remap, wasMasked)
 	}
-	return pr
 }
 
 // remapChains renumbers provenance chains after instruction insertion.
@@ -228,7 +156,7 @@ func isClamped(b *ir.Block, load int) bool {
 }
 
 // branchGuardsOnly reports whether every guard is a conditional branch
-// the pass knows how to turn into a predicate.
+// sfiClamp knows how to turn into a predicate.
 func branchGuardsOnly(b *ir.Block, guards []int) bool {
 	if len(guards) == 0 {
 		return false

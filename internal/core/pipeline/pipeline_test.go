@@ -48,61 +48,64 @@ var blockMakers = map[string]func(*testing.T) *ir.Block{
 	"v4": v4Block,
 }
 
+// TestRegistryCoversAllModes checks the mode table: seven modes in
+// ascending order, each with a name that round-trips through
+// core.ParseMode and a mitigation function.
 func TestRegistryCoversAllModes(t *testing.T) {
-	modes := Modes()
-	if len(modes) < 7 {
-		t.Fatalf("registry has %d modes, want the four paper modes plus >= 3 ported mitigations", len(modes))
+	modes := core.Modes()
+	if len(modes) != 7 {
+		t.Fatalf("mode table has %d modes, want the four paper modes plus the three ported mitigations", len(modes))
 	}
-	for i := 1; i < len(modes); i++ {
-		if modes[i-1] >= modes[i] {
+	if len(mitigations) != len(modes) {
+		t.Fatalf("%d mitigation functions for %d modes", len(mitigations), len(modes))
+	}
+	for i, m := range modes {
+		if i > 0 && modes[i-1] >= m {
 			t.Fatalf("Modes() not in ascending mode-value order: %v", modes)
 		}
-	}
-	for _, m := range modes {
-		pl := MustFor(m)
-		if pl.Mode != m {
-			t.Errorf("MustFor(%v).Mode = %v", m, pl.Mode)
+		if !m.Valid() {
+			t.Errorf("%v: not Valid", m)
 		}
-		if pl.Name != m.String() {
-			t.Errorf("pipeline name %q != mode name %q", pl.Name, m.String())
+		if mitigations[m] == nil {
+			t.Errorf("%v: no mitigation function", m)
 		}
-		byN, err := ByName(pl.Name)
-		if err != nil || byN != pl {
-			t.Errorf("ByName(%q) = %v, %v", pl.Name, byN, err)
-		}
-		if pl.Mechanism == "" || pl.Lineage == "" {
-			t.Errorf("%s: missing Mechanism/Lineage metadata", pl.Name)
-		}
-		// ParseMode and the registry agree: every registered name resolves.
-		if parsed, err := core.ParseMode(pl.Name); err != nil || parsed != m {
-			t.Errorf("core.ParseMode(%q) = %v, %v", pl.Name, parsed, err)
+		if parsed, err := core.ParseMode(m.String()); err != nil || parsed != m {
+			t.Errorf("core.ParseMode(%q) = %v, %v", m.String(), parsed, err)
 		}
 	}
-	if _, err := For(core.Mode(99)); err == nil {
-		t.Error("For(unregistered mode) should fail")
+	if m := core.Mode(len(modes)); m.Valid() || m.String() != "mode(7)" {
+		t.Errorf("mode past the table: Valid %v, String %q", m.Valid(), m.String())
 	}
-	if _, err := ByName("bogus"); err == nil {
-		t.Error("ByName(bogus) should fail")
+	want := []core.Mode{core.ModeUnsafe, core.ModeGhostBusters, core.ModeFence, core.ModeNoSpeculation}
+	if got := core.Fig4Modes(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Fig4Modes() = %v, want %v", got, want)
+	}
+	_, err := core.ParseMode("bogus")
+	const wantErr = `core: unknown mitigation mode "bogus" (want unsafe|ghostbusters|fence|nospec|loadfence|sfi-clamp|fence-min)`
+	if err == nil || err.Error() != wantErr {
+		t.Errorf("ParseMode(bogus) error = %v, want %s", err, wantErr)
 	}
 }
 
 func TestFig4ModesAreTheSeedFour(t *testing.T) {
 	want := []core.Mode{core.ModeUnsafe, core.ModeGhostBusters, core.ModeFence, core.ModeNoSpeculation}
-	if got := Fig4Modes(); !reflect.DeepEqual(got, want) {
+	if got := core.Fig4Modes(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Fig4Modes() = %v, want %v (the byte-identity gate covers exactly the seed modes)", got, want)
 	}
 }
 
-// The Figure 4 pipelines must transform the v1/v4 blocks exactly as
-// the monolithic core.Apply they replaced did. The report, the final
-// edge list and the pass attribution below were recorded from that
-// implementation; they pin the fig4 byte-identity guarantee at the
-// block level.
+// Every mode must transform the v1/v4 blocks exactly as recorded. The
+// Figure 4 rows were recorded from the monolithic core.Apply the
+// mitigations replaced, the other three from the multi-pass pipeline
+// registry; together they pin the byte-identity guarantee at the block
+// level. A nil insts means the instructions are unchanged.
 func TestFig4PipelinesMatchRecordedReference(t *testing.T) {
 	detected := core.Report{SpeculativeLoads: 2, PoisonedInsts: 2, Poisoned: []int{2, 3},
 		RiskyLoads: []int{4}, Guards: []int{1}}
 	pinned := detected
 	pinned.GuardEdges = 1
+	clamped := detected
+	clamped.RiskyLoads = []int{8}
 	ctrl := func(from, to int, relax bool) ir.Edge {
 		return ir.Edge{From: from, To: to, Kind: ir.EdgeCtrl, Relaxable: relax}
 	}
@@ -110,96 +113,114 @@ func TestFig4PipelinesMatchRecordedReference(t *testing.T) {
 		return ir.Edge{From: from, To: to, Kind: ir.EdgeMem, Relaxable: relax}
 	}
 	guard := ir.Edge{From: 1, To: 4, Kind: ir.EdgeGuard}
+
+	// sfi-clamp on v1 inserts the BEQ guard's mask chain before the
+	// leaking load and points the load's address at the chain's AND.
+	tmp := func(op riscv.Op, a, b ir.Operand) ir.Inst {
+		return ir.Inst{Op: op, A: a, B: b, DestArch: ir.TempDest}
+	}
+	v1 := v1Block(t).Insts
+	leak := v1[4]
+	leak.A = ir.FromInst(7)
+	clampedV1 := []ir.Inst{v1[0], v1[1], v1[2], v1[3],
+		tmp(riscv.XOR, ir.FromInst(0), ir.Operand{}),
+		tmp(riscv.SLTU, ir.Operand{}, ir.FromInst(4)),
+		tmp(riscv.SUB, ir.Operand{}, ir.FromInst(5)),
+		tmp(riscv.AND, ir.FromInst(3), ir.FromInst(6)),
+		leak}
+
 	cases := []struct {
 		mode    core.Mode
 		variant string
 		rep     core.Report
 		edges   []ir.Edge
-		pass    ir.PassAttribution
+		insts   []ir.Inst
 	}{
 		{core.ModeUnsafe, "v1", detected,
-			[]ir.Edge{ctrl(0, 1, false), ctrl(1, 2, true), ctrl(1, 3, true), ctrl(1, 4, true)},
-			ir.PassAttribution{Pass: "detect", RiskyLoads: 1}},
+			[]ir.Edge{ctrl(0, 1, false), ctrl(1, 2, true), ctrl(1, 3, true), ctrl(1, 4, true)}, nil},
 		{core.ModeUnsafe, "v4", detected,
-			[]ir.Edge{mem(1, 2, true), mem(1, 4, true)},
-			ir.PassAttribution{Pass: "detect", RiskyLoads: 1}},
+			[]ir.Edge{mem(1, 2, true), mem(1, 4, true)}, nil},
 		{core.ModeGhostBusters, "v1", pinned,
-			[]ir.Edge{ctrl(0, 1, false), ctrl(1, 2, true), ctrl(1, 3, true), ctrl(1, 4, false), guard},
-			ir.PassAttribution{Pass: "ghostbusters", RiskyLoads: 1, GuardEdges: 1, PinnedEdges: 1}},
+			[]ir.Edge{ctrl(0, 1, false), ctrl(1, 2, true), ctrl(1, 3, true), ctrl(1, 4, false), guard}, nil},
 		{core.ModeGhostBusters, "v4", pinned,
-			[]ir.Edge{mem(1, 2, true), mem(1, 4, false), guard},
-			ir.PassAttribution{Pass: "ghostbusters", RiskyLoads: 1, GuardEdges: 1, PinnedEdges: 1}},
+			[]ir.Edge{mem(1, 2, true), mem(1, 4, false), guard}, nil},
 		{core.ModeFence, "v1", detected,
-			[]ir.Edge{ctrl(0, 1, false), ctrl(1, 2, false), ctrl(1, 3, false), ctrl(1, 4, false)},
-			ir.PassAttribution{Pass: "fence", RiskyLoads: 1, PinnedEdges: 3}},
+			[]ir.Edge{ctrl(0, 1, false), ctrl(1, 2, false), ctrl(1, 3, false), ctrl(1, 4, false)}, nil},
 		{core.ModeFence, "v4", detected,
-			[]ir.Edge{mem(1, 2, false), mem(1, 4, false)},
-			ir.PassAttribution{Pass: "fence", RiskyLoads: 1, PinnedEdges: 2}},
+			[]ir.Edge{mem(1, 2, false), mem(1, 4, false)}, nil},
 		{core.ModeNoSpeculation, "v1", detected,
-			[]ir.Edge{ctrl(0, 1, false), ctrl(1, 2, false), ctrl(1, 3, false), ctrl(1, 4, false)},
-			ir.PassAttribution{Pass: "nospec", RiskyLoads: 1, PinnedEdges: 3}},
+			[]ir.Edge{ctrl(0, 1, false), ctrl(1, 2, false), ctrl(1, 3, false), ctrl(1, 4, false)}, nil},
 		{core.ModeNoSpeculation, "v4", detected,
-			[]ir.Edge{mem(1, 2, false), mem(1, 4, false)},
-			ir.PassAttribution{Pass: "nospec", RiskyLoads: 1, PinnedEdges: 2}},
+			[]ir.Edge{mem(1, 2, false), mem(1, 4, false)}, nil},
+		{core.ModeLoadFence, "v1", detected,
+			[]ir.Edge{ctrl(0, 1, false), ctrl(1, 2, false), ctrl(1, 3, true), ctrl(1, 4, false)}, nil},
+		{core.ModeLoadFence, "v4", detected,
+			[]ir.Edge{mem(1, 2, false), mem(1, 4, false)}, nil},
+		{core.ModeSFIClamp, "v1", clamped,
+			[]ir.Edge{ctrl(0, 1, false), ctrl(1, 2, true), ctrl(1, 3, true), ctrl(1, 8, true)}, clampedV1},
+		{core.ModeSFIClamp, "v4", pinned,
+			[]ir.Edge{mem(1, 2, true), mem(1, 4, false), guard}, nil},
+		{core.ModeFenceMin, "v1", pinned,
+			[]ir.Edge{ctrl(0, 1, false), ctrl(1, 2, true), ctrl(1, 3, true), ctrl(1, 4, false), guard}, nil},
+		{core.ModeFenceMin, "v4", pinned,
+			[]ir.Edge{mem(1, 2, true), mem(1, 4, false), guard}, nil},
 	}
 	covered := map[core.Mode]int{}
 	for _, tc := range cases {
 		covered[tc.mode]++
 		name := tc.mode.String() + "/" + tc.variant
 		mk := blockMakers[tc.variant]
-		orig := mk(t)
+		insts := tc.insts
+		if insts == nil {
+			insts = mk(t).Insts
+		}
 
 		b := mk(t)
-		rep, passes := MustFor(tc.mode).Apply(b)
+		rep := Apply(tc.mode, b, nil)
 		if !reflect.DeepEqual(rep, tc.rep) {
 			t.Errorf("%s: report\n got  %+v\n want %+v", name, rep, tc.rep)
 		}
 		if !reflect.DeepEqual(b.Edges, tc.edges) {
 			t.Errorf("%s: edges\n got  %v\n want %v", name, b.Edges, tc.edges)
 		}
-		if !reflect.DeepEqual(b.Insts, orig.Insts) {
-			t.Errorf("%s: instructions changed", name)
-		}
-		if len(passes) != 1 {
-			t.Errorf("%s: %d pass reports, want 1", name, len(passes))
+		if !reflect.DeepEqual(b.Insts, insts) {
+			t.Errorf("%s: instructions\n got  %+v\n want %+v", name, b.Insts, insts)
 		}
 
 		b = mk(t)
-		repA, aud, _ := MustFor(tc.mode).ApplyAudited(b)
-		if !reflect.DeepEqual(repA, tc.rep) || !reflect.DeepEqual(b.Edges, tc.edges) {
+		aud := &ir.AuditReport{}
+		repA := Apply(tc.mode, b, aud)
+		if !reflect.DeepEqual(repA, tc.rep) || !reflect.DeepEqual(b.Edges, tc.edges) || !reflect.DeepEqual(b.Insts, insts) {
 			t.Errorf("%s: audited application diverged from the plain one", name)
 		}
-		if want := []ir.PassAttribution{tc.pass}; !reflect.DeepEqual(aud.Passes, want) {
-			t.Errorf("%s: pass attribution\n got  %+v\n want %+v", name, aud.Passes, want)
-		}
 	}
-	for _, m := range Fig4Modes() {
+	for _, m := range core.Modes() {
 		if covered[m] != len(blockMakers) {
 			t.Errorf("%s: %d recorded cases, want one per block maker", m, covered[m])
 		}
 	}
 }
 
-// Every registered pipeline must be idempotent: a second application to
-// the already-mitigated block changes neither instructions nor edges.
+// Every mode must be idempotent: a second application to the
+// already-mitigated block changes neither instructions nor edges.
 func TestPipelinesIdempotent(t *testing.T) {
-	for _, pl := range All() {
+	for _, m := range core.Modes() {
 		for variant, mk := range blockMakers {
 			b := mk(t)
-			pl.Apply(b)
+			Apply(m, b, nil)
 			insts := append([]ir.Inst(nil), b.Insts...)
 			edges := append([]ir.Edge(nil), b.Edges...)
-			pl.Apply(b)
+			Apply(m, b, nil)
 			if !reflect.DeepEqual(b.Insts, insts) {
 				t.Errorf("%s/%s: second application changed instructions (%d -> %d)",
-					pl.Name, variant, len(insts), len(b.Insts))
+					m, variant, len(insts), len(b.Insts))
 			}
 			if !reflect.DeepEqual(b.Edges, edges) {
 				t.Errorf("%s/%s: second application changed edges (%d -> %d)",
-					pl.Name, variant, len(edges), len(b.Edges))
+					m, variant, len(edges), len(b.Edges))
 			}
 			if err := b.Verify(); err != nil {
-				t.Errorf("%s/%s: mitigated block fails Verify: %v", pl.Name, variant, err)
+				t.Errorf("%s/%s: mitigated block fails Verify: %v", m, variant, err)
 			}
 		}
 	}
@@ -209,26 +230,23 @@ func TestUnsafePipelineIsNoOp(t *testing.T) {
 	b := v1Block(t)
 	insts := append([]ir.Inst(nil), b.Insts...)
 	edges := append([]ir.Edge(nil), b.Edges...)
-	rep, _ := MustFor(core.ModeUnsafe).Apply(b)
+	rep := Apply(core.ModeUnsafe, b, nil)
 	if !rep.PatternFound() {
-		t.Error("unsafe pipeline should still report the detected pattern")
+		t.Error("unsafe mode should still report the detected pattern")
 	}
 	if !reflect.DeepEqual(b.Insts, insts) || !reflect.DeepEqual(b.Edges, edges) {
-		t.Fatal("unsafe pipeline mutated the block")
+		t.Fatal("unsafe mode mutated the block")
 	}
 }
 
 // loadfence pins every speculative load — the blanket strawman.
 func TestLoadFencePinsEveryLoad(t *testing.T) {
 	b := v1Block(t)
-	_, passes := MustFor(core.ModeLoadFence).Apply(b)
+	Apply(core.ModeLoadFence, b, nil)
 	for i, in := range b.Insts {
 		if in.IsLoad() && b.HasRelaxableIn(i) {
 			t.Errorf("load n%d still speculative under loadfence", i)
 		}
-	}
-	if passes[len(passes)-1].PinnedEdges == 0 {
-		t.Error("loadfence reports no pinned edges on a speculating block")
 	}
 }
 
@@ -237,7 +255,7 @@ func TestLoadFencePinsEveryLoad(t *testing.T) {
 // speculation.
 func TestSFIClampMasksInsteadOfPinning(t *testing.T) {
 	b := v1Block(t)
-	rep, passes := MustFor(core.ModeSFIClamp).Apply(b)
+	rep := Apply(core.ModeSFIClamp, b, nil)
 	if len(rep.RiskyLoads) != 1 {
 		t.Fatalf("RiskyLoads = %v", rep.RiskyLoads)
 	}
@@ -249,14 +267,15 @@ func TestSFIClampMasksInsteadOfPinning(t *testing.T) {
 	if a.Kind != ir.OpInst || b.Insts[a.Inst].DestArch != ir.TempDest {
 		t.Fatalf("risky load address not rewritten to a TempDest mask (A = %v)", a)
 	}
+	// One BEQ guard: XOR, SLTU (predicate), SUB (mask), AND (clamp).
 	var inserted int
 	for _, in := range b.Insts {
 		if in.DestArch == ir.TempDest {
 			inserted++
 		}
 	}
-	if last := passes[len(passes)-1]; last.InsertedInsts != inserted {
-		t.Errorf("pass reports %d inserted insts, block has %d TempDest insts", last.InsertedInsts, inserted)
+	if inserted != 4 {
+		t.Errorf("block has %d TempDest insts, want the 4 of one branch guard's mask chain", inserted)
 	}
 	if err := b.Verify(); err != nil {
 		t.Fatal(err)
@@ -268,7 +287,7 @@ func TestSFIClampMasksInsteadOfPinning(t *testing.T) {
 // bypass open.
 func TestSFIClampFallsBackOnStoreGuards(t *testing.T) {
 	b := v4Block(t)
-	rep, _ := MustFor(core.ModeSFIClamp).Apply(b)
+	rep := Apply(core.ModeSFIClamp, b, nil)
 	if len(rep.RiskyLoads) != 1 {
 		t.Fatalf("RiskyLoads = %v", rep.RiskyLoads)
 	}
@@ -280,12 +299,12 @@ func TestSFIClampFallsBackOnStoreGuards(t *testing.T) {
 	}
 }
 
-// fence-min pins a vertex cut of the poison flow: after the pass,
+// fence-min pins a vertex cut of the poison flow: after the mitigation,
 // re-analysis must find no remaining Spectre pattern.
 func TestFenceMinCutsThePattern(t *testing.T) {
 	for variant, mk := range blockMakers {
 		b := mk(t)
-		rep, _ := MustFor(core.ModeFenceMin).Apply(b)
+		rep := Apply(core.ModeFenceMin, b, nil)
 		if !rep.PatternFound() {
 			t.Fatalf("%s: pattern not detected", variant)
 		}
@@ -295,47 +314,34 @@ func TestFenceMinCutsThePattern(t *testing.T) {
 	}
 }
 
-// One audit report spans the pipeline: chains carry the pass that made
-// them, and aud.Passes records one attribution per pass in order.
+// The audit report of an application counts the guard edges the
+// mitigation inserted and replays against the mitigated block.
 func TestAuditAttribution(t *testing.T) {
-	for _, pl := range All() {
+	for _, m := range core.Modes() {
 		b := v1Block(t)
-		rep, aud, passes := pl.ApplyAudited(b)
-		if len(aud.Passes) != len(passes) || len(passes) != len(pl.Passes) {
-			t.Fatalf("%s: %d attributions, %d pass reports, %d passes",
-				pl.Name, len(aud.Passes), len(passes), len(pl.Passes))
-		}
-		for i, pa := range aud.Passes {
-			if pa.Pass != pl.Passes[i].Name {
-				t.Errorf("%s: attribution %d is %q, want %q", pl.Name, i, pa.Pass, pl.Passes[i].Name)
-			}
-		}
-		for _, c := range aud.Pinned {
-			if c.Pass == "" {
-				t.Errorf("%s: provenance chain without a pass stamp", pl.Name)
-			}
-		}
+		aud := &ir.AuditReport{}
+		rep := Apply(m, b, aud)
 		if aud.GuardEdges != rep.GuardEdges {
-			t.Errorf("%s: audit GuardEdges %d != report %d", pl.Name, aud.GuardEdges, rep.GuardEdges)
+			t.Errorf("%s: audit GuardEdges %d != report %d", m, aud.GuardEdges, rep.GuardEdges)
 		}
-		if err := aud.Verify(b, pl.Mode == core.ModeGhostBusters); err != nil {
-			t.Errorf("%s: audit fails verification: %v", pl.Name, err)
+		if err := aud.Verify(b, m == core.ModeGhostBusters); err != nil {
+			t.Errorf("%s: audit fails verification: %v", m, err)
 		}
 	}
 }
 
-// The pipeline mutates blocks only through deterministic iteration:
+// Mitigations mutate blocks only through deterministic iteration:
 // repeated applications to equal blocks must agree byte-for-byte.
 func TestPipelinesDeterministic(t *testing.T) {
-	for _, pl := range All() {
+	for _, m := range core.Modes() {
 		for variant, mk := range blockMakers {
 			ref := mk(t)
-			pl.Apply(ref)
+			Apply(m, ref, nil)
 			for i := 0; i < 4; i++ {
 				b := mk(t)
-				pl.Apply(b)
+				Apply(m, b, nil)
 				if !reflect.DeepEqual(b.Insts, ref.Insts) || !reflect.DeepEqual(b.Edges, ref.Edges) {
-					t.Fatalf("%s/%s: run %d diverged from the first application", pl.Name, variant, i)
+					t.Fatalf("%s/%s: run %d diverged from the first application", m, variant, i)
 				}
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ghostbusters/internal/core"
-	"ghostbusters/internal/core/pipeline"
 )
 
 // auditGadgetSrc runs the Fig. 1 gadget hot enough to be translated
@@ -195,7 +194,7 @@ func TestDumpIROverlay(t *testing.T) {
 // passes that insert instructions or pin multi-guard loads, where a
 // stray map iteration would reorder nodes or edges.
 func TestDumpIRDeterministic(t *testing.T) {
-	for _, mode := range pipeline.Modes() {
+	for _, mode := range core.Modes() {
 		cfg := DefaultConfig()
 		cfg.Mitigation = mode
 		_, m := runSrc(t, auditGadgetSrc, cfg)

@@ -17,10 +17,6 @@ type CompileResult struct {
 	Block  *vliw.Block
 	Report core.Report
 
-	// Passes is the per-pass breakdown of the mitigation pipeline the
-	// mode resolved to, in application order.
-	Passes []pipeline.PassReport
-
 	// Audit carries the per-block provenance report and the mitigated
 	// IR block it describes, populated only when compileOpts.Audit is
 	// set (Config.Audit); nil otherwise — the unaudited translation
@@ -54,18 +50,11 @@ func compileWith(g *graph, b *ir.Block, guestInsts int, cfg *vliw.Config, mode c
 	if err := b.Verify(); err != nil {
 		return nil, err
 	}
-	pl, err := pipeline.For(mode)
-	if err != nil {
-		return nil, err
-	}
-	var rep core.Report
 	var aud *ir.AuditReport
-	var passes []pipeline.PassReport
 	if opts.Audit {
-		rep, aud, passes = pl.ApplyAudited(b)
-	} else {
-		rep, passes = pl.Apply(b)
+		aud = &ir.AuditReport{}
 	}
+	rep := pipeline.Apply(mode, b, aud)
 
 	try := func(ctrlSpec, memSpec bool) (*vliw.Block, error) {
 		memSpec = memSpec && !opts.DisableMemSpec
@@ -89,7 +78,7 @@ func compileWith(g *graph, b *ir.Block, guestInsts int, cfg *vliw.Config, mode c
 	if err != nil {
 		return nil, err
 	}
-	res := &CompileResult{Block: blk, Report: rep, Passes: passes}
+	res := &CompileResult{Block: blk, Report: rep}
 	if opts.Audit {
 		res.Audit, res.AuditIR = aud, b
 	}

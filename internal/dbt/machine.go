@@ -374,6 +374,9 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.BiasThreshold <= 0.5 || cfg.BiasThreshold > 1 {
 		return nil, fmt.Errorf("dbt: BiasThreshold %v out of (0.5, 1]", cfg.BiasThreshold)
 	}
+	if !cfg.Mitigation.Valid() {
+		return nil, fmt.Errorf("dbt: unknown mitigation mode %v", cfg.Mitigation)
+	}
 	mem := guestmem.NewPooled(cfg.MemBase, cfg.MemSize)
 	mem.StrictAlign = cfg.StrictAlign
 	b, err := bus.New(mem, cfg.Cache)
@@ -1033,11 +1036,8 @@ func (m *Machine) DumpIR(pc uint64) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("dbt: DumpIR(%#x): %w", pc, err)
 	}
-	pl, err := pipeline.For(m.cfg.Mitigation)
-	if err != nil {
-		return "", fmt.Errorf("dbt: DumpIR(%#x): %w", pc, err)
-	}
-	_, aud, _ := pl.ApplyAudited(irBlk)
+	aud := &ir.AuditReport{}
+	pipeline.Apply(m.cfg.Mitigation, irBlk, aud)
 	return irBlk.Dot(aud.Overlay()), nil
 }
 

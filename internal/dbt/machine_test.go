@@ -591,6 +591,24 @@ func TestMachineConfigValidation(t *testing.T) {
 	}
 }
 
+// A mode outside the mode table has no mitigation: New must reject it
+// rather than let every translation fail and the whole guest run
+// interpreted under a mode that does not exist.
+func TestNewRejectsUnknownMode(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Mitigation = core.Mode(42)
+	m, err := New(cfg)
+	if err == nil {
+		t.Fatal("New accepted mitigation mode 42")
+	}
+	if m != nil {
+		t.Error("New returned a machine with its error")
+	}
+	if !strings.Contains(err.Error(), "mode(42)") {
+		t.Errorf("error %q does not name the mode", err)
+	}
+}
+
 func TestGuestFaultSurfaces(t *testing.T) {
 	p := riscv.MustAssemble("main:\n\tli t0, 64\n\tld a0, 0(t0)\n\tecall\n")
 	m, _ := New(DefaultConfig())

@@ -8,7 +8,7 @@ import (
 
 	"ghostbusters/internal/bus"
 	"ghostbusters/internal/cache"
-	"ghostbusters/internal/core/pipeline"
+	"ghostbusters/internal/core"
 	"ghostbusters/internal/guestmem"
 	"ghostbusters/internal/ir"
 	"ghostbusters/internal/riscv"
@@ -153,9 +153,9 @@ func genBlock(r *rand.Rand) *ir.Block {
 
 func TestSchedulerTorture(t *testing.T) {
 	r := rand.New(rand.NewSource(1234))
-	// Every registered mitigation pipeline faces the torture blocks, so
-	// a newly ported mitigation is differentially checked automatically.
-	modes := pipeline.Modes()
+	// Every mitigation mode faces the torture blocks, so a newly ported
+	// mitigation is differentially checked automatically.
+	modes := core.Modes()
 	cores := []vliw.Config{vliw.NarrowConfig(), vliw.DefaultConfig(), vliw.WideConfig()}
 
 	trials := 400

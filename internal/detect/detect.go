@@ -1,7 +1,7 @@
 // Package detect is an online attack-phase detector for the simulated
 // DBT machine: a streaming classifier that consumes the live obs event
-// stream (as an obs.Sink, typically behind an obs.Tee so a trace file
-// and the detector observe the same stream) and partitions the run's
+// stream (as an obs.Sink, typically in an obs.MultiSink so a trace
+// file and the detector observe the same stream) and partitions the run's
 // simulated-cycle axis into benign / prime / trigger / probe windows.
 //
 // The heuristics are the cache-timing-attack shape Spectify-style
@@ -141,8 +141,8 @@ type window struct {
 }
 
 // Detector is the streaming classifier. It implements obs.Sink, so it
-// attaches anywhere a sink does — most usefully as an obs.Tee
-// observer next to a trace file. Like every sink owned by a tracer it
+// attaches anywhere a sink does — most usefully in an obs.MultiSink
+// next to a trace file. Like every sink owned by a tracer it
 // is single-goroutine state; under the parallel harness each matrix
 // cell builds its own Detector.
 type Detector struct {

@@ -9,7 +9,6 @@ import (
 
 	"ghostbusters/internal/attack"
 	"ghostbusters/internal/core"
-	"ghostbusters/internal/core/pipeline"
 	"ghostbusters/internal/dbt"
 	"ghostbusters/internal/harness"
 	"ghostbusters/internal/obs"
@@ -37,7 +36,7 @@ type EvalConfig struct {
 	KernelN int
 	// Kernels is the benign corpus (nil = polybench.All()).
 	Kernels []polybench.Kernel
-	// Modes is the mitigation-mode axis (nil = pipeline.Modes()).
+	// Modes is the mitigation-mode axis (nil = core.Modes()).
 	Modes []core.Mode
 	// Secret overrides the attack corpus secret (nil = evalSecret).
 	Secret []byte
@@ -199,7 +198,7 @@ func (s *evalState) observe(b harness.Bench) harness.Bench {
 func Eval(ctx context.Context, r *harness.Runner, base dbt.Config, ecfg EvalConfig) (*EvalDoc, error) {
 	modes := ecfg.Modes
 	if modes == nil {
-		modes = pipeline.Modes()
+		modes = core.Modes()
 	}
 	kernels := ecfg.Kernels
 	if kernels == nil {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ghostbusters/internal/core"
-	"ghostbusters/internal/core/pipeline"
 	"ghostbusters/internal/dbt"
 	"ghostbusters/internal/harness"
 	"ghostbusters/internal/hspan"
@@ -43,7 +42,7 @@ func TestEvalFullMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	nModes := len(pipeline.Modes())
+	nModes := len(core.Modes())
 	wantCells := (len(polybench.All()) + 2) * nModes
 	if doc.Schema != EvalSchema {
 		t.Errorf("schema = %q, want %q", doc.Schema, EvalSchema)

@@ -16,7 +16,6 @@ import (
 
 	"ghostbusters/internal/attack"
 	"ghostbusters/internal/core"
-	"ghostbusters/internal/core/pipeline"
 	"ghostbusters/internal/dbt"
 	"ghostbusters/internal/kbuild"
 	"ghostbusters/internal/polybench"
@@ -191,16 +190,15 @@ func (r *Row) normalize() {
 }
 
 // Fig4Modes are the modes the paper's Figure 4 compares (plus the fence
-// variant from the text's third experiment). The list derives from the
-// mitigation-pass registry so the byte-identity and -checkperf gates
-// keep covering exactly the pipelines flagged as part of the paper's
-// comparison.
-var Fig4Modes = pipeline.Fig4Modes()
+// variant from the text's third experiment), as core's mode table
+// flags them, so the byte-identity and -checkperf gates keep covering
+// exactly the paper's comparison.
+var Fig4Modes = core.Fig4Modes()
 
-// AllModes returns every registered mitigation mode, in mode-value
-// order. A mitigation registered in the pass pipeline automatically
-// appears in the full benchmark and leakage matrices through this.
-func AllModes() []core.Mode { return pipeline.Modes() }
+// AllModes returns every mitigation mode in mode-value order. A mode
+// added to core's table appears in the full benchmark and leakage
+// matrices through this.
+func AllModes() []core.Mode { return core.Modes() }
 
 // RunKernel measures one kernel under the given modes. The modes fan
 // out over the default worker pool, sharing one assembled artifact.
@@ -281,7 +279,7 @@ func FormatRows(rows []*Row, modes []core.Mode) string {
 }
 
 // PoCMatrix runs the Section V-A proof-of-concept matrix on the
-// runner — both attacks under every registered mitigation — and renders
+// runner — both attacks under every mitigation mode — and renders
 // it twice: as a table, and as the leakage matrix where each cell
 // reports the scoreboard's ground-truth bits leaked and the attack's
 // slowdown relative to the unsafe baseline. Every cell must have run: a

@@ -172,7 +172,7 @@ func TestPoCMatrixShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := 2 * len(AllModes()); len(lm.Cells) != want {
-		t.Fatalf("cells = %d, want %d (2 variants x all registered modes)", len(lm.Cells), want)
+		t.Fatalf("cells = %d, want %d (2 variants x all modes)", len(lm.Cells), want)
 	}
 	if lm.Schema != attack.LeakMatrixSchema {
 		t.Errorf("schema = %q", lm.Schema)

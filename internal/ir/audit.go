@@ -56,12 +56,6 @@ type ProvenanceChain struct {
 	Source int    // == Path[0], the poison-generating speculative load
 	Path   []int
 	Guards []GuardRef
-
-	// Pass names the mitigation pipeline pass that produced (or, for
-	// detection-only modes, explained) this chain. Empty when the
-	// report came from the bare analysis (core.AnalyzePins) rather than
-	// a pipeline.
-	Pass string
 }
 
 // Depth is the number of data-flow steps from source to node; a source
@@ -91,22 +85,6 @@ type AuditReport struct {
 	// address and which guards the mitigation anchors it to.
 	Poisoned []ProvenanceChain
 	Pinned   []ProvenanceChain
-
-	// Passes attributes the mitigation work to the pipeline passes that
-	// performed it, in application order. Populated only when the block
-	// was mitigated through a pipeline (internal/core/pipeline); the
-	// bare analysis (core.AnalyzePins) leaves it empty.
-	Passes []PassAttribution
-}
-
-// PassAttribution is one pipeline pass's share of the mitigation work
-// on this block.
-type PassAttribution struct {
-	Pass          string // registered pass name
-	RiskyLoads    int    // Spectre-pattern accesses this pass handled
-	GuardEdges    int    // EdgeGuard dependencies it inserted
-	PinnedEdges   int    // relaxable edges it made hard
-	InsertedInsts int    // instructions it added to the block
 }
 
 // verifyChain replays one chain against the block: every claimed

@@ -240,43 +240,30 @@ func (b *Block) HasRelaxableIn(i int) bool {
 }
 
 // PinAll makes every edge non-relaxable (the NoSpeculation baseline).
-// Like PinFrom and PinInto, it returns how many relaxable edges it made
-// hard — the mitigation passes' PinnedEdges attribution.
-func (b *Block) PinAll() int {
-	n := 0
+func (b *Block) PinAll() {
 	for i := range b.Edges {
-		if b.Edges[i].Relaxable {
-			b.Edges[i].Relaxable = false
-			n++
-		}
+		b.Edges[i].Relaxable = false
 	}
-	return n
 }
 
 // PinFrom makes every edge leaving instruction g non-relaxable (fence
 // semantics at guard g: nothing may be hoisted above it).
-func (b *Block) PinFrom(g int) int {
-	n := 0
+func (b *Block) PinFrom(g int) {
 	for i := range b.Edges {
-		if b.Edges[i].From == g && b.Edges[i].Relaxable {
+		if b.Edges[i].From == g {
 			b.Edges[i].Relaxable = false
-			n++
 		}
 	}
-	return n
 }
 
 // PinInto makes every edge entering instruction i non-relaxable (the
 // instruction can no longer be scheduled speculatively).
-func (b *Block) PinInto(i int) int {
-	n := 0
+func (b *Block) PinInto(i int) {
 	for k := range b.Edges {
-		if b.Edges[k].To == i && b.Edges[k].Relaxable {
+		if b.Edges[k].To == i {
 			b.Edges[k].Relaxable = false
-			n++
 		}
 	}
-	return n
 }
 
 // Verify checks structural invariants:

@@ -164,29 +164,20 @@ func TestPinHelpers(t *testing.T) {
 	if !b.HasRelaxableIn(2) {
 		t.Fatal("load n2 should have a relaxable in-edge")
 	}
-	if n := b.PinInto(2); n != 1 {
-		t.Fatalf("PinInto(2) made %d edges hard, want 1", n)
-	}
+	b.PinInto(2)
 	if b.HasRelaxableIn(2) {
 		t.Fatal("PinInto left a relaxable edge")
-	}
-	if n := b.PinInto(2); n != 0 {
-		t.Fatalf("repeated PinInto(2) made %d edges hard, want 0", n)
 	}
 	// PinFrom on the store pins the other load as well.
 	if !b.HasRelaxableIn(4) {
 		t.Fatal("load n4 should still be relaxable")
 	}
-	if n := b.PinFrom(1); n != 1 {
-		t.Fatalf("PinFrom(1) made %d edges hard, want 1 (n2's edge is already pinned)", n)
-	}
+	b.PinFrom(1)
 	if b.HasRelaxableIn(4) {
 		t.Fatal("PinFrom(store) left load n4 relaxable")
 	}
 	b2 := buildSpectreV1(t)
-	if n := b2.PinAll(); n != 3 {
-		t.Fatalf("PinAll made %d edges hard, want the 3 relaxable control edges", n)
-	}
+	b2.PinAll()
 	for _, e := range b2.Edges {
 		if e.Relaxable {
 			t.Fatal("PinAll left a relaxable edge")

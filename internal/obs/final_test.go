@@ -68,54 +68,3 @@ func TestFinalCounterSamplesNoDuplicates(t *testing.T) {
 		t.Fatalf("counter-free trace grew synthetic events: %d lines\n%s", n, buf.Bytes())
 	}
 }
-
-// countingSink records batches; failNext makes WriteEvents error once.
-type countingSink struct {
-	events []Event
-	closed bool
-	fail   bool
-}
-
-func (c *countingSink) WriteEvents(evs []Event) error {
-	c.events = append(c.events, evs...)
-	if c.fail {
-		c.fail = false
-		return errTest
-	}
-	return nil
-}
-func (c *countingSink) Close() error { c.closed = true; return nil }
-
-var errTest = os.ErrInvalid
-
-// The tee forwards every batch to primary and observers alike, and an
-// observer failure must never reach the primary stream or the tracer.
-func TestTeeObserverErrorsAreSwallowed(t *testing.T) {
-	primary := &countingSink{}
-	observer := &countingSink{fail: true}
-	tr := New(LevelSpec, NewTee(primary, observer))
-	tr.Emit(Event{Kind: EvSpecLoad, Cycle: 1, PC: 0x100, Arg1: 0x2000})
-	if err := tr.Close(); err != nil {
-		t.Fatalf("observer error leaked through the tee: %v", err)
-	}
-	if len(primary.events) != 1 || len(observer.events) != 1 {
-		t.Fatalf("tee fan-out wrong: primary %d events, observer %d events",
-			len(primary.events), len(observer.events))
-	}
-	if !primary.closed || !observer.closed {
-		t.Fatal("tee did not close both sinks")
-	}
-}
-
-// A tee with no primary (detection without a trace file) is valid.
-func TestTeeNilPrimary(t *testing.T) {
-	observer := &countingSink{}
-	tr := New(LevelSpec, NewTee(nil, observer))
-	tr.Emit(Event{Kind: EvSpecLoad, Cycle: 1, PC: 0x100})
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(observer.events) != 1 {
-		t.Fatalf("observer saw %d events, want 1", len(observer.events))
-	}
-}

@@ -38,7 +38,8 @@ func SinkFor(format string, w io.Writer) (Sink, error) {
 }
 
 // MultiSink fans each batch out to several sinks (e.g. the
-// human-readable stderr log plus a Perfetto file). The first error from
+// human-readable stderr log, a Perfetto file and the online attack
+// detector). The first error from
 // any sink is returned, but every sink still sees every batch.
 type MultiSink []Sink
 
@@ -63,47 +64,6 @@ func (m MultiSink) Close() error {
 		}
 	}
 	return first
-}
-
-// Tee fans each batch out to a primary sink plus passive observers
-// (the online attack detector rides the trace stream this way). Unlike
-// MultiSink, observer errors are swallowed: a monitoring consumer must
-// never poison the trace file, and conversely a broken trace file
-// still feeds the observers. Only the primary's errors propagate.
-//
-// A Tee inherits the tracer's ownership contract: it is driven by the
-// single goroutine that owns the tracer, so observers need no internal
-// locking. When tracing is disabled no tee exists at all — the
-// disabled emit path stays the pinned 0 allocs/op.
-type Tee struct {
-	primary   Sink
-	observers []Sink
-}
-
-// NewTee wires observers in front of primary. primary may be nil
-// (observers only — e.g. detection without a trace file).
-func NewTee(primary Sink, observers ...Sink) *Tee {
-	return &Tee{primary: primary, observers: observers}
-}
-
-func (t *Tee) WriteEvents(evs []Event) error {
-	for _, o := range t.observers {
-		_ = o.WriteEvents(evs) // observers never fail the stream
-	}
-	if t.primary == nil {
-		return nil
-	}
-	return t.primary.WriteEvents(evs)
-}
-
-func (t *Tee) Close() error {
-	for _, o := range t.observers {
-		_ = o.Close()
-	}
-	if t.primary == nil {
-		return nil
-	}
-	return t.primary.Close()
 }
 
 // digits2 is the 00..99 lookup pair table for appendDec.

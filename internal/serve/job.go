@@ -279,18 +279,9 @@ func parseModeList(names []string) ([]core.Mode, *APIError) {
 	if len(names) == 0 {
 		return harness.Fig4Modes, nil
 	}
-	seen := map[core.Mode]bool{}
-	modes := make([]core.Mode, 0, len(names))
-	for _, name := range names {
-		m, err := core.ParseMode(strings.TrimSpace(name))
-		if err != nil {
-			return nil, &APIError{Code: CodeInvalid, Message: err.Error()}
-		}
-		if seen[m] {
-			return nil, &APIError{Code: CodeInvalid, Message: fmt.Sprintf("mode %s listed twice", m)}
-		}
-		seen[m] = true
-		modes = append(modes, m)
+	modes, err := core.ParseModes(names)
+	if err != nil {
+		return nil, &APIError{Code: CodeInvalid, Message: err.Error()}
 	}
 	return modes, nil
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"ghostbusters/internal/attack"
-	"ghostbusters/internal/core/pipeline"
+	"ghostbusters/internal/core"
 	"ghostbusters/internal/dbt"
 	"ghostbusters/internal/polybench"
 	"ghostbusters/internal/riscv"
@@ -21,7 +21,7 @@ func translatedBlocks(t testing.TB, src string) []*vliw.Block {
 		t.Fatal(err)
 	}
 	var blocks []*vliw.Block
-	for _, mode := range pipeline.Fig4Modes() {
+	for _, mode := range core.Fig4Modes() {
 		cfg := dbt.DefaultConfig()
 		cfg.Mitigation = mode
 		m, err := dbt.New(cfg)

@@ -49,6 +49,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzInterpVsVLIW$$' -fuzztime $(FUZZTIME) ./internal/dbt
 	$(GO) test -run '^$$' -fuzz '^FuzzWindowClassifier$$' -fuzztime $(FUZZTIME) ./internal/detect
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlock$$'  -fuzztime $(FUZZTIME) ./internal/vliw
+	$(GO) test -run '^$$' -fuzz '^FuzzExecBundleSemantics$$' -fuzztime $(FUZZTIME) ./internal/vliw
 
 # Full benchmark sweep across every package, with allocation counts.
 # The output is benchstat-compatible: run it on two checkouts with

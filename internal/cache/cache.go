@@ -5,7 +5,10 @@
 // lines, and the attacker distinguishes hits from misses with rdcycle.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes cache geometry and timing.
 type Config struct {
@@ -72,6 +75,13 @@ type line struct {
 type Cache struct {
 	cfg   Config
 	lines []line // Sets*Ways entries; set s occupies [s*Ways, (s+1)*Ways)
+
+	// index's shifts and mask, precomputed from the power-of-two
+	// geometry: line = addr >> lineShift, set = line & setMask,
+	// tag = line >> setShift.
+	lineShift, setShift uint
+	setMask             uint64
+
 	stamp uint64
 	stats Stats
 
@@ -90,7 +100,13 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Cache{cfg: cfg, lines: make([]line, cfg.Sets*cfg.Ways)}, nil
+	return &Cache{
+		cfg:       cfg,
+		lines:     make([]line, cfg.Sets*cfg.Ways),
+		lineShift: uint(bits.TrailingZeros64(cfg.LineSize)),
+		setShift:  uint(bits.TrailingZeros64(uint64(cfg.Sets))),
+		setMask:   uint64(cfg.Sets) - 1,
+	}, nil
 }
 
 // MustNew is New for configurations known valid (tests, benchmarks).
@@ -105,12 +121,15 @@ func MustNew(cfg Config) *Cache {
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
+// HitLatency returns the cycles of a hit, without copying the Config.
+func (c *Cache) HitLatency() uint64 { return c.cfg.HitLatency }
+
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
-	lineAddr := addr / c.cfg.LineSize
-	return int(lineAddr % uint64(c.cfg.Sets)), lineAddr / uint64(c.cfg.Sets)
+	lineAddr := addr >> c.lineShift
+	return int(lineAddr & c.setMask), lineAddr >> c.setShift
 }
 
 // Access models a load or store of the line containing addr (write-

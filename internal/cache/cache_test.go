@@ -239,3 +239,27 @@ func BenchmarkAccess(b *testing.B) {
 		c.Access(uint64(i%1024) * 64)
 	}
 }
+
+// index splits an address with shifts and a mask precomputed from the
+// power-of-two geometry; it must agree with the division formula for
+// every geometry, including one set and the smallest and largest lines.
+func TestIndexMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, sets := range []int{1, 256} {
+		for _, lineSize := range []uint64{8, 128} {
+			c := MustNew(Config{Sets: sets, Ways: 2, LineSize: lineSize, HitLatency: 1, MissPenalty: 10})
+			addrs := []uint64{0, lineSize - 1, lineSize, uint64(sets) * lineSize, ^uint64(0)}
+			for i := 0; i < 1000; i++ {
+				addrs = append(addrs, rng.Uint64())
+			}
+			for _, addr := range addrs {
+				line := addr / lineSize
+				wantSet, wantTag := int(line%uint64(sets)), line/uint64(sets)
+				if set, tag := c.index(addr); set != wantSet || tag != wantTag {
+					t.Fatalf("Sets %d LineSize %d: index(%#x) = (%d, %#x), want (%d, %#x)",
+						sets, lineSize, addr, set, tag, wantSet, wantTag)
+				}
+			}
+		}
+	}
+}

@@ -178,11 +178,23 @@ func (m *Memory) ReadSpeculative(addr uint64, size int) (val uint64, ok bool) {
 	return m.readRaw(addr, size), true
 }
 
+// readRaw reads an in-range value: one little-endian word load for the
+// scalar sizes, a byte loop for any other.
 func (m *Memory) readRaw(addr uint64, size int) uint64 {
-	off := addr - m.base
+	b := m.data[addr-m.base:]
+	switch size {
+	case 1:
+		return uint64(b[0])
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	case 8:
+		return binary.LittleEndian.Uint64(b)
+	}
 	var v uint64
 	for i := 0; i < size; i++ {
-		v |= uint64(m.data[off+uint64(i)]) << (8 * i)
+		v |= uint64(b[i]) << (8 * i)
 	}
 	return v
 }
@@ -196,9 +208,20 @@ func (m *Memory) Write(addr uint64, size int, val uint64) error {
 	if size > 0 {
 		m.markDirty(addr, size)
 	}
-	off := addr - m.base
-	for i := 0; i < size; i++ {
-		m.data[off+uint64(i)] = byte(val >> (8 * i))
+	b := m.data[addr-m.base:]
+	switch size {
+	case 1:
+		b[0] = byte(val)
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(val))
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(val))
+	case 8:
+		binary.LittleEndian.PutUint64(b, val)
+	default:
+		for i := 0; i < size; i++ {
+			b[i] = byte(val >> (8 * i))
+		}
 	}
 	return nil
 }

@@ -220,3 +220,58 @@ func TestGeometryAccessors(t *testing.T) {
 		t.Fatalf("geometry: base=%#x size=%#x top=%#x", m.Base(), m.Size(), m.Top())
 	}
 }
+
+// Read and Write keep the little-endian byte layout at every size: the
+// scalar sizes (one word load or store each), unaligned with StrictAlign
+// off, ending at the last byte of memory, and the byte loop that serves
+// any other size. The bytes around the access stay untouched.
+func TestScalarSizesKeepByteLayout(t *testing.T) {
+	const base, size = 0x1000, 0x100
+	const val uint64 = 0x8877665544332211
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8} {
+		for _, addr := range []uint64{base, base + 1, base + 3, base + 0x41, base + size - uint64(n)} {
+			m := New(base, size)
+			fill := make([]byte, size)
+			for i := range fill {
+				fill[i] = 0xA5
+			}
+			if err := m.WriteBytes(base, fill); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Write(addr, n, val); err != nil {
+				t.Fatalf("Write(%#x, %d): %v", addr, n, err)
+			}
+			got, err := m.ReadBytes(base, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off := int(addr - base)
+			for i := range got {
+				want := byte(0xA5)
+				if i >= off && i < off+n {
+					want = byte(val >> (8 * (i - off)))
+				}
+				if got[i] != want {
+					t.Fatalf("Write(%#x, %d): byte %#x = %#x, want %#x", addr, n, base+i, got[i], want)
+				}
+			}
+			mask := uint64(1)<<(8*n) - 1
+			if n == 8 {
+				mask = ^uint64(0)
+			}
+			if v, err := m.Read(addr, n); err != nil || v != val&mask {
+				t.Errorf("Read(%#x, %d) = %#x, %v, want %#x", addr, n, v, err, val&mask)
+			}
+			if v, ok := m.ReadSpeculative(addr, n); !ok || v != val&mask {
+				t.Errorf("ReadSpeculative(%#x, %d) = %#x, %v, want %#x", addr, n, v, ok, val&mask)
+			}
+		}
+		m := New(base, size)
+		if _, err := m.Read(base+size-uint64(n)+1, n); !trap.IsKind(err, trap.OutOfRangeAccess) {
+			t.Errorf("Read(%d) one byte past the end = %v, want out-of-range-access", n, err)
+		}
+		if err := m.Write(base+size-uint64(n)+1, n, val); !trap.IsKind(err, trap.OutOfRangeAccess) {
+			t.Errorf("Write(%d) one byte past the end = %v, want out-of-range-access", n, err)
+		}
+	}
+}

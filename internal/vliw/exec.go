@@ -51,9 +51,9 @@ type Core struct {
 	Instret uint64
 
 	// scr holds the per-bundle scratch state, kept on the core so the
-	// steady-state execution loop is allocation-free: the pending-write
-	// and recovery lists grow to the widest bundle once and are then
-	// reused for every bundle of every block.
+	// steady-state execution loop is allocation-free: the recovery list
+	// grows to the widest bundle once and is then reused for every
+	// bundle of every block.
 	scr execScratch
 
 	// fr is the per-Exec frame the threaded-dispatch handlers operate
@@ -61,24 +61,15 @@ type Core struct {
 	fr execFrame
 }
 
-// execScratch is reusable per-bundle working state. The written flags are
-// cleared by replaying the writes list (every set flag has a matching
-// list entry), so a bundle's bookkeeping costs O(writes), not O(NumRegs).
+// execScratch is reusable per-bundle working state: the stage of the
+// bundle's staged writes, indexed by destination register (the
+// terminator commits the registers its mask names, and every one of
+// them is written earlier in the same bundle, so stale slots are never
+// read), and the recoveries its chks requested.
 type execScratch struct {
-	writes  []pendingWrite
-	recov   []int16
-	written [NumRegs]bool
-}
-
-// reset clears any flags left behind by the previous bundle — or by a
-// faulted earlier run, which can abandon the scratch mid-bundle — and
-// truncates the lists, keeping their capacity.
-func (s *execScratch) reset() {
-	for _, w := range s.writes {
-		s.written[w.reg] = false
-	}
-	s.writes = s.writes[:0]
-	s.recov = s.recov[:0]
+	recov  []int16
+	val    [NumRegs]uint64
+	poison [NumRegs]bool
 }
 
 // NewCore builds a core, rejecting invalid configurations with an error
@@ -97,12 +88,6 @@ func MustNewCore(cfg Config) *Core {
 		panic(err)
 	}
 	return c
-}
-
-type pendingWrite struct {
-	reg    uint8
-	val    uint64
-	poison bool
 }
 
 // errPoisonUse is the deferred exception of a squashed speculative load
@@ -135,10 +120,11 @@ func errInternal(pc uint64, format string, args ...any) *trap.Fault {
 func (c *Core) Exec(blk *Block, regs *[NumRegs]uint64, b *bus.Bus, cycles *uint64) ExitInfo {
 	fr := &c.fr
 	fr.regs, fr.b, fr.cycles, fr.blk = regs, b, cycles, blk
-	fr.hitLat = b.DC.Config().HitLatency
+	fr.hitLat = b.DC.HitLatency()
 	fr.poisoned = [NumRegs]bool{}
 	fr.exitTaken, fr.haveNext = false, false
-	c.scr.reset()
+	// A fault can abandon a bundle after a chk requested its recovery.
+	c.scr.recov = c.scr.recov[:0]
 
 	// Dispatching any block costs at least one cycle (the chain jump),
 	// so zero-bundle blocks (pure jumps) cannot loop for free.
@@ -172,7 +158,7 @@ func (c *Core) Exec(blk *Block, regs *[NumRegs]uint64, b *bus.Bus, cycles *uint6
 // (paper, Section III-B). Dependent speculative loads refresh their MCB
 // entries with the corrected address so their own chk still validates.
 func (c *Core) execRecovery(seq []Syllable, regs *[NumRegs]uint64, poisoned *[NumRegs]bool, b *bus.Bus, cycles *uint64) *ExitInfo {
-	hitLat := b.DC.Config().HitLatency
+	hitLat := b.DC.HitLatency()
 	read := func(r uint8) uint64 {
 		if r == 0 {
 			return 0

@@ -1,0 +1,344 @@
+package vliw
+
+import (
+	"fmt"
+	"testing"
+
+	"ghostbusters/internal/bus"
+	"ghostbusters/internal/cache"
+	"ghostbusters/internal/guestmem"
+	"ghostbusters/internal/riscv"
+	"ghostbusters/internal/trap"
+)
+
+// refMachine is a test-only two-phase bundle interpreter: the core's
+// semantics before dispatch was threaded and the write phase was
+// scheduled at predecode. Every syllable of a bundle reads the
+// pre-bundle register file, its results are queued, and the queue lands
+// only when the whole bundle got through; a fault discards it. It knows
+// the kinds FuzzExecBundleSemantics generates (no MCB, no recovery).
+type refMachine struct {
+	cfg      Config
+	regs     [NumRegs]uint64
+	poisoned [NumRegs]bool
+	cycles   uint64
+	stats    Stats
+	instret  uint64
+	b        *bus.Bus
+}
+
+type refWrite struct {
+	reg    uint8
+	val    uint64
+	poison bool
+}
+
+func (m *refMachine) read(r uint8) uint64 {
+	if r == 0 {
+		return 0
+	}
+	return m.regs[r]
+}
+
+func (m *refMachine) poisonIn(r uint8) bool { return r != 0 && m.poisoned[r] }
+
+func refFault(err error, pc uint64) ExitInfo {
+	f := trap.From(err)
+	if f.PC == 0 {
+		f.PC = pc
+	}
+	return ExitInfo{Fault: f, FaultPC: pc}
+}
+
+func (m *refMachine) exec(blk *Block) ExitInfo {
+	m.poisoned = [NumRegs]bool{}
+	if len(blk.Bundles) == 0 {
+		m.cycles++ // the dispatch of any block costs a cycle
+		m.instret += uint64(blk.GuestInsts)
+		return ExitInfo{NextPC: blk.FallPC}
+	}
+	hitLat := m.b.DC.HitLatency()
+	stall := func(lat uint64) {
+		if lat > hitLat {
+			m.cycles += lat - hitLat
+		}
+	}
+	for _, bundle := range blk.Bundles {
+		m.cycles++
+		m.stats.Bundles++
+		var writes []refWrite
+		var written [NumRegs]bool
+		exitTaken := false
+		var exitTo uint64
+		for i := range bundle {
+			sy := &bundle[i]
+			pc := sy.GuestPC
+			write := func(v uint64, p bool) *ExitInfo {
+				if sy.Dst == 0 {
+					return nil
+				}
+				if written[sy.Dst] {
+					ei := refFault(errInternal(pc, "vliw: double write of r%d in one bundle", sy.Dst), pc)
+					return &ei
+				}
+				written[sy.Dst] = true
+				writes = append(writes, refWrite{sy.Dst, v, p})
+				return nil
+			}
+			var ei *ExitInfo
+			switch sy.Kind {
+			case KNop:
+			case KAluRR:
+				ei = write(riscv.EvalALU(sy.Op, m.read(sy.Ra), m.read(sy.Rb)), m.poisonIn(sy.Ra) || m.poisonIn(sy.Rb))
+			case KAluRI:
+				ei = write(riscv.EvalALUImm(sy.Op, m.read(sy.Ra), sy.Imm), m.poisonIn(sy.Ra))
+			case KMovI:
+				ei = write(uint64(sy.Imm), false)
+			case KLoad:
+				if m.poisonIn(sy.Ra) {
+					return refFault(errPoisonUse(sy), pc)
+				}
+				v, lat, err := m.b.Load(m.read(sy.Ra)+uint64(sy.Imm), sy.Op.MemSize())
+				if err != nil {
+					return refFault(err, pc)
+				}
+				stall(lat)
+				ei = write(riscv.ExtendLoad(sy.Op, v), false)
+			case KLoadD:
+				m.stats.SpecLoads++
+				squashed := m.poisonIn(sy.Ra)
+				var val uint64
+				if !squashed {
+					v, lat, ok := m.b.LoadSpeculative(m.read(sy.Ra)+uint64(sy.Imm), sy.Op.MemSize())
+					if ok {
+						stall(lat)
+						val = riscv.ExtendLoad(sy.Op, v)
+					} else {
+						squashed = true
+					}
+				}
+				if squashed {
+					m.stats.SpecSquash++
+				}
+				ei = write(val, squashed)
+			case KStore:
+				if m.poisonIn(sy.Ra) || m.poisonIn(sy.Rb) {
+					return refFault(errPoisonUse(sy), pc)
+				}
+				lat, err := m.b.Store(m.read(sy.Ra)+uint64(sy.Imm), sy.Op.MemSize(), m.read(sy.Rb))
+				if err != nil {
+					return refFault(err, pc)
+				}
+				stall(lat)
+			case KCommit:
+				if m.poisonIn(sy.Ra) {
+					return refFault(errPoisonUse(sy), pc)
+				}
+				ei = write(m.read(sy.Ra), false)
+			case KBrExit:
+				if m.poisonIn(sy.Ra) || m.poisonIn(sy.Rb) {
+					return refFault(errPoisonUse(sy), pc)
+				}
+				if riscv.EvalBranch(sy.Op, m.read(sy.Ra), m.read(sy.Rb)) {
+					exitTaken, exitTo = true, uint64(sy.Imm)
+				}
+			default:
+				panic(fmt.Sprintf("reference interpreter: kind %s not generated", sy.Kind))
+			}
+			if ei != nil {
+				return *ei
+			}
+		}
+		for _, w := range writes {
+			m.regs[w.reg] = w.val
+			m.poisoned[w.reg] = w.poison
+		}
+		if exitTaken {
+			m.cycles += m.cfg.ExitPenalty
+			m.stats.SideExits++
+			m.instret += uint64(blk.GuestInsts)
+			return ExitInfo{NextPC: exitTo, SideExit: true}
+		}
+	}
+	m.instret += uint64(blk.GuestInsts)
+	return ExitInfo{NextPC: blk.FallPC}
+}
+
+// fuzzData is where the fuzzed blocks' memory operations land: a small
+// window of words holding pointers back into the window, so loaded
+// values are usable addresses as often as not.
+const (
+	fuzzData  = 0x20000
+	fuzzWords = 8
+)
+
+// fuzzRegs is the small register pool the generated syllables share, so
+// read-after-write, write-after-write and poison hazards are common.
+var fuzzRegs = [...]uint8{0, 1, 2, 3, 5, 6, 40, 41}
+
+// fuzzBlock turns fuzz bytes into a block of up to 8 bundles. Each
+// syllable takes four bytes: kind and bundle break, registers, an
+// immediate selector and an operation selector.
+func fuzzBlock(cfg Config, data []byte) *Block {
+	blk := &Block{EntryPC: 0x100, FallPC: 0x200}
+	var cur []Syllable
+	flush := func() {
+		if len(cur) > 0 {
+			blk.Bundles = append(blk.Bundles, pad(cfg, cur...))
+			cur = nil
+		}
+	}
+	pc := uint64(0x100)
+	for len(data) >= 4 && len(blk.Bundles) < 8 {
+		k, r, im, op := data[0], data[1], data[2], data[3]
+		data = data[4:]
+		sy := Syllable{
+			Dst:     fuzzRegs[r&7],
+			Ra:      fuzzRegs[(r>>3)&7],
+			Rb:      fuzzRegs[(r>>6)|(k>>5)&4],
+			GuestPC: pc,
+		}
+		pc += 4
+		// Offsets mostly stay inside the data window; every eighth
+		// leaves guest memory, so architectural loads and stores fault.
+		off := int64(im&7) * 8
+		if im&0x38 == 0x38 {
+			off = -fuzzData
+		}
+		switch k & 7 {
+		case 0:
+			sy.Kind = KAluRR
+			sy.Op = [...]riscv.Op{riscv.ADD, riscv.SUB, riscv.XOR, riscv.SLTU, riscv.MUL, riscv.AND, riscv.OR, riscv.ADDW}[op&7]
+		case 1:
+			sy.Kind, sy.Imm = KAluRI, int64(int8(im))
+			sy.Op = [...]riscv.Op{riscv.ADDI, riscv.XORI, riscv.ANDI, riscv.SLLI}[op&3]
+		case 2:
+			// Usually a pointer into the data window; sometimes an
+			// unmapped address or a small integer.
+			sy.Kind, sy.Imm = KMovI, fuzzData+off
+			if op&3 == 0 {
+				sy.Imm = int64(im)
+			}
+		case 3:
+			sy.Kind, sy.Imm = KLoad, off
+			sy.Op = [...]riscv.Op{riscv.LD, riscv.LW, riscv.LBU, riscv.LH}[op&3]
+		case 4:
+			sy.Kind, sy.Imm = KLoadD, off
+			sy.Op = [...]riscv.Op{riscv.LD, riscv.LW, riscv.LBU, riscv.LH}[op&3]
+		case 5:
+			sy.Kind, sy.Imm = KStore, off
+			sy.Op = [...]riscv.Op{riscv.SD, riscv.SW, riscv.SB, riscv.SH}[op&3]
+		case 6:
+			sy.Kind = KCommit
+		case 7:
+			sy.Kind, sy.Imm = KBrExit, int64(0x300+int(op)*4)
+			sy.Op = [...]riscv.Op{riscv.BEQ, riscv.BNE, riscv.BLTU, riscv.BGE}[op&3]
+		}
+		cur = append(cur, sy)
+		if k&8 != 0 || len(cur) == cfg.Width() {
+			flush()
+		}
+	}
+	flush()
+	blk.GuestInsts = int(pc-0x100) / 4
+	return blk
+}
+
+// fuzzSyl encodes one syllable the way fuzzBlock decodes it: kind
+// selector k, fuzzRegs indexes, immediate and op selectors, and whether
+// the bundle ends after it.
+func fuzzSyl(k, dst, ra, rb, im, op byte, end bool) []byte {
+	k |= rb >> 2 << 7
+	if end {
+		k |= 8
+	}
+	return []byte{k, dst | ra<<3 | (rb&3)<<6, im, op}
+}
+
+// fuzzBus is a bus over 128 KiB of guest memory at 0x10000, which
+// covers the data window and keeps each fuzz iteration cheap.
+func fuzzBus() *bus.Bus {
+	return bus.MustNew(guestmem.New(0x10000, 0x20000), cache.DefaultConfig())
+}
+
+// FuzzExecBundleSemantics runs random blocks on Core.Exec and on the
+// two-phase reference interpreter and requires the same registers,
+// poison bits, cycles, Stats, Instret and exit — fault kind, PC and
+// message included. Each block runs twice in a row on the same state, so
+// a fault that abandons a bundle must leave nothing behind for the
+// next run either.
+func FuzzExecBundleSemantics(f *testing.F) {
+	// Pool indexes: 1 = r1, 2 = r2, 3 = r3, 4 = r5, 5 = r6.
+	seed := func(sylls ...[]byte) []byte {
+		var data []byte
+		for _, sy := range sylls {
+			data = append(data, sy...)
+		}
+		return data
+	}
+	f.Add(seed()) // a block of no bundles
+	f.Add(seed(   // a read after write, then a poisoned commit
+		fuzzSyl(2, 1, 0, 0, 0, 1, false),   // movi r1, data
+		fuzzSyl(0, 4, 1, 3, 0, 0, false),   // add r5, r1, r3
+		fuzzSyl(3, 2, 4, 0, 1, 0, true),    // ld r2, 8(r5)
+		fuzzSyl(4, 5, 1, 0, 0x38, 0, true), // ldd r6, -data(r1): squashed
+		fuzzSyl(2, 2, 0, 0, 2, 1, false),   // movi r2, data+16
+		fuzzSyl(6, 1, 5, 0, 0, 0, true)))   // commit r1, r6: poison fault
+	f.Add(seed( // a double write
+		fuzzSyl(2, 1, 0, 0, 0, 0, false), // movi r1, 0
+		fuzzSyl(5, 0, 2, 3, 2, 0, false), // sd r3, 16(r2)
+		fuzzSyl(2, 1, 0, 0, 3, 0, true))) // movi r1, 3
+	f.Add(seed( // results before a taken side exit commit
+		fuzzSyl(0, 4, 1, 2, 0, 0, false), // add r5, r1, r2
+		fuzzSyl(1, 1, 2, 0, 5, 0, false), // addi r1, r2, 5
+		fuzzSyl(7, 0, 1, 2, 0, 1, true))) // bne r1, r2
+	cfg := DefaultConfig()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		blk := fuzzBlock(cfg, data)
+		c := MustNewCore(cfg)
+		ref := &refMachine{cfg: cfg, b: fuzzBus()}
+		b := fuzzBus()
+		var regs [NumRegs]uint64
+		for r := 1; r < NumRegs; r++ {
+			regs[r] = fuzzData + uint64(r%fuzzWords)*8
+		}
+		ref.regs = regs
+		for i := uint64(0); i < fuzzWords; i++ {
+			p := fuzzData + (i*3+1)%fuzzWords*8
+			if err := b.Mem.Write(fuzzData+i*8, 8, p); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.b.Mem.Write(fuzzData+i*8, 8, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var cycles uint64
+		for run := 0; run < 2; run++ {
+			got := c.Exec(blk, &regs, b, &cycles)
+			want := ref.exec(blk)
+			where := fmt.Sprintf("run %d of\n%s", run, blk)
+			if (got.Fault == nil) != (want.Fault == nil) {
+				t.Fatalf("%s\nexit = %+v, reference %+v", where, got, want)
+			}
+			if got.Fault != nil {
+				if got.Fault.Kind != want.Fault.Kind || got.Fault.PC != want.Fault.PC || got.Fault.Error() != want.Fault.Error() {
+					t.Fatalf("%s\nfault = %v (pc %#x), reference %v (pc %#x)", where, got.Fault, got.Fault.PC, want.Fault, want.Fault.PC)
+				}
+				got.Fault, want.Fault = nil, nil
+			}
+			if got != want {
+				t.Fatalf("%s\nexit = %+v, reference %+v", where, got, want)
+			}
+			if regs != ref.regs {
+				t.Fatalf("%s\nregisters = %v\nreference %v", where, regs, ref.regs)
+			}
+			if c.fr.poisoned != ref.poisoned {
+				t.Fatalf("%s\npoison = %v\nreference %v", where, c.fr.poisoned, ref.poisoned)
+			}
+			if cycles != ref.cycles || c.Stats != ref.stats || c.Instret != ref.instret {
+				t.Fatalf("%s\ncycles %d stats %+v instret %d, reference %d %+v %d",
+					where, cycles, c.Stats, c.Instret, ref.cycles, ref.stats, ref.instret)
+			}
+		}
+	})
+}

@@ -1,6 +1,8 @@
 package vliw
 
 import (
+	"math/bits"
+
 	"ghostbusters/internal/bus"
 	"ghostbusters/internal/obs"
 	"ghostbusters/internal/riscv"
@@ -11,11 +13,12 @@ import (
 // re-interpreting each syllable's Kind/Op through nested switches on
 // every execution, a block is predecoded once into a flat table of dops
 // — nops stripped, one handler function pointer per operation, ALU /
-// branch / extend semantics resolved to direct function values, and a
-// bundle-terminator pseudo-op carrying the write-phase, recovery and
-// exit logic. The table is built at translation time (or lazily on
-// first dispatch) and shared read-only afterwards, so the steady-state
-// execution loop stays allocation-free.
+// branch / extend semantics resolved to direct function values, each
+// result's write mode fixed (see writeSchedule), and a bundle-terminator
+// pseudo-op carrying the write-phase, recovery and exit logic. The
+// table is built at translation time (or lazily on first dispatch) and
+// shared read-only afterwards, so the steady-state execution loop stays
+// allocation-free.
 
 // ctl is a handler's verdict: continue with the next dop, or stop the
 // block (c.fr.exit holds the completed ExitInfo, fault or not).
@@ -26,11 +29,24 @@ const (
 	ctlStop
 )
 
+// Write modes: how a writing dop's result reaches the register file.
+// A bundle reads every operand before any of its results lands, and a
+// faulting bundle commits none of them; which registers a bundle writes
+// and what its later syllables read is fixed at predecode, so the mode
+// is too (see writeSchedule).
+const (
+	wmNone   uint8 = iota // no register write (a non-writer, or dst r0)
+	wmDirect              // write regs/poisoned in place: nothing later in the bundle can tell
+	wmStaged              // write the core's stage; the bundle terminator commits it
+	wmDouble              // a second write of dst in the bundle: fault after the op's work
+)
+
 // dop is one predecoded operation. The handler fn interprets the other
 // fields; alu/ext/cmp are the pre-resolved semantic functions so the
 // hot path never switches on riscv.Op again. sy points back into the
 // block's bundle storage for diagnostics (poison faults print the
-// original syllable).
+// original syllable). A bundle terminator carries the bundle's staged
+// write mask in imm. The dop stays one 64-byte cache line.
 type dop struct {
 	fn  func(c *Core, d *dop) ctl
 	alu func(a, b uint64) uint64
@@ -44,6 +60,7 @@ type dop struct {
 	rb  uint8
 	tag uint8
 	siz uint8
+	wm  uint8
 	rec int16
 }
 
@@ -91,17 +108,18 @@ func (c *Core) fail(err error, pc uint64) ctl {
 	return ctlStop
 }
 
-// push records a pending register write for the bundle's write phase.
+// push delivers a result by the dop's predecoded write mode.
 func (c *Core) push(d *dop, v uint64, p bool) ctl {
-	if d.dst == 0 {
-		return ctlNext
-	}
-	scr := &c.scr
-	if scr.written[d.dst] {
+	switch d.wm {
+	case wmDirect:
+		c.fr.regs[d.dst] = v
+		c.fr.poisoned[d.dst] = p
+	case wmStaged:
+		c.scr.val[d.dst] = v
+		c.scr.poison[d.dst] = p
+	case wmDouble:
 		return c.fail(errInternal(d.pc, "vliw: double write of r%d in one bundle", d.dst), d.pc)
 	}
-	scr.written[d.dst] = true
-	scr.writes = append(scr.writes, pendingWrite{d.dst, v, p})
 	return ctlNext
 }
 
@@ -289,21 +307,23 @@ func opBadKind(c *Core, d *dop) ctl {
 	return c.fail(errInternal(d.pc, "vliw: unknown syllable kind %d", d.sy.Kind), d.pc)
 }
 
-// finishBundle runs the bundle's write phase, any MCB recoveries
-// detected in check order, and the exit decision — the tail of the old
-// per-bundle interpreter loop, verbatim.
-func (c *Core) finishBundle() ctl {
+// finishBundle runs the bundle's write phase (the staged writes named
+// by the terminator's mask; direct writes have already landed), any MCB
+// recoveries detected in check order, and the exit decision.
+func (c *Core) finishBundle(term *dop) ctl {
 	fr := &c.fr
 	scr := &c.scr
 
-	// Write phase: all bundle results commit together.
-	for _, w := range scr.writes {
-		fr.regs[w.reg] = w.val
-		fr.poisoned[w.reg] = w.poison
+	for m := uint64(term.imm); m != 0; m &= m - 1 {
+		r := bits.TrailingZeros64(m)
+		fr.regs[r] = scr.val[r]
+		fr.poisoned[r] = scr.poison[r]
 	}
 
 	blk := fr.blk
-	for _, rec := range scr.recov {
+	recov := scr.recov
+	scr.recov = recov[:0]
+	for _, rec := range recov {
 		if int(rec) < 0 || int(rec) >= len(blk.Recoveries) {
 			return c.fail(errInternal(0, "vliw: recovery %d out of range", rec), 0)
 		}
@@ -345,21 +365,20 @@ func (c *Core) finishBundle() ctl {
 }
 
 // opEndBundle terminates a non-final bundle: finish it, then open the
-// next one (cycle, bundle count, scratch reset — the old loop header).
+// next one (cycle and bundle count).
 func opEndBundle(c *Core, d *dop) ctl {
-	if r := c.finishBundle(); r != ctlNext {
+	if r := c.finishBundle(d); r != ctlNext {
 		return r
 	}
 	*c.fr.cycles++
 	c.Stats.Bundles++
-	c.scr.reset()
 	return ctlNext
 }
 
 // opEndBlock terminates the final bundle: finish it, then fall through
 // to the block's FallPC.
 func opEndBlock(c *Core, d *dop) ctl {
-	if r := c.finishBundle(); r != ctlNext {
+	if r := c.finishBundle(d); r != ctlNext {
 		return r
 	}
 	fr := &c.fr
@@ -373,7 +392,7 @@ func opEndBlock(c *Core, d *dop) ctl {
 
 // buildDecoded flattens a block into its threaded-dispatch table: one
 // op per non-nop syllable plus one terminator per bundle, allocated once
-// at that exact size.
+// at that exact size, with each bundle's write schedule fixed.
 func buildDecoded(blk *Block) *decoded {
 	n := len(blk.Bundles)
 	for _, bundle := range blk.Bundles {
@@ -386,6 +405,7 @@ func buildDecoded(blk *Block) *decoded {
 	ops := make([]dop, 0, n)
 	for bi := range blk.Bundles {
 		bundle := blk.Bundles[bi]
+		first := len(ops)
 		for i := range bundle {
 			sy := &bundle[i]
 			if sy.Kind == KNop {
@@ -434,13 +454,72 @@ func buildDecoded(blk *Block) *decoded {
 			}
 			ops = append(ops, d)
 		}
-		term := dop{fn: opEndBundle}
+		term := dop{fn: opEndBundle, imm: int64(writeSchedule(ops[first:]))}
 		if bi == len(blk.Bundles)-1 {
 			term.fn = opEndBlock
 		}
 		ops = append(ops, term)
 	}
 	return &decoded{ops: ops}
+}
+
+// writeSchedule sets the write mode of every writing dop of one bundle
+// and returns the mask of staged registers its terminator commits.
+//
+// The first write of a register is direct when nothing later in the
+// bundle could observe it early: no later dop reads the register or can
+// fault (a faulting bundle commits none of its writes, so a register
+// written in place before the fault would be visible). Otherwise it is
+// staged. A second write of the same register is a double write: the op
+// does its own work, then faults — so a later write of a register also
+// stages the first. Writes to r0 are discarded.
+func writeSchedule(ops []dop) (staged uint64) {
+	var written uint64
+	for i := range ops {
+		d := &ops[i]
+		if d.dst == 0 || !writesDst(d.sy.Kind) {
+			continue
+		}
+		if bit := uint64(1) << d.dst; written&bit != 0 {
+			d.wm = wmDouble
+		} else {
+			written |= bit
+			d.wm = wmDirect
+		}
+	}
+	var readLater uint64
+	faultLater := false
+	for i := len(ops) - 1; i >= 0; i-- {
+		d := &ops[i]
+		if bit := uint64(1) << d.dst; d.wm == wmDirect && (faultLater || readLater&bit != 0) {
+			d.wm = wmStaged
+			staged |= bit
+		}
+		readLater |= 1<<d.ra | 1<<d.rb
+		faultLater = faultLater || d.wm == wmDouble || canFault(d.sy)
+	}
+	return staged
+}
+
+// writesDst reports whether a syllable kind writes its Dst register.
+func writesDst(k Kind) bool {
+	switch k {
+	case KAluRR, KAluRI, KMovI, KLoad, KLoadD, KLoadS, KCsr, KCommit:
+		return true
+	}
+	return false
+}
+
+// canFault reports whether a syllable's handler can stop the block with
+// a fault (poisoned operand, memory fault, MCB error, unknown kind).
+func canFault(sy *Syllable) bool {
+	switch sy.Kind {
+	case KAluRR, KAluRI, KMovI, KLoadD, KJump, KCsr:
+		return false
+	case KFlush:
+		return sy.Op != riscv.CFLUSHALL
+	}
+	return true
 }
 
 // Pre-resolved semantic functions. Named package-level functions for

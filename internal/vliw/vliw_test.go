@@ -6,11 +6,13 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ghostbusters/internal/bus"
 	"ghostbusters/internal/cache"
 	"ghostbusters/internal/guestmem"
 	"ghostbusters/internal/riscv"
+	"ghostbusters/internal/trap"
 )
 
 func newTestBus() *bus.Bus {
@@ -865,5 +867,165 @@ func TestConfigForWidth(t *testing.T) {
 		if _, err := ConfigForWidth(width); err == nil {
 			t.Errorf("ConfigForWidth(%d) accepted an unsupported width", width)
 		}
+	}
+}
+
+// The write schedule is fixed at predecode: a first write is direct
+// only when nothing later in its bundle reads the register, writes it or
+// can fault; otherwise it is staged and its terminator's mask names it.
+func TestWriteSchedule(t *testing.T) {
+	bit := func(rs ...uint8) (m uint64) {
+		for _, r := range rs {
+			m |= 1 << r
+		}
+		return m
+	}
+	cases := []struct {
+		name   string
+		sylls  []Syllable
+		modes  []uint8
+		staged uint64
+	}{
+		{
+			name: "read after write is staged",
+			sylls: []Syllable{
+				{Kind: KAluRI, Op: riscv.ADDI, Dst: 5, Ra: 6, Imm: 1},
+				{Kind: KAluRR, Op: riscv.ADD, Dst: 7, Ra: 8, Rb: 5},
+			},
+			modes:  []uint8{wmStaged, wmDirect},
+			staged: bit(5),
+		},
+		{
+			name: "swap stages the first write only",
+			sylls: []Syllable{
+				{Kind: KAluRI, Op: riscv.ADDI, Dst: 5, Ra: 6},
+				{Kind: KAluRI, Op: riscv.ADDI, Dst: 6, Ra: 5},
+			},
+			modes:  []uint8{wmStaged, wmDirect},
+			staged: bit(5),
+		},
+		{
+			name: "alu before a load is staged",
+			sylls: []Syllable{
+				{Kind: KAluRI, Op: riscv.ADDI, Dst: 5, Ra: 6, Imm: 1},
+				{Kind: KLoad, Op: riscv.LD, Dst: 7, Ra: 8},
+			},
+			modes:  []uint8{wmStaged, wmDirect},
+			staged: bit(5),
+		},
+		{
+			name: "writer followed by non-faulting alu ops is direct",
+			sylls: []Syllable{
+				{Kind: KMovI, Dst: 5, Imm: 3},
+				{Kind: KAluRR, Op: riscv.ADD, Dst: 6, Ra: 7, Rb: 8},
+				{Kind: KAluRI, Op: riscv.ADDI, Dst: 9, Ra: 7, Imm: 2},
+				{Kind: KLoadD, Op: riscv.LD, Dst: 10, Ra: 7},
+			},
+			modes: []uint8{wmDirect, wmDirect, wmDirect, wmDirect},
+		},
+		{
+			name: "writer before a side exit is staged",
+			sylls: []Syllable{
+				{Kind: KMovI, Dst: 5, Imm: 3},
+				{Kind: KBrExit, Op: riscv.BEQ, Ra: 6, Rb: 7, Imm: 0x300},
+			},
+			modes:  []uint8{wmStaged, wmNone},
+			staged: bit(5),
+		},
+		{
+			name: "dst r0 writes nothing",
+			sylls: []Syllable{
+				{Kind: KAluRI, Op: riscv.ADDI, Dst: 0, Ra: 6, Imm: 1},
+				{Kind: KMovI, Dst: 0, Imm: 2},
+				{Kind: KAluRR, Op: riscv.ADD, Dst: 5, Ra: 0, Rb: 0},
+			},
+			modes: []uint8{wmNone, wmNone, wmDirect},
+		},
+		{
+			name: "double write",
+			sylls: []Syllable{
+				{Kind: KMovI, Dst: 5, Imm: 1},
+				{Kind: KMovI, Dst: 6, Imm: 2},
+				{Kind: KMovI, Dst: 5, Imm: 3},
+			},
+			modes:  []uint8{wmStaged, wmStaged, wmDouble},
+			staged: bit(5, 6),
+		},
+	}
+	cfg := DefaultConfig()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			blk := &Block{Bundles: []Bundle{pad(cfg, tc.sylls...)}}
+			ops := buildDecoded(blk).ops
+			var modes []uint8
+			for _, d := range ops[:len(ops)-1] {
+				modes = append(modes, d.wm)
+			}
+			if !reflect.DeepEqual(modes, tc.modes) {
+				t.Errorf("write modes = %v, want %v", modes, tc.modes)
+			}
+			if got := uint64(ops[len(ops)-1].imm); got != tc.staged {
+				t.Errorf("terminator mask = %#x, want %#x", got, tc.staged)
+			}
+		})
+	}
+}
+
+// A bundle that faults commits none of its writes, whatever their mode:
+// the earlier results of the faulting bundle, direct-eligible or not,
+// must not reach the register file or its poison bits.
+func TestExecFaultMidBundleCommitsNothing(t *testing.T) {
+	cases := []struct {
+		name string
+		last Syllable
+		kind trap.Kind
+	}{
+		{"poisoned commit", Syllable{Kind: KCommit, Dst: 7, Ra: 9, GuestPC: 0x120}, trap.DeferredFault},
+		{"out-of-range load", Syllable{Kind: KLoad, Op: riscv.LD, Dst: 7, Ra: 0, Imm: 8, GuestPC: 0x120}, trap.OutOfRangeAccess},
+	}
+	cfg := DefaultConfig()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := MustNewCore(cfg)
+			blk := &Block{Bundles: []Bundle{
+				// Squashed dismissable loads poison r9 and r10.
+				pad(cfg,
+					Syllable{Kind: KLoadD, Op: riscv.LD, Dst: 9, Ra: 0, Imm: 8},
+					Syllable{Kind: KLoadD, Op: riscv.LD, Dst: 10, Ra: 0, Imm: 16}),
+				pad(cfg,
+					Syllable{Kind: KAluRI, Op: riscv.ADDI, Dst: 5, Ra: 5, Imm: 1},
+					Syllable{Kind: KMovI, Dst: 10, Imm: 7},
+					tc.last),
+			}}
+			var regs [NumRegs]uint64
+			for r := range regs {
+				regs[r] = uint64(r) * 11
+			}
+			regs[0] = 0
+			want := regs
+			want[9], want[10] = 0, 0
+			var wantPoison [NumRegs]bool
+			wantPoison[9], wantPoison[10] = true, true
+
+			var cycles uint64
+			ei := c.Exec(blk, &regs, newTestBus(), &cycles)
+			if ei.Fault == nil || ei.Fault.Kind != tc.kind || ei.FaultPC != 0x120 || ei.Fault.PC != 0x120 {
+				t.Fatalf("exit = %+v, want a %v fault at 0x120", ei, tc.kind)
+			}
+			if regs != want {
+				t.Errorf("registers after the fault:\n got %v\nwant %v", regs, want)
+			}
+			if c.fr.poisoned != wantPoison {
+				t.Errorf("poison after the fault:\n got %v\nwant %v", c.fr.poisoned, wantPoison)
+			}
+		})
+	}
+}
+
+// A dop is one 64-byte cache line: the write mode fits the padding the
+// other byte-sized fields leave.
+func TestDopIsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(dop{}); n != 64 {
+		t.Fatalf("sizeof(dop) = %d, want 64", n)
 	}
 }

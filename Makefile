@@ -4,6 +4,7 @@
 #   make test    fast test pass
 #   make fuzz    run every native fuzz target for FUZZTIME (default 30s)
 #   make bench   host-performance benchmarks, benchstat-compatible output
+#   make profile-warm  CPU profile of a warm, paper-size Figure 4 sweep
 #   make fig4    print the Figure 4 table (parallel harness)
 #   make perf    record the Figure 4 perf JSON (BENCH_fig4.json schema)
 #   make trace   capture a Perfetto trace of the Spectre v1 PoC
@@ -17,7 +18,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build fmt test vet race check fuzz bench bench-quick fig4 perf trace trace-v4 audit detect-eval serve-smoke soak
+.PHONY: build fmt test vet race check fuzz bench bench-quick profile-warm fig4 perf trace trace-v4 audit detect-eval serve-smoke soak
 
 build:
 	$(GO) build ./...
@@ -61,6 +62,21 @@ bench:
 # One quick iteration of the top-level table benchmarks only.
 bench-quick:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
+
+# A CPU profile of warm Figure 4 execution at the paper's sizes: one
+# gbbench run fills a temporary translation-cache directory, PROFILE_RUNS
+# more runs on it each record a profile, and pprof prints the top
+# functions of their merge. BenchmarkFig4Matrix profiles n=8 cells,
+# whose mix differs (the PoCs' cache flushes weigh more there).
+PROFILE_RUNS ?= 5
+profile-warm:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/gbbench" ./cmd/gbbench && \
+	"$$dir/gbbench" -exp fig4 -j 1 -tcache-dir "$$dir/tc" > /dev/null 2>&1 && \
+	for i in $$(seq $(PROFILE_RUNS)); do \
+		"$$dir/gbbench" -exp fig4 -j 1 -tcache-dir "$$dir/tc" -cpuprofile "$$dir/$$i.prof" > /dev/null 2>&1 || exit 1; \
+	done && \
+	$(GO) tool pprof -top -nodecount=40 "$$dir/gbbench" "$$dir"/*.prof
 
 fig4:
 	$(GO) run ./cmd/gbbench -exp fig4

@@ -2,6 +2,7 @@ package dbt
 
 import (
 	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"ghostbusters/internal/riscv"
@@ -47,7 +48,9 @@ func fuzzProgram(data []byte) *riscv.Program {
 }
 
 // fuzzRun executes prog on a fresh machine and reports the outcome plus
-// the final architectural state. selfModified reports whether the guest
+// the final architectural state. A faulted run reports the Result a
+// clean exit at that point would have (cycles, instret and Stats), so
+// two backends can be compared on the fault path too. selfModified reports whether the guest
 // overwrote its own text with different words; such guests may
 // legitimately diverge between modes. The store hook
 // (Machine.onGuestStore) drops the overlapping regions only for later
@@ -71,6 +74,7 @@ func fuzzRun(t *testing.T, cfg Config, prog *riscv.Program) (res *Result, x [32]
 		if ferr == nil {
 			t.Fatalf("Run returned a non-trap error: %v", err)
 		}
+		res = m.result(riscv.Event{})
 	}
 	x = m.State().X
 	for i, w := range prog.Text {
@@ -90,6 +94,10 @@ func fuzzRun(t *testing.T, cfg Config, prog *riscv.Program) (res *Result, x [32]
 // sides. Fault kinds are not compared — speculative scheduling
 // legitimately reorders which fault fires first — but a clean exit on
 // one side with a fault on the other is a translator bug.
+//
+// A third run translates with chaining off. Chaining only changes how
+// the host reaches the next region, so that run must match the chained
+// one exactly: exit, fault kind and PC, registers, cycles and Stats.
 func FuzzInterpVsVLIW(f *testing.F) {
 	le := binary.LittleEndian
 	seed := func(words ...uint32) []byte {
@@ -114,8 +122,20 @@ func FuzzInterpVsVLIW(f *testing.F) {
 		cfgT.HotThreshold = 1
 		cfgT.TraceThreshold = 3
 
+		cfgU := cfgT
+		cfgU.DisableChaining = true
+
 		resI, xI, faultI, modI := fuzzRun(t, cfgI, prog)
 		resT, xT, faultT, modT := fuzzRun(t, cfgT, prog)
+		resU, xU, faultU, _ := fuzzRun(t, cfgU, prog)
+
+		if (faultT == nil) != (faultU == nil) ||
+			faultT != nil && (faultT.Kind != faultU.Kind || faultT.PC != faultU.PC) {
+			t.Fatalf("chaining changes the fault: chained %v, unchained %v", faultT, faultU)
+		}
+		if !reflect.DeepEqual(resT, resU) || xT != xU {
+			t.Fatalf("chaining changes the run:\nchained   %+v\n  x %v\nunchained %+v\n  x %v", resT, xT, resU, xU)
+		}
 
 		// Timing is mode-specific by design: once either side ran out of
 		// budget the other may be anywhere. Same for self-modifying

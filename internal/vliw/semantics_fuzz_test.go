@@ -16,7 +16,8 @@ import (
 // scheduled at predecode. Every syllable of a bundle reads the
 // pre-bundle register file, its results are queued, and the queue lands
 // only when the whole bundle got through; a fault discards it. It knows
-// the kinds FuzzExecBundleSemantics generates (no MCB, no recovery).
+// the kinds FuzzExecBundleSemantics generates (no MCB, no recovery):
+// every kind that decides a bundle's terminator except chk and lds.
 type refMachine struct {
 	cfg      Config
 	regs     [NumRegs]uint64
@@ -68,8 +69,8 @@ func (m *refMachine) exec(blk *Block) ExitInfo {
 		m.stats.Bundles++
 		var writes []refWrite
 		var written [NumRegs]bool
-		exitTaken := false
-		var exitTo uint64
+		exitTaken, haveNext := false, false
+		var exitTo, nextPC uint64
 		for i := range bundle {
 			sy := &bundle[i]
 			pc := sy.GuestPC
@@ -142,6 +143,31 @@ func (m *refMachine) exec(blk *Block) ExitInfo {
 				if riscv.EvalBranch(sy.Op, m.read(sy.Ra), m.read(sy.Rb)) {
 					exitTaken, exitTo = true, uint64(sy.Imm)
 				}
+			case KJump:
+				haveNext, nextPC = true, uint64(sy.Imm)
+			case KJumpR:
+				if m.poisonIn(sy.Ra) {
+					return refFault(errPoisonUse(sy), pc)
+				}
+				haveNext, nextPC = true, m.read(sy.Ra)+uint64(sy.Imm)
+			case KCsr:
+				var v uint64
+				switch sy.Imm {
+				case riscv.CSRCycle, riscv.CSRTime:
+					v = m.cycles
+				case riscv.CSRInstret:
+					v = m.instret
+				}
+				ei = write(v, false)
+			case KFlush:
+				if sy.Op == riscv.CFLUSHALL {
+					m.b.FlushAll()
+					break
+				}
+				if m.poisonIn(sy.Ra) {
+					return refFault(errPoisonUse(sy), pc)
+				}
+				m.b.FlushLine(m.read(sy.Ra))
 			default:
 				panic(fmt.Sprintf("reference interpreter: kind %s not generated", sy.Kind))
 			}
@@ -158,6 +184,10 @@ func (m *refMachine) exec(blk *Block) ExitInfo {
 			m.stats.SideExits++
 			m.instret += uint64(blk.GuestInsts)
 			return ExitInfo{NextPC: exitTo, SideExit: true}
+		}
+		if haveNext {
+			m.instret += uint64(blk.GuestInsts)
+			return ExitInfo{NextPC: nextPC}
 		}
 	}
 	m.instret += uint64(blk.GuestInsts)
@@ -178,7 +208,8 @@ var fuzzRegs = [...]uint8{0, 1, 2, 3, 5, 6, 40, 41}
 
 // fuzzBlock turns fuzz bytes into a block of up to 8 bundles. Each
 // syllable takes four bytes: kind and bundle break, registers, an
-// immediate selector and an operation selector.
+// immediate selector and an operation selector. Bit 4 of the kind byte
+// selects the second kind table (jump, jumpr, csr, cflush).
 func fuzzBlock(cfg Config, data []byte) *Block {
 	blk := &Block{EntryPC: 0x100, FallPC: 0x200}
 	var cur []Syllable
@@ -205,7 +236,7 @@ func fuzzBlock(cfg Config, data []byte) *Block {
 		if im&0x38 == 0x38 {
 			off = -fuzzData
 		}
-		switch k & 7 {
+		switch k & 0x17 {
 		case 0:
 			sy.Kind = KAluRR
 			sy.Op = [...]riscv.Op{riscv.ADD, riscv.SUB, riscv.XOR, riscv.SLTU, riscv.MUL, riscv.AND, riscv.OR, riscv.ADDW}[op&7]
@@ -233,6 +264,19 @@ func fuzzBlock(cfg Config, data []byte) *Block {
 		case 7:
 			sy.Kind, sy.Imm = KBrExit, int64(0x300+int(op)*4)
 			sy.Op = [...]riscv.Op{riscv.BEQ, riscv.BNE, riscv.BLTU, riscv.BGE}[op&3]
+		case 0x10, 0x14:
+			sy.Kind, sy.Imm = KJump, int64(0x400+int(op)*4)
+		case 0x11, 0x15:
+			sy.Kind, sy.Imm = KJumpR, off
+		case 0x12, 0x16:
+			// Cycle, instret, time, and a CSR the core reads as 0.
+			sy.Kind, sy.Op = KCsr, riscv.CSRRS
+			sy.Imm = [...]int64{riscv.CSRCycle, riscv.CSRInstret, riscv.CSRTime, 0x7c0}[op&3]
+		case 0x13, 0x17:
+			sy.Kind, sy.Op = KFlush, riscv.CFLUSH
+			if op&1 != 0 {
+				sy.Op = riscv.CFLUSHALL
+			}
 		}
 		cur = append(cur, sy)
 		if k&8 != 0 || len(cur) == cfg.Width() {
@@ -245,10 +289,10 @@ func fuzzBlock(cfg Config, data []byte) *Block {
 }
 
 // fuzzSyl encodes one syllable the way fuzzBlock decodes it: kind
-// selector k, fuzzRegs indexes, immediate and op selectors, and whether
-// the bundle ends after it.
+// selector k (0–7 the first table, 8–11 the second), fuzzRegs indexes,
+// immediate and op selectors, and whether the bundle ends after it.
 func fuzzSyl(k, dst, ra, rb, im, op byte, end bool) []byte {
-	k |= rb >> 2 << 7
+	k = k&7 | (k&8)<<1 | rb>>2<<7
 	if end {
 		k |= 8
 	}
@@ -277,13 +321,47 @@ func FuzzExecBundleSemantics(f *testing.F) {
 		return data
 	}
 	f.Add(seed()) // a block of no bundles
-	f.Add(seed(   // a read after write, then a poisoned commit
+	f.Add(seed(   // a staged read after write, then a poisoned commit
 		fuzzSyl(2, 1, 0, 0, 0, 1, false),   // movi r1, data
 		fuzzSyl(0, 4, 1, 3, 0, 0, false),   // add r5, r1, r3
 		fuzzSyl(3, 2, 4, 0, 1, 0, true),    // ld r2, 8(r5)
 		fuzzSyl(4, 5, 1, 0, 0x38, 0, true), // ldd r6, -data(r1): squashed
 		fuzzSyl(2, 2, 0, 0, 2, 1, false),   // movi r2, data+16
 		fuzzSyl(6, 1, 5, 0, 0, 0, true)))   // commit r1, r6: poison fault
+	f.Add(seed( // every specialised handler; plain bundle ends
+		fuzzSyl(0, 4, 1, 2, 0, 0, false), // add r5, r1, r2
+		fuzzSyl(0, 5, 1, 2, 0, 4, false), // mul r6, r1, r2
+		fuzzSyl(0, 6, 1, 2, 0, 1, true),  // sub r40, r1, r2
+		fuzzSyl(1, 4, 1, 0, 3, 0, false), // addi r5, r1, 3
+		fuzzSyl(1, 5, 2, 0, 2, 3, false), // slli r6, r2, 2
+		fuzzSyl(1, 6, 3, 0, 1, 1, false), // xori r40, r3, 1
+		fuzzSyl(2, 7, 0, 0, 0, 1, true),  // movi r41, data
+		fuzzSyl(6, 1, 5, 0, 0, 0, true),  // commit r1, r6
+		fuzzSyl(3, 2, 7, 0, 1, 0, true))) // ld r2, 8(r41)
+	f.Add(seed( // poison through the direct ALU handlers, via ra and rb
+		fuzzSyl(4, 5, 1, 0, 0x38, 0, true), // ldd r6, -data(r1): squashed
+		fuzzSyl(0, 4, 1, 5, 0, 0, false),   // add r5, r1, r6
+		fuzzSyl(0, 6, 2, 5, 0, 4, false),   // mul r40, r2, r6
+		fuzzSyl(0, 7, 5, 2, 0, 1, true),    // sub r41, r6, r2
+		fuzzSyl(1, 1, 5, 0, 3, 0, false),   // addi r1, r6, 3
+		fuzzSyl(1, 2, 5, 0, 2, 3, false),   // slli r2, r6, 2
+		fuzzSyl(1, 3, 5, 0, 1, 1, true)))   // xori r3, r6, 1
+	f.Add(seed( // a plain bundle, then a faulting one
+		fuzzSyl(1, 4, 1, 0, 1, 0, true),     // addi r5, r1, 1
+		fuzzSyl(0, 5, 4, 1, 0, 0, false),    // add r6, r5, r1: staged
+		fuzzSyl(3, 2, 1, 0, 0x38, 0, true))) // ld r2, -data(r1): faults
+	f.Add(seed( // csr and cflush, then a jump
+		fuzzSyl(10, 4, 0, 0, 0, 0, false), // csr r5, cycle
+		fuzzSyl(10, 5, 0, 0, 0, 1, false), // csr r6, instret
+		fuzzSyl(11, 0, 1, 0, 0, 0, false), // cflush (r1)
+		fuzzSyl(11, 0, 0, 0, 0, 1, true),  // cflush all
+		fuzzSyl(3, 2, 1, 0, 0, 0, false),  // ld r2, 0(r1): a miss
+		fuzzSyl(10, 6, 0, 0, 0, 0, false), // csr r40, cycle: after the stall
+		fuzzSyl(8, 0, 0, 0, 0, 3, true)))  // jump 0x40c
+	f.Add(seed( // jumpr, clean and on a poisoned register
+		fuzzSyl(4, 5, 1, 0, 0x38, 0, false), // ldd r6, -data(r1): squashed
+		fuzzSyl(9, 0, 1, 0, 2, 0, true),     // jumpr 16(r1)
+		fuzzSyl(9, 0, 5, 0, 0, 0, true)))    // jumpr 0(r6): poison fault
 	f.Add(seed( // a double write
 		fuzzSyl(2, 1, 0, 0, 0, 0, false), // movi r1, 0
 		fuzzSyl(5, 0, 2, 3, 2, 0, false), // sd r3, 16(r2)

@@ -14,8 +14,9 @@ import (
 // every execution, a block is predecoded once into a flat table of dops
 // — nops stripped, one handler function pointer per operation, ALU /
 // branch / extend semantics resolved to direct function values, each
-// result's write mode fixed (see writeSchedule), and a bundle-terminator
-// pseudo-op carrying the write-phase, recovery and exit logic. The
+// result's write mode fixed (see writeSchedule) and the handler chosen
+// for it (see specialise), and a bundle-terminator pseudo-op carrying
+// the write-phase, recovery and exit logic. The
 // table is built at translation time (or lazily on first dispatch) and
 // shared read-only afterwards, so the steady-state execution loop stays
 // allocation-free.
@@ -123,6 +124,78 @@ func (c *Core) push(d *dop, v uint64, p bool) ctl {
 	return ctlNext
 }
 
+// Direct handlers: the dop's write mode is wmDirect, so the result
+// lands in place without push's switch (see specialise). The value is
+// computed before regs is written and the poison before poisoned is,
+// so dst may also be an operand.
+
+func opAluRRDirect(c *Core, d *dop) ctl {
+	fr := &c.fr
+	fr.regs[d.dst] = d.alu(fr.read(d.ra), fr.read(d.rb))
+	fr.poisoned[d.dst] = fr.poisonIn(d.ra) || fr.poisonIn(d.rb)
+	return ctlNext
+}
+
+func opAluRIDirect(c *Core, d *dop) ctl {
+	fr := &c.fr
+	fr.regs[d.dst] = d.alu(fr.read(d.ra), uint64(d.imm))
+	fr.poisoned[d.dst] = fr.poisonIn(d.ra)
+	return ctlNext
+}
+
+// The hottest ALU ops also do their arithmetic inline, so they make no
+// second indirect call through d.alu.
+
+func opAddDirect(c *Core, d *dop) ctl {
+	fr := &c.fr
+	fr.regs[d.dst] = fr.read(d.ra) + fr.read(d.rb)
+	fr.poisoned[d.dst] = fr.poisonIn(d.ra) || fr.poisonIn(d.rb)
+	return ctlNext
+}
+
+func opMulDirect(c *Core, d *dop) ctl {
+	fr := &c.fr
+	fr.regs[d.dst] = fr.read(d.ra) * fr.read(d.rb)
+	fr.poisoned[d.dst] = fr.poisonIn(d.ra) || fr.poisonIn(d.rb)
+	return ctlNext
+}
+
+func opAddIDirect(c *Core, d *dop) ctl {
+	fr := &c.fr
+	fr.regs[d.dst] = fr.read(d.ra) + uint64(d.imm)
+	fr.poisoned[d.dst] = fr.poisonIn(d.ra)
+	return ctlNext
+}
+
+func opSllIDirect(c *Core, d *dop) ctl {
+	fr := &c.fr
+	fr.regs[d.dst] = fr.read(d.ra) << (uint64(d.imm) & 63)
+	fr.poisoned[d.dst] = fr.poisonIn(d.ra)
+	return ctlNext
+}
+
+func opMovIDirect(c *Core, d *dop) ctl {
+	c.fr.regs[d.dst], c.fr.poisoned[d.dst] = uint64(d.imm), false
+	return ctlNext
+}
+
+func opCommitDirect(c *Core, d *dop) ctl {
+	fr := &c.fr
+	if fr.poisonIn(d.ra) {
+		return c.fail(errPoisonUse(d.sy), d.pc)
+	}
+	fr.regs[d.dst], fr.poisoned[d.dst] = fr.read(d.ra), false
+	return ctlNext
+}
+
+func opLoadDirect(c *Core, d *dop) ctl {
+	v, r := c.load(d)
+	if r == ctlNext {
+		c.fr.regs[d.dst], c.fr.poisoned[d.dst] = v, false
+	}
+	return r
+}
+
 func opAluRR(c *Core, d *dop) ctl {
 	fr := &c.fr
 	p := fr.poisonIn(d.ra) || fr.poisonIn(d.rb)
@@ -139,19 +212,29 @@ func opMovI(c *Core, d *dop) ctl {
 }
 
 func opLoad(c *Core, d *dop) ctl {
+	v, r := c.load(d)
+	if r != ctlNext {
+		return r
+	}
+	return c.push(d, v, false)
+}
+
+// load is the body of an architectural load: the extended value, or
+// ctlStop after a fault.
+func (c *Core) load(d *dop) (uint64, ctl) {
 	fr := &c.fr
 	if fr.poisonIn(d.ra) {
-		return c.fail(errPoisonUse(d.sy), d.pc)
+		return 0, c.fail(errPoisonUse(d.sy), d.pc)
 	}
 	addr := fr.read(d.ra) + uint64(d.imm)
 	v, lat, err := fr.b.Load(addr, int(d.siz))
 	if err != nil {
-		return c.fail(err, d.pc)
+		return 0, c.fail(err, d.pc)
 	}
 	if lat > fr.hitLat {
 		*fr.cycles += lat - fr.hitLat // stall-on-miss
 	}
-	return c.push(d, d.ext(v), false)
+	return d.ext(v), ctlNext
 }
 
 // specLoad is the shared body of KLoadD/KLoadS: dismissable semantics,
@@ -375,6 +458,19 @@ func opEndBundle(c *Core, d *dop) ctl {
 	return ctlNext
 }
 
+// opEndBundlePlain terminates a non-final bundle that has nothing to
+// finish: its staged mask is 0 and it holds no chk, br.exit, jump or
+// jumpr. Those four kinds are the only ones that append to scr.recov or
+// set exitTaken or haveNext, and all three are clear when the bundle
+// starts (Exec clears them on entry; finishBundle empties the recovery
+// list and stops the block once an exit is decided). finishBundle would
+// commit nothing, run no recovery and take no exit.
+func opEndBundlePlain(c *Core, d *dop) ctl {
+	*c.fr.cycles++
+	c.Stats.Bundles++
+	return ctlNext
+}
+
 // opEndBlock terminates the final bundle: finish it, then fall through
 // to the block's FallPC.
 func opEndBlock(c *Core, d *dop) ctl {
@@ -454,9 +550,16 @@ func buildDecoded(blk *Block) *decoded {
 			}
 			ops = append(ops, d)
 		}
-		term := dop{fn: opEndBundle, imm: int64(writeSchedule(ops[first:]))}
-		if bi == len(blk.Bundles)-1 {
+		staged := writeSchedule(ops[first:])
+		term := dop{fn: opEndBundle, imm: int64(staged)}
+		switch {
+		case bi == len(blk.Bundles)-1:
 			term.fn = opEndBlock
+		case staged == 0 && plainBundle(ops[first:]):
+			term.fn = opEndBundlePlain
+		}
+		for i := first; i < len(ops); i++ {
+			specialise(&ops[i])
 		}
 		ops = append(ops, term)
 	}
@@ -499,6 +602,53 @@ func writeSchedule(ops []dop) (staged uint64) {
 		faultLater = faultLater || d.wm == wmDouble || canFault(d.sy)
 	}
 	return staged
+}
+
+// specialise gives a direct write its in-place handler, and the ALU
+// ops most frequent in the Figure 4 sweep their inline one. Staged and
+// double writes, and writes to r0, keep the generic handler and push.
+func specialise(d *dop) {
+	if d.wm != wmDirect {
+		return
+	}
+	switch d.sy.Kind {
+	case KAluRR:
+		switch d.sy.Op {
+		case riscv.ADD:
+			d.fn = opAddDirect
+		case riscv.MUL:
+			d.fn = opMulDirect
+		default:
+			d.fn = opAluRRDirect
+		}
+	case KAluRI:
+		switch d.sy.Op {
+		case riscv.ADDI:
+			d.fn = opAddIDirect
+		case riscv.SLLI:
+			d.fn = opSllIDirect
+		default:
+			d.fn = opAluRIDirect
+		}
+	case KMovI:
+		d.fn = opMovIDirect
+	case KLoad:
+		d.fn = opLoadDirect
+	case KCommit:
+		d.fn = opCommitDirect
+	}
+}
+
+// plainBundle reports whether a bundle holds none of the kinds that
+// leave work for its terminator besides the staged commit.
+func plainBundle(ops []dop) bool {
+	for i := range ops {
+		switch ops[i].sy.Kind {
+		case KChk, KBrExit, KJump, KJumpR:
+			return false
+		}
+	}
+	return true
 }
 
 // writesDst reports whether a syllable kind writes its Dst register.

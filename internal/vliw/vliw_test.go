@@ -971,6 +971,152 @@ func TestWriteSchedule(t *testing.T) {
 	}
 }
 
+// Predecode decides each dop's handler once: a direct write gets its
+// in-place handler (the hottest ALU ops their inline one), everything
+// else keeps the generic handler and push; a non-final bundle that
+// stages nothing and holds no chk, br.exit, jump or jumpr gets the plain
+// end; the final bundle always gets opEndBlock.
+func TestDecodedSpecialisation(t *testing.T) {
+	type handler = func(*Core, *dop) ctl
+	name := map[uintptr]string{}
+	for n, fn := range map[string]handler{
+		"opAluRR": opAluRR, "opAluRI": opAluRI, "opMovI": opMovI, "opLoad": opLoad,
+		"opLoadD": opLoadD, "opCommit": opCommit, "opCsr": opCsr, "opStore": opStore,
+		"opChk": opChk, "opBrExit": opBrExit, "opJump": opJump, "opJumpR": opJumpR,
+		"opFlushAll": opFlushAll, "opFlushLine": opFlushLine,
+		"opAluRRDirect": opAluRRDirect, "opAluRIDirect": opAluRIDirect,
+		"opAddDirect": opAddDirect, "opMulDirect": opMulDirect,
+		"opAddIDirect": opAddIDirect, "opSllIDirect": opSllIDirect,
+		"opMovIDirect": opMovIDirect, "opLoadDirect": opLoadDirect, "opCommitDirect": opCommitDirect,
+		"opEndBundle": opEndBundle, "opEndBundlePlain": opEndBundlePlain, "opEndBlock": opEndBlock,
+	} {
+		name[reflect.ValueOf(fn).Pointer()] = n
+	}
+	direct := map[string]bool{
+		"opAluRRDirect": true, "opAluRIDirect": true, "opAddDirect": true, "opMulDirect": true,
+		"opAddIDirect": true, "opSllIDirect": true, "opMovIDirect": true, "opLoadDirect": true,
+		"opCommitDirect": true,
+	}
+	ld := Syllable{Kind: KLoad, Op: riscv.LD, Dst: 20, Ra: 21}
+	cases := []struct {
+		name    string
+		bundles [][]Syllable
+		want    []string // one per dop, terminators included
+	}{
+		{
+			name: "direct writes",
+			bundles: [][]Syllable{{
+				{Kind: KAluRR, Op: riscv.ADD, Dst: 5, Ra: 1, Rb: 2},
+				{Kind: KAluRR, Op: riscv.MUL, Dst: 6, Ra: 1, Rb: 2},
+				{Kind: KAluRR, Op: riscv.SUB, Dst: 7, Ra: 1, Rb: 2},
+				{Kind: KAluRI, Op: riscv.ADDI, Dst: 8, Ra: 1, Imm: 1},
+			}, {
+				{Kind: KAluRI, Op: riscv.SLLI, Dst: 5, Ra: 1, Imm: 3},
+				{Kind: KAluRI, Op: riscv.XORI, Dst: 6, Ra: 1, Imm: 1},
+				{Kind: KMovI, Dst: 7, Imm: 4},
+			}, {
+				{Kind: KCommit, Dst: 8, Ra: 40},
+			}, {ld}},
+			want: []string{
+				"opAddDirect", "opMulDirect", "opAluRRDirect", "opAddIDirect", "opEndBundlePlain",
+				"opSllIDirect", "opAluRIDirect", "opMovIDirect", "opEndBundlePlain",
+				"opCommitDirect", "opEndBundlePlain", "opLoadDirect", "opEndBlock",
+			},
+		},
+		{
+			name: "staged and double writes keep push",
+			bundles: [][]Syllable{{
+				{Kind: KAluRR, Op: riscv.ADD, Dst: 5, Ra: 1, Rb: 2},
+				{Kind: KAluRI, Op: riscv.ADDI, Dst: 6, Ra: 5, Imm: 1},
+				{Kind: KCommit, Dst: 7, Ra: 40},
+				{Kind: KMovI, Dst: 7, Imm: 1},
+			}, {
+				{Kind: KCommit, Dst: 8, Ra: 41},
+				ld,
+			}},
+			want: []string{
+				"opAluRR", "opAluRI", "opCommit", "opMovI", "opEndBundle",
+				"opCommit", "opLoadDirect", "opEndBlock",
+			},
+		},
+		{
+			name: "writes to r0 and unspecialised kinds",
+			bundles: [][]Syllable{{
+				{Kind: KAluRR, Op: riscv.ADD, Dst: 0, Ra: 1, Rb: 2},
+				{Kind: KAluRI, Op: riscv.ADDI, Dst: 0, Ra: 1, Imm: 1},
+				{Kind: KMovI, Dst: 0, Imm: 1},
+				{Kind: KLoad, Op: riscv.LD, Dst: 0, Ra: 1},
+			}, {
+				{Kind: KLoadD, Op: riscv.LD, Dst: 5, Ra: 1},
+				{Kind: KCsr, Op: riscv.CSRRS, Dst: 6, Imm: riscv.CSRCycle},
+				{Kind: KStore, Op: riscv.SD, Ra: 1, Rb: 2},
+				{Kind: KFlush, Op: riscv.CFLUSHALL},
+			}, {
+				{Kind: KFlush, Op: riscv.CFLUSH, Ra: 1},
+			}, {ld}},
+			want: []string{
+				"opAluRR", "opAluRI", "opMovI", "opLoad", "opEndBundlePlain",
+				"opLoadD", "opCsr", "opStore", "opFlushAll", "opEndBundle",
+				"opFlushLine", "opEndBundlePlain",
+				"opLoadDirect", "opEndBlock",
+			},
+		},
+		{
+			name: "exits and checks keep the full end",
+			bundles: [][]Syllable{
+				{{Kind: KChk, Tag: 0, Rec: -1}},
+				{{Kind: KBrExit, Op: riscv.BEQ, Ra: 1, Rb: 2, Imm: 0x300}},
+				{{Kind: KJump, Imm: 0x300}},
+				{{Kind: KJumpR, Ra: 1}},
+				{{Kind: KMovI, Dst: 5, Imm: 1}},
+			},
+			want: []string{
+				"opChk", "opEndBundle", "opBrExit", "opEndBundle", "opJump", "opEndBundle",
+				"opJumpR", "opEndBundle", "opMovIDirect", "opEndBlock",
+			},
+		},
+		{
+			name:    "a one-bundle block ends the block",
+			bundles: [][]Syllable{{{Kind: KMovI, Dst: 5, Imm: 1}}},
+			want:    []string{"opMovIDirect", "opEndBlock"},
+		},
+	}
+	cfg := DefaultConfig()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			blk := &Block{}
+			for _, b := range tc.bundles {
+				blk.Bundles = append(blk.Bundles, pad(cfg, b...))
+			}
+			ops := buildDecoded(blk).ops
+			var got []string
+			first := 0
+			for i := range ops {
+				d := &ops[i]
+				n := name[reflect.ValueOf(d.fn).Pointer()]
+				got = append(got, n)
+				if d.sy != nil {
+					if direct[n] && (d.wm != wmDirect || d.dst == 0) {
+						t.Errorf("%s (write mode %d, r%d) got the direct handler %s", d.sy, d.wm, d.dst, n)
+					}
+					continue
+				}
+				last := i == len(ops)-1
+				if last != (n == "opEndBlock") {
+					t.Errorf("terminator %d is %s; the final bundle, and only it, ends the block", i, n)
+				}
+				if n == "opEndBundlePlain" && (d.imm != 0 || !plainBundle(ops[first:i])) {
+					t.Errorf("terminator %d is plain after a bundle with work to finish", i)
+				}
+				first = i + 1
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("handlers:\n got %v\nwant %v", got, tc.want)
+			}
+		})
+	}
+}
+
 // A bundle that faults commits none of its writes, whatever their mode:
 // the earlier results of the faulting bundle, direct-eligible or not,
 // must not reach the register file or its poison bits.

@@ -64,16 +64,15 @@ bench-quick:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 # A CPU profile of warm Figure 4 execution at the paper's sizes: one
-# gbbench run fills a temporary translation-cache directory, PROFILE_RUNS
-# more runs on it each record a profile, and pprof prints the top
-# functions of their merge. BenchmarkFig4Matrix profiles n=8 cells,
-# whose mix differs (the PoCs' cache flushes weigh more there).
-PROFILE_RUNS ?= 5
+# gbbench run fills a temporary translation-cache directory, five more
+# runs on it each record a profile, and pprof prints the top functions
+# of their merge. BenchmarkFig4Matrix profiles n=8 cells, whose mix
+# differs (the PoCs' cache flushes weigh more there).
 profile-warm:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/gbbench" ./cmd/gbbench && \
 	"$$dir/gbbench" -exp fig4 -j 1 -tcache-dir "$$dir/tc" > /dev/null 2>&1 && \
-	for i in $$(seq $(PROFILE_RUNS)); do \
+	for i in 1 2 3 4 5; do \
 		"$$dir/gbbench" -exp fig4 -j 1 -tcache-dir "$$dir/tc" -cpuprofile "$$dir/$$i.prof" > /dev/null 2>&1 || exit 1; \
 	done && \
 	$(GO) tool pprof -top -nodecount=40 "$$dir/gbbench" "$$dir"/*.prof

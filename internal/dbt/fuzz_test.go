@@ -50,13 +50,14 @@ func fuzzProgram(data []byte) *riscv.Program {
 // fuzzRun executes prog on a fresh machine and reports the outcome plus
 // the final architectural state. A faulted run reports the Result a
 // clean exit at that point would have (cycles, instret and Stats), so
-// two backends can be compared on the fault path too. selfModified reports whether the guest
-// overwrote its own text with different words; such guests may
-// legitimately diverge between modes. The store hook
-// (Machine.onGuestStore) drops the overlapping regions only for later
-// dispatches: the region that issued the store runs its translated
-// bundles to the region exit, so an instruction it overwrote later in
-// the same region still executes in its old form, while the
+// two backends can be compared on the fault path too; like the fault
+// path of Run, it publishes nothing to a translation cache.
+// selfModified reports whether the guest overwrote its own text with
+// different words; such guests may legitimately diverge between modes.
+// The store hook (Machine.onGuestStore) drops the overlapping regions
+// only for later dispatches: the region that issued the store runs its
+// translated bundles to the region exit, so an instruction it overwrote
+// later in the same region still executes in its old form, while the
 // interpreter fetches the new word at once.
 func fuzzRun(t *testing.T, cfg Config, prog *riscv.Program) (res *Result, x [32]uint64, ferr *trap.Fault, selfModified bool) {
 	t.Helper()

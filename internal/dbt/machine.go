@@ -852,6 +852,15 @@ func (m *Machine) Run() (*Result, error) {
 		m.stats.InterpInsts++
 		switch res.Event.Kind {
 		case riscv.EvExit, riscv.EvBreak:
+			// A clean guest exit publishes this run's fresh translations
+			// to the shared cache (and, when configured, to disk).
+			// Faulted or interrupted runs never publish: their recording
+			// stopped at an arbitrary instant a complete run would
+			// overshoot.
+			if m.tcr != nil {
+				m.tcr.Publish()
+				m.tcr = nil
+			}
 			return m.result(res.Event), nil
 		case riscv.EvFault:
 			return nil, m.raise(trap.From(res.Event.Err), res.Event.Addr)
@@ -978,15 +987,9 @@ func (m *Machine) dispatch(pc uint64, e *transEntry) vliw.ExitInfo {
 	return ei
 }
 
+// result assembles the run's Result as of now. It has no side effects,
+// so it also serves to snapshot a faulted run.
 func (m *Machine) result(ev riscv.Event) *Result {
-	// A clean guest exit publishes this run's fresh translations to the
-	// shared cache (and, when configured, to disk). Faulted or
-	// interrupted runs never publish: their recording stopped at an
-	// arbitrary instant a complete run would overshoot.
-	if m.tcr != nil {
-		m.tcr.Publish()
-		m.tcr = nil
-	}
 	s := m.stats
 	cs := m.core.Stats
 	s.Bundles = cs.Bundles

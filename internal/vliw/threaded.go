@@ -143,8 +143,9 @@ func opAluRIDirect(c *Core, d *dop) ctl {
 	return ctlNext
 }
 
-// The hottest ALU ops also do their arithmetic inline, so they make no
-// second indirect call through d.alu.
+// add and addi, the most frequent ALU ops of a Figure 4 sweep, also do
+// their arithmetic inline, so they make no second indirect call through
+// d.alu.
 
 func opAddDirect(c *Core, d *dop) ctl {
 	fr := &c.fr
@@ -153,23 +154,9 @@ func opAddDirect(c *Core, d *dop) ctl {
 	return ctlNext
 }
 
-func opMulDirect(c *Core, d *dop) ctl {
-	fr := &c.fr
-	fr.regs[d.dst] = fr.read(d.ra) * fr.read(d.rb)
-	fr.poisoned[d.dst] = fr.poisonIn(d.ra) || fr.poisonIn(d.rb)
-	return ctlNext
-}
-
 func opAddIDirect(c *Core, d *dop) ctl {
 	fr := &c.fr
 	fr.regs[d.dst] = fr.read(d.ra) + uint64(d.imm)
-	fr.poisoned[d.dst] = fr.poisonIn(d.ra)
-	return ctlNext
-}
-
-func opSllIDirect(c *Core, d *dop) ctl {
-	fr := &c.fr
-	fr.regs[d.dst] = fr.read(d.ra) << (uint64(d.imm) & 63)
 	fr.poisoned[d.dst] = fr.poisonIn(d.ra)
 	return ctlNext
 }
@@ -188,14 +175,6 @@ func opCommitDirect(c *Core, d *dop) ctl {
 	return ctlNext
 }
 
-func opLoadDirect(c *Core, d *dop) ctl {
-	v, r := c.load(d)
-	if r == ctlNext {
-		c.fr.regs[d.dst], c.fr.poisoned[d.dst] = v, false
-	}
-	return r
-}
-
 func opAluRR(c *Core, d *dop) ctl {
 	fr := &c.fr
 	p := fr.poisonIn(d.ra) || fr.poisonIn(d.rb)
@@ -212,29 +191,19 @@ func opMovI(c *Core, d *dop) ctl {
 }
 
 func opLoad(c *Core, d *dop) ctl {
-	v, r := c.load(d)
-	if r != ctlNext {
-		return r
-	}
-	return c.push(d, v, false)
-}
-
-// load is the body of an architectural load: the extended value, or
-// ctlStop after a fault.
-func (c *Core) load(d *dop) (uint64, ctl) {
 	fr := &c.fr
 	if fr.poisonIn(d.ra) {
-		return 0, c.fail(errPoisonUse(d.sy), d.pc)
+		return c.fail(errPoisonUse(d.sy), d.pc)
 	}
 	addr := fr.read(d.ra) + uint64(d.imm)
 	v, lat, err := fr.b.Load(addr, int(d.siz))
 	if err != nil {
-		return 0, c.fail(err, d.pc)
+		return c.fail(err, d.pc)
 	}
 	if lat > fr.hitLat {
 		*fr.cycles += lat - fr.hitLat // stall-on-miss
 	}
-	return d.ext(v), ctlNext
+	return c.push(d, d.ext(v), false)
 }
 
 // specLoad is the shared body of KLoadD/KLoadS: dismissable semantics,
@@ -604,36 +573,26 @@ func writeSchedule(ops []dop) (staged uint64) {
 	return staged
 }
 
-// specialise gives a direct write its in-place handler, and the ALU
-// ops most frequent in the Figure 4 sweep their inline one. Staged and
-// double writes, and writes to r0, keep the generic handler and push.
+// specialise gives a direct write its in-place handler, and add and
+// addi their inline one. Staged and double writes, and writes to r0,
+// keep the generic handler and push.
 func specialise(d *dop) {
 	if d.wm != wmDirect {
 		return
 	}
 	switch d.sy.Kind {
 	case KAluRR:
-		switch d.sy.Op {
-		case riscv.ADD:
+		d.fn = opAluRRDirect
+		if d.sy.Op == riscv.ADD {
 			d.fn = opAddDirect
-		case riscv.MUL:
-			d.fn = opMulDirect
-		default:
-			d.fn = opAluRRDirect
 		}
 	case KAluRI:
-		switch d.sy.Op {
-		case riscv.ADDI:
+		d.fn = opAluRIDirect
+		if d.sy.Op == riscv.ADDI {
 			d.fn = opAddIDirect
-		case riscv.SLLI:
-			d.fn = opSllIDirect
-		default:
-			d.fn = opAluRIDirect
 		}
 	case KMovI:
 		d.fn = opMovIDirect
-	case KLoad:
-		d.fn = opLoadDirect
 	case KCommit:
 		d.fn = opCommitDirect
 	}

@@ -972,7 +972,7 @@ func TestWriteSchedule(t *testing.T) {
 }
 
 // Predecode decides each dop's handler once: a direct write gets its
-// in-place handler (the hottest ALU ops their inline one), everything
+// in-place handler (add and addi their inline one), everything
 // else keeps the generic handler and push; a non-final bundle that
 // stages nothing and holds no chk, br.exit, jump or jumpr gets the plain
 // end; the final bundle always gets opEndBlock.
@@ -985,17 +985,15 @@ func TestDecodedSpecialisation(t *testing.T) {
 		"opChk": opChk, "opBrExit": opBrExit, "opJump": opJump, "opJumpR": opJumpR,
 		"opFlushAll": opFlushAll, "opFlushLine": opFlushLine,
 		"opAluRRDirect": opAluRRDirect, "opAluRIDirect": opAluRIDirect,
-		"opAddDirect": opAddDirect, "opMulDirect": opMulDirect,
-		"opAddIDirect": opAddIDirect, "opSllIDirect": opSllIDirect,
-		"opMovIDirect": opMovIDirect, "opLoadDirect": opLoadDirect, "opCommitDirect": opCommitDirect,
+		"opAddDirect": opAddDirect, "opAddIDirect": opAddIDirect,
+		"opMovIDirect": opMovIDirect, "opCommitDirect": opCommitDirect,
 		"opEndBundle": opEndBundle, "opEndBundlePlain": opEndBundlePlain, "opEndBlock": opEndBlock,
 	} {
 		name[reflect.ValueOf(fn).Pointer()] = n
 	}
 	direct := map[string]bool{
-		"opAluRRDirect": true, "opAluRIDirect": true, "opAddDirect": true, "opMulDirect": true,
-		"opAddIDirect": true, "opSllIDirect": true, "opMovIDirect": true, "opLoadDirect": true,
-		"opCommitDirect": true,
+		"opAluRRDirect": true, "opAluRIDirect": true, "opAddDirect": true,
+		"opAddIDirect": true, "opMovIDirect": true, "opCommitDirect": true,
 	}
 	ld := Syllable{Kind: KLoad, Op: riscv.LD, Dst: 20, Ra: 21}
 	cases := []struct {
@@ -1018,9 +1016,9 @@ func TestDecodedSpecialisation(t *testing.T) {
 				{Kind: KCommit, Dst: 8, Ra: 40},
 			}, {ld}},
 			want: []string{
-				"opAddDirect", "opMulDirect", "opAluRRDirect", "opAddIDirect", "opEndBundlePlain",
-				"opSllIDirect", "opAluRIDirect", "opMovIDirect", "opEndBundlePlain",
-				"opCommitDirect", "opEndBundlePlain", "opLoadDirect", "opEndBlock",
+				"opAddDirect", "opAluRRDirect", "opAluRRDirect", "opAddIDirect", "opEndBundlePlain",
+				"opAluRIDirect", "opAluRIDirect", "opMovIDirect", "opEndBundlePlain",
+				"opCommitDirect", "opEndBundlePlain", "opLoad", "opEndBlock",
 			},
 		},
 		{
@@ -1036,7 +1034,7 @@ func TestDecodedSpecialisation(t *testing.T) {
 			}},
 			want: []string{
 				"opAluRR", "opAluRI", "opCommit", "opMovI", "opEndBundle",
-				"opCommit", "opLoadDirect", "opEndBlock",
+				"opCommit", "opLoad", "opEndBlock",
 			},
 		},
 		{
@@ -1058,7 +1056,7 @@ func TestDecodedSpecialisation(t *testing.T) {
 				"opAluRR", "opAluRI", "opMovI", "opLoad", "opEndBundlePlain",
 				"opLoadD", "opCsr", "opStore", "opFlushAll", "opEndBundle",
 				"opFlushLine", "opEndBundlePlain",
-				"opLoadDirect", "opEndBlock",
+				"opLoad", "opEndBlock",
 			},
 		},
 		{
@@ -1105,8 +1103,16 @@ func TestDecodedSpecialisation(t *testing.T) {
 				if last != (n == "opEndBlock") {
 					t.Errorf("terminator %d is %s; the final bundle, and only it, ends the block", i, n)
 				}
-				if n == "opEndBundlePlain" && (d.imm != 0 || !plainBundle(ops[first:i])) {
-					t.Errorf("terminator %d is plain after a bundle with work to finish", i)
+				if n == "opEndBundlePlain" {
+					if d.imm != 0 {
+						t.Errorf("terminator %d is plain after a bundle that stages %#x", i, d.imm)
+					}
+					for _, o := range ops[first:i] {
+						switch o.sy.Kind {
+						case KChk, KBrExit, KJump, KJumpR:
+							t.Errorf("terminator %d is plain after a bundle holding %s", i, o.sy)
+						}
+					}
 				}
 				first = i + 1
 			}

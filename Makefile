@@ -5,6 +5,7 @@
 #   make fuzz    run every native fuzz target for FUZZTIME (default 30s)
 #   make bench   host-performance benchmarks, benchstat-compatible output
 #   make profile-warm  CPU profile of a warm, paper-size Figure 4 sweep
+#   make profile-cold  CPU profile of cold sweeps over every mode (translation)
 #   make fig4    print the Figure 4 table (parallel harness)
 #   make perf    record the Figure 4 perf JSON (BENCH_fig4.json schema)
 #   make trace   capture a Perfetto trace of the Spectre v1 PoC
@@ -18,7 +19,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build fmt test vet race check fuzz bench bench-quick profile-warm fig4 perf trace trace-v4 audit detect-eval serve-smoke soak
+.PHONY: build fmt test vet race check fuzz bench bench-quick profile-warm profile-cold fig4 perf trace trace-v4 audit detect-eval serve-smoke soak
 
 build:
 	$(GO) build ./...
@@ -74,6 +75,19 @@ profile-warm:
 	"$$dir/gbbench" -exp fig4 -j 1 -tcache-dir "$$dir/tc" > /dev/null 2>&1 && \
 	for i in 1 2 3 4 5; do \
 		"$$dir/gbbench" -exp fig4 -j 1 -tcache-dir "$$dir/tc" -cpuprofile "$$dir/$$i.prof" > /dev/null 2>&1 || exit 1; \
+	done && \
+	$(GO) tool pprof -top -nodecount=40 "$$dir/gbbench" "$$dir"/*.prof
+
+# A CPU profile of cold translation: five gbbench sweeps over every
+# registered mode at the paper's sizes with no translation cache, so
+# every cell compiles its regions (front end, mitigation passes,
+# scheduling, emit) next to executing them; pprof prints the top
+# functions of the merged profiles.
+profile-cold:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/gbbench" ./cmd/gbbench && \
+	for i in 1 2 3 4 5; do \
+		"$$dir/gbbench" -exp fig4 -modes all -j 1 -cpuprofile "$$dir/$$i.prof" > /dev/null 2>&1 || exit 1; \
 	done && \
 	$(GO) tool pprof -top -nodecount=40 "$$dir/gbbench" "$$dir"/*.prof
 

@@ -32,8 +32,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 
 	"ghostbusters/internal/ir"
@@ -185,136 +185,194 @@ type Report struct {
 // PatternFound reports whether the block contains the Spectre pattern.
 func (r Report) PatternFound() bool { return len(r.RiskyLoads) > 0 }
 
-// guardSet is a small set of instruction indices.
-type guardSet map[int]struct{}
+// Analysis is the poison analysis's reusable memory. Every guard set —
+// the guards an instruction could speculate across, the guards its
+// poison derives from, a risky load's pins — is a bitset row over the
+// block's instruction indices, and all of one block's rows share one
+// flat []uint64. Rows iterate in ascending bit order, so every list the
+// analysis derives from them comes out sorted without a sort.
+//
+// The zero value is ready to use, and a nil *Analysis analyses through
+// fresh memory. A caller that analyses block after block through one
+// Analysis stops allocating once it has grown to the largest block; the
+// Report and pin lists AnalyzePins returns then live in the Analysis
+// until its next use.
+type Analysis struct {
+	words int      // uint64 words in one row
+	bits  []uint64 // rows 0..n-1: self guards; n..2n-1: poison; 2n: all pins
+	// The report's lists, and the pin lists, which share pinBuf.
+	poisoned, risky, guards, pinBuf []int
+	pins                            [][]int
+	provSrc, provPred               []int // audit provenance, see AnalyzePins
+}
 
-func (g guardSet) union(o guardSet) guardSet {
-	if len(o) == 0 {
-		return g
+// resize returns s with length n, reusing its backing array when it is
+// large enough; the contents are stale.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	if g == nil {
-		g = make(guardSet, len(o))
+	return s[:n]
+}
+
+// row returns bitset row r.
+func (a *Analysis) row(r int) []uint64 {
+	return a.bits[r*a.words : (r+1)*a.words : (r+1)*a.words]
+}
+
+// or sets dst to dst ∪ src.
+func or(dst, src []uint64) {
+	for k, w := range src {
+		dst[k] |= w
 	}
-	for k := range o {
-		g[k] = struct{}{}
+}
+
+// empty reports whether row r holds no index.
+func empty(r []uint64) bool {
+	for _, w := range r {
+		if w != 0 {
+			return false
+		}
 	}
-	return g
+	return true
+}
+
+// appendSet appends the indices in row r to out, in ascending order.
+func appendSet(out []int, r []uint64) []int {
+	for k, w := range r {
+		for w != 0 {
+			out = append(out, k*64+bits.TrailingZeros64(w))
+			w &= w - 1
+		}
+	}
+	return out
 }
 
 // Analyze runs the poison analysis without modifying the block and
 // returns the detection report (used by tests and the ablation
 // benchmarks).
 func Analyze(b *ir.Block) Report {
-	rep, _ := analyze(b, nil)
+	rep, _ := new(Analysis).AnalyzePins(b, nil)
 	return rep
 }
 
-// analyze computes the report plus, for every risky load, the guard set
-// that must order it. With a non-nil aud it additionally records, for
-// every instruction the poison reaches, where the poison came from —
-// the source speculative load and the operand step it arrived through —
-// and assembles the provenance chains of the audit report. When poison
-// reaches a node through more than one operand the chain records one
-// witness path (A-then-B operand order), not every path.
-func analyze(b *ir.Block, aud *ir.AuditReport) (Report, map[int]guardSet) {
-	var rep Report
+// AnalyzePins runs the poison analysis and additionally returns, for
+// every risky load, the sorted guard list the mitigation must order it
+// after: pins[k] belongs to rep.RiskyLoads[k]. Every mitigation pass in
+// internal/core/pipeline builds on this entry point.
+//
+// With a non-nil aud it additionally records, for every instruction the
+// poison reaches, where the poison came from — the source speculative
+// load and the operand step it arrived through — and assembles the
+// provenance chains of the audit report. When poison reaches a node
+// through more than one operand the chain records one witness path
+// (A-then-B operand order), not every path.
+func (a *Analysis) AnalyzePins(b *ir.Block, aud *ir.AuditReport) (rep Report, pins [][]int) {
+	if a == nil {
+		a = new(Analysis)
+	}
+	n := len(b.Insts)
+	a.words = (n + 63) / 64
+	a.bits = resize(a.bits, (2*n+1)*a.words)
+	clear(a.bits)
+	self := a.row
+	poison := func(i int) []uint64 { return a.row(n + i) }
+	allPins := a.row(2 * n)
 
-	// Provenance shadow state, allocated only when auditing:
-	// provSrc[i] is the source speculative load whose poison reached i
-	// (-1 when i is clean), provPred[i] the operand producer the poison
-	// stepped through to get here (-1 at the source itself).
+	// Provenance shadow state, kept only when auditing: provSrc[i] is
+	// the source speculative load whose poison reached i (-1 when i is
+	// clean), provPred[i] the operand producer the poison stepped
+	// through to get here (-1 at the source itself).
 	var provSrc, provPred []int
 	if aud != nil {
-		provSrc = make([]int, len(b.Insts))
-		provPred = make([]int, len(b.Insts))
+		provSrc, provPred = resize(a.provSrc, n), resize(a.provPred, n)
+		a.provSrc, a.provPred = provSrc, provPred
 		for i := range provSrc {
 			provSrc[i], provPred[i] = -1, -1
 		}
 	}
 
-	// selfGuards[i]: guards instruction i could speculate across
-	// (sources of its relaxable in-edges). Only loads generate poison
-	// (paper: "Speculative instructions can be either load instructions
-	// moved before a conditional branch or load instructions moved
-	// before a memory write").
-	selfGuards := make([]guardSet, len(b.Insts))
+	// self(i): guards instruction i could speculate across (sources of
+	// its relaxable in-edges). Only loads generate poison (paper:
+	// "Speculative instructions can be either load instructions moved
+	// before a conditional branch or load instructions moved before a
+	// memory write").
 	for _, e := range b.Edges {
-		if !e.Relaxable {
-			continue
+		if e.Relaxable && b.Insts[e.To].IsLoad() {
+			self(e.To)[e.From/64] |= 1 << (e.From % 64)
 		}
-		if !b.Insts[e.To].IsLoad() {
-			continue
-		}
-		if selfGuards[e.To] == nil {
-			selfGuards[e.To] = make(guardSet)
-		}
-		selfGuards[e.To][e.From] = struct{}{}
 	}
 
-	poison := make([]guardSet, len(b.Insts))
-	pins := make(map[int]guardSet)
-	operandPoison := func(op ir.Operand) guardSet {
+	// operandPoison returns the poison row of an operand, nil (an empty
+	// row) when it reads no instruction.
+	operandPoison := func(op ir.Operand) []uint64 {
 		if op.Kind == ir.OpInst {
-			return poison[op.Inst]
+			return poison(op.Inst)
 		}
 		return nil
 	}
 
+	risky := a.risky[:0]
 	for i := range b.Insts {
 		in := &b.Insts[i]
-		var p guardSet
-		p = p.union(operandPoison(in.A))
-		if !in.IsLoad() { // a load's B operand is unused; stores leak via address only
-			p = p.union(operandPoison(in.B))
-		}
-
-		if in.IsLoad() && len(selfGuards[i]) > 0 {
+		p := poison(i)
+		addr := operandPoison(in.A)
+		if in.IsLoad() && !empty(self(i)) {
 			rep.SpeculativeLoads++
-			if len(operandPoison(in.A)) > 0 {
+			if !empty(addr) {
 				// The Spectre pattern: a speculative memory access whose
 				// address is poisoned. Pin it behind the guards that
-				// poisoned the address and behind its own guards.
-				g := make(guardSet)
-				g = g.union(operandPoison(in.A))
-				g = g.union(selfGuards[i])
-				pins[i] = g
-				rep.RiskyLoads = append(rep.RiskyLoads, i)
-				// Once ordered after its guards, the load reads
-				// architecturally-correct data: its value is clean.
-				poison[i] = nil
+				// poisoned the address and behind its own guards: self(i)
+				// becomes its pin set. Once ordered after its guards,
+				// the load reads architecturally-correct data: its value
+				// stays clean.
+				or(self(i), addr)
+				or(allPins, self(i))
+				risky = append(risky, i)
 				continue
 			}
 			// Clean-address speculative load: its value is poisoned.
-			p = p.union(selfGuards[i])
+			copy(p, self(i))
 			if aud != nil {
 				provSrc[i], provPred[i] = i, -1 // poison originates here
 			}
-			poison[i] = p
 			continue
 		}
-		if aud != nil && len(p) > 0 {
+		or(p, addr)
+		if !in.IsLoad() { // a load's B operand is unused; stores leak via address only
+			or(p, operandPoison(in.B))
+		}
+		if aud != nil && !empty(p) {
 			// The witness step the poison took to reach i: the first
 			// poisoned operand in A-then-B order.
-			if in.A.Kind == ir.OpInst && len(poison[in.A.Inst]) > 0 {
+			if in.A.Kind == ir.OpInst && !empty(poison(in.A.Inst)) {
 				provSrc[i], provPred[i] = provSrc[in.A.Inst], in.A.Inst
-			} else if in.B.Kind == ir.OpInst && len(poison[in.B.Inst]) > 0 {
+			} else if in.B.Kind == ir.OpInst && !empty(poison(in.B.Inst)) {
 				provSrc[i], provPred[i] = provSrc[in.B.Inst], in.B.Inst
 			}
 		}
-		poison[i] = p
 	}
+	a.risky = risky
+	rep.RiskyLoads = risky
 
-	for i, p := range poison {
-		if len(p) > 0 {
-			rep.PoisonedInsts++
-			rep.Poisoned = append(rep.Poisoned, i)
+	poisoned := a.poisoned[:0]
+	for i := 0; i < n; i++ {
+		if !empty(poison(i)) {
+			poisoned = append(poisoned, i)
 		}
 	}
-	guards := make(guardSet)
-	for _, g := range pins {
-		guards = guards.union(g)
+	a.poisoned = poisoned
+	rep.Poisoned, rep.PoisonedInsts = poisoned, len(poisoned)
+	a.guards = appendSet(a.guards[:0], allPins)
+	rep.Guards = a.guards
+
+	pinBuf, pins := a.pinBuf[:0], a.pins[:0]
+	for _, load := range risky {
+		start := len(pinBuf)
+		pinBuf = appendSet(pinBuf, self(load)) // its pin set
+		pins = append(pins, pinBuf[start:len(pinBuf):len(pinBuf)])
 	}
-	rep.Guards = sortedKeys(guards)
+	a.pinBuf, a.pins = pinBuf, pins
 
 	if aud != nil {
 		aud.EntryPC = b.EntryPC
@@ -327,7 +385,7 @@ func analyze(b *ir.Block, aud *ir.AuditReport) (Report, map[int]guardSet) {
 		aud.RelaxedLoads = rep.SpeculativeLoads - len(rep.RiskyLoads)
 		for _, i := range rep.Poisoned {
 			c := chainTo(b, provSrc, provPred, i)
-			c.Guards = guardRefs(b, poison[i])
+			c.Guards = guardRefs(b, poison(i))
 			aud.Poisoned = append(aud.Poisoned, c)
 		}
 		for _, load := range rep.RiskyLoads {
@@ -338,7 +396,7 @@ func analyze(b *ir.Block, aud *ir.AuditReport) (Report, map[int]guardSet) {
 			c.Node = load
 			c.PC = b.Insts[load].PC
 			c.Op = b.Insts[load].Op.String()
-			c.Guards = guardRefs(b, pins[load])
+			c.Guards = guardRefs(b, self(load)) // its pin set
 			aud.Pinned = append(aud.Pinned, c)
 		}
 	}
@@ -364,10 +422,11 @@ func chainTo(b *ir.Block, provSrc, provPred []int, i int) ir.ProvenanceChain {
 	}
 }
 
-// guardRefs renders a guard set as sorted, classified references.
-func guardRefs(b *ir.Block, g guardSet) []ir.GuardRef {
-	out := make([]ir.GuardRef, 0, len(g))
-	for _, n := range sortedKeys(g) {
+// guardRefs renders a guard-set row as sorted, classified references.
+func guardRefs(b *ir.Block, g []uint64) []ir.GuardRef {
+	guards := appendSet(nil, g)
+	out := make([]ir.GuardRef, 0, len(guards))
+	for _, n := range guards {
 		in := &b.Insts[n]
 		kind := ir.GuardBranch
 		if in.IsStore() {
@@ -376,28 +435,6 @@ func guardRefs(b *ir.Block, g guardSet) []ir.GuardRef {
 		out = append(out, ir.GuardRef{Node: n, PC: in.PC, Op: in.Op.String(), Kind: kind})
 	}
 	return out
-}
-
-func sortedKeys(g guardSet) []int {
-	out := make([]int, 0, len(g))
-	for k := range g {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// AnalyzePins runs the poison analysis and additionally returns, for
-// every risky load, the sorted guard list the mitigation must order it
-// after. aud may be nil (no provenance bookkeeping). Every mitigation
-// pass in internal/core/pipeline builds on this entry point.
-func AnalyzePins(b *ir.Block, aud *ir.AuditReport) (Report, map[int][]int) {
-	rep, pins := analyze(b, aud)
-	out := make(map[int][]int, len(pins))
-	for load, g := range pins {
-		out[load] = sortedKeys(g)
-	}
-	return rep, out
 }
 
 // PinRisky applies the ghostbusters treatment to one risky load: the

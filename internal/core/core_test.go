@@ -13,19 +13,19 @@ import (
 // mitigate applies mode's mitigation — the one dispatch from a mode to
 // its mitigation — to b and returns the report.
 func mitigate(b *ir.Block, mode core.Mode) core.Report {
-	return pipeline.Apply(mode, b, nil)
+	return pipeline.Apply(nil, mode, b, nil)
 }
 
 // mitigateAudited is mitigate with an audit report.
 func mitigateAudited(b *ir.Block, mode core.Mode) (core.Report, *ir.AuditReport) {
 	aud := &ir.AuditReport{}
-	return pipeline.Apply(mode, b, aud), aud
+	return pipeline.Apply(nil, mode, b, aud), aud
 }
 
 // analyzeAudited runs the audited analysis without touching the block.
 func analyzeAudited(b *ir.Block) (core.Report, *ir.AuditReport) {
 	aud := &ir.AuditReport{}
-	rep, _ := core.AnalyzePins(b, aud)
+	rep, _ := new(core.Analysis).AnalyzePins(b, aud)
 	return rep, aud
 }
 

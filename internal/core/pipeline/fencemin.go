@@ -26,20 +26,22 @@ import (
 // edges); covered pure sources only need their relaxable in-edges
 // pinned. A sink left uncovered is safe because every source feeding
 // it is covered; a source left uncovered only feeds covered sinks.
-func fenceMin(b *ir.Block, rep *core.Report, _ map[int][]int, _ *ir.AuditReport) {
+func fenceMin(b *ir.Block, _ core.Report, _ [][]int, _ *ir.AuditReport) int {
 	sinkSrcs, sinkGuards := poisonFlow(b)
 	if len(sinkSrcs) == 0 {
-		return
+		return 0
 	}
 
+	added := 0
 	cover := minVertexCover(sinkSrcs)
 	for _, node := range cover {
 		if guards, isSink := sinkGuards[node]; isSink {
-			rep.GuardEdges += core.PinRisky(b, node, guards)
+			added += core.PinRisky(b, node, guards)
 		} else {
 			b.PinInto(node)
 		}
 	}
+	return added
 }
 
 // poisonFlow runs the poison propagation tracking, for every sink, the

@@ -9,29 +9,33 @@ import (
 // detectOnly is the unsafe baseline: the analysis runs for the report
 // (and the audit's explanation of what would leak), and the block keeps
 // full speculation.
-func detectOnly(*ir.Block, *core.Report, map[int][]int, *ir.AuditReport) {}
+func detectOnly(*ir.Block, core.Report, [][]int, *ir.AuditReport) int { return 0 }
 
 // ghostBusters is the paper's mitigation (Fig. 3C): each risky load is
 // made non-speculative and receives a guard edge from every instruction
 // that caused its poisoning; every other load keeps speculating.
-func ghostBusters(b *ir.Block, rep *core.Report, pins map[int][]int, _ *ir.AuditReport) {
-	for _, load := range rep.RiskyLoads {
-		rep.GuardEdges += core.PinRisky(b, load, pins[load])
+func ghostBusters(b *ir.Block, rep core.Report, pins [][]int, _ *ir.AuditReport) int {
+	added := 0
+	for k, load := range rep.RiskyLoads {
+		added += core.PinRisky(b, load, pins[k])
 	}
+	return added
 }
 
 // fence is the coarse baseline: no speculation may cross a guard the
 // analysis implicated in a Spectre pattern.
-func fence(b *ir.Block, rep *core.Report, _ map[int][]int, _ *ir.AuditReport) {
+func fence(b *ir.Block, rep core.Report, _ [][]int, _ *ir.AuditReport) int {
 	for _, g := range rep.Guards {
 		b.PinFrom(g)
 	}
+	return 0
 }
 
 // noSpec is the naive baseline: both speculation mechanisms off. It
 // needs no analysis; the report is kept for symmetry with the others.
-func noSpec(b *ir.Block, _ *core.Report, _ map[int][]int, _ *ir.AuditReport) {
+func noSpec(b *ir.Block, _ core.Report, _ [][]int, _ *ir.AuditReport) int {
 	b.PinAll()
+	return 0
 }
 
 // loadFence pins every load with a relaxable incoming edge: no load
@@ -39,13 +43,14 @@ func noSpec(b *ir.Block, _ *core.Report, _ map[int][]int, _ *ir.AuditReport) {
 // Spectre pattern cannot arise. ALU work keeps speculating, which
 // keeps it cheaper than nospec. The detection analysis still runs for
 // the report (and the audit explanation of what would have leaked).
-func loadFence(b *ir.Block, _ *core.Report, _ map[int][]int, _ *ir.AuditReport) {
+func loadFence(b *ir.Block, _ core.Report, _ [][]int, _ *ir.AuditReport) int {
 	for k := range b.Edges {
 		e := &b.Edges[k]
 		if e.Relaxable && b.Insts[e.To].IsLoad() {
 			e.Relaxable = false
 		}
 	}
+	return 0
 }
 
 // sfiClamp rewrites each risky access to use a clamped address instead
@@ -63,16 +68,17 @@ func loadFence(b *ir.Block, _ *core.Report, _ map[int][]int, _ *ir.AuditReport) 
 // hidden registers, are never committed, and mark an already-clamped
 // access for idempotence. Accesses guarded by a store (the v4 pattern —
 // no predicate to materialise) fall back to ghostbusters pinning.
-func sfiClamp(b *ir.Block, rep *core.Report, pins map[int][]int, aud *ir.AuditReport) {
-	var masked []int // risky loads to clamp, program order
-	for _, load := range rep.RiskyLoads {
+func sfiClamp(b *ir.Block, rep core.Report, pins [][]int, aud *ir.AuditReport) int {
+	added := 0
+	var masked []int // rep.RiskyLoads positions of the loads to clamp, program order
+	for k, load := range rep.RiskyLoads {
 		switch {
 		case isClamped(b, load):
 			// already carries a mask chain from a previous application
-		case branchGuardsOnly(b, pins[load]):
-			masked = append(masked, load)
+		case branchGuardsOnly(b, pins[k]):
+			masked = append(masked, k)
 		default:
-			rep.GuardEdges += core.PinRisky(b, load, pins[load])
+			added += core.PinRisky(b, load, pins[k])
 		}
 	}
 
@@ -80,9 +86,10 @@ func sfiClamp(b *ir.Block, rep *core.Report, pins map[int][]int, aud *ir.AuditRe
 	// masked/pins stay valid while later chains are placed.
 	type insertion struct{ at, n int }
 	var ins []insertion // descending at
-	for k := len(masked) - 1; k >= 0; k-- {
-		load := masked[k]
-		chain := maskChain(b, load, pins[load])
+	for j := len(masked) - 1; j >= 0; j-- {
+		k := masked[j]
+		load := rep.RiskyLoads[k]
+		chain := maskChain(b, load, pins[k])
 		b.InsertInsts(load, chain)
 		// The access now reads the clamped address (the chain's final
 		// AND, immediately before the shifted load).
@@ -90,14 +97,15 @@ func sfiClamp(b *ir.Block, rep *core.Report, pins map[int][]int, aud *ir.AuditRe
 		ins = append(ins, insertion{at: load, n: len(chain)})
 	}
 	if len(ins) == 0 {
-		return
+		return added
 	}
 
-	// InsertInsts renumbered the block; renumber the report and audit
-	// the same way. remap is evaluated against original indices: each
-	// insertion shifts exactly the indices at or above its point, and
-	// since ins is descending the running value only crosses an `at`
-	// it had already passed originally.
+	// InsertInsts renumbered the block; renumber the report's lists (in
+	// place: they are the caller's) and the audit the same way. remap
+	// is evaluated against original indices: each insertion shifts
+	// exactly the indices at or above its point, and since ins is
+	// descending the running value only crosses an `at` it had already
+	// passed originally.
 	remap := func(i int) int {
 		for _, s := range ins {
 			if i >= s.at {
@@ -116,12 +124,13 @@ func sfiClamp(b *ir.Block, rep *core.Report, pins map[int][]int, aud *ir.AuditRe
 	remapAll(rep.Guards)
 	if aud != nil {
 		wasMasked := make(map[int]bool, len(masked))
-		for _, l := range masked {
-			wasMasked[remap(l)] = true
+		for _, k := range masked {
+			wasMasked[rep.RiskyLoads[k]] = true // already renumbered
 		}
 		remapChains(aud.Poisoned, remap, nil)
 		remapChains(aud.Pinned, remap, wasMasked)
 	}
+	return added
 }
 
 // remapChains renumbers provenance chains after instruction insertion.

@@ -5,9 +5,9 @@
 // clamping, Blade-style minimal cuts) share one dispatch and plug in
 // without touching the back end.
 //
-// The poison analysis (core.AnalyzePins) runs once per block in Apply;
-// the mode's function receives its report and pin lists and mutates
-// the block, adding its own mitigation counters to the report.
+// The poison analysis (core.Analysis.AnalyzePins) runs once per block
+// in Apply; the mode's function receives its report and pin lists,
+// mutates the block and returns the guard edges it inserted.
 //
 // Determinism contract: a mitigation may only mutate the block through
 // deterministic iteration (program-order loops, sorted guard lists), so
@@ -23,11 +23,13 @@ import (
 	"ghostbusters/internal/ir"
 )
 
-// mitigation applies one mode to b given the block's analysis: rep is
-// the report to complete (GuardEdges, and any renumbering the rewrite
-// causes), pins the sorted guard list of every risky load. aud is nil
-// when the caller did not ask for provenance bookkeeping.
-type mitigation func(b *ir.Block, rep *core.Report, pins map[int][]int, aud *ir.AuditReport)
+// mitigation applies one mode to b given the block's analysis — its
+// report rep and pins[k], the sorted guard list of risky load
+// rep.RiskyLoads[k] — and returns the number of guard edges it
+// inserted. A rewrite that renumbers the block renumbers rep's lists
+// in place. aud is nil when the caller did not ask for provenance
+// bookkeeping.
+type mitigation func(b *ir.Block, rep core.Report, pins [][]int, aud *ir.AuditReport) (guardEdges int)
 
 // mitigations holds each mode's function, indexed like core's mode
 // table.
@@ -41,14 +43,15 @@ var mitigations = [...]mitigation{
 	core.ModeFenceMin:      fenceMin,
 }
 
-// Apply runs the poison analysis over b once and mitigates b under
-// mode, returning the analysis report with the mitigation's counters.
-// With a non-nil aud the analysis records its provenance chains there
-// and aud.GuardEdges takes the report's count. mode must be valid
-// (core.Mode.Valid).
-func Apply(mode core.Mode, b *ir.Block, aud *ir.AuditReport) core.Report {
-	rep, pins := core.AnalyzePins(b, aud)
-	mitigations[mode](b, &rep, pins, aud)
+// Apply runs the poison analysis over b once, in a's memory, and
+// mitigates b under mode, returning the analysis report with the
+// mitigation's counters. The report's lists live in a until its next
+// use; a nil a analyses through fresh memory. With a non-nil aud the
+// analysis records its provenance chains there and aud.GuardEdges takes
+// the report's count. mode must be valid (core.Mode.Valid).
+func Apply(a *core.Analysis, mode core.Mode, b *ir.Block, aud *ir.AuditReport) core.Report {
+	rep, pins := a.AnalyzePins(b, aud)
+	rep.GuardEdges = mitigations[mode](b, rep, pins, aud)
 	if aud != nil {
 		aud.GuardEdges = rep.GuardEdges
 	}

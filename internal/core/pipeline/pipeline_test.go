@@ -176,7 +176,7 @@ func TestFig4PipelinesMatchRecordedReference(t *testing.T) {
 		}
 
 		b := mk(t)
-		rep := Apply(tc.mode, b, nil)
+		rep := Apply(nil, tc.mode, b, nil)
 		if !reflect.DeepEqual(rep, tc.rep) {
 			t.Errorf("%s: report\n got  %+v\n want %+v", name, rep, tc.rep)
 		}
@@ -189,7 +189,7 @@ func TestFig4PipelinesMatchRecordedReference(t *testing.T) {
 
 		b = mk(t)
 		aud := &ir.AuditReport{}
-		repA := Apply(tc.mode, b, aud)
+		repA := Apply(nil, tc.mode, b, aud)
 		if !reflect.DeepEqual(repA, tc.rep) || !reflect.DeepEqual(b.Edges, tc.edges) || !reflect.DeepEqual(b.Insts, insts) {
 			t.Errorf("%s: audited application diverged from the plain one", name)
 		}
@@ -207,10 +207,10 @@ func TestPipelinesIdempotent(t *testing.T) {
 	for _, m := range core.Modes() {
 		for variant, mk := range blockMakers {
 			b := mk(t)
-			Apply(m, b, nil)
+			Apply(nil, m, b, nil)
 			insts := append([]ir.Inst(nil), b.Insts...)
 			edges := append([]ir.Edge(nil), b.Edges...)
-			Apply(m, b, nil)
+			Apply(nil, m, b, nil)
 			if !reflect.DeepEqual(b.Insts, insts) {
 				t.Errorf("%s/%s: second application changed instructions (%d -> %d)",
 					m, variant, len(insts), len(b.Insts))
@@ -230,7 +230,7 @@ func TestUnsafePipelineIsNoOp(t *testing.T) {
 	b := v1Block(t)
 	insts := append([]ir.Inst(nil), b.Insts...)
 	edges := append([]ir.Edge(nil), b.Edges...)
-	rep := Apply(core.ModeUnsafe, b, nil)
+	rep := Apply(nil, core.ModeUnsafe, b, nil)
 	if !rep.PatternFound() {
 		t.Error("unsafe mode should still report the detected pattern")
 	}
@@ -242,7 +242,7 @@ func TestUnsafePipelineIsNoOp(t *testing.T) {
 // loadfence pins every speculative load — the blanket strawman.
 func TestLoadFencePinsEveryLoad(t *testing.T) {
 	b := v1Block(t)
-	Apply(core.ModeLoadFence, b, nil)
+	Apply(nil, core.ModeLoadFence, b, nil)
 	for i, in := range b.Insts {
 		if in.IsLoad() && b.HasRelaxableIn(i) {
 			t.Errorf("load n%d still speculative under loadfence", i)
@@ -255,7 +255,7 @@ func TestLoadFencePinsEveryLoad(t *testing.T) {
 // speculation.
 func TestSFIClampMasksInsteadOfPinning(t *testing.T) {
 	b := v1Block(t)
-	rep := Apply(core.ModeSFIClamp, b, nil)
+	rep := Apply(nil, core.ModeSFIClamp, b, nil)
 	if len(rep.RiskyLoads) != 1 {
 		t.Fatalf("RiskyLoads = %v", rep.RiskyLoads)
 	}
@@ -287,7 +287,7 @@ func TestSFIClampMasksInsteadOfPinning(t *testing.T) {
 // bypass open.
 func TestSFIClampFallsBackOnStoreGuards(t *testing.T) {
 	b := v4Block(t)
-	rep := Apply(core.ModeSFIClamp, b, nil)
+	rep := Apply(nil, core.ModeSFIClamp, b, nil)
 	if len(rep.RiskyLoads) != 1 {
 		t.Fatalf("RiskyLoads = %v", rep.RiskyLoads)
 	}
@@ -304,7 +304,7 @@ func TestSFIClampFallsBackOnStoreGuards(t *testing.T) {
 func TestFenceMinCutsThePattern(t *testing.T) {
 	for variant, mk := range blockMakers {
 		b := mk(t)
-		rep := Apply(core.ModeFenceMin, b, nil)
+		rep := Apply(nil, core.ModeFenceMin, b, nil)
 		if !rep.PatternFound() {
 			t.Fatalf("%s: pattern not detected", variant)
 		}
@@ -320,7 +320,7 @@ func TestAuditAttribution(t *testing.T) {
 	for _, m := range core.Modes() {
 		b := v1Block(t)
 		aud := &ir.AuditReport{}
-		rep := Apply(m, b, aud)
+		rep := Apply(nil, m, b, aud)
 		if aud.GuardEdges != rep.GuardEdges {
 			t.Errorf("%s: audit GuardEdges %d != report %d", m, aud.GuardEdges, rep.GuardEdges)
 		}
@@ -336,10 +336,10 @@ func TestPipelinesDeterministic(t *testing.T) {
 	for _, m := range core.Modes() {
 		for variant, mk := range blockMakers {
 			ref := mk(t)
-			Apply(m, ref, nil)
+			Apply(nil, m, ref, nil)
 			for i := 0; i < 4; i++ {
 				b := mk(t)
-				Apply(m, b, nil)
+				Apply(nil, m, b, nil)
 				if !reflect.DeepEqual(b.Insts, ref.Insts) || !reflect.DeepEqual(b.Edges, ref.Edges) {
 					t.Fatalf("%s/%s: run %d diverged from the first application", m, variant, i)
 				}

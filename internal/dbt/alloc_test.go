@@ -6,18 +6,19 @@ import (
 	"ghostbusters/internal/attack"
 	"ghostbusters/internal/core"
 	"ghostbusters/internal/dbt"
-	"ghostbusters/internal/ir"
 	"ghostbusters/internal/riscv"
+	"ghostbusters/internal/vliw"
 )
 
 // compileAllocBudget bounds the heap objects one compilation of the
-// Spectre v1 PoC's hottest trace makes under ghostbusters once the
-// scheduler memory is warm: the measured 31 (go1.24, linux/amd64) plus
-// a tolerance of 4 for small changes in the mitigation passes, which
-// make most of them. Scheduler tables that grow back into per-region
-// maps or per-node edge slices cost well over 4; a graph rebuilt per
-// region costs ~290.
-const compileAllocBudget = 31 + 4
+// Spectre v1 PoC's hottest trace makes under ghostbusters on a warm
+// machine, from the guest PC through the front end, the analysis, the
+// mitigation, scheduling and emit: the measured 4 (go1.24, linux/amd64)
+// plus a tolerance of 4. The four are what the installed region keeps:
+// its transEntry, its vliw.Block, the block's bundle list and the one
+// syllable array the bundles share. A builder, analysis or scheduling
+// graph allocated per region instead of reused costs well over 4.
+const compileAllocBudget = 4 + 4
 
 func TestCompileAllocsPerRegion(t *testing.T) {
 	cfg := dbt.DefaultConfig()
@@ -48,34 +49,17 @@ func TestCompileAllocsPerRegion(t *testing.T) {
 		t.Fatal("the v1 PoC installed no trace")
 	}
 
-	// Compiling mutates the IR (mitigation): every compilation gets its
-	// own front-end copy, built before the count starts.
-	const runs = 50
-	type region struct {
-		b          *ir.Block
-		guestInsts int
-	}
-	regions := make([]region, runs+3) // two warm-ups, AllocsPerRun's own
-	for i := range regions {
-		b, gi, err := m.RegionIR(pc, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		regions[i] = region{b, gi}
-	}
-	g := new(dbt.SchedMemory)
-	next := 0
+	var blk *vliw.Block
 	compile := func() {
-		r := regions[next]
-		next++
-		if _, err := dbt.CompileThrough(g, r.b, r.guestInsts, &cfg.Core, cfg.Mitigation); err != nil {
+		var err error
+		if _, blk, err = m.CompileRegion(pc, true, false, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	compile()
-	compile()
-	n := testing.AllocsPerRun(runs, compile)
-	t.Logf("compiling the v1 trace at %#x (%d IR insts) allocates %.0f objects", pc, len(regions[0].b.Insts), n)
+	compile() // the run left the compile memory warm; make sure of it
+	n := testing.AllocsPerRun(50, compile)
+	t.Logf("compiling the v1 trace at %#x (%d guest insts, %d bundles) allocates %.0f objects",
+		pc, blk.GuestInsts, len(blk.Bundles), n)
 	if n > compileAllocBudget {
 		t.Errorf("compiling the v1 trace allocates %.0f objects, budget %d", n, compileAllocBudget)
 	}

@@ -3,6 +3,8 @@ package dbt
 import (
 	"sync"
 
+	"ghostbusters/internal/core"
+	"ghostbusters/internal/ir"
 	"ghostbusters/internal/vliw"
 )
 
@@ -40,26 +42,35 @@ type chainLink struct {
 }
 
 // transState owns the translation-state maps of one machine and the
-// scheduler memory its regions compile through. The harness creates and
-// releases thousands of short-lived machines per sweep; pooling keeps
-// the map bucket storage and the grown scheduling graph alive across
-// them.
+// memory its regions compile through: the front end's builder and
+// visited set, the poison analysis and the scheduling graph. The
+// harness creates and releases thousands of short-lived machines per
+// sweep; pooling keeps the map bucket storage and the grown compile
+// memory alive across them.
 type transState struct {
 	entries  map[uint64]*uint64
 	branches map[uint64]*brStat
 	trans    map[uint64]*transEntry
 	noTrans  map[uint64]struct{}
+
+	front    ir.Builder
+	visited  map[uint64]struct{}
+	analysis core.Analysis
 	sched    graph
 }
 
-var transPool = sync.Pool{New: func() any {
+// newTransState makes an empty transState, the way the pool does.
+func newTransState() *transState {
 	return &transState{
 		entries:  make(map[uint64]*uint64),
 		branches: make(map[uint64]*brStat),
 		trans:    make(map[uint64]*transEntry),
 		noTrans:  make(map[uint64]struct{}),
+		visited:  make(map[uint64]struct{}),
 	}
-}}
+}
+
+var transPool = sync.Pool{New: func() any { return newTransState() }}
 
 // blockExtent computes the guest text range [lo, hi) a translated block
 // covers, from the guest PCs stamped on its syllables (traces can reach

@@ -38,23 +38,24 @@ type compileOpts struct {
 // compile runs the full back end on one IR block: mitigation, graph
 // construction, list scheduling, syllable emission, recovery-slice
 // generation. guestInsts is the number of guest instructions the block
-// covers. It schedules through a fresh graph.
-func compile(b *ir.Block, guestInsts int, cfg *vliw.Config, mode core.Mode) (*CompileResult, error) {
-	return compileWith(new(graph), b, guestInsts, cfg, mode, compileOpts{})
+// covers. It analyses and schedules through fresh memory.
+func compile(b *ir.Block, guestInsts int, cfg *vliw.Config, mode core.Mode) (CompileResult, error) {
+	return compileWith(new(graph), new(core.Analysis), b, guestInsts, cfg, mode, compileOpts{})
 }
 
-// compileWith is compile scheduling through g, the caller's reusable
-// scheduler memory. b stays the caller's: with opts.Audit the result
+// compileWith is compile analysing through a and scheduling through g,
+// the caller's reusable memory; the result's Report lists live in a
+// until its next use. b stays the caller's: with opts.Audit the result
 // retains it.
-func compileWith(g *graph, b *ir.Block, guestInsts int, cfg *vliw.Config, mode core.Mode, opts compileOpts) (*CompileResult, error) {
+func compileWith(g *graph, a *core.Analysis, b *ir.Block, guestInsts int, cfg *vliw.Config, mode core.Mode, opts compileOpts) (CompileResult, error) {
 	if err := b.Verify(); err != nil {
-		return nil, err
+		return CompileResult{}, err
 	}
 	var aud *ir.AuditReport
 	if opts.Audit {
 		aud = &ir.AuditReport{}
 	}
-	rep := pipeline.Apply(mode, b, aud)
+	rep := pipeline.Apply(a, mode, b, aud)
 
 	try := func(ctrlSpec, memSpec bool) (*vliw.Block, error) {
 		memSpec = memSpec && !opts.DisableMemSpec
@@ -76,9 +77,9 @@ func compileWith(g *graph, b *ir.Block, guestInsts int, cfg *vliw.Config, mode c
 	}
 	g.b, g.cfg = nil, nil // g outlives the region; keep nothing of it alive
 	if err != nil {
-		return nil, err
+		return CompileResult{}, err
 	}
-	res := &CompileResult{Block: blk, Report: rep}
+	res := CompileResult{Block: blk, Report: rep}
 	if opts.Audit {
 		res.Audit, res.AuditIR = aud, b
 	}
@@ -204,18 +205,20 @@ func (g *graph) emit(place []placement, numBundles, guestInsts int) (*vliw.Block
 	inAnySlice := fill(g.inAnySlice, nn, false)
 	depends := resize(g.depends, nn)
 	g.inAnySlice, g.depends = inAnySlice, depends
-	// Node order for slice propagation: program position then kind rank.
-	order := resize(g.order, nn)
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		na, nb := &g.nodes[a], &g.nodes[b]
-		if na.pos != nb.pos {
-			return cmp.Compare(na.pos, nb.pos)
+	// Node order for slice propagation: by program position, and at one
+	// position the instruction, then its chk, then its commit. A
+	// position holds at most one node of each kind, so one pass over
+	// the positions yields the order.
+	order := g.order[:0]
+	for i := range g.b.Insts {
+		order = append(order, i)
+		if c := g.chkOf[i]; c >= 0 {
+			order = append(order, c)
 		}
-		return cmp.Compare(na.kind.rank(), nb.kind.rank())
-	})
+		if c := g.commitOf[i]; c >= 0 {
+			order = append(order, c)
+		}
+	}
 	g.order = order
 	sliceNodes := g.sliceNodes[:0]
 	sliceOff := resize(g.sliceOff, len(g.specLoads)+1)

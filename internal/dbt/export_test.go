@@ -1,7 +1,8 @@
 package dbt
 
 import (
-	"ghostbusters/internal/core"
+	"fmt"
+
 	"ghostbusters/internal/ir"
 	"ghostbusters/internal/vliw"
 )
@@ -9,21 +10,22 @@ import (
 // Hooks for the external dbt_test package, whose tests import packages
 // that themselves depend on dbt (internal/attack).
 
-// SchedMemory is the reusable scheduler memory a machine compiles its
-// regions through.
-type SchedMemory = graph
-
-// RegionIR runs the front end over the region at pc the way the DBT
-// engine would translate it now (a trace follows the branch profile).
-func (m *Machine) RegionIR(pc uint64, asTrace bool) (*ir.Block, int, error) {
-	return m.frontEnd(pc, asTrace)
-}
-
-// CompileThrough compiles b through the scheduler memory g.
-func CompileThrough(g *SchedMemory, b *ir.Block, guestInsts int, cfg *vliw.Config, mode core.Mode) (*vliw.Block, error) {
-	res, err := compileWith(g, b, guestInsts, cfg, mode, compileOpts{})
-	if err != nil {
-		return nil, err
+// CompileRegion compiles the region at pc the way the DBT engine does
+// (Machine.compile, front end to emit) without installing it: through
+// the machine's reused compile memory, or through fresh memory when
+// fresh is set. It returns the mitigated IR and the compiled block. The
+// IR of the reused path lives in the machine's builder until its next
+// compile.
+func (m *Machine) CompileRegion(pc uint64, asTrace, noMemSpec, fresh bool) (*ir.Block, *vliw.Block, error) {
+	saved := m.ts
+	if fresh {
+		m.ts = newTransState()
 	}
-	return res.Block, nil
+	e := m.compile(pc, asTrace, noMemSpec)
+	irBlk := m.ts.front.Block()
+	m.ts = saved
+	if e == nil {
+		return nil, nil, fmt.Errorf("dbt: region %#x did not compile", pc)
+	}
+	return irBlk, e.Block, nil
 }

@@ -660,28 +660,37 @@ const maxBlockInsts = 48
 // frontEnd translates the guest code at pc into IR the way the DBT
 // engine does for the given shape: a trace follows the branch profile
 // up to MaxTraceInsts, a basic block stops at its first branch or at
-// maxBlockInsts. It returns the IR and the guest instructions covered.
-func (m *Machine) frontEnd(pc uint64, asTrace bool) (*ir.Block, int, error) {
+// maxBlockInsts. It builds the IR in bu and returns it with the guest
+// instructions covered.
+func (m *Machine) frontEnd(bu *ir.Builder, pc uint64, asTrace bool) (*ir.Block, int, error) {
 	lim := translateLimits{MaxInsts: maxBlockInsts, MaxUnroll: m.cfg.MaxUnroll}
 	var orc branchOracle
 	if asTrace {
 		lim.MaxInsts = m.cfg.MaxTraceInsts
 		orc = m.oracle
 	}
-	return translate(m.b, pc, orc, lim)
+	return translate(bu, m.ts.visited, m.b, pc, orc, lim)
 }
 
 // compile runs the DBT engine on the region at pc: front end, the
-// mitigation pipeline, scheduling and codegen. A failure is recorded
-// (transFail) and yields nil.
+// mitigation pipeline, scheduling and codegen, all through the
+// machine's reused compile memory (transState), so that what it
+// allocates is what the installed region keeps. The audit keeps the
+// mitigated IR block, so with Config.Audit the front end builds it in
+// a builder of its own. A failure is recorded (transFail) and yields
+// nil.
 func (m *Machine) compile(pc uint64, asTrace, noMemSpec bool) *transEntry {
-	irBlk, guestInsts, err := m.frontEnd(pc, asTrace)
+	bu := &m.ts.front
+	if m.cfg.Audit {
+		bu = new(ir.Builder)
+	}
+	irBlk, guestInsts, err := m.frontEnd(bu, pc, asTrace)
 	if err != nil {
 		m.transFail(pc, false, err)
 		return nil
 	}
 	opts := compileOpts{DisableMemSpec: noMemSpec, Audit: m.cfg.Audit}
-	res, err := compileWith(&m.ts.sched, irBlk, guestInsts, &m.cfg.Core, m.cfg.Mitigation, opts)
+	res, err := compileWith(&m.ts.sched, &m.ts.analysis, irBlk, guestInsts, &m.cfg.Core, m.cfg.Mitigation, opts)
 	if err != nil {
 		m.stats.CompileErrs++
 		m.transFail(pc, false, err)
@@ -1035,12 +1044,12 @@ func (m *Machine) BlockAt(pc uint64) *vliw.Block {
 // guest code, under the machine's own mitigation mode.
 func (m *Machine) DumpIR(pc uint64) (string, error) {
 	e := m.trans[pc]
-	irBlk, _, err := m.frontEnd(pc, e != nil && e.Trace)
+	irBlk, _, err := m.frontEnd(&m.ts.front, pc, e != nil && e.Trace)
 	if err != nil {
 		return "", fmt.Errorf("dbt: DumpIR(%#x): %w", pc, err)
 	}
 	aud := &ir.AuditReport{}
-	pipeline.Apply(m.cfg.Mitigation, irBlk, aud)
+	pipeline.Apply(&m.ts.analysis, m.cfg.Mitigation, irBlk, aud)
 	return irBlk.Dot(aud.Overlay()), nil
 }
 

@@ -41,10 +41,6 @@ const (
 	nCommit
 )
 
-// rank orders nodes sharing a program position: the instruction, then
-// its chk, then its commit.
-func (k nodeKind) rank() int { return int(k) }
-
 type dep struct {
 	from int
 	lat  uint64
@@ -127,12 +123,13 @@ type graph struct {
 
 	branchPos, storePos, barrierPos []int
 
-	// Buffers of topoOrder, the late-exit floors and schedule.
-	topo, ready, indeg, floor  []int
-	place                      []placement
-	remaining, earliest        []int
-	readyList, cand, slotOrder []int
-	used                       []bool
+	// Buffers of topoOrder, the late-exit floors and schedule. ready is
+	// topoOrder's stack, then schedule's ready list.
+	topo, ready, indeg, floor []int
+	place                     []placement
+	remaining, earliest       []int
+	cand, slotOrder           []int
+	used                      []bool
 
 	// Buffers of emit and allocHidden: each lds's forward slice is
 	// sliceNodes[sliceOff[k]:sliceOff[k+1]].
@@ -778,15 +775,20 @@ func (g *graph) schedule() ([]placement, int, error) {
 	used := resize(g.used, len(slots))
 	g.slotOrder, g.used = slotOrder, used
 
+	// ready holds the nodes whose predecessors are all placed and that
+	// are not placed themselves, in the order they became ready. A
+	// node's earliest cycle is fixed by then, so it is computed once,
+	// when its last predecessor is placed.
 	nn := len(g.nodes)
 	place := fill(g.place, nn, placement{cycle: -1})
 	remaining := resize(g.remaining, nn)
-	earliest := fill(g.earliest, nn, 0)
-	readyList := g.readyList[:0]
+	earliest := resize(g.earliest, nn)
+	ready := g.ready[:0]
 	for i := 0; i < nn; i++ {
 		remaining[i] = g.predOff[i+1] - g.predOff[i]
 		if remaining[i] == 0 {
-			readyList = append(readyList, i)
+			earliest[i] = 0
+			ready = append(ready, i)
 		}
 	}
 	unscheduled := nn
@@ -799,8 +801,8 @@ func (g *graph) schedule() ([]placement, int, error) {
 		}
 		// Candidates whose dependencies are satisfied by this cycle.
 		cand := g.cand[:0]
-		for _, id := range readyList {
-			if place[id].cycle == -1 && earliest[id] <= cycle {
+		for _, id := range ready {
+			if earliest[id] <= cycle {
 				cand = append(cand, id)
 			}
 		}
@@ -824,30 +826,32 @@ func (g *graph) schedule() ([]placement, int, error) {
 				unscheduled--
 				for _, succ := range g.succsOf(id) {
 					remaining[succ]--
-					if remaining[succ] == 0 {
-						readyList = append(readyList, succ)
+					if remaining[succ] != 0 {
+						continue
 					}
+					e := 0
+					for _, p := range g.predsOf(succ) {
+						if pc := place[p.from].cycle + int(p.lat); pc > e {
+							e = pc
+						}
+					}
+					earliest[succ] = e
+					ready = append(ready, succ)
 				}
 				break
 			}
 		}
-		// Refresh earliest for nodes that just became ready.
-		for _, id := range readyList {
-			if place[id].cycle != -1 || remaining[id] != 0 {
-				continue
+		// Drop the nodes placed this cycle, keeping the others' order.
+		kept := ready[:0]
+		for _, id := range ready {
+			if place[id].cycle == -1 {
+				kept = append(kept, id)
 			}
-			e := 0
-			for _, p := range g.predsOf(id) {
-				pc := place[p.from].cycle + int(p.lat)
-				if pc > e {
-					e = pc
-				}
-			}
-			earliest[id] = e
 		}
+		ready = kept
 		cycle++
 	}
-	g.place, g.remaining, g.earliest, g.readyList = place, remaining, earliest, readyList
+	g.place, g.remaining, g.earliest, g.ready = place, remaining, earliest, ready
 
 	numBundles := 0
 	for _, p := range place {

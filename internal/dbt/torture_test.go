@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ghostbusters/internal/bus"
@@ -162,11 +163,11 @@ func TestSchedulerTorture(t *testing.T) {
 	if testing.Short() {
 		trials = 60
 	}
-	// One scheduler memory shared by every trial, mode and width, the
-	// way a machine reuses it region after region: each compile through
-	// it must equal the fresh-memory compile, so no table may carry
-	// stale data from a larger earlier region.
-	reused := new(graph)
+	// One analysis and one scheduler memory shared by every trial, mode
+	// and width, the way a machine reuses them region after region:
+	// each compile through them must equal the fresh-memory compile, so
+	// no table may carry stale data from a larger earlier region.
+	reused, reusedAnalysis := new(graph), new(core.Analysis)
 	for trial := 0; trial < trials; trial++ {
 		blk := genBlock(r)
 		if err := blk.Verify(); err != nil {
@@ -201,12 +202,16 @@ func TestSchedulerTorture(t *testing.T) {
 				t.Fatalf("trial %d mode %s: compile: %v\n%s", trial, mode, err, blk)
 			}
 			blk3 := genBlockCopy(blk)
-			again, err := compileWith(reused, blk3, len(blk3.Insts), &coreCfg, mode, compileOpts{})
+			again, err := compileWith(reused, reusedAnalysis, blk3, len(blk3.Insts), &coreCfg, mode, compileOpts{})
 			if err != nil {
-				t.Fatalf("trial %d mode %s: compile through reused scheduler memory: %v\n%s", trial, mode, err, blk)
+				t.Fatalf("trial %d mode %s: compile through reused memory: %v\n%s", trial, mode, err, blk)
+			}
+			if !sameReport(again.Report, res.Report) {
+				t.Fatalf("trial %d mode %s: reused analysis memory changed the report\nIR:\n%s\nfresh:  %+v\nreused: %+v",
+					trial, mode, blk, res.Report, again.Report)
 			}
 			if !reflect.DeepEqual(again.Block, res.Block) {
-				t.Fatalf("trial %d mode %s: reused scheduler memory changed the block\nIR:\n%s\nfresh:\n%s\nreused:\n%s",
+				t.Fatalf("trial %d mode %s: reused memory changed the block\nIR:\n%s\nfresh:\n%s\nreused:\n%s",
 					trial, mode, blk, res.Block, again.Block)
 			}
 			mem := guestmem.New(tortureMemBase, tortureMemSize)
@@ -241,6 +246,14 @@ func TestSchedulerTorture(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sameReport compares two analysis reports list by list, an empty list
+// equal to a nil one (reused memory hands out empty, non-nil lists).
+func sameReport(a, b core.Report) bool {
+	return a.SpeculativeLoads == b.SpeculativeLoads && a.PoisonedInsts == b.PoisonedInsts &&
+		a.GuardEdges == b.GuardEdges && slices.Equal(a.Poisoned, b.Poisoned) &&
+		slices.Equal(a.RiskyLoads, b.RiskyLoads) && slices.Equal(a.Guards, b.Guards)
 }
 
 // genBlockCopy deep-copies a block (compile's mitigation pass mutates

@@ -56,7 +56,10 @@ func invertBranch(op riscv.Op) (riscv.Op, bool) {
 	return op, false
 }
 
-// translate decodes guest code starting at entry into one IR block.
+// translate decodes guest code starting at entry into one IR block,
+// built in bu after a Reset; visited is translate's scratch set of the
+// PCs one pass has decoded. The block is bu's: it lives until bu's next
+// Reset.
 //
 // With oracle == nil it builds a plain basic block: decoding stops at the
 // first control transfer. With an oracle it builds a superblock/trace:
@@ -64,12 +67,12 @@ func invertBranch(op riscv.Op) (riscv.Op, bool) {
 // the trace* (inverting the condition when the biased direction is the
 // taken one) and decoding continues along the hot path, unrolling loops
 // through the entry up to the limits.
-func translate(f fetcher, entry uint64, oracle branchOracle, lim translateLimits) (*ir.Block, int, error) {
-	bu := ir.NewBuilder(entry)
+func translate(bu *ir.Builder, visited map[uint64]struct{}, f fetcher, entry uint64, oracle branchOracle, lim translateLimits) (*ir.Block, int, error) {
+	bu.Reset(entry)
+	clear(visited)
 	pc := entry
 	guestInsts := 0
 	entryVisits := 0
-	visited := map[uint64]int{}
 
 	endAt := func(next uint64) (*ir.Block, int, error) {
 		if guestInsts == 0 {
@@ -89,14 +92,14 @@ func translate(f fetcher, entry uint64, oracle branchOracle, lim translateLimits
 				return endAt(pc)
 			}
 			// A fresh pass through the loop: body PCs may repeat.
-			visited = map[uint64]int{}
+			clear(visited)
 		}
 		// Revisiting any non-entry PC within a pass means an inner
 		// cycle that does not go through the trace entry: stop.
 		if _, seen := visited[pc]; seen && pc != entry {
 			return endAt(pc)
 		}
-		visited[pc] = guestInsts
+		visited[pc] = struct{}{}
 
 		word, err := f.Fetch(pc)
 		if err != nil {

@@ -8,12 +8,18 @@ import (
 	"ghostbusters/internal/cache"
 	"ghostbusters/internal/core"
 	"ghostbusters/internal/guestmem"
+	"ghostbusters/internal/ir"
 	"ghostbusters/internal/riscv"
 	"ghostbusters/internal/vliw"
 )
 
 // defaultLimits are DefaultConfig's trace limits.
 func defaultLimits() translateLimits { return translateLimits{MaxInsts: 48, MaxUnroll: 4} }
+
+// translateNew translates through a builder and visited set of its own.
+func translateNew(f fetcher, entry uint64, oracle branchOracle, lim translateLimits) (*ir.Block, int, error) {
+	return translate(new(ir.Builder), map[uint64]struct{}{}, f, entry, oracle, lim)
+}
 
 // fetchFor loads a program into a bus for the translator.
 func fetchFor(t *testing.T, src string) (*bus.Bus, *riscv.Program) {
@@ -38,7 +44,7 @@ main:
 	addi t2, t2, 3
 	ecall
 `)
-	blk, gi, err := translate(b, p.Entry, nil, defaultLimits())
+	blk, gi, err := translateNew(b, p.Entry, nil, defaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +66,7 @@ main:
 	addi t0, t0, 1
 	ecall
 `)
-	blk, gi, err := translate(b, p.Entry, nil, defaultLimits())
+	blk, gi, err := translateNew(b, p.Entry, nil, defaultLimits())
 	if err != nil || gi != 1 {
 		t.Fatalf("gi=%d err=%v", gi, err)
 	}
@@ -71,7 +77,7 @@ main:
 
 func TestTranslateRejectsEcallOnly(t *testing.T) {
 	b, p := fetchFor(t, "main:\n\tecall\n")
-	if _, _, err := translate(b, p.Entry, nil, defaultLimits()); err != errUntranslatable {
+	if _, _, err := translateNew(b, p.Entry, nil, defaultLimits()); err != errUntranslatable {
 		t.Fatalf("err = %v, want errUntranslatable", err)
 	}
 }
@@ -89,7 +95,7 @@ target:
 	ecall
 `)
 	oracle := func(pc uint64) (bool, bool) { return true, true }
-	blk, _, err := translate(b, p.Entry, oracle, defaultLimits())
+	blk, _, err := translateNew(b, p.Entry, oracle, defaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +124,7 @@ hop:
 	j back
 `)
 	oracle := func(pc uint64) (bool, bool) { return false, false }
-	blk, gi, err := translate(b, p.Entry, oracle, defaultLimits())
+	blk, gi, err := translateNew(b, p.Entry, oracle, defaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +146,7 @@ main:
 fn:
 	ret
 `)
-	blk, gi, err := translate(b, p.Entry, nil, defaultLimits())
+	blk, gi, err := translateNew(b, p.Entry, nil, defaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +167,7 @@ func TestTranslateJALRTerminator(t *testing.T) {
 main:
 	jalr ra, 8(t0)
 `)
-	blk, _, err := translate(b, p.Entry, nil, defaultLimits())
+	blk, _, err := translateNew(b, p.Entry, nil, defaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +194,7 @@ main:
 `)
 	oracle := func(pc uint64) (bool, bool) { return true, true }
 	lim := translateLimits{MaxInsts: 48, MaxUnroll: 3}
-	blk, gi, err := translate(b, p.Entry, oracle, lim)
+	blk, gi, err := translateNew(b, p.Entry, oracle, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +223,7 @@ func TestTranslateInstLimit(t *testing.T) {
 	src += "\tecall\n"
 	b, p := fetchFor(t, src)
 	lim := translateLimits{MaxInsts: 10, MaxUnroll: 4}
-	blk, gi, err := translate(b, p.Entry, nil, lim)
+	blk, gi, err := translateNew(b, p.Entry, nil, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +247,7 @@ inner:
 	ecall
 `)
 	oracle := func(pc uint64) (bool, bool) { return true, true }
-	blk, _, err := translate(b, p.Entry, oracle, defaultLimits())
+	blk, _, err := translateNew(b, p.Entry, oracle, defaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +285,7 @@ main:
 	sd t4, 16(s0)
 	ecall
 `)
-	blk, gi, err := translate(b, p.Entry, nil, defaultLimits())
+	blk, gi, err := translateNew(b, p.Entry, nil, defaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +321,7 @@ main:
 	sd t2, 0(s2)
 	ecall
 `)
-	blk, gi, err := translate(b, p.Entry, nil, defaultLimits())
+	blk, gi, err := translateNew(b, p.Entry, nil, defaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +367,7 @@ out:
 	ecall
 `)
 	oracle := func(pc uint64) (bool, bool) { return false, true } // follow fall-through
-	blk, gi, err := translate(b, p.Entry, oracle, defaultLimits())
+	blk, gi, err := translateNew(b, p.Entry, oracle, defaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}

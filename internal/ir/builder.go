@@ -33,7 +33,27 @@ type Builder struct {
 
 // NewBuilder starts a block at the given guest PC.
 func NewBuilder(entryPC uint64) *Builder {
-	return &Builder{blk: &Block{EntryPC: entryPC}, barrier: -1}
+	bu := new(Builder)
+	bu.Reset(entryPC)
+	return bu
+}
+
+// Reset starts a new block at entryPC in the builder's memory: the
+// block, its Insts and Edges arrays and the builder's own lists keep
+// their backing storage, so a builder reused region after region stops
+// allocating once it has grown to the largest one. Reset overwrites the
+// block Block returned before; a caller that keeps a block builds it
+// with a builder of its own. The zero Builder is ready for Reset.
+func (bu *Builder) Reset(entryPC uint64) {
+	b := bu.blk
+	if b == nil {
+		b = new(Block)
+		bu.blk = b
+	}
+	*b = Block{EntryPC: entryPC, Insts: b.Insts[:0], Edges: b.Edges[:0]}
+	bu.regs = [32]Operand{}
+	bu.memOps, bu.branches, bu.sinceBr = bu.memOps[:0], bu.branches[:0], bu.sinceBr[:0]
+	bu.barrier = -1
 }
 
 // Reg returns the operand currently defining architectural register r.
@@ -47,14 +67,8 @@ func (bu *Builder) Reg(r uint8) Operand {
 	return bu.regs[r]
 }
 
-// Block finalises and returns the block.
-func (bu *Builder) Block() *Block {
-	b := bu.blk
-	return b
-}
-
-// Len returns the number of instructions emitted so far.
-func (bu *Builder) Len() int { return len(bu.blk.Insts) }
+// Block returns the block built so far.
+func (bu *Builder) Block() *Block { return bu.blk }
 
 // SetFallthrough records where execution continues after the block.
 func (bu *Builder) SetFallthrough(pc uint64, terminator bool) {

@@ -16,6 +16,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 
 	"ghostbusters/internal/riscv"
 )
@@ -203,29 +204,7 @@ func (b *Block) InsertInsts(at int, insts []Inst) {
 		b.Edges[k].From = shift(b.Edges[k].From)
 		b.Edges[k].To = shift(b.Edges[k].To)
 	}
-	b.Insts = append(b.Insts[:at], append(append([]Inst{}, insts...), b.Insts[at:]...)...)
-}
-
-// InEdges returns the indices of edges pointing at instruction i.
-func (b *Block) InEdges(i int) []int {
-	var out []int
-	for k, e := range b.Edges {
-		if e.To == i {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-// OutEdges returns the indices of edges leaving instruction i.
-func (b *Block) OutEdges(i int) []int {
-	var out []int
-	for k, e := range b.Edges {
-		if e.From == i {
-			out = append(out, k)
-		}
-	}
-	return out
+	b.Insts = slices.Insert(b.Insts, at, insts...)
 }
 
 // HasRelaxableIn reports whether instruction i has at least one relaxable

@@ -340,18 +340,13 @@ type Span = hspan.Span
 // SpanAttr is one typed span attribute (string or int64).
 type SpanAttr = hspan.Attr
 
-// SpanRecord is one finished span, as a SpanSink receives it.
+// SpanRecord is one finished span, as a SpanTracer.Fork observer
+// receives it.
 type SpanRecord = hspan.Record
 
-// SpanSink consumes finished span records (JSONL file, Perfetto doc).
-type SpanSink = hspan.Sink
-
 // SpanSchema identifies the span JSONL stream format.
-const SpanSchema = hspan.Schema
+const SpanSchema = obs.SpanSchema
 
-// NewSpanTracer builds a span tracer over a sink (nil sink: spans are
-// timed and observable but not persisted).
-func NewSpanTracer(sink SpanSink) *SpanTracer { return hspan.New(sink) }
-
-// NewSpanJSONLSink writes the ghostbusters/span/v1 JSONL stream.
-func NewSpanJSONLSink(w io.Writer) SpanSink { return hspan.NewJSONLSink(w) }
+// NewSpanTracer builds a span tracer. Its spans are timed; they reach
+// the observers added with Fork.
+func NewSpanTracer() *SpanTracer { return hspan.New() }

@@ -88,6 +88,7 @@ type Tool struct {
 	traceFile  *os.File
 	traceSink  obs.Sink
 	spans      *hspan.Tracer
+	spanWriter *obs.SpanWriter
 	spanFile   *os.File
 	root       hspan.Span
 	cpuProfile *os.File
@@ -189,10 +190,11 @@ func (t *Tool) Parse() {
 
 // Start opens what the parsed flags ask for — the CPU profile, the
 // SIGINT/SIGTERM context, the translation cache, the trace file with
-// the detector teed in, the span file — and wires the machine-level
-// parts into cfg: core geometry, audit collection and the tracer. root
-// names the span tree's root span (empty: no root). The returned
-// context is cancelled by SIGINT/SIGTERM.
+// the detector teed in, the span file with the obs.SpanWriter that also
+// mirrors spans into a perfetto trace file — and wires the
+// machine-level parts into cfg: core geometry, audit collection and the
+// tracer. root names the span tree's root span (empty: no root). The
+// returned context is cancelled by SIGINT/SIGTERM.
 func (t *Tool) Start(cfg *dbt.Config, root string, attrs ...hspan.Attr) context.Context {
 	if t.CPUProfile != "" {
 		t.cpuProfile = t.create(t.CPUProfile)
@@ -219,11 +221,10 @@ func (t *Tool) Start(cfg *dbt.Config, root string, attrs ...hspan.Attr) context.
 	}
 	if t.SpansPath != "" {
 		t.spanFile = t.create(t.SpansPath)
-		var sink hspan.Sink = hspan.NewJSONLSink(t.spanFile)
-		if doc, ok := t.traceSink.(*obs.PerfettoSink); ok {
-			sink = hspan.NewMultiSink(sink, hspan.NewPerfettoSink(doc))
-		}
-		t.spans = hspan.New(sink)
+		doc, _ := t.traceSink.(*obs.PerfettoSink) // nil unless -trace-format perfetto
+		tr := hspan.New()
+		t.spanWriter = obs.NewSpanWriter(t.spanFile, doc, tr.Base())
+		t.spans = tr.Fork(t.spanWriter.Write)
 		if root != "" {
 			t.root = t.spans.Start(root, attrs...)
 		}
@@ -333,9 +334,9 @@ func (t *Tool) Close() {
 		return
 	}
 	t.closed = true
-	if t.spans != nil {
+	if t.spanWriter != nil {
 		t.root.End()
-		t.warn("spans", t.spans.Close())
+		t.warn("spans", t.spanWriter.Close())
 		t.warn("spans", t.spanFile.Close())
 	}
 	if t.tracer != nil {

@@ -10,6 +10,7 @@ import (
 	"ghostbusters/internal/dbt"
 	"ghostbusters/internal/harness"
 	"ghostbusters/internal/hspan"
+	"ghostbusters/internal/obs"
 	"ghostbusters/internal/polybench"
 	"ghostbusters/internal/tcache"
 	"ghostbusters/internal/trap"
@@ -109,8 +110,9 @@ func TestEvalDeterministicAcrossWorkerCounts(t *testing.T) {
 // span root (one "cell" child per bench × mode).
 func TestEvalRunsOnCallersRunner(t *testing.T) {
 	var buf bytes.Buffer
-	spans := hspan.New(hspan.NewJSONLSink(&buf))
-	root := spans.Start("matrix")
+	spans := hspan.New()
+	sw := obs.NewSpanWriter(&buf, nil, spans.Base())
+	root := spans.Fork(sw.Write).Start("matrix")
 	cache := tcache.New(t.TempDir())
 	r := &harness.Runner{Workers: 2, TransCache: cache, Span: root}
 	k, err := polybench.ByName("gemm")
@@ -124,7 +126,7 @@ func TestEvalRunsOnCallersRunner(t *testing.T) {
 		t.Fatal(err)
 	}
 	root.End()
-	if err := spans.Close(); err != nil {
+	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, misses, _ := cache.Stats(); misses == 0 {

@@ -394,9 +394,6 @@ func attemptCycles(run *KernelRun, err error, budget uint64) uint64 {
 // actually interleaves with execution — so the children are attributed
 // durations on the timeline, not precise phases.
 func EndAttempt(as hspan.Span, run *KernelRun) {
-	if !as.Enabled() {
-		return
-	}
 	if t := as.Tracer(); t != nil && run.TransNS > 0 {
 		start := as.StartNS()
 		as.Emit("translate", start, start+run.TransNS, hspan.Int("ns", run.TransNS))

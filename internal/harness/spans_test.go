@@ -8,6 +8,7 @@ import (
 	"ghostbusters/internal/attack"
 	"ghostbusters/internal/dbt"
 	"ghostbusters/internal/hspan"
+	"ghostbusters/internal/obs"
 	"ghostbusters/internal/polybench"
 )
 
@@ -37,13 +38,14 @@ func TestSpansDoNotPerturbResults(t *testing.T) {
 	plain := run(hspan.Span{})
 
 	var buf bytes.Buffer
-	tr := hspan.New(hspan.NewJSONLSink(&buf))
-	root := tr.Start("matrix")
+	tr := hspan.New()
+	sw := obs.NewSpanWriter(&buf, nil, tr.Base())
+	root := tr.Fork(sw.Write).Start("matrix")
 	sweep := root.Child("sweep")
 	traced := run(sweep)
 	sweep.End()
 	root.End()
-	if err := tr.Close(); err != nil {
+	if err := sw.Close(); err != nil {
 		t.Fatalf("span close: %v", err)
 	}
 

@@ -8,8 +8,7 @@ import "math/bits"
 // histMinNS (1µs) — 28 finite upper bounds spanning 1µs to ~134s —
 // because latencies worth alerting on range over six orders of
 // magnitude and log-spaced buckets hold relative quantile error to a
-// constant factor with a fixed, merge-stable layout (two histograms
-// with the same layout merge by adding counts, in any order).
+// constant factor with a fixed layout.
 //
 // The zero Histogram is ready to use. It is not internally locked:
 // the serve metrics registry guards all histograms with its own mutex,
@@ -60,17 +59,6 @@ func (h *Histogram) Observe(ns int64) {
 	h.counts[bucketIndex(ns)]++
 	h.sum += ns
 	h.count++
-}
-
-// Merge adds o's observations into h. Because every Histogram shares
-// one bucket layout, merge is element-wise addition — commutative and
-// associative, so sharded collection orders cannot change the result.
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
-	}
-	h.sum += o.sum
-	h.count += o.count
 }
 
 // Count returns the number of observations.

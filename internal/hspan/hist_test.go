@@ -1,12 +1,9 @@
 package hspan
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // TestHistBounds pins the layout: powers of two from 1µs, 28 finite
-// bounds, strictly doubling — the merge-stability contract.
+// bounds, strictly doubling.
 func TestHistBounds(t *testing.T) {
 	b := HistBounds()
 	if len(b) != histBuckets {
@@ -75,52 +72,6 @@ func TestObserveCumulative(t *testing.T) {
 	for i := 1; i < len(bc); i++ {
 		if bc[i] < bc[i-1] {
 			t.Fatalf("BucketCounts not monotonic at %d", i)
-		}
-	}
-}
-
-// TestMergeDeterminism: merging shards equals observing the union, in
-// any order — element-wise addition over one fixed layout.
-func TestMergeDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	vals := make([]int64, 2000)
-	for i := range vals {
-		vals[i] = int64(rng.Intn(1 << 30))
-	}
-
-	var whole Histogram
-	for _, v := range vals {
-		whole.Observe(v)
-	}
-
-	var a, b, c Histogram
-	for i, v := range vals {
-		switch i % 3 {
-		case 0:
-			a.Observe(v)
-		case 1:
-			b.Observe(v)
-		default:
-			c.Observe(v)
-		}
-	}
-	var m1, m2 Histogram
-	m1.Merge(&a)
-	m1.Merge(&b)
-	m1.Merge(&c)
-	m2.Merge(&c)
-	m2.Merge(&a)
-	m2.Merge(&b)
-
-	for _, m := range []*Histogram{&m1, &m2} {
-		if m.Count() != whole.Count() || m.Sum() != whole.Sum() {
-			t.Fatalf("merge count/sum = %d/%d, want %d/%d", m.Count(), m.Sum(), whole.Count(), whole.Sum())
-		}
-		mb, wb := m.BucketCounts(), whole.BucketCounts()
-		for i := range mb {
-			if mb[i] != wb[i] {
-				t.Fatalf("merge bucket %d = %d, want %d", i, mb[i], wb[i])
-			}
 		}
 	}
 }

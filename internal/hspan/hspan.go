@@ -3,10 +3,11 @@
 // *simulated cycles* — the guest's view of the world — while hspan
 // times the *host's* work in wall-clock nanoseconds: job admission,
 // queue wait, translation versus execution, retry backoff sleeps,
-// drain. The two compose in one Perfetto document (PerfettoSink writes
-// host spans into the same file the obs sink owns, under a separate
-// process), so a timeline shows what the simulated machine did and
-// what it cost the host, side by side.
+// drain. hspan only keeps the span clock and the latency histogram;
+// obs renders finished spans (obs.SpanWriter writes the span/v1 JSONL
+// file and mirrors it into the Perfetto document the cycle tracer
+// owns, under a separate process), so a timeline shows what the
+// simulated machine did and what it cost the host, side by side.
 //
 // The contract mirrors obs: a nil *Tracer (and the zero Span) is a
 // valid no-op, pinned at 0 allocs per hook by TestDisabledSpansAllocs,
@@ -15,29 +16,20 @@
 // design — an hspan Tracer is safe for concurrent use: the service
 // ends spans from many worker goroutines.
 //
-// Spans form a tree (ID/Parent), and every finished span is emitted as
-// one Record: name, absolute start/end in Unix nanoseconds, and typed
-// attributes. The JSONL sink writes schema ghostbusters/span/v1.
+// Spans form a tree (ID/Parent), and every finished span is handed as
+// one Record — name, absolute start/end in Unix nanoseconds, typed
+// attributes — to the observers added with Fork.
 package hspan
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"ghostbusters/internal/obs"
 )
 
-// Schema identifies the span JSONL stream format (the header line's
-// "schema" field and the /v1/jobs/{id}/trace stream).
-const Schema = "ghostbusters/span/v1"
-
-// Attr is one typed span attribute. Attrs are values (no pointers, no
-// interfaces) so building them on a disabled path allocates nothing.
-type Attr struct {
-	Key   string
-	Str   string
-	Int   int64
-	IsInt bool
-}
+// Attr is one typed span attribute.
+type Attr = obs.Attr
 
 // Str builds a string attribute.
 func Str(key, val string) Attr { return Attr{Key: key, Str: val} }
@@ -45,72 +37,46 @@ func Str(key, val string) Attr { return Attr{Key: key, Str: val} }
 // Int builds an integer attribute.
 func Int(key string, val int64) Attr { return Attr{Key: key, Int: val, IsInt: true} }
 
-// Record is one finished span. Start and End are absolute Unix
-// nanoseconds derived from a monotonic reading, so records from one
-// tracer are mutually consistent and still anchor to wall time for log
-// correlation. Parent 0 means a root span.
-type Record struct {
-	ID     uint64
-	Parent uint64
-	Name   string
-	Start  int64
-	End    int64
-	Attrs  []Attr
-}
+// Record is one finished span.
+type Record = obs.SpanRecord
 
-// state is the shared core of a tracer and all of its forks: one
-// clock, one span-ID sequence, one sink.
-type state struct {
-	mu     sync.Mutex
-	sink   Sink
-	err    error
-	closed bool
-
+// Tracer creates spans. A nil *Tracer is a valid no-op: every method
+// returns immediately and Start returns the zero Span. Tracers are
+// safe for concurrent use. A tracer and all of its forks share one
+// clock and one span-ID sequence.
+type Tracer struct {
 	base     time.Time // monotonic anchor
 	baseUnix int64     // base.UnixNano(), fixed at creation
-	ids      atomic.Uint64
+	ids      *atomic.Uint64
+	// observe, when non-nil, is called on every record emitted through
+	// this tracer (and spans derived from it) — the span file and the
+	// service's per-job span buffers ride here.
+	observe func(Record)
 }
 
-// Tracer creates and collects spans. A nil *Tracer is a valid no-op:
-// every method returns immediately and Start returns the zero Span.
-// Tracers are safe for concurrent use.
-type Tracer struct {
-	st *state
-	// obs, when non-nil, observes every record emitted through this
-	// tracer (and spans derived from it) before it reaches the sink —
-	// the service's per-job span buffers ride here. Observer errors
-	// cannot exist: observers are plain callbacks.
-	obs func(Record)
-}
-
-// New builds a tracer over sink. sink may be nil (spans are still
-// timed and forked observers still see them — the service uses this
-// for the /trace endpoint without a span file). If the sink implements
-// BaseSink it is told the tracer's wall-clock anchor immediately.
-func New(sink Sink) *Tracer {
+// New builds a tracer. Its spans are timed but go nowhere until Fork
+// adds an observer.
+func New() *Tracer {
 	base := time.Now()
-	t := &Tracer{st: &state{sink: sink, base: base, baseUnix: base.UnixNano()}}
-	if bs, ok := sink.(BaseSink); ok {
-		bs.SetBase(t.st.baseUnix)
-	}
-	return t
+	return &Tracer{base: base, baseUnix: base.UnixNano(), ids: new(atomic.Uint64)}
 }
 
-// Fork returns a tracer sharing this one's clock, span-ID sequence and
-// sink, with observer called on every record emitted through the fork.
+// Fork returns a tracer sharing this one's clock and span-ID sequence,
+// with observer called on every record emitted through the fork.
 // Observers compose: a fork of a fork calls both, outermost first.
 func (t *Tracer) Fork(observer func(Record)) *Tracer {
 	if t == nil {
 		return nil
 	}
-	f := observer
-	if prev := t.obs; prev != nil {
-		f = func(r Record) {
+	f := *t
+	f.observe = observer
+	if prev := t.observe; prev != nil {
+		f.observe = func(r Record) {
 			prev(r)
 			observer(r)
 		}
 	}
-	return &Tracer{st: t.st, obs: f}
+	return &f
 }
 
 // Now returns the tracer's current timestamp: absolute Unix
@@ -119,61 +85,17 @@ func (t *Tracer) Now() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.st.baseUnix + time.Since(t.st.base).Nanoseconds()
+	return t.baseUnix + time.Since(t.base).Nanoseconds()
 }
 
 // Base returns the tracer's wall-clock anchor (Unix nanoseconds at
-// creation) — what HeaderJSON wants. 0 on a nil tracer.
+// creation) — what obs.SpanHeaderJSON and obs.NewSpanWriter want. 0 on
+// a nil tracer.
 func (t *Tracer) Base() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.st.baseUnix
-}
-
-// Err returns the first sink write error, if any.
-func (t *Tracer) Err() error {
-	if t == nil {
-		return nil
-	}
-	t.st.mu.Lock()
-	defer t.st.mu.Unlock()
-	return t.st.err
-}
-
-// Close finalises the sink (idempotent; forks share the closed state).
-// Spans ended after Close are observed but no longer written.
-func (t *Tracer) Close() error {
-	if t == nil {
-		return nil
-	}
-	st := t.st
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !st.closed {
-		st.closed = true
-		if st.sink != nil {
-			if err := st.sink.Close(); err != nil && st.err == nil {
-				st.err = err
-			}
-		}
-	}
-	return st.err
-}
-
-// emit delivers one finished record: observers first, then the sink.
-func (t *Tracer) emit(r Record) {
-	if t.obs != nil {
-		t.obs(r)
-	}
-	st := t.st
-	st.mu.Lock()
-	if st.sink != nil && !st.closed {
-		if err := st.sink.WriteSpan(r); err != nil && st.err == nil {
-			st.err = err
-		}
-	}
-	st.mu.Unlock()
+	return t.baseUnix
 }
 
 // Span is a live span handle. It is a small value, copied freely; the
@@ -195,7 +117,7 @@ func (t *Tracer) Start(name string, attrs ...Attr) Span {
 	if t == nil {
 		return Span{}
 	}
-	sp := Span{t: t, id: t.st.ids.Add(1), start: t.Now(), name: name}
+	sp := Span{t: t, id: t.ids.Add(1), start: t.Now(), name: name}
 	if len(attrs) > 0 {
 		sp.attrs = append(make([]Attr, 0, len(attrs)), attrs...)
 	}
@@ -226,10 +148,11 @@ func (s Span) Child(name string, attrs ...Attr) Span {
 	return sp
 }
 
-// End finishes the span and emits its Record. attrs are appended to
-// the ones given at Start. Ending the zero Span does nothing.
+// End finishes the span and hands its Record to the observers. attrs
+// are appended to the ones given at Start. Ending the zero Span, or a
+// span of a tracer without observers, does nothing.
 func (s Span) End(attrs ...Attr) {
-	if s.t == nil {
+	if s.t == nil || s.t.observe == nil {
 		return
 	}
 	all := s.attrs
@@ -238,7 +161,7 @@ func (s Span) End(attrs ...Attr) {
 		all = append(all, s.attrs...)
 		all = append(all, attrs...)
 	}
-	s.t.emit(Record{ID: s.id, Parent: s.parent, Name: s.name,
+	s.t.observe(Record{ID: s.id, Parent: s.parent, Name: s.name,
 		Start: s.start, End: s.t.Now(), Attrs: all})
 }
 
@@ -247,7 +170,7 @@ func (s Span) End(attrs ...Attr) {
 // translate/execute phases after the fact, from the machine's own
 // measurements.
 func (s Span) Emit(name string, startNS, endNS int64, attrs ...Attr) {
-	if s.t == nil {
+	if s.t == nil || s.t.observe == nil {
 		return
 	}
 	var all []Attr
@@ -256,6 +179,6 @@ func (s Span) Emit(name string, startNS, endNS int64, attrs ...Attr) {
 		// stays non-escaping and the disabled path allocation-free.
 		all = append(make([]Attr, 0, len(attrs)), attrs...)
 	}
-	s.t.emit(Record{ID: s.t.st.ids.Add(1), Parent: s.id, Name: name,
+	s.t.observe(Record{ID: s.t.ids.Add(1), Parent: s.id, Name: name,
 		Start: startNS, End: endNS, Attrs: all})
 }

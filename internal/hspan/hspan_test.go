@@ -3,18 +3,27 @@ package hspan
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
 	"ghostbusters/internal/obs"
 )
 
+// writeSpans returns a tracer whose spans go to an obs.SpanWriter over
+// w, mirrored into doc when non-nil — how the -spans flag wires it.
+func writeSpans(w io.Writer, doc *obs.PerfettoSink) (*Tracer, *obs.SpanWriter) {
+	tr := New()
+	sw := obs.NewSpanWriter(w, doc, tr.Base())
+	return tr.Fork(sw.Write), sw
+}
+
 // TestJSONLRoundTrip exercises the core write→parse→tree path: a
-// realistic job-shaped span tree goes out through the JSONL sink and
+// realistic job-shaped span tree goes out through the span writer and
 // must come back with identical structure, times, and attrs.
 func TestJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	tr := New(NewJSONLSink(&buf))
+	tr, sw := writeSpans(&buf, nil)
 
 	root := tr.Start("job", Str("tenant", "acme"), Str("id", "j-000001"))
 	adm := root.Child("admission")
@@ -25,7 +34,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	att.Emit("translate", att.StartNS(), att.StartNS()+1500, Int("ns", 1500))
 	att.End(Str("outcome", "ok"))
 	root.End(Str("state", "done"))
-	if err := tr.Close(); err != nil {
+	if err := sw.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 
@@ -34,8 +43,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := json.Unmarshal([]byte(first), &hdr); err != nil {
 		t.Fatalf("header not JSON: %v\n%s", err, first)
 	}
-	if hdr["schema"] != Schema {
-		t.Fatalf("header schema = %v, want %q", hdr["schema"], Schema)
+	if hdr["schema"] != obs.SpanSchema {
+		t.Fatalf("header schema = %v, want %q", hdr["schema"], obs.SpanSchema)
 	}
 	if hdr["clock"] != "unix_ns" {
 		t.Fatalf("header clock = %v, want unix_ns", hdr["clock"])
@@ -130,11 +139,11 @@ func TestDisabledSpansAllocs(t *testing.T) {
 	}
 }
 
-// TestFork: a forked tracer shares clock/IDs/sink, and its observer
+// TestFork: a forked tracer shares clock and IDs, and its observer
 // sees every record emitted through the fork (but not the parent's).
 func TestFork(t *testing.T) {
 	var buf bytes.Buffer
-	tr := New(NewJSONLSink(&buf))
+	tr, sw := writeSpans(&buf, nil)
 	var seen []string
 	f := tr.Fork(func(r Record) { seen = append(seen, r.Name) })
 
@@ -143,7 +152,7 @@ func TestFork(t *testing.T) {
 	sp := f.Start("forked")
 	sp.Child("kid").End()
 	sp.End()
-	if err := tr.Close(); err != nil {
+	if err := sw.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 
@@ -155,7 +164,7 @@ func TestFork(t *testing.T) {
 		t.Fatalf("parse: %v", err)
 	}
 	if len(recs) != 3 {
-		t.Fatalf("sink saw %d records, want 3 (shared sink)", len(recs))
+		t.Fatalf("writer saw %d records, want 3 (outer observer)", len(recs))
 	}
 	ids := map[uint64]bool{}
 	for _, r := range recs {
@@ -175,7 +184,7 @@ func TestFork(t *testing.T) {
 	}
 }
 
-// TestPerfettoDualClock: host spans written through the adapter land
+// TestPerfettoDualClock: host spans written through the span writer land
 // in the same document as simulated-cycle obs events, as a second
 // process (pid 1), and the whole document parses as JSON.
 func TestPerfettoDualClock(t *testing.T) {
@@ -190,12 +199,12 @@ func TestPerfettoDualClock(t *testing.T) {
 		t.Fatalf("obs write: %v", err)
 	}
 
-	// Host side: spans through the adapter into the same document.
-	tr := New(NewPerfettoSink(doc))
+	// Host side: spans through the span writer into the same document.
+	tr, sw := writeSpans(io.Discard, doc)
 	sp := tr.Start("job", Str("tenant", "acme"))
 	sp.Child("attempt", Int("attempt", 0)).End()
 	sp.End()
-	if err := tr.Close(); err != nil {
+	if err := sw.Close(); err != nil {
 		t.Fatalf("span close: %v", err)
 	}
 	if err := doc.Close(); err != nil {
@@ -240,28 +249,12 @@ func TestPerfettoDualClock(t *testing.T) {
 	}
 }
 
-// TestAppendMicros checks the µs rendering keeps ns precision.
-func TestAppendMicros(t *testing.T) {
-	cases := []struct {
-		ns   int64
-		want string
-	}{
-		{0, "0.000"}, {1, "0.001"}, {999, "0.999"}, {1000, "1.000"},
-		{1234567, "1234.567"}, {-1500, "-1.500"},
-	}
-	for _, c := range cases {
-		if got := string(appendMicros(nil, c.ns)); got != c.want {
-			t.Errorf("appendMicros(%d) = %q, want %q", c.ns, got, c.want)
-		}
-	}
-}
-
 // TestEmptyJSONLStream: a tracer that never emits still closes to a
 // valid schema-identified stream.
 func TestEmptyJSONLStream(t *testing.T) {
 	var buf bytes.Buffer
-	tr := New(NewJSONLSink(&buf))
-	if err := tr.Close(); err != nil {
+	_, sw := writeSpans(&buf, nil)
+	if err := sw.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 	out := buf.String()
@@ -272,7 +265,7 @@ func TestEmptyJSONLStream(t *testing.T) {
 	if len(recs) != 0 {
 		t.Fatalf("got %d records from empty stream", len(recs))
 	}
-	if !strings.Contains(out, Schema) {
+	if !strings.Contains(out, obs.SpanSchema) {
 		t.Fatalf("empty stream missing schema header: %q", out)
 	}
 }

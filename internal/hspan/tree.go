@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"ghostbusters/internal/obs"
 )
 
 // jsonRecord is the wire shape of one span/v1 line, used only for
@@ -19,11 +21,7 @@ type jsonRecord struct {
 	Attrs   map[string]json.RawMessage `json:"attrs"`
 }
 
-type jsonHeader struct {
-	Schema string `json:"schema"`
-}
-
-// ParseJSONL decodes a span/v1 stream (as written by JSONLSink or the
+// ParseJSONL decodes a span/v1 stream (as written by obs.SpanWriter or the
 // /v1/jobs/{id}/trace endpoint) back into records. The header line is
 // validated and skipped; a stream with no header is also accepted so
 // partial captures still parse.
@@ -39,10 +37,12 @@ func ParseJSONL(r io.Reader) ([]Record, error) {
 			continue
 		}
 		if line == 1 {
-			var h jsonHeader
+			var h struct {
+				Schema string `json:"schema"`
+			}
 			if err := json.Unmarshal(raw, &h); err == nil && h.Schema != "" {
-				if h.Schema != Schema {
-					return nil, fmt.Errorf("hspan: stream schema %q, want %q", h.Schema, Schema)
+				if h.Schema != obs.SpanSchema {
+					return nil, fmt.Errorf("hspan: stream schema %q, want %q", h.Schema, obs.SpanSchema)
 				}
 				continue
 			}
@@ -119,14 +119,4 @@ func BuildTree(recs []Record) []*Node {
 	}
 	sortNodes(roots)
 	return roots
-}
-
-// Attr returns the value of the named attribute on the record, if set.
-func (r Record) Attr(key string) (Attr, bool) {
-	for i := range r.Attrs {
-		if r.Attrs[i].Key == key {
-			return r.Attrs[i], true
-		}
-	}
-	return Attr{}, false
 }

@@ -10,6 +10,10 @@
 // attached the buffer degrades to a retain-last ring for post-mortem
 // inspection.
 //
+// obs also renders internal/hspan's host spans, the second clock
+// domain: SpanWriter writes the span/v1 stream and mirrors each span
+// into the cycle tracer's Perfetto document as a second process.
+//
 // The whole layer is zero-cost when disabled: a nil *Tracer is a valid
 // receiver for every method, the hot-path guards (BlockOn, SpecOn)
 // compile down to a nil check plus a byte compare, and the disabled

@@ -400,29 +400,23 @@ var lane = [NumEventKinds]struct {
 	EvCounter:        {'C', tidCtr},
 }
 
+// perfettoPreamble opens the document and names the simulator process
+// and its tracks, so the viewer shows semantic lanes.
+const perfettoPreamble = `{"displayTimeUnit":"ns","otherData":{"timestamps":"simulated cycles"},"traceEvents":[` + "\n" +
+	`{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"ghostbusters-sim"}},` + "\n" +
+	`{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"execution"}},` + "\n" +
+	`{"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"translation"}},` + "\n" +
+	`{"name":"thread_name","ph":"M","pid":0,"tid":2,"args":{"name":"speculation"}},` + "\n" +
+	`{"name":"thread_name","ph":"M","pid":0,"tid":3,"args":{"name":"memory"}},` + "\n" +
+	`{"name":"thread_name","ph":"M","pid":0,"tid":4,"args":{"name":"counters"}}`
+
 func (s *PerfettoSink) preamble() error {
 	if s.open {
 		return nil
 	}
-	s.open = true
-	if _, err := io.WriteString(s.w, `{"displayTimeUnit":"ns","otherData":{"timestamps":"simulated cycles"},"traceEvents":[`+"\n"); err != nil {
-		return err
-	}
-	// Name the process and tracks so the viewer shows semantic lanes.
-	meta := []struct {
-		name string
-		tid  int
-	}{{"execution", tidExec}, {"translation", tidTrans}, {"speculation", tidSpec}, {"memory", tidMem}, {"counters", tidCtr}}
-	if _, err := fmt.Fprintf(s.w, `{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"ghostbusters-sim"}}`); err != nil {
-		return err
-	}
-	for _, m := range meta {
-		if _, err := fmt.Fprintf(s.w, ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":%q}}", m.tid, m.name); err != nil {
-			return err
-		}
-	}
-	s.wrote = true
-	return nil
+	s.open, s.wrote = true, true
+	_, err := io.WriteString(s.w, perfettoPreamble)
+	return err
 }
 
 // appendName renders `name@0xPC`. Names come from static tables (op
@@ -592,14 +586,12 @@ func (s *PerfettoSink) WriteEvents(evs []Event) error {
 	return err
 }
 
-// WriteRawEvent appends one pre-rendered trace-event object to the
+// writeRaw appends one pre-rendered trace-event object to the
 // document, handling the preamble and comma placement exactly like
 // WriteEvents. obj must be a complete JSON object with no trailing
-// separators. This is the seam that lets a second clock domain — the
-// host-nanosecond span sink in internal/hspan — interleave its events
-// into the same Perfetto file the simulated-cycle tracer owns, so one
-// document carries both track sets.
-func (s *PerfettoSink) WriteRawEvent(obj []byte) error {
+// separators. It is how SpanWriter interleaves host spans into the
+// document the simulated-cycle tracer owns.
+func (s *PerfettoSink) writeRaw(obj []byte) error {
 	if err := s.preamble(); err != nil {
 		return err
 	}

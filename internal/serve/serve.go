@@ -113,7 +113,7 @@ type Config struct {
 
 	// Spans, when non-nil, receives the fleet's host-time span tree
 	// (job / admission / queue-wait / attempt / backoff / cell spans,
-	// plus drain). nil still gets a sinkless tracer internally: spans
+	// plus drain). nil still gets a tracer of its own: spans
 	// are always timed so latency histograms and the per-job
 	// /v1/jobs/{id}/trace stream work without a span file configured.
 	Spans *hspan.Tracer
@@ -136,7 +136,7 @@ type Server struct {
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
 
-	// spans is never nil: Config.Spans or a sinkless fallback tracer,
+	// spans is never nil: Config.Spans or a tracer of its own,
 	// so span timing, histograms and /trace work unconditionally.
 	spans  *hspan.Tracer
 	reqSeq atomic.Uint64 // request-log correlation IDs
@@ -195,7 +195,7 @@ func New(cfg Config) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	spans := cfg.Spans
 	if spans == nil {
-		spans = hspan.New(nil)
+		spans = hspan.New()
 	}
 	s := &Server{
 		cfg:        cfg,

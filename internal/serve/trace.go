@@ -3,7 +3,7 @@ package serve
 import (
 	"net/http"
 
-	"ghostbusters/internal/hspan"
+	"ghostbusters/internal/obs"
 )
 
 // handleTrace streams a job's host-span tree as NDJSON in the
@@ -25,7 +25,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
-	buf := append(hspan.HeaderJSON(s.spans.Base()), '\n')
+	buf := append(obs.SpanHeaderJSON(s.spans.Base()), '\n')
 	if _, err := w.Write(buf); err != nil {
 		return
 	}

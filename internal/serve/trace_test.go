@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ghostbusters/internal/hspan"
+	"ghostbusters/internal/obs"
 )
 
 // traceTree fetches a job's trace and reconstructs the span forest.
@@ -166,7 +167,7 @@ func TestTraceLiveStream(t *testing.T) {
 	if !sc.Scan() {
 		t.Fatalf("no header line: %v", sc.Err())
 	}
-	if !strings.Contains(sc.Text(), hspan.Schema) {
+	if !strings.Contains(sc.Text(), obs.SpanSchema) {
 		t.Fatalf("header %q does not carry the schema", sc.Text())
 	}
 	if !sc.Scan() {

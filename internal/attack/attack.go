@@ -152,8 +152,8 @@ func Run(v Variant, cfg dbt.Config, params Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The recovered bytes are copied out below, so the guest memory can
-	// be recycled as soon as the run is over.
+	// The recovered bytes are copied out below, so the guest image can
+	// go back to the spare list as soon as the run is over.
 	defer m.Release()
 	if err := m.Load(prog); err != nil {
 		return nil, err

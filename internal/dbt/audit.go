@@ -33,8 +33,8 @@ type Audit struct {
 }
 
 // Audit returns the machine-wide audit, or nil when Config.Audit was
-// off (no provenance was collected). Safe to call after Release: the
-// translation cache index survives memory recycling.
+// off (no provenance was collected). Call it before Release, which
+// drops the installed regions.
 func (m *Machine) Audit() *Audit {
 	if !m.cfg.Audit {
 		return nil

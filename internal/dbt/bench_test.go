@@ -54,7 +54,7 @@ func BenchmarkInterpLoop(b *testing.B) {
 
 // BenchmarkMachineSteadyState measures the whole machine on a hot loop
 // that translates to a trace: dispatch, Exec and the timed cache path,
-// with guest memory recycled through the pool each iteration.
+// with the guest image reused from the spare list each iteration.
 func BenchmarkMachineSteadyState(b *testing.B) {
 	src := `
 main:

@@ -1,9 +1,11 @@
 package dbt
 
 import (
+	"slices"
 	"sync"
 
 	"ghostbusters/internal/core"
+	"ghostbusters/internal/guestmem"
 	"ghostbusters/internal/ir"
 	"ghostbusters/internal/vliw"
 )
@@ -41,13 +43,15 @@ type chainLink struct {
 	cnt *uint64
 }
 
-// transState owns the translation-state maps of one machine and the
-// memory its regions compile through: the front end's builder and
-// visited set, the poison analysis and the scheduling graph. The
-// harness creates and releases thousands of short-lived machines per
-// sweep; pooling keeps the map bucket storage and the grown compile
-// memory alive across them.
+// transState is what one machine hands to the next of the same guest
+// memory geometry: the guest image, the profile and translation maps,
+// and the memory its regions compile through (the front end's builder
+// and visited set, the poison analysis and the scheduling graph).
+// entries values are pointers so chain links can bump a block's profile
+// counter without a map lookup.
 type transState struct {
+	mem *guestmem.Memory
+
 	entries  map[uint64]*uint64
 	branches map[uint64]*brStat
 	trans    map[uint64]*transEntry
@@ -59,9 +63,10 @@ type transState struct {
 	sched    graph
 }
 
-// newTransState makes an empty transState, the way the pool does.
-func newTransState() *transState {
+// newTransState makes an empty transState over the guest image mem.
+func newTransState(mem *guestmem.Memory) *transState {
 	return &transState{
+		mem:      mem,
 		entries:  make(map[uint64]*uint64),
 		branches: make(map[uint64]*brStat),
 		trans:    make(map[uint64]*transEntry),
@@ -70,7 +75,28 @@ func newTransState() *transState {
 	}
 }
 
-var transPool = sync.Pool{New: func() any { return newTransState() }}
+// spares holds the sets that Release put back, the most recent last.
+// It never holds more sets of one geometry than were live at once, and
+// the GC never empties it, so a warm sweep never zeroes a fresh image.
+var spares struct {
+	sync.Mutex
+	sets []*transState
+}
+
+// takeSpare removes and returns the most recently released set whose
+// guest image is size bytes at base, or makes a new set.
+func takeSpare(base, size uint64) *transState {
+	spares.Lock()
+	for i := len(spares.sets) - 1; i >= 0; i-- {
+		if ts := spares.sets[i]; ts.mem.Base() == base && ts.mem.Size() == size {
+			spares.sets = slices.Delete(spares.sets, i, i+1)
+			spares.Unlock()
+			return ts
+		}
+	}
+	spares.Unlock()
+	return newTransState(guestmem.New(base, size))
+}
 
 // blockExtent computes the guest text range [lo, hi) a translated block
 // covers, from the guest PCs stamped on its syllables (traces can reach

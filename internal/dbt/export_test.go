@@ -17,15 +17,32 @@ import (
 // IR of the reused path lives in the machine's builder until its next
 // compile.
 func (m *Machine) CompileRegion(pc uint64, asTrace, noMemSpec, fresh bool) (*ir.Block, *vliw.Block, error) {
-	saved := m.ts
+	saved := m.transState
 	if fresh {
-		m.ts = newTransState()
+		// Fresh compile memory over the machine's own image and profile.
+		ts := newTransState(m.mem)
+		ts.entries, ts.branches, ts.trans, ts.noTrans = m.entries, m.branches, m.trans, m.noTrans
+		m.transState = ts
 	}
 	e := m.compile(pc, asTrace, noMemSpec)
-	irBlk := m.ts.front.Block()
-	m.ts = saved
+	irBlk := m.front.Block()
+	m.transState = saved
 	if e == nil {
 		return nil, nil, fmt.Errorf("dbt: region %#x did not compile", pc)
 	}
 	return irBlk, e.Block, nil
+}
+
+// SpareSets counts the released sets on the spare list whose guest image
+// is size bytes at base.
+func SpareSets(base, size uint64) int {
+	spares.Lock()
+	defer spares.Unlock()
+	n := 0
+	for _, ts := range spares.sets {
+		if ts.mem.Base() == base && ts.mem.Size() == size {
+			n++
+		}
+	}
+	return n
 }

@@ -294,8 +294,9 @@ type brStat struct{ taken, total uint64 }
 // between the software interpreter (cold code, profiling) and the VLIW
 // core (translated code), plus the translation cache.
 type Machine struct {
+	*transState // guest image, maps and compile memory; see Release
+
 	cfg   Config
-	mem   *guestmem.Memory
 	b     *bus.Bus
 	core  *vliw.Core
 	state riscv.State
@@ -307,17 +308,6 @@ type Machine struct {
 	pred *riscv.Predecode
 
 	cycles uint64
-
-	// ts owns the translation-state maps below; they are leased from a
-	// package pool and returned by Release, so the harness's
-	// create/release churn reuses map storage instead of thrashing the
-	// GC. entries values are pointers so chain links can bump a
-	// block's profile counter without a map lookup.
-	ts       *transState
-	entries  map[uint64]*uint64
-	branches map[uint64]*brStat
-	trans    map[uint64]*transEntry
-	noTrans  map[uint64]struct{}
 
 	// chainEpoch versions the chain links cached on transEntries: it
 	// starts at 1 and is bumped by every translation-cache mutation
@@ -377,27 +367,21 @@ func New(cfg Config) (*Machine, error) {
 	if !cfg.Mitigation.Valid() {
 		return nil, fmt.Errorf("dbt: unknown mitigation mode %v", cfg.Mitigation)
 	}
-	mem := guestmem.NewPooled(cfg.MemBase, cfg.MemSize)
-	mem.StrictAlign = cfg.StrictAlign
-	b, err := bus.New(mem, cfg.Cache)
-	if err != nil {
-		return nil, err
-	}
 	c, err := vliw.NewCore(cfg.Core)
 	if err != nil {
 		return nil, err
 	}
-	ts := transPool.Get().(*transState)
+	ts := takeSpare(cfg.MemBase, cfg.MemSize)
+	ts.mem.StrictAlign = cfg.StrictAlign
+	b, err := bus.New(ts.mem, cfg.Cache)
+	if err != nil {
+		return nil, err
+	}
 	m := &Machine{
+		transState: ts,
 		cfg:        cfg,
-		mem:        mem,
 		b:          b,
 		core:       c,
-		ts:         ts,
-		entries:    ts.entries,
-		branches:   ts.branches,
-		trans:      ts.trans,
-		noTrans:    ts.noTrans,
 		chainEpoch: 1,
 		transLo:    ^uint64(0),
 	}
@@ -503,32 +487,27 @@ func (m *Machine) tcFingerprint() string {
 	return fmt.Sprintf("%+v", c)
 }
 
-// Release recycles the machine's guest memory and translation state
-// into their reuse pools. Call it once all results have been read out
-// of the machine; the machine (including Mem) must not be used
-// afterwards. Release is idempotent, and skipping it is always safe —
-// everything is then simply collected by the GC instead of being
-// reused.
+// Release puts the machine's guest image and translation state back on
+// the spare list, with the image zeroed and the maps emptied, for the
+// next New of the same geometry. Call it once all results have been
+// read out of the machine; the machine (including Mem) must not be used
+// afterwards. Release is idempotent, and skipping it is always safe:
+// the set is then collected by the GC instead of being reused.
 func (m *Machine) Release() {
-	if m.ts != nil {
-		// Return the translation-state maps (entries/branches/trans/
-		// noTrans) to the pool with their bucket storage intact; the
-		// translated blocks themselves are dropped here.
-		clear(m.ts.entries)
-		clear(m.ts.branches)
-		clear(m.ts.trans)
-		clear(m.ts.noTrans)
-		transPool.Put(m.ts)
-		m.ts = nil
-		m.entries, m.branches, m.trans, m.noTrans = nil, nil, nil, nil
-	}
-	m.pred = nil
-	if m.mem == nil {
+	ts := m.transState
+	if ts == nil {
 		return
 	}
-	m.mem.Recycle()
-	m.mem = nil
-	m.b = nil
+	m.transState, m.b, m.pred = nil, nil, nil
+	// Emptied maps keep their buckets; the translated blocks are dropped.
+	clear(ts.entries)
+	clear(ts.branches)
+	clear(ts.trans)
+	clear(ts.noTrans)
+	ts.mem.Reset()
+	spares.Lock()
+	spares.sets = append(spares.sets, ts)
+	spares.Unlock()
 }
 
 // PredecodeStats reports the interpreter side-table counters (zero when
@@ -669,7 +648,7 @@ func (m *Machine) frontEnd(bu *ir.Builder, pc uint64, asTrace bool) (*ir.Block, 
 		lim.MaxInsts = m.cfg.MaxTraceInsts
 		orc = m.oracle
 	}
-	return translate(bu, m.ts.visited, m.b, pc, orc, lim)
+	return translate(bu, m.visited, m.b, pc, orc, lim)
 }
 
 // compile runs the DBT engine on the region at pc: front end, the
@@ -680,7 +659,7 @@ func (m *Machine) frontEnd(bu *ir.Builder, pc uint64, asTrace bool) (*ir.Block, 
 // a builder of its own. A failure is recorded (transFail) and yields
 // nil.
 func (m *Machine) compile(pc uint64, asTrace, noMemSpec bool) *transEntry {
-	bu := &m.ts.front
+	bu := &m.front
 	if m.cfg.Audit {
 		bu = new(ir.Builder)
 	}
@@ -690,7 +669,7 @@ func (m *Machine) compile(pc uint64, asTrace, noMemSpec bool) *transEntry {
 		return nil
 	}
 	opts := compileOpts{DisableMemSpec: noMemSpec, Audit: m.cfg.Audit}
-	res, err := compileWith(&m.ts.sched, &m.ts.analysis, irBlk, guestInsts, &m.cfg.Core, m.cfg.Mitigation, opts)
+	res, err := compileWith(&m.sched, &m.analysis, irBlk, guestInsts, &m.cfg.Core, m.cfg.Mitigation, opts)
 	if err != nil {
 		m.stats.CompileErrs++
 		m.transFail(pc, false, err)
@@ -1044,12 +1023,12 @@ func (m *Machine) BlockAt(pc uint64) *vliw.Block {
 // guest code, under the machine's own mitigation mode.
 func (m *Machine) DumpIR(pc uint64) (string, error) {
 	e := m.trans[pc]
-	irBlk, _, err := m.frontEnd(&m.ts.front, pc, e != nil && e.Trace)
+	irBlk, _, err := m.frontEnd(&m.front, pc, e != nil && e.Trace)
 	if err != nil {
 		return "", fmt.Errorf("dbt: DumpIR(%#x): %w", pc, err)
 	}
 	aud := &ir.AuditReport{}
-	pipeline.Apply(&m.ts.analysis, m.cfg.Mitigation, irBlk, aud)
+	pipeline.Apply(&m.analysis, m.cfg.Mitigation, irBlk, aud)
 	return irBlk.Dot(aud.Overlay()), nil
 }
 

@@ -7,7 +7,6 @@ package guestmem
 
 import (
 	"encoding/binary"
-	"sync"
 
 	"ghostbusters/internal/trap"
 )
@@ -24,9 +23,9 @@ type Memory struct {
 	data []byte
 
 	// dirty marks pages that may hold nonzero bytes. Reset zeroes only
-	// those, which is what makes pooled reuse of a multi-megabyte guest
-	// image cheap: allocating (and the runtime zeroing) a fresh 16 MiB
-	// buffer per run used to dominate the whole simulator's host profile.
+	// those, which is what makes reusing a multi-megabyte guest image
+	// cheap: allocating (and the runtime zeroing) a fresh 16 MiB buffer
+	// per run used to dominate the whole simulator's host profile.
 	dirty []bool
 
 	protStart, protEnd uint64 // [start, end) read-protected when protEnd > protStart
@@ -55,33 +54,6 @@ func New(base, size uint64) *Memory {
 		data:  make([]byte, size),
 		dirty: make([]bool, (size+(1<<pageShift)-1)>>pageShift),
 	}
-}
-
-// pools recycles Memory instances per (base, size) geometry, so the
-// simulator can run thousands of short guests without allocating — and
-// the runtime zeroing — a fresh multi-megabyte image each time.
-var pools sync.Map // [2]uint64{base, size} -> *sync.Pool
-
-func poolFor(base, size uint64) *sync.Pool {
-	p, _ := pools.LoadOrStore([2]uint64{base, size}, &sync.Pool{})
-	return p.(*sync.Pool)
-}
-
-// NewPooled returns a zeroed Memory of the requested geometry, reusing a
-// recycled instance when one is available. The result is indistinguishable
-// from New's: all bytes zero, no protection.
-func NewPooled(base, size uint64) *Memory {
-	if v := poolFor(base, size).Get(); v != nil {
-		return v.(*Memory)
-	}
-	return New(base, size)
-}
-
-// Recycle resets the memory and returns it to the reuse pool. Ownership
-// transfers to the pool: the caller must not touch m afterwards.
-func (m *Memory) Recycle() {
-	m.Reset()
-	poolFor(m.base, uint64(len(m.data))).Put(m)
 }
 
 // Reset restores the memory to its freshly-allocated state — all bytes

@@ -72,9 +72,8 @@ func runArtifact(art *Artifact, cfg dbt.Config) (*KernelRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Recycle the guest memory once the outputs have been validated
-	// (Placement.Read copies): a matrix sweep then reuses one image per
-	// worker instead of allocating a fresh multi-megabyte one per cell.
+	// Release once the outputs are validated (Placement.Read copies): the
+	// next cell of a sweep then reuses this image instead of a fresh one.
 	defer m.Release()
 	if err := m.Load(art.Prog); err != nil {
 		return nil, err

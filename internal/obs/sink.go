@@ -3,7 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
-	"strconv"
+	"unicode/utf8"
 )
 
 // Sink consumes batches of trace events. WriteEvents receives events in
@@ -132,18 +132,35 @@ func appendHex(b []byte, v uint64) []byte {
 	return append(b, tmp[i:]...)
 }
 
-// appendJSONString renders s as a quoted JSON string. Almost every
-// Event.Str is a static-table mnemonic that needs no escaping — one
-// cheap byte scan instead of strconv.AppendQuote's rune walk — and
-// only free text (translate-fail details) takes the slow path.
+// jsonShort holds the control bytes that JSON escapes by a letter.
+var jsonShort = [0x20]byte{'\t': 't', '\n': 'n', '\r': 'r'}
+
+// appendJSONString renders s as a quoted JSON string: quotes and
+// backslashes escaped, control bytes as \n, \r, \t or \u00XX, and each
+// byte of invalid UTF-8 as \ufffd. Other runes, DEL included, are
+// copied in runs, which is all of almost every Event.Str.
 func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c >= 0x7f {
-			return strconv.AppendQuote(b, s)
-		}
-	}
 	b = append(b, '"')
-	b = append(b, s...)
+	start := 0
+	for i, r := range s {
+		if r >= 0x20 && r != '"' && r != '\\' && r != utf8.RuneError {
+			continue
+		}
+		b = append(b, s[start:i]...)
+		switch {
+		case r == '"' || r == '\\':
+			b = append(b, '\\', byte(r))
+		case r == utf8.RuneError:
+			b = append(b, `\ufffd`...)
+		case jsonShort[r] != 0:
+			b = append(b, '\\', jsonShort[r])
+		default:
+			b = append(b, '\\', 'u', '0', '0', hexDigits[r>>4], hexDigits[r&0xf])
+		}
+		_, n := utf8.DecodeRuneInString(s[i:])
+		start = i + n
+	}
+	b = append(b, s[start:]...)
 	return append(b, '"')
 }
 

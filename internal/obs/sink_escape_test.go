@@ -7,16 +7,11 @@ import (
 	"testing"
 )
 
-// appendJSONString has two regimes: a fast path that byte-scans and
-// copies static-table strings verbatim, and a strconv.AppendQuote
-// fallback for anything containing quotes, backslashes, control bytes
-// or non-ASCII. This golden table locks both regimes in byte-for-byte,
-// and checks every rendering parses back to the original via
-// encoding/json — the property the JSONL and Perfetto sinks rely on.
-//
-// Event.Str carries static, printable Go strings (mnemonic tables,
-// kind names, counter names, translate-fail causes); the table covers
-// that contract's worst cases, not arbitrary binary.
+// appendJSONString copies static-table strings verbatim and escapes
+// quotes, backslashes, control bytes and invalid UTF-8. This golden
+// table locks the bytes in, and checks every rendering parses back to
+// the original via encoding/json (invalid UTF-8 as U+FFFD), the
+// property the JSONL and Perfetto sinks rely on.
 func TestAppendJSONStringGolden(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -42,6 +37,14 @@ func TestAppendJSONStringGolden(t *testing.T) {
 		{"café-π", `"café-π"`},
 		{"日本語カウンタ", `"日本語カウンタ"`},
 		{"naïve → fancy", `"naïve → fancy"`},
+		// Control bytes without a shorthand, DEL and invalid UTF-8:
+		// free text such as a tenant name can hold any of them.
+		{"a\x01b", `"a\u0001b"`},
+		{"\a", `"\u0007"`},
+		{"\x1f", `"\u001f"`},
+		{"\x7f", "\"\x7f\""},
+		{"\xff", `"\ufffd"`},
+		{"ok\xc3", `"ok\ufffd"`},
 	}
 	for _, c := range cases {
 		got := string(appendJSONString(nil, c.in))
@@ -51,13 +54,22 @@ func TestAppendJSONStringGolden(t *testing.T) {
 		var back string
 		if err := json.Unmarshal([]byte(got), &back); err != nil {
 			t.Errorf("appendJSONString(%q) produced invalid JSON %s: %v", c.in, got, err)
-		} else if back != c.in {
+		} else if back != strings.ToValidUTF8(c.in, "\uFFFD") {
 			t.Errorf("appendJSONString(%q) round-trips to %q", c.in, back)
 		}
 	}
 	// The helper appends: an existing prefix must survive untouched.
 	if got := string(appendJSONString([]byte(`{"s":`), `x"y`)); got != `{"s":"x\"y"` {
 		t.Errorf("append prefix mangled: %s", got)
+	}
+}
+
+// Every one-byte string renders as valid JSON.
+func TestAppendJSONStringEveryByte(t *testing.T) {
+	for c := 0; c < 256; c++ {
+		if got := appendJSONString(nil, string([]byte{byte(c)})); !json.Valid(got) {
+			t.Errorf("byte %#02x renders as invalid JSON %s", c, got)
+		}
 	}
 }
 

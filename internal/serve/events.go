@@ -80,8 +80,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, &APIError{Code: CodeNotFound, Message: "no such job"})
 		return
 	}
-	w.Header().Set("X-Job-Id", j.ID)
-	w.Header().Set("X-Tenant", j.Tenant)
+	setJobHeaders(w, j)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
+	"unicode"
 )
 
 // Handler returns the service's HTTP API:
@@ -76,6 +78,17 @@ func (w *logResponseWriter) Flush() {
 	}
 }
 
+// setJobHeaders sets a job's correlation headers. A tenant name with a
+// control byte, which HTTP forbids in a header, goes out quoted.
+func setJobHeaders(w http.ResponseWriter, j *Job) {
+	tenant := j.Tenant
+	if strings.ContainsFunc(tenant, unicode.IsControl) {
+		tenant = strconv.QuoteToASCII(tenant)
+	}
+	w.Header().Set("X-Job-Id", j.ID)
+	w.Header().Set("X-Tenant", tenant)
+}
+
 // logRequests is the access-log middleware: one structured line per
 // request with a sequential request ID, method, path, status, bytes,
 // duration, and the job/tenant correlation IDs the handler attached
@@ -136,8 +149,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, aerr)
 		return
 	}
-	w.Header().Set("X-Job-Id", j.ID)
-	w.Header().Set("X-Tenant", j.Tenant)
+	setJobHeaders(w, j)
 	if r.URL.Query().Get("wait") != "" {
 		select {
 		case <-j.done:
@@ -165,8 +177,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, &APIError{Code: CodeNotFound, Message: "no such job"})
 		return
 	}
-	w.Header().Set("X-Job-Id", j.ID)
-	w.Header().Set("X-Tenant", j.Tenant)
+	setJobHeaders(w, j)
 	if r.URL.Query().Get("wait") != "" {
 		select {
 		case <-j.done:
@@ -189,8 +200,7 @@ func (s *Server) handleOutput(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, &APIError{Code: CodeNotFound, Message: "no such job"})
 		return
 	}
-	w.Header().Set("X-Job-Id", j.ID)
-	w.Header().Set("X-Tenant", j.Tenant)
+	setJobHeaders(w, j)
 	s.mu.Lock()
 	state, res, aerr := j.state, j.result, j.apiErr
 	s.mu.Unlock()
@@ -218,8 +228,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, &APIError{Code: CodeNotFound, Message: "no such job"})
 		return
 	}
-	w.Header().Set("X-Job-Id", j.ID)
-	w.Header().Set("X-Tenant", j.Tenant)
+	setJobHeaders(w, j)
 	j.cancel()
 	s.mu.Lock()
 	st := j.status()

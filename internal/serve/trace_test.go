@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -305,5 +307,58 @@ func TestTraceConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestTraceHostileTenantIsValidJSON submits a job whose tenant name
+// holds a control byte and DEL: every line of its /trace stream and of
+// the span file must still be valid JSON, and the name must parse back.
+// The X-Tenant header carries the name quoted.
+func TestTraceHostileTenantIsValidJSON(t *testing.T) {
+	const tenant = "t\x01\x7f"
+	var file bytes.Buffer
+	tr := hspan.New()
+	sw := obs.NewSpanWriter(&file, nil, tr.Base())
+	s := newTestServer(t, func(c *Config) { c.Spans = tr.Fork(sw.Write) })
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, st := postJob(t, ts, JobRequest{Tenant: tenant, Kind: KindRun, Program: quickProg}, "?wait=1")
+	if resp.StatusCode != http.StatusAccepted || st.State != StateDone {
+		t.Fatalf("job = %d %+v", resp.StatusCode, st)
+	}
+	if got, want := resp.Header.Get("X-Tenant"), `"t\x01\x7f"`; got != want {
+		t.Fatalf("X-Tenant = %s, want %s", got, want)
+	}
+	code, body := getBody(t, ts, "/v1/jobs/"+st.ID+"/trace") // ends after the root span
+	if code != http.StatusOK {
+		t.Fatalf("trace status %d", code)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for src, text := range map[string]string{"trace": body, "span file": file.String()} {
+		var roots int
+		for i, line := range strings.Split(strings.TrimSpace(text), "\n") {
+			if !json.Valid([]byte(line)) {
+				t.Fatalf("%s line %d is not valid JSON: %q", src, i, line)
+			}
+			var rec struct {
+				Name  string         `json:"name"`
+				Attrs map[string]any `json:"attrs"`
+			}
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Name == "job" {
+				roots++
+				if rec.Attrs["tenant"] != tenant {
+					t.Fatalf("%s: root tenant attr = %q, want %q", src, rec.Attrs["tenant"], tenant)
+				}
+			}
+		}
+		if roots != 1 {
+			t.Fatalf("%s holds %d job root spans, want 1", src, roots)
+		}
 	}
 }

@@ -6,6 +6,7 @@
 #   make bench   host-performance benchmarks, benchstat-compatible output
 #   make profile-warm  CPU profile of a warm, paper-size Figure 4 sweep
 #   make profile-cold  CPU profile of cold sweeps over every mode (translation)
+#   make profile-alloc allocation profile of the profile-warm sweeps
 #   make fig4    print the Figure 4 table (parallel harness)
 #   make perf    record the Figure 4 perf JSON (BENCH_fig4.json schema)
 #   make trace   capture a Perfetto trace of the Spectre v1 PoC
@@ -19,7 +20,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build fmt test vet race check fuzz bench bench-quick profile-warm profile-cold fig4 perf trace trace-v4 audit detect-eval serve-smoke soak
+.PHONY: build fmt test vet race check fuzz bench bench-quick profile-warm profile-cold profile-alloc fig4 perf trace trace-v4 audit detect-eval serve-smoke soak
 
 build:
 	$(GO) build ./...
@@ -77,6 +78,19 @@ profile-warm:
 		"$$dir/gbbench" -exp fig4 -j 1 -tcache-dir "$$dir/tc" -cpuprofile "$$dir/$$i.prof" > /dev/null 2>&1 || exit 1; \
 	done && \
 	$(GO) tool pprof -top -nodecount=40 "$$dir/gbbench" "$$dir"/*.prof
+
+# An allocation profile of the same warm sweeps as profile-warm: each of
+# the five runs on the filled cache directory writes a heap profile, and
+# pprof prints the top functions of their merge by bytes allocated over
+# the whole run (alloc_space), not by what was live at exit.
+profile-alloc:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/gbbench" ./cmd/gbbench && \
+	"$$dir/gbbench" -exp fig4 -j 1 -tcache-dir "$$dir/tc" > /dev/null 2>&1 && \
+	for i in 1 2 3 4 5; do \
+		"$$dir/gbbench" -exp fig4 -j 1 -tcache-dir "$$dir/tc" -memprofile "$$dir/$$i.prof" > /dev/null 2>&1 || exit 1; \
+	done && \
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=40 "$$dir/gbbench" "$$dir"/*.prof
 
 # A CPU profile of cold translation: five gbbench sweeps over every
 # registered mode at the paper's sizes with no translation cache, so

@@ -25,7 +25,9 @@ package attack
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 
 	"ghostbusters/internal/dbt"
 	"ghostbusters/internal/riscv"
@@ -144,7 +146,7 @@ func Run(v Variant, cfg dbt.Config, params Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := riscv.Assemble(src)
+	prog, err := assemble(src, p.ProtectSecret)
 	if err != nil {
 		return nil, fmt.Errorf("attack: assembling %s: %w", v, err)
 	}
@@ -196,6 +198,52 @@ func Run(v Variant, cfg dbt.Config, params Params) (*Result, error) {
 	}
 	out.BytesCorrect = out.Leakage.BytesCorrect
 	return out, nil
+}
+
+// progMemoSize bounds how many assembled programs the memo keeps. A
+// Figure 4 sweep needs two, one per variant; the bound is fixed so that
+// callers passing many secrets cannot grow the memo.
+const progMemoSize = 8
+
+// progMemo holds the programs Run assembled most recently, the oldest
+// first. Runs share them: after assembly a program is only read (by
+// Machine.Load, Symbol and the scoreboard).
+var progMemo struct {
+	sync.Mutex
+	progs []memoProg
+}
+
+// memoProg keys a program by the source text it was assembled from,
+// which encodes the variant, the secret, TrainRounds, Flush and the
+// cache-derived threshold, and by ProtectSecret, which the text does not
+// encode, so that no run is handed a program built for other Params.
+type memoProg struct {
+	src     string
+	protect bool
+	prog    *riscv.Program
+}
+
+// assemble returns the program of src, from the memo when Run assembled
+// it before. A miss assembles under the lock: misses are rare (one per
+// distinct program), and concurrent runs of one program then wait for
+// it instead of assembling it twice.
+func assemble(src string, protect bool) (*riscv.Program, error) {
+	progMemo.Lock()
+	defer progMemo.Unlock()
+	for _, mp := range progMemo.progs {
+		if mp.protect == protect && mp.src == src {
+			return mp.prog, nil
+		}
+	}
+	prog, err := riscv.Assemble(src)
+	if err != nil {
+		return nil, err
+	}
+	if len(progMemo.progs) == progMemoSize {
+		progMemo.progs = slices.Delete(progMemo.progs, 0, 1)
+	}
+	progMemo.progs = append(progMemo.progs, memoProg{src, protect, prog})
+	return prog, nil
 }
 
 // secretBytesDirective renders the secret as a .byte directive.

@@ -10,10 +10,10 @@ import (
 	"ghostbusters/internal/guestmem"
 )
 
-// Bus is the standard memory system: guest memory behind a data cache.
-// Accesses are timed at line granularity of the first byte; the model
-// does not split line-crossing accesses (guest code keeps natural
-// alignment).
+// Bus is the standard memory system: guest memory behind a data cache,
+// built as &Bus{Mem: mem, DC: dc} with every hook off. Accesses are
+// timed at line granularity of the first byte; the model does not split
+// line-crossing accesses (guest code keeps natural alignment).
 type Bus struct {
 	Mem *guestmem.Memory
 	DC  *cache.Cache
@@ -46,25 +46,6 @@ type Bus struct {
 	// declared here because the scoreboard attaches to the machine's
 	// memory system, not to the core.
 	OnSpecLoad func(pc, addr, cycle uint64)
-}
-
-// New builds a Bus over mem with a cache configured by cfg, rejecting
-// invalid cache geometry with an error.
-func New(mem *guestmem.Memory, cfg cache.Config) (*Bus, error) {
-	dc, err := cache.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Bus{Mem: mem, DC: dc}, nil
-}
-
-// MustNew is New for configurations known valid (tests, benchmarks).
-func MustNew(mem *guestmem.Memory, cfg cache.Config) *Bus {
-	b, err := New(mem, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }
 
 // Fetch reads an instruction word. Instruction fetch is not timed through

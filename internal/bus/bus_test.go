@@ -8,7 +8,7 @@ import (
 )
 
 func newBus() *Bus {
-	return MustNew(guestmem.New(0x1000, 1<<16), cache.DefaultConfig())
+	return &Bus{Mem: guestmem.New(0x1000, 1<<16), DC: cache.MustNew(cache.DefaultConfig())}
 }
 
 func TestLoadStoreTiming(t *testing.T) {

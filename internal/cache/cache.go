@@ -100,13 +100,30 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Cache{
+	c := new(Cache)
+	c.Reset(cfg)
+	return c, nil
+}
+
+// Reset returns c to the state New(cfg) builds: every line invalid, zero
+// statistics and no OnFlush hook. It reuses c's line array when that
+// holds Sets*Ways lines, so a machine that takes over another's cache
+// allocates nothing. cfg must be valid (see Config.Validate).
+func (c *Cache) Reset(cfg Config) {
+	lines := c.lines
+	if n := cfg.Sets * cfg.Ways; cap(lines) >= n {
+		lines = lines[:n]
+		clear(lines)
+	} else {
+		lines = make([]line, n)
+	}
+	*c = Cache{
 		cfg:       cfg,
-		lines:     make([]line, cfg.Sets*cfg.Ways),
+		lines:     lines,
 		lineShift: uint(bits.TrailingZeros64(cfg.LineSize)),
 		setShift:  uint(bits.TrailingZeros64(uint64(cfg.Sets))),
 		setMask:   uint64(cfg.Sets) - 1,
-	}, nil
+	}
 }
 
 // MustNew is New for configurations known valid (tests, benchmarks).

@@ -263,3 +263,38 @@ func TestIndexMatchesDivision(t *testing.T) {
 		}
 	}
 }
+
+// TestResetStartsFresh checks that a reset cache takes the new geometry
+// with every line invalid, zero stats and no hook, and reuses its line
+// array when the new geometry fits in it.
+func TestResetStartsFresh(t *testing.T) {
+	big := DefaultConfig()
+	big.Sets = 128
+	c := MustNew(big)
+	flushes := 0
+	c.OnFlush = func(uint64, int, bool) { flushes++ }
+	for a := uint64(0); a < 1<<16; a += 64 {
+		c.Access(a)
+	}
+	c.FlushLine(0)
+
+	cfg := DefaultConfig()
+	if n := testing.AllocsPerRun(10, func() { c.Reset(cfg) }); n != 0 {
+		t.Errorf("resetting to a smaller geometry allocates %.0f objects", n)
+	}
+	if c.Config() != cfg || c.Stats() != (Stats{}) || c.OnFlush != nil {
+		t.Fatalf("after Reset: config %+v, stats %+v, hook set %v", c.Config(), c.Stats(), c.OnFlush != nil)
+	}
+	for a := uint64(0); a < 1<<16; a += 64 {
+		if c.Probe(a) {
+			t.Fatalf("line %#x still valid after Reset", a)
+		}
+	}
+	if lat, hit := c.Access(0x40); hit || lat != 23 {
+		t.Fatalf("first access after Reset: lat=%d hit=%v, want 23 false", lat, hit)
+	}
+	c.Reset(big)
+	if len(c.lines) != big.Sets*big.Ways {
+		t.Fatalf("Reset to the larger geometry made %d lines, want %d", len(c.lines), big.Sets*big.Ways)
+	}
+}

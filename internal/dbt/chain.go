@@ -4,9 +4,12 @@ import (
 	"slices"
 	"sync"
 
+	"ghostbusters/internal/bus"
+	"ghostbusters/internal/cache"
 	"ghostbusters/internal/core"
 	"ghostbusters/internal/guestmem"
 	"ghostbusters/internal/ir"
+	"ghostbusters/internal/riscv"
 	"ghostbusters/internal/vliw"
 )
 
@@ -45,10 +48,12 @@ type chainLink struct {
 
 // transState is what one machine hands to the next of the same guest
 // memory geometry: the guest image, the profile and translation maps,
-// and the memory its regions compile through (the front end's builder
-// and visited set, the poison analysis and the scheduling graph).
-// entries values are pointers so chain links can bump a block's profile
-// counter without a map lookup.
+// the memory its regions compile through (the front end's builder and
+// visited set, the poison analysis and the scheduling graph), the
+// machine's parts (bus, data cache, VLIW core and interpreter predecode
+// table), and the slabs its installed regions and profile counters live
+// in. entries values are pointers so chain links can bump a block's
+// profile counter without a map lookup.
 type transState struct {
 	mem *guestmem.Memory
 
@@ -61,6 +66,19 @@ type transState struct {
 	visited  map[uint64]struct{}
 	analysis core.Analysis
 	sched    graph
+
+	// The machine's parts; New and Load fit them to its configuration
+	// and Machine.b, core and pred point at them.
+	membus  bus.Bus
+	dcache  cache.Cache
+	vcore   vliw.Core
+	predTab riscv.Predecode
+
+	// regions, counters and brStats hold what trans, entries and
+	// branches point at.
+	regions  slab[transEntry]
+	counters slab[uint64]
+	brStats  slab[brStat]
 }
 
 // newTransState makes an empty transState over the guest image mem.
@@ -73,6 +91,57 @@ func newTransState(mem *guestmem.Memory) *transState {
 		noTrans:  make(map[uint64]struct{}),
 		visited:  make(map[uint64]struct{}),
 	}
+}
+
+// reset empties the set for the next machine: the maps and slabs, the
+// guest image, and every part. A part keeps its memory but nothing of
+// the machine that used it: the bus and cache hooks close over that
+// machine, and the core's frame points at its registers and last block.
+func (ts *transState) reset() {
+	// Emptied maps keep their buckets; zeroing the slabs drops the
+	// translated blocks.
+	clear(ts.entries)
+	clear(ts.branches)
+	clear(ts.trans)
+	clear(ts.noTrans)
+	ts.regions.reset()
+	ts.counters.reset()
+	ts.brStats.reset()
+	ts.mem.Reset()
+	ts.membus = bus.Bus{}
+	ts.dcache.Reset(ts.dcache.Config())
+	ts.vcore.Reset(ts.vcore.Cfg)
+	ts.predTab.Reset(0, 0)
+}
+
+// slabChunk is how many values one chunk of a slab holds.
+const slabChunk = 64
+
+// slab hands out zeroed values from fixed-size chunks. A chunk never
+// moves once made, so maps may keep pointers into it until reset, which
+// zeroes every value handed out and keeps the chunks for the next
+// machine.
+type slab[T any] struct {
+	chunks [][]T
+	n      int // values handed out
+}
+
+// next returns the next zeroed value.
+func (s *slab[T]) next() *T {
+	c := s.n / slabChunk
+	if c == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]T, slabChunk))
+	}
+	v := &s.chunks[c][s.n%slabChunk]
+	s.n++
+	return v
+}
+
+func (s *slab[T]) reset() {
+	for c := 0; c*slabChunk < s.n; c++ {
+		clear(s.chunks[c])
+	}
+	s.n = 0
 }
 
 // spares holds the sets that Release put back, the most recent last.

@@ -367,21 +367,16 @@ func New(cfg Config) (*Machine, error) {
 	if !cfg.Mitigation.Valid() {
 		return nil, fmt.Errorf("dbt: unknown mitigation mode %v", cfg.Mitigation)
 	}
-	c, err := vliw.NewCore(cfg.Core)
-	if err != nil {
-		return nil, err
-	}
 	ts := takeSpare(cfg.MemBase, cfg.MemSize)
 	ts.mem.StrictAlign = cfg.StrictAlign
-	b, err := bus.New(ts.mem, cfg.Cache)
-	if err != nil {
-		return nil, err
-	}
+	ts.dcache.Reset(cfg.Cache)
+	ts.vcore.Reset(cfg.Core)
+	ts.membus = bus.Bus{Mem: ts.mem, DC: &ts.dcache}
 	m := &Machine{
 		transState: ts,
 		cfg:        cfg,
-		b:          b,
-		core:       c,
+		b:          &ts.membus,
+		core:       &ts.vcore,
 		chainEpoch: 1,
 		transLo:    ^uint64(0),
 	}
@@ -444,7 +439,8 @@ func (m *Machine) Load(p *riscv.Program) error {
 		}
 	}
 	if !m.cfg.DisablePredecode {
-		m.pred = riscv.NewPredecode(p.TextBase, len(p.Text))
+		m.predTab.Reset(p.TextBase, len(p.Text))
+		m.pred = &m.predTab
 	}
 	// The store hook serves two invalidation duties: interpreter
 	// predecode entries and translated regions (plus their chain
@@ -487,24 +483,20 @@ func (m *Machine) tcFingerprint() string {
 	return fmt.Sprintf("%+v", c)
 }
 
-// Release puts the machine's guest image and translation state back on
-// the spare list, with the image zeroed and the maps emptied, for the
-// next New of the same geometry. Call it once all results have been
-// read out of the machine; the machine (including Mem) must not be used
-// afterwards. Release is idempotent, and skipping it is always safe:
-// the set is then collected by the GC instead of being reused.
+// Release puts the machine's guest image, translation state and parts
+// (bus, data cache, core, predecode table) back on the spare list, each
+// reset to how a fresh one starts, for the next New of the same
+// geometry. Call it once all results have been read out of the machine;
+// the machine (including Mem and Bus) must not be used afterwards.
+// Release is idempotent, and skipping it is always safe: the set is then
+// collected by the GC instead of being reused.
 func (m *Machine) Release() {
 	ts := m.transState
 	if ts == nil {
 		return
 	}
-	m.transState, m.b, m.pred = nil, nil, nil
-	// Emptied maps keep their buckets; the translated blocks are dropped.
-	clear(ts.entries)
-	clear(ts.branches)
-	clear(ts.trans)
-	clear(ts.noTrans)
-	ts.mem.Reset()
+	m.transState, m.b, m.core, m.pred = nil, nil, nil, nil
+	ts.reset()
 	spares.Lock()
 	spares.sets = append(spares.sets, ts)
 	spares.Unlock()
@@ -543,7 +535,7 @@ func (m *Machine) onEnter(pc uint64) {
 	}
 	cnt := m.entries[pc]
 	if cnt == nil {
-		cnt = new(uint64)
+		cnt = m.counters.next()
 		m.entries[pc] = cnt
 	}
 	*cnt++
@@ -611,7 +603,9 @@ func (m *Machine) translateWith(pc uint64, asTrace, noMemSpec bool) {
 	if m.tcr != nil {
 		if rg := m.tcr.Lookup(pc, asTrace, noMemSpec); rg != nil {
 			m.stats.TCacheHits++
-			m.install(&transEntry{Region: *rg}, t0)
+			e := m.regions.next()
+			e.Region = *rg
+			m.install(e, t0)
 			return
 		}
 		m.stats.TCacheMisses++
@@ -691,7 +685,8 @@ func (m *Machine) compile(pc uint64, asTrace, noMemSpec bool) *transEntry {
 		}
 	}
 	lo, hi := blockExtent(blk)
-	return &transEntry{
+	e := m.regions.next()
+	*e = transEntry{
 		Region: tcache.Region{
 			PC: pc, Trace: asTrace, NoMemSpec: noMemSpec,
 			Lo: lo, Hi: hi,
@@ -704,6 +699,7 @@ func (m *Machine) compile(pc uint64, asTrace, noMemSpec bool) *transEntry {
 		audit:   res.Audit,
 		auditIR: res.AuditIR,
 	}
+	return e
 }
 
 // install is the one way a region enters the translation cache, fresh
@@ -861,7 +857,7 @@ func (m *Machine) Run() (*Result, error) {
 			if res.Inst.Op.IsBranch() {
 				st := m.branches[pc]
 				if st == nil {
-					st = &brStat{}
+					st = m.brStats.next()
 					m.branches[pc] = st
 				}
 				st.total++

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"ghostbusters/internal/cache"
 	"ghostbusters/internal/dbt"
 	"ghostbusters/internal/riscv"
 	"ghostbusters/internal/trap"
@@ -75,9 +76,12 @@ func TestReleasedMachineLeavesNoTrace(t *testing.T) {
 	if len(m1.TranslatedPCs()) == 0 {
 		t.Fatal("the faulting run translated nothing")
 	}
+	// Counts are relative to what earlier runs of the test (-count)
+	// left on the list.
+	n0 := dbt.SpareSets(cfg.MemBase, cfg.MemSize)
 	m1.Release()
-	if n := dbt.SpareSets(cfg.MemBase, cfg.MemSize); n != 1 {
-		t.Fatalf("%d spare sets after one release, want 1", n)
+	if n := dbt.SpareSets(cfg.MemBase, cfg.MemSize); n != n0+1 {
+		t.Fatalf("%d spare sets after one release, want %d", n, n0+1)
 	}
 
 	m2 := newMachine(t, cfg)
@@ -85,8 +89,8 @@ func TestReleasedMachineLeavesNoTrace(t *testing.T) {
 	if m2.Mem() != img {
 		t.Fatal("New did not reuse the released image")
 	}
-	if n := dbt.SpareSets(cfg.MemBase, cfg.MemSize); n != 0 {
-		t.Fatalf("%d spare sets while the only set is live, want 0", n)
+	if n := dbt.SpareSets(cfg.MemBase, cfg.MemSize); n != n0 {
+		t.Fatalf("%d spare sets while the released set is live again, want %d", n, n0)
 	}
 	pages, err := img.ReadBytes(0x100000, 4<<12)
 	if err != nil {
@@ -112,7 +116,7 @@ func TestReleasedMachineLeavesNoTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m3 := newMachine(t, cfg) // the only set is live, so this one is fresh
+	m3 := newMachine(t, cfg) // img is live, so this one is another set
 	defer m3.Release()
 	if m3.Mem() == img {
 		t.Fatal("two live machines share one image")
@@ -132,16 +136,146 @@ func TestReleasedMachineLeavesNoTrace(t *testing.T) {
 	}
 }
 
+// spareGuestLong is longer than spareGuest, holds other instructions at
+// the same addresses, and loads and flushes, so a machine that ran it
+// leaves predecode entries, valid cache lines and fired hooks behind.
+const spareGuestLong = `
+main:
+	li s0, 0x100000
+	li s1, 0
+	li s2, 300
+loop:
+	addi s1, s1, 1
+	ld t0, 0(s0)
+	add t0, t0, s1
+	sd t0, 0(s0)
+	cflush s0
+	addi s0, s0, 64
+	addi t1, t1, 3
+	xor t2, t1, s1
+	blt s1, s2, loop
+	cflushall
+	li s0, 0x100000
+	ld t0, 0(s0)
+	li a0, 0
+	ecall
+`
+
+// TestReleasedPartsComeBackFresh releases a machine that ran a longer
+// text under another cache geometry, with a scoreboard-style OnLoad
+// hook and an OnFlush hook, and checks that the next machine of that
+// memory geometry, which gets the same parts back, sees nil hooks, an
+// empty cache of its own geometry, zero counters, and runs exactly like
+// a machine built from nothing.
+func TestReleasedPartsComeBackFresh(t *testing.T) {
+	cfg := spareConfig(5)
+	other := cfg
+	other.Cache.Sets, other.Cache.Ways = 128, 4
+
+	m1 := newMachine(t, other)
+	img := m1.Mem()
+	if err := m1.Load(riscv.MustAssemble(spareGuestLong)); err != nil {
+		t.Fatal(err)
+	}
+	var loads, flushes int
+	b1 := m1.Bus()
+	prev := b1.OnLoad // chain onto what is there, as attack's scoreboard does
+	b1.OnLoad = func(addr uint64) {
+		if prev != nil {
+			prev(addr)
+		}
+		loads++
+	}
+	b1.DC.OnFlush = func(uint64, int, bool) { flushes++ }
+	if _, err := m1.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if loads == 0 || flushes == 0 || m1.PredecodeStats().Fills == 0 || len(m1.TranslatedPCs()) == 0 {
+		t.Fatalf("the first run left too little behind: %d loads, %d flushes, %+v, %d regions",
+			loads, flushes, m1.PredecodeStats(), len(m1.TranslatedPCs()))
+	}
+	seenLoads, seenFlushes := loads, flushes
+	m1.Release()
+	if m1.Bus() != nil {
+		t.Fatal("Release left the released machine its bus")
+	}
+
+	m2 := newMachine(t, cfg)
+	defer m2.Release()
+	if m2.Mem() != img {
+		t.Fatal("New did not reuse the released set")
+	}
+	b2 := m2.Bus()
+	if b2.OnLoad != nil || b2.OnStore != nil || b2.OnAccess != nil || b2.OnSpecLoad != nil || b2.DC.OnFlush != nil {
+		t.Fatal("the reused bus or cache kept a hook")
+	}
+	if b2.Mem != img {
+		t.Fatal("the reused bus does not reach the machine's image")
+	}
+	if got := b2.DC.Config(); got != cfg.Cache {
+		t.Fatalf("the reused cache has geometry %+v, want %+v", got, cfg.Cache)
+	}
+	if st := b2.DC.Stats(); st != (cache.Stats{}) {
+		t.Fatalf("the reused cache starts with stats %+v", st)
+	}
+	for addr := uint64(0x100000); addr < 0x100000+300*64; addr += 64 {
+		if b2.DC.Probe(addr) {
+			t.Fatalf("the reused cache holds a valid line for %#x", addr)
+		}
+	}
+	p := riscv.MustAssemble(spareGuest)
+	if err := m2.Load(p); err != nil {
+		t.Fatal(err)
+	}
+	if st := m2.PredecodeStats(); st != (riscv.PredecodeStats{}) {
+		t.Fatalf("the reused predecode table starts with stats %+v", st)
+	}
+	got, err := m2.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loads != seenLoads || flushes != seenFlushes {
+		t.Fatalf("the released machine's hooks saw %d loads and %d flushes of the next machine's run",
+			loads-seenLoads, flushes-seenFlushes)
+	}
+
+	m3 := newMachine(t, cfg) // m2 holds the released set, so this is another
+	defer m3.Release()
+	if err := m3.Load(p); err != nil {
+		t.Fatal(err)
+	}
+	want, err := m3.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reused machine ran differently from a fresh one:\nreused %+v\nfresh  %+v", got, want)
+	}
+	if g, w := m2.PredecodeStats(), m3.PredecodeStats(); g != w {
+		t.Fatalf("predecode stats: reused %+v, fresh %+v", g, w)
+	}
+	gotProf, wantProf := m2.ProfileReport(), m3.ProfileReport()
+	for _, prof := range [][]dbt.HotRegion{gotProf, wantProf} {
+		for i := range prof {
+			prof[i].TransNS = 0 // host time
+		}
+	}
+	if !reflect.DeepEqual(gotProf, wantProf) {
+		t.Fatalf("region counters: reused %+v, fresh %+v", gotProf, wantProf)
+	}
+}
+
 // TestDoubleReleasePushesOnce checks that a second Release of one
 // machine does not put its set on the list twice, which would hand one
 // image to two machines.
 func TestDoubleReleasePushesOnce(t *testing.T) {
 	cfg := spareConfig(2)
 	m := newMachine(t, cfg)
+	n0 := dbt.SpareSets(cfg.MemBase, cfg.MemSize) // left by earlier runs (-count)
 	m.Release()
 	m.Release()
-	if n := dbt.SpareSets(cfg.MemBase, cfg.MemSize); n != 1 {
-		t.Fatalf("%d spare sets after a double release, want 1", n)
+	if n := dbt.SpareSets(cfg.MemBase, cfg.MemSize); n != n0+1 {
+		t.Fatalf("%d spare sets after a double release, want %d", n, n0+1)
 	}
 	a, b := newMachine(t, cfg), newMachine(t, cfg)
 	defer a.Release()
@@ -153,8 +287,9 @@ func TestDoubleReleasePushesOnce(t *testing.T) {
 
 // TestLiveMachinesShareNoMemory runs machines of one geometry on
 // several goroutines at once, each writing its own value into the same
-// guest address. A set handed to two live machines would show as a
-// wrong value here, and as a data race under -race.
+// guest address and counting its loads through its own bus hook. A set
+// handed to two live machines would show as a wrong value or load count
+// here, and as a data race under -race.
 func TestLiveMachinesShareNoMemory(t *testing.T) {
 	cfg := spareConfig(3)
 	p := riscv.MustAssemble(spareGuest)
@@ -170,6 +305,12 @@ func TestLiveMachinesShareNoMemory(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				var loads int
+				b := m.Bus()
+				if b.OnLoad != nil {
+					t.Errorf("worker %d round %d: a new machine's bus has an OnLoad hook", w, r)
+				}
+				b.OnLoad = func(uint64) { loads++ }
 				mem := m.Mem()
 				if v, _ := mem.Read(addr, 8); v != 0 {
 					t.Errorf("worker %d round %d: a new machine reads %#x, want 0", w, r, v)
@@ -186,6 +327,9 @@ func TestLiveMachinesShareNoMemory(t *testing.T) {
 				}
 				if v, _ := mem.Read(addr, 8); v != mine {
 					t.Errorf("worker %d round %d: read %#x back, want %#x", w, r, v, mine)
+				}
+				if loads != 1 { // the guest's one architectural load
+					t.Errorf("worker %d round %d: its hook saw %d loads, want 1", w, r, loads)
 				}
 				m.Release()
 			}

@@ -216,7 +216,7 @@ func TestSchedulerTorture(t *testing.T) {
 			}
 			mem := guestmem.New(tortureMemBase, tortureMemSize)
 			_ = mem.WriteBytes(tortureMemBase, initMem)
-			b := bus.MustNew(mem, cache.DefaultConfig())
+			b := &bus.Bus{Mem: mem, DC: cache.MustNew(cache.DefaultConfig())}
 			cpu := vliw.MustNewCore(coreCfg)
 			var regs [vliw.NumRegs]uint64
 			copy(regs[:32], initRegs[:])

@@ -26,7 +26,7 @@ func fetchFor(t *testing.T, src string) (*bus.Bus, *riscv.Program) {
 	t.Helper()
 	p := riscv.MustAssemble(src)
 	mem := guestmem.New(0x10000, 1<<20)
-	b := bus.MustNew(mem, cache.DefaultConfig())
+	b := &bus.Bus{Mem: mem, DC: cache.MustNew(cache.DefaultConfig())}
 	for i, w := range p.Text {
 		if err := mem.Write(p.TextBase+uint64(4*i), 4, uint64(w)); err != nil {
 			t.Fatal(err)

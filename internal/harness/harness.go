@@ -72,8 +72,8 @@ func runArtifact(art *Artifact, cfg dbt.Config) (*KernelRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Release once the outputs are validated (Placement.Read copies): the
-	// next cell of a sweep then reuses this image instead of a fresh one.
+	// Release once the outputs are validated in place: the next cell of
+	// a sweep then reuses this machine's memory and parts.
 	defer m.Release()
 	if err := m.Load(art.Prog); err != nil {
 		return nil, err
@@ -100,29 +100,31 @@ func runArtifact(art *Artifact, cfg dbt.Config) (*KernelRun, error) {
 		if err != nil {
 			return run, err
 		}
-		got, err := pl.Read(m.Mem())
+		want := spec.Expected[out]
+		i, got, err := pl.Mismatch(m.Mem(), want)
 		if err != nil {
 			return run, err
 		}
-		want := spec.Expected[out]
-		for i := range want {
-			if got[i] != want[i] {
-				return run, fmt.Errorf("harness: %s (%s): output %s[%d] = %d, reference %d",
-					spec.Name, cfg.Mitigation, out, i, got[i], want[i])
-			}
+		if i >= 0 {
+			return run, fmt.Errorf("harness: %s (%s): output %s[%d] = %d, reference %d",
+				spec.Name, cfg.Mitigation, out, i, got, want[i])
 		}
 	}
 	return run, nil
 }
 
-// validateSpec checks the spec's internal consistency up front — most
-// importantly that every named output is actually declared in Arrays, so
-// a typo surfaces as a descriptive error instead of a nil dereference
-// mid-run.
+// validateSpec checks the spec's internal consistency up front: every
+// named output is declared in Arrays and has one reference value per
+// element, so a typo or a short reference surfaces as a descriptive
+// error instead of a nil dereference mid-run or a check of a prefix.
 func validateSpec(spec *polybench.Spec) error {
 	for _, out := range spec.Outputs {
-		if findArray(spec, out) == nil {
+		a := findArray(spec, out)
+		if a == nil {
 			return fmt.Errorf("harness: %s: output %q is not declared in Arrays", spec.Name, out)
+		}
+		if n := len(spec.Expected[out]); n != a.Elems() {
+			return fmt.Errorf("harness: %s: output %q has %d reference values for %d elements", spec.Name, out, n, a.Elems())
 		}
 	}
 	return nil

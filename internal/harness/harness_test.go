@@ -42,6 +42,39 @@ func TestRunSpecUndeclaredOutput(t *testing.T) {
 	}
 }
 
+// An output whose reference is missing, short or long must be rejected
+// up front: the check would otherwise validate a prefix, nothing at all,
+// or index past the guest array.
+func TestRunSpecReferenceLength(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func([]int64) []int64
+	}{
+		{"missing", func([]int64) []int64 { return nil }},
+		{"short", func(ref []int64) []int64 { return ref[:len(ref)-1] }},
+		{"long", func(ref []int64) []int64 { return append(ref, 0) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			spec, err := polybench.MakeGemm(6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref := c.edit(spec.Expected["C"]); ref == nil {
+				delete(spec.Expected, "C")
+			} else {
+				spec.Expected["C"] = ref
+			}
+			_, err = RunSpec(spec, dbt.DefaultConfig())
+			if err == nil {
+				t.Fatalf("RunSpec accepted a %s reference", c.name)
+			}
+			if !strings.Contains(err.Error(), `"C"`) || !strings.Contains(err.Error(), "36 elements") {
+				t.Fatalf("error not descriptive: %v", err)
+			}
+		})
+	}
+}
+
 // Slowdowns require the ModeUnsafe baseline: without it the Slowdown
 // map stays empty and renderers print n/a rather than a bogus 0.0%.
 func TestSlowdownRequiresBaseline(t *testing.T) {

@@ -85,6 +85,26 @@ func (p Placement) Read(mem *guestmem.Memory) ([]int64, error) {
 	return out, nil
 }
 
+// Mismatch compares the placed guest array with want in place, word by
+// word, without copying it out. It returns the index and guest value of
+// the first element that differs, or index -1 when every element
+// matches. want must hold one value per element.
+func (p Placement) Mismatch(mem *guestmem.Memory, want []int64) (int, int64, error) {
+	if len(want) != p.Arr.Elems() {
+		return 0, 0, fmt.Errorf("kbuild: %s: %d values for %d elements", p.Arr.Name, len(want), p.Arr.Elems())
+	}
+	for i, w := range want {
+		v, err := mem.Read(p.Base+uint64(8*i), 8)
+		if err != nil {
+			return 0, 0, err
+		}
+		if int64(v) != w {
+			return i, int64(v), nil
+		}
+	}
+	return -1, 0, nil
+}
+
 // InitArray writes values into the guest array, resolving its placement
 // on the fly (one-shot convenience around Resolve + Placement.Init).
 func InitArray(mem *guestmem.Memory, prog *riscv.Program, a *Array, values []int64) error {

@@ -234,6 +234,46 @@ func TestHostInitErrors(t *testing.T) {
 	}
 }
 
+// TestPlacementMismatch checks the in-place output comparison: it finds
+// the first differing element, reports none on a match, and rejects a
+// reference of the wrong length.
+func TestPlacementMismatch(t *testing.T) {
+	b := kbuild.New("tmismatch")
+	A := b.Array("A", 4)
+	src, err := b.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := riscv.MustAssemble(src)
+	m, err := dbt.New(dbt.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	if err := m.Load(prog); err != nil {
+		t.Fatal(err)
+	}
+	pl, err := kbuild.Resolve(prog, []*kbuild.Array{A})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := []int64{7, -1, 9, 4}
+	if err := pl[0].Init(m.Mem(), vals); err != nil {
+		t.Fatal(err)
+	}
+	if i, _, err := pl[0].Mismatch(m.Mem(), vals); err != nil || i != -1 {
+		t.Fatalf("Mismatch of equal contents = %d, %v; want -1, nil", i, err)
+	}
+	if i, got, err := pl[0].Mismatch(m.Mem(), []int64{7, -1, 8, 5}); err != nil || i != 2 || got != 9 {
+		t.Fatalf("Mismatch = %d, %d, %v; want 2, 9, nil", i, got, err)
+	}
+	for _, ref := range [][]int64{nil, vals[:3], append(vals[:4:4], 0)} {
+		if _, _, err := pl[0].Mismatch(m.Mem(), ref); err == nil {
+			t.Errorf("a reference of %d values for 4 elements accepted", len(ref))
+		}
+	}
+}
+
 func TestGeneratedSourceShape(t *testing.T) {
 	b := kbuild.New("tshape")
 	b.Array("A", 4)

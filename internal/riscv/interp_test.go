@@ -14,7 +14,7 @@ import (
 // newBus builds a standard test memory system.
 func newBus() *bus.Bus {
 	mem := guestmem.New(0x10000, 1<<20)
-	return bus.MustNew(mem, cache.DefaultConfig())
+	return &bus.Bus{Mem: mem, DC: cache.MustNew(cache.DefaultConfig())}
 }
 
 // loadProgram copies an assembled image into memory.
@@ -215,7 +215,7 @@ main:
 
 func TestSpeculativeLoadSquashesButFills(t *testing.T) {
 	mem := guestmem.New(0x10000, 1<<20)
-	b := bus.MustNew(mem, cache.DefaultConfig())
+	b := &bus.Bus{Mem: mem, DC: cache.MustNew(cache.DefaultConfig())}
 	sec := uint64(0x20000)
 	if err := mem.Write(sec, 8, 0x1234); err != nil {
 		t.Fatal(err)

@@ -34,14 +34,32 @@ type PredecodeStats struct {
 // NewPredecode builds a table covering words instructions starting at
 // base. A nil *Predecode is valid everywhere below and always bypasses.
 func NewPredecode(base uint64, words int) *Predecode {
+	p := new(Predecode)
+	p.Reset(base, words)
+	return p
+}
+
+// Reset returns p to the state NewPredecode(base, words) builds: no
+// valid slot and zero statistics. It reuses p's slices when they hold
+// words entries, so a machine that takes over another's table allocates
+// nothing.
+func (p *Predecode) Reset(base uint64, words int) {
 	if words < 0 {
 		words = 0
 	}
-	return &Predecode{
+	insts, valid := p.insts, p.valid
+	if cap(insts) >= words && cap(valid) >= words {
+		insts, valid = insts[:words], valid[:words]
+		clear(insts)
+		clear(valid)
+	} else {
+		insts, valid = make([]Inst, words), make([]bool, words)
+	}
+	*p = Predecode{
 		base:  base &^ 3,
 		limit: (base &^ 3) + 4*uint64(words),
-		insts: make([]Inst, words),
-		valid: make([]bool, words),
+		insts: insts,
+		valid: valid,
 	}
 }
 

@@ -263,3 +263,37 @@ func TestStepPredecodedMatchesStep(t *testing.T) {
 		}
 	}
 }
+
+// TestPredecodeReset checks that a reset table starts like a new one —
+// no valid slot, zero stats, the new extent — and reuses its memory
+// when the new text fits.
+func TestPredecodeReset(t *testing.T) {
+	const base = 0x1000
+	b := newMemBus(base, 64)
+	b.putWord(base, encodeOrDie(t, Inst{Op: ADDI, Rd: 5, Rs1: 5, Imm: 1}))
+	pd := NewPredecode(base, 8)
+	if _, err := pd.fetch(base, b); err != nil {
+		t.Fatal(err)
+	}
+	b.putWord(base, encodeOrDie(t, Inst{Op: ADDI, Rd: 5, Rs1: 5, Imm: 2}))
+
+	if n := testing.AllocsPerRun(10, func() { pd.Reset(base, 4) }); n != 0 {
+		t.Errorf("resetting to a shorter text allocates %.0f objects", n)
+	}
+	if s := pd.Stats(); s != (PredecodeStats{}) {
+		t.Fatalf("stats after Reset: %+v", s)
+	}
+	if !pd.Covers(base+12) || pd.Covers(base+16) {
+		t.Fatal("the reset table does not cover exactly its 4 words")
+	}
+	in, err := pd.fetch(base, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Imm != 2 {
+		t.Fatalf("fetch after Reset decoded imm %d: a stale slot survived", in.Imm)
+	}
+	if s := pd.Stats(); s.Fills != 1 || s.Hits != 0 {
+		t.Fatalf("after Reset and one fetch: %+v", s)
+	}
+}

@@ -78,7 +78,19 @@ func NewCore(cfg Config) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Core{Cfg: cfg}, nil
+	c := new(Core)
+	c.Reset(cfg)
+	return c, nil
+}
+
+// Reset returns c to the state NewCore(cfg) builds: zero statistics, an
+// empty MCB, no tracer, and no reference to the last block, bus or
+// register file it ran on. It keeps the scratch recovery list's memory.
+// cfg must be valid (see Config.Validate).
+func (c *Core) Reset(cfg Config) {
+	recov := c.scr.recov[:0]
+	*c = Core{Cfg: cfg}
+	c.scr.recov = recov
 }
 
 // MustNewCore is NewCore for configurations known valid (tests).

@@ -302,7 +302,7 @@ func fuzzSyl(k, dst, ra, rb, im, op byte, end bool) []byte {
 // fuzzBus is a bus over 128 KiB of guest memory at 0x10000, which
 // covers the data window and keeps each fuzz iteration cheap.
 func fuzzBus() *bus.Bus {
-	return bus.MustNew(guestmem.New(0x10000, 0x20000), cache.DefaultConfig())
+	return &bus.Bus{Mem: guestmem.New(0x10000, 0x20000), DC: cache.MustNew(cache.DefaultConfig())}
 }
 
 // FuzzExecBundleSemantics runs random blocks on Core.Exec and on the

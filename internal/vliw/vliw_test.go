@@ -16,7 +16,7 @@ import (
 )
 
 func newTestBus() *bus.Bus {
-	return bus.MustNew(guestmem.New(0x10000, 1<<20), cache.DefaultConfig())
+	return &bus.Bus{Mem: guestmem.New(0x10000, 1<<20), DC: cache.MustNew(cache.DefaultConfig())}
 }
 
 // pad fills a bundle to the config width with nops.

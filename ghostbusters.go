@@ -154,7 +154,7 @@ const AuditSchema = dbt.AuditSchema
 // Tracer is the observability layer's event collector. A nil Tracer (or
 // an unset Config.Tracer) costs nothing on the simulator's hot paths;
 // an enabled one records typed events — block dispatches, translations,
-// deopts, speculative loads and squashes, cache flushes, traps —
+// speculative loads and squashes, cache flushes, traps —
 // timestamped in simulated cycles. Tracers are single-threaded: never
 // share one across parallel Runner cells.
 type Tracer = obs.Tracer

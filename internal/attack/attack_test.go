@@ -242,27 +242,3 @@ func TestAttackAcrossMissPenalties(t *testing.T) {
 		}
 	}
 }
-
-func TestAdaptiveRetranslationDegradesV4(t *testing.T) {
-	// Transmeta-style deoptimisation is an incidental v4 mitigation: the
-	// victim block conflicts on every call, gets retranslated without
-	// memory speculation, and the window closes after the first few
-	// probe rounds — the attack no longer recovers the full secret.
-	cfg := dbt.DefaultConfig()
-	cfg.AdaptiveRetranslation = true
-	res, err := Run(V4, cfg, Params{Secret: []byte{0x5E, 0x2C, 0x81, 0x44}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Success() {
-		t.Errorf("v4 fully recovered the secret despite adaptive retranslation")
-	}
-	// v1 is unaffected (no MCB conflicts to trigger deoptimisation).
-	res1, err := Run(V1, cfg, Params{Secret: []byte{0x5E, 0x2C}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res1.Success() {
-		t.Errorf("v1 should still leak under adaptive retranslation: %x", res1.Recovered)
-	}
-}

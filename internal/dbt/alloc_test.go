@@ -53,7 +53,7 @@ func TestCompileAllocsPerRegion(t *testing.T) {
 	var blk *vliw.Block
 	compile := func() {
 		var err error
-		if _, blk, err = m.CompileRegion(pc, true, false, false); err != nil {
+		if _, blk, err = m.CompileRegion(pc, true, false); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -24,8 +24,8 @@ type BlockAudit struct {
 
 // Audit is the machine-wide aggregation of per-block audit reports:
 // every region currently installed in the translation cache, in PC
-// order, under the mitigation mode the machine ran with. Deopts and
-// trace upgrades replace their entry's report, so the audit always
+// order, under the mitigation mode the machine ran with. Trace
+// upgrades replace their entry's report, so the audit always
 // describes the code that is actually installed.
 type Audit struct {
 	Mode   core.Mode

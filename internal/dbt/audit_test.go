@@ -68,7 +68,7 @@ func TestAuditExplainsEveryPinnedAccess(t *testing.T) {
 	}
 	// The machine-wide pinned count must agree with the stats counter
 	// for currently-installed regions being a subset of all
-	// translations ever (deopts replace entries).
+	// translations ever (trace upgrades replace entries).
 	if m.stats.RiskyLoads < tot.Pinned {
 		t.Fatalf("audit pinned %d > stats risky loads %d", tot.Pinned, m.stats.RiskyLoads)
 	}

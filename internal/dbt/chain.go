@@ -22,7 +22,7 @@ import (
 // fault, interrupt, budget exhaustion).
 //
 // Links are cached per region and validated against Machine.chainEpoch:
-// any translation-cache mutation (new install, deopt, blacklist, SMC
+// any translation-cache mutation (new install, blacklist, SMC
 // invalidation) bumps the epoch, severing every link at once. A link
 // may also carry the successor's profile counter so the per-entry
 // profiling of the outer loop (m.entries) is preserved without a map
@@ -33,9 +33,10 @@ import (
 // region; anything beyond round-robins through the slots.
 const chainLinks = 4
 
-// defaultChainBudget bounds how many blocks chain back-to-back before
-// surfacing to the outer loop (Config.ChainBudget overrides).
-const defaultChainBudget = 64
+// chainBudget bounds how many blocks chain back-to-back before the
+// inner loop surfaces to the outer dispatch loop (profiling fairness
+// and prompt interrupt delivery).
+const chainBudget = 64
 
 // chainLink is one resolved successor: target entry PC, its translated
 // region, and its profile counter (nil when the PC is blacklisted, in
@@ -276,7 +277,7 @@ func (m *Machine) chainStep(e *transEntry, next uint64) *transEntry {
 			// upgrade replaces the entry and bumps the epoch, so resolve
 			// the successor fresh from the map.
 			if asTrace, due := m.promotion(lk.e, *lk.cnt); due {
-				m.translateWith(next, asTrace, false)
+				m.translateWith(next, asTrace)
 				return m.trans[next]
 			}
 		}
@@ -315,11 +316,11 @@ func (m *Machine) syncState(pc uint64) {
 // surfaced cleanly and the outer loop continues at m.state.PC.
 //
 // Each transfer takes the outer loop's own steps — dispatch (profile
-// attribution, deopt check), the entry protocol (chainStep) and the
+// attribution), the entry protocol (chainStep) and the
 // MaxCycles/interrupt guard — so only the map lookups, register-file
 // copies and tracer events are elided. The differential tests pin this
 // equivalence down to exact cycle counts and trap identity.
-func (m *Machine) runChain(pc uint64, e *transEntry, budget int) error {
+func (m *Machine) runChain(pc uint64, e *transEntry) error {
 	copy(m.vregs[:32], m.state.X[:])
 	for n := 1; ; n++ {
 		ei := m.dispatch(pc, e)
@@ -329,7 +330,7 @@ func (m *Machine) runChain(pc uint64, e *transEntry, budget int) error {
 		}
 		next := ei.NextPC
 		succ := m.chainStep(e, next)
-		if succ == nil || n >= budget {
+		if succ == nil || n >= chainBudget {
 			m.syncState(next)
 			return nil
 		}

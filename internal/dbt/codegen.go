@@ -18,21 +18,11 @@ type CompileResult struct {
 	Report core.Report
 
 	// Audit carries the per-block provenance report and the mitigated
-	// IR block it describes, populated only when compileOpts.Audit is
+	// IR block it describes, populated only when compileWith's audit is
 	// set (Config.Audit); nil otherwise — the unaudited translation
 	// path performs no provenance bookkeeping at all.
 	Audit   *ir.AuditReport
 	AuditIR *ir.Block
-}
-
-// compileOpts tweaks the back end per block.
-type compileOpts struct {
-	// DisableMemSpec forces memory speculation off (adaptive
-	// retranslation of blocks with recovery storms).
-	DisableMemSpec bool
-	// Audit collects the poison-provenance audit report during
-	// mitigation and retains the IR block for replay/rendering.
-	Audit bool
 }
 
 // compile runs the full back end on one IR block: mitigation, graph
@@ -40,25 +30,25 @@ type compileOpts struct {
 // generation. guestInsts is the number of guest instructions the block
 // covers. It analyses and schedules through fresh memory.
 func compile(b *ir.Block, guestInsts int, cfg *vliw.Config, mode core.Mode) (CompileResult, error) {
-	return compileWith(new(graph), new(core.Analysis), b, guestInsts, cfg, mode, compileOpts{})
+	return compileWith(new(graph), new(core.Analysis), b, guestInsts, cfg, mode, false)
 }
 
 // compileWith is compile analysing through a and scheduling through g,
 // the caller's reusable memory; the result's Report lists live in a
-// until its next use. b stays the caller's: with opts.Audit the result
-// retains it.
-func compileWith(g *graph, a *core.Analysis, b *ir.Block, guestInsts int, cfg *vliw.Config, mode core.Mode, opts compileOpts) (CompileResult, error) {
+// until its next use. audit collects the poison-provenance audit report
+// during mitigation; b stays the caller's, and with audit the result
+// retains it for replay and rendering.
+func compileWith(g *graph, a *core.Analysis, b *ir.Block, guestInsts int, cfg *vliw.Config, mode core.Mode, audit bool) (CompileResult, error) {
 	if err := b.Verify(); err != nil {
 		return CompileResult{}, err
 	}
 	var aud *ir.AuditReport
-	if opts.Audit {
+	if audit {
 		aud = &ir.AuditReport{}
 	}
 	rep := pipeline.Apply(a, mode, b, aud)
 
 	try := func(ctrlSpec, memSpec bool) (*vliw.Block, error) {
-		memSpec = memSpec && !opts.DisableMemSpec
 		if err := g.buildGraph(b, cfg, ctrlSpec, memSpec); err != nil {
 			return nil, err
 		}
@@ -80,7 +70,7 @@ func compileWith(g *graph, a *core.Analysis, b *ir.Block, guestInsts int, cfg *v
 		return CompileResult{}, err
 	}
 	res := CompileResult{Block: blk, Report: rep}
-	if opts.Audit {
+	if audit {
 		res.Audit, res.AuditIR = aud, b
 	}
 	return res, nil

@@ -16,7 +16,7 @@ import (
 // fresh is set. It returns the mitigated IR and the compiled block. The
 // IR of the reused path lives in the machine's builder until its next
 // compile.
-func (m *Machine) CompileRegion(pc uint64, asTrace, noMemSpec, fresh bool) (*ir.Block, *vliw.Block, error) {
+func (m *Machine) CompileRegion(pc uint64, asTrace, fresh bool) (*ir.Block, *vliw.Block, error) {
 	saved := m.transState
 	if fresh {
 		// Fresh compile memory over the machine's own image and profile.
@@ -24,7 +24,7 @@ func (m *Machine) CompileRegion(pc uint64, asTrace, noMemSpec, fresh bool) (*ir.
 		ts.entries, ts.branches, ts.trans, ts.noTrans = m.entries, m.branches, m.trans, m.noTrans
 		m.transState = ts
 	}
-	e := m.compile(pc, asTrace, noMemSpec)
+	e := m.compile(pc, asTrace)
 	irBlk := m.front.Block()
 	m.transState = saved
 	if e == nil {

@@ -100,7 +100,7 @@ func runSpin(t *testing.T, cfg Config) (*Machine, error) {
 // transfer inside the chain loop — the same cadence as the unchained
 // dispatch loop — so the chained and unchained runs must trap at the
 // exact same cycle, and the overshoot past the limit is bounded by a
-// single block execution, far less than one ChainBudget of blocks.
+// single block execution, far less than one chain budget of 64 blocks.
 func TestMaxCyclesParityUnderChaining(t *testing.T) {
 	const limit = 100_000
 

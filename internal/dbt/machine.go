@@ -31,32 +31,14 @@ type Config struct {
 
 	// HotThreshold executions of a block entry trigger first-pass
 	// translation; TraceThreshold executions trigger superblock/trace
-	// construction along branches whose bias reaches BiasThreshold.
-	HotThreshold     uint64
-	TraceThreshold   uint64
-	BiasThreshold    float64
-	MinBranchProfile uint64 // branch executions before bias is trusted
+	// construction along branches whose bias reaches biasThreshold.
+	// Translation is free in guest cycles: Hybrid-DBT runs the DBT
+	// engine on dedicated hardware concurrently with execution.
+	HotThreshold   uint64
+	TraceThreshold uint64
 
 	MaxTraceInsts int
 	MaxUnroll     int
-
-	// TranslateCost charges the guest this many cycles per translated
-	// instruction. Hybrid-DBT runs the DBT engine on dedicated hardware
-	// concurrently with execution, so the default is 0.
-	TranslateCost uint64
-
-	// AdaptiveRetranslation enables Transmeta-style deoptimisation: a
-	// block whose MCB speculation conflicts on most executions is
-	// retranslated without memory speculation (recovery storms are more
-	// expensive than the speculation is worth). Off by default: the
-	// paper's machines keep speculating, which is what its Spectre v4
-	// attack relies on.
-	AdaptiveRetranslation bool
-	// DeoptWindow and DeoptRatioPct control the deoptimisation trigger:
-	// after DeoptWindow executions, a block is retranslated when
-	// recoveries*100 >= executions*DeoptRatioPct. Defaults: 16 and 50.
-	DeoptWindow   uint64
-	DeoptRatioPct uint64
 
 	DisableTranslation bool // pure interpreter (debugging/reference)
 	DisableTraces      bool // first-pass blocks only
@@ -70,12 +52,6 @@ type Config struct {
 	// whenever a tracer or fault injector is active, so per-dispatch
 	// observation windows stay exact.
 	DisableChaining bool
-
-	// ChainBudget caps how many translated blocks may run back-to-back
-	// before the chained inner loop surfaces to the outer dispatch
-	// loop (profiling fairness and prompt interrupt delivery). 0 means
-	// the default of 64.
-	ChainBudget int
 
 	// TransCache, when non-nil, is the persistent translation cache:
 	// compiled regions are looked up before invoking the DBT engine and
@@ -159,21 +135,17 @@ type Config struct {
 // cache, GhostBusters disabled (unsafe baseline).
 func DefaultConfig() Config {
 	return Config{
-		Mitigation:       core.ModeUnsafe,
-		Cache:            cache.DefaultConfig(),
-		Core:             vliw.DefaultConfig(),
-		Interp:           riscv.DefaultTiming(),
-		MemBase:          0x10000,
-		MemSize:          16 << 20,
-		HotThreshold:     10,
-		TraceThreshold:   30,
-		BiasThreshold:    0.9,
-		MinBranchProfile: 8, // must be below HotThreshold: branches stop being interpreted (and profiled) once their block is translated
-		MaxTraceInsts:    48,
-		MaxUnroll:        4,
-		DeoptWindow:      16,
-		DeoptRatioPct:    50,
-		MaxCycles:        4_000_000_000,
+		Mitigation:     core.ModeUnsafe,
+		Cache:          cache.DefaultConfig(),
+		Core:           vliw.DefaultConfig(),
+		Interp:         riscv.DefaultTiming(),
+		MemBase:        0x10000,
+		MemSize:        16 << 20,
+		HotThreshold:   10,
+		TraceThreshold: 30,
+		MaxTraceInsts:  48,
+		MaxUnroll:      4,
+		MaxCycles:      4_000_000_000,
 	}
 }
 
@@ -183,7 +155,6 @@ type Stats struct {
 	BlockExecs  uint64
 	Blocks      int // first-pass translations
 	Traces      int
-	Deopts      int // adaptive retranslations (memory speculation off)
 	CompileErrs int
 
 	// Translations counts fresh compilations by this machine's own DBT
@@ -254,14 +225,12 @@ type transEntry struct {
 	linkEpoch  uint64
 	linkVictim uint8
 
-	// Adaptive-retranslation bookkeeping.
-	execs uint64
-	recov uint64
-
 	// Cycle-attributed profile, maintained on every dispatch (cheap:
 	// a handful of counter subtractions against the core's totals).
-	// Retranslation (deopt) replaces the entry and restarts the
-	// counters — the profile describes the code currently installed.
+	// A trace upgrade replaces the entry and restarts the counters —
+	// the profile describes the code currently installed.
+	execs     uint64 // dispatches that exited cleanly
+	recov     uint64 // MCB recoveries in those dispatches
 	cycles    uint64 // simulated cycles spent inside this region
 	bundles   uint64 // bundles executed
 	sideExits uint64
@@ -273,8 +242,8 @@ type transEntry struct {
 	transNS int64
 
 	// Audit retention (Config.Audit only): the provenance report and
-	// the mitigated IR block it replays against. Deopts and trace
-	// upgrades replace the whole entry, so the audit always describes
+	// the mitigated IR block it replays against. Trace upgrades
+	// replace the whole entry, so the audit always describes
 	// the code currently installed at this PC.
 	audit   *ir.AuditReport
 	auditIR *ir.Block
@@ -311,7 +280,7 @@ type Machine struct {
 
 	// chainEpoch versions the chain links cached on transEntries: it
 	// starts at 1 and is bumped by every translation-cache mutation
-	// (install, deopt, blacklist, SMC invalidation), lazily severing
+	// (install, blacklist, SMC invalidation), lazily severing
 	// all links. transLo/transHi bound the guest text covered by any
 	// translated region, so the store hook can reject non-code stores
 	// with two compares.
@@ -360,9 +329,6 @@ func New(cfg Config) (*Machine, error) {
 	}
 	if cfg.MemSize == 0 {
 		return nil, fmt.Errorf("dbt: MemSize must be positive")
-	}
-	if cfg.BiasThreshold <= 0.5 || cfg.BiasThreshold > 1 {
-		return nil, fmt.Errorf("dbt: BiasThreshold %v out of (0.5, 1]", cfg.BiasThreshold)
 	}
 	if !cfg.Mitigation.Valid() {
 		return nil, fmt.Errorf("dbt: unknown mitigation mode %v", cfg.Mitigation)
@@ -508,17 +474,26 @@ func (m *Machine) PredecodeStats() riscv.PredecodeStats {
 	return m.pred.Stats()
 }
 
+// A trace follows a branch whose profiled bias reaches biasThreshold
+// over at least minBranchProfile executions. minBranchProfile must stay
+// below the default HotThreshold: branches stop being interpreted (and
+// profiled) once their block is translated.
+const (
+	biasThreshold    = 0.9
+	minBranchProfile = 8
+)
+
 // oracle reports the biased direction of a profiled branch.
 func (m *Machine) oracle(pc uint64) (taken, follow bool) {
 	st := m.branches[pc]
-	if st == nil || st.total < m.cfg.MinBranchProfile {
+	if st == nil || st.total < minBranchProfile {
 		return false, false
 	}
 	bias := float64(st.taken) / float64(st.total)
-	if bias >= m.cfg.BiasThreshold {
+	if bias >= biasThreshold {
 		return true, true
 	}
-	if 1-bias >= m.cfg.BiasThreshold {
+	if 1-bias >= biasThreshold {
 		return false, true
 	}
 	return false, false
@@ -540,7 +515,7 @@ func (m *Machine) onEnter(pc uint64) {
 	}
 	*cnt++
 	if asTrace, due := m.promotion(m.trans[pc], *cnt); due {
-		m.translateWith(pc, asTrace, false)
+		m.translateWith(pc, asTrace)
 	}
 }
 
@@ -587,7 +562,7 @@ func (m *Machine) transFail(pc uint64, injected bool, cause error) {
 // the persistent translation cache when it holds one, from the DBT
 // engine otherwise — and installs it. Only a fresh compilation counts
 // as a translation and is recorded for publication.
-func (m *Machine) translateWith(pc uint64, asTrace, noMemSpec bool) {
+func (m *Machine) translateWith(pc uint64, asTrace bool) {
 	if m.inj.translationFailure() {
 		m.transFail(pc, true, nil)
 		return
@@ -601,7 +576,7 @@ func (m *Machine) translateWith(pc uint64, asTrace, noMemSpec bool) {
 	}
 	t0 := time.Now() // host latency; never charged to the guest clock
 	if m.tcr != nil {
-		if rg := m.tcr.Lookup(pc, asTrace, noMemSpec); rg != nil {
+		if rg := m.tcr.Lookup(pc, asTrace); rg != nil {
 			m.stats.TCacheHits++
 			e := m.regions.next()
 			e.Region = *rg
@@ -610,7 +585,7 @@ func (m *Machine) translateWith(pc uint64, asTrace, noMemSpec bool) {
 		}
 		m.stats.TCacheMisses++
 	}
-	e := m.compile(pc, asTrace, noMemSpec)
+	e := m.compile(pc, asTrace)
 	if e == nil {
 		return
 	}
@@ -652,7 +627,7 @@ func (m *Machine) frontEnd(bu *ir.Builder, pc uint64, asTrace bool) (*ir.Block, 
 // mitigated IR block, so with Config.Audit the front end builds it in
 // a builder of its own. A failure is recorded (transFail) and yields
 // nil.
-func (m *Machine) compile(pc uint64, asTrace, noMemSpec bool) *transEntry {
+func (m *Machine) compile(pc uint64, asTrace bool) *transEntry {
 	bu := &m.front
 	if m.cfg.Audit {
 		bu = new(ir.Builder)
@@ -662,8 +637,7 @@ func (m *Machine) compile(pc uint64, asTrace, noMemSpec bool) *transEntry {
 		m.transFail(pc, false, err)
 		return nil
 	}
-	opts := compileOpts{DisableMemSpec: noMemSpec, Audit: m.cfg.Audit}
-	res, err := compileWith(&m.sched, &m.analysis, irBlk, guestInsts, &m.cfg.Core, m.cfg.Mitigation, opts)
+	res, err := compileWith(&m.sched, &m.analysis, irBlk, guestInsts, &m.cfg.Core, m.cfg.Mitigation, m.cfg.Audit)
 	if err != nil {
 		m.stats.CompileErrs++
 		m.transFail(pc, false, err)
@@ -688,7 +662,7 @@ func (m *Machine) compile(pc uint64, asTrace, noMemSpec bool) *transEntry {
 	e := m.regions.next()
 	*e = transEntry{
 		Region: tcache.Region{
-			PC: pc, Trace: asTrace, NoMemSpec: noMemSpec,
+			PC: pc, Trace: asTrace,
 			Lo: lo, Hi: hi,
 			SpecLoads:  res.Report.SpeculativeLoads,
 			RiskyLoads: len(res.Report.RiskyLoads),
@@ -704,7 +678,7 @@ func (m *Machine) compile(pc uint64, asTrace, noMemSpec bool) *transEntry {
 
 // install is the one way a region enters the translation cache, fresh
 // compilation and persistent-cache hit alike, so both land with the same
-// statistics, guest cycle charge and trace events. t0 is when the
+// statistics and trace events. t0 is when the
 // translation request started.
 func (m *Machine) install(e *transEntry, t0 time.Time) {
 	blk := e.Block
@@ -732,7 +706,6 @@ func (m *Machine) install(e *transEntry, t0 time.Time) {
 	}
 	m.stats.RiskyLoads += e.RiskyLoads
 	m.stats.GuardEdges += e.GuardEdges
-	m.cycles += m.cfg.TranslateCost * uint64(blk.GuestInsts)
 	if m.tr.BlockOn() {
 		m.tr.Emit(obs.Event{Kind: obs.EvMitigation, Cycle: m.cycles, PC: e.PC,
 			Arg1: uint64(e.SpecLoads),
@@ -796,10 +769,6 @@ func (m *Machine) Run() (*Result, error) {
 	// stands down whenever a tracer or fault injector needs to see (or
 	// perturb) every dispatch.
 	chainOK := !m.cfg.DisableChaining && m.inj == nil && !m.tr.BlockOn()
-	budget := m.cfg.ChainBudget
-	if budget <= 0 {
-		budget = defaultChainBudget
-	}
 	for {
 		pc := m.state.PC
 		if err := m.guard(pc); err != nil {
@@ -808,7 +777,7 @@ func (m *Machine) Run() (*Result, error) {
 		if e := m.trans[pc]; e != nil {
 			m.wasTrans = true
 			if chainOK {
-				if err := m.runChain(pc, e, budget); err != nil {
+				if err := m.runChain(pc, e); err != nil {
 					return nil, err
 				}
 				continue
@@ -908,9 +877,8 @@ func (m *Machine) trip(pc uint64) error {
 
 // dispatch executes the region e, entered at pc, once on the register
 // file in m.vregs: the one dispatch step of both the outer loop and the
-// chained inner loop. It attributes the execution to e's profile and,
-// after a clean exit, runs the adaptive-deoptimisation check. It emits
-// the dispatch's trace events too; a tracer turns chaining off, so only
+// chained inner loop. It attributes the execution to e's profile and
+// emits the dispatch's trace events; a tracer turns chaining off, so only
 // the outer loop ever has one. A fault comes back with Block set to pc.
 func (m *Machine) dispatch(pc uint64, e *transEntry) vliw.ExitInfo {
 	tron := m.tr.BlockOn()
@@ -956,18 +924,6 @@ func (m *Machine) dispatch(pc uint64, e *transEntry) vliw.ExitInfo {
 	}
 	e.execs++
 	e.recov += cs.Recoveries - csBefore.Recoveries
-	if m.cfg.AdaptiveRetranslation && !e.NoMemSpec &&
-		e.execs >= m.cfg.DeoptWindow &&
-		e.recov*100 >= e.execs*m.cfg.DeoptRatioPct {
-		// Recovery storm: this block's memory speculation loses more to
-		// rollbacks than it gains; retranslate without it (Transmeta-
-		// style adaptive retranslation).
-		if tron {
-			m.tr.Emit(obs.Event{Kind: obs.EvDeopt, Cycle: m.cycles, PC: pc})
-		}
-		m.translateWith(pc, e.Trace, true)
-		m.stats.Deopts++
-	}
 	return ei
 }
 
@@ -1039,7 +995,6 @@ type HotRegion struct {
 	GuestInsts int
 	Bundles    int // static bundle count of the translated code
 	IsTrace    bool
-	Deopted    bool // retranslated without memory speculation
 
 	// Cycle-attributed dynamic profile.
 	Cycles      uint64 // simulated cycles spent inside the region
@@ -1077,7 +1032,6 @@ func (m *Machine) ProfileReport() []HotRegion {
 			GuestInsts:      e.Block.GuestInsts,
 			Bundles:         len(e.Block.Bundles),
 			IsTrace:         e.Trace,
-			Deopted:         e.NoMemSpec,
 			Cycles:          e.cycles,
 			BundleExecs:     e.bundles,
 			SideExits:       e.sideExits,

@@ -63,9 +63,9 @@ func TestCompileReusedMemoryMatchesFresh(t *testing.T) {
 	}
 
 	type shape struct {
-		pc               uint64
-		trace, noMemSpec bool
-		guestInsts       int
+		pc         uint64
+		trace      bool
+		guestInsts int
 	}
 	compiled := 0
 	for _, mode := range core.Fig4Modes() {
@@ -81,33 +81,28 @@ func TestCompileReusedMemoryMatchesFresh(t *testing.T) {
 				t.Fatalf("%s/%s: %v", p.name, mode, err)
 			}
 			// Every shape a region was translated in: an installed trace
-			// replaced its first-pass block, a deopted region its
-			// memory-speculating first translation.
+			// replaced its first-pass block.
 			var shapes []shape
 			for _, r := range m.ProfileReport() {
-				for _, trace := range []bool{false, true} {
-					for _, noMemSpec := range []bool{false, true} {
-						if (trace && !r.IsTrace) || (noMemSpec && !r.Deopted) {
-							continue
-						}
-						shapes = append(shapes, shape{r.PC, trace, noMemSpec, r.GuestInsts})
-					}
+				shapes = append(shapes, shape{r.PC, false, r.GuestInsts})
+				if r.IsTrace {
+					shapes = append(shapes, shape{r.PC, true, r.GuestInsts})
 				}
 			}
 			if len(shapes) == 0 {
 				t.Fatalf("%s/%s: no region translated", p.name, mode)
 			}
 			sort.SliceStable(shapes, func(i, j int) bool { return shapes[i].guestInsts > shapes[j].guestInsts })
-			if _, _, err := m.CompileRegion(shapes[0].pc, shapes[0].trace, shapes[0].noMemSpec, false); err != nil {
+			if _, _, err := m.CompileRegion(shapes[0].pc, shapes[0].trace, false); err != nil {
 				t.Fatalf("%s/%s: %v", p.name, mode, err)
 			}
 			for _, s := range shapes {
-				b, blk, err := m.CompileRegion(s.pc, s.trace, s.noMemSpec, false)
+				b, blk, err := m.CompileRegion(s.pc, s.trace, false)
 				if err != nil {
 					t.Fatalf("%s/%s: region %+v through reused memory: %v", p.name, mode, s, err)
 				}
 				reusedIR := cloneIR(b) // the next compile overwrites b
-				b, want, err := m.CompileRegion(s.pc, s.trace, s.noMemSpec, true)
+				b, want, err := m.CompileRegion(s.pc, s.trace, true)
 				if err != nil {
 					t.Fatalf("%s/%s: region %+v through fresh memory: %v", p.name, mode, s, err)
 				}

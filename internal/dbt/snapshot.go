@@ -21,7 +21,6 @@ func (s Stats) Snapshot(cycles uint64) obs.Snapshot {
 		"dbt.blocks":            uint64(s.Blocks),
 		"dbt.traces":            uint64(s.Traces),
 		"dbt.block_execs":       s.BlockExecs,
-		"dbt.deopts":            uint64(s.Deopts),
 		"dbt.compile_errors":    uint64(s.CompileErrs),
 		"dbt.translations":      uint64(s.Translations),
 		"dbt.smc_invalidations": s.SMCInvalidations,

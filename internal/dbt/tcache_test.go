@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ghostbusters/internal/core"
@@ -245,6 +246,131 @@ func TestTransCacheKeySeparation(t *testing.T) {
 	}
 }
 
+// The translation-cache key is the machine's Config rendered with %+v,
+// minus the scrubbed runtime hooks. Every other field must print by
+// value (a pointer, channel, func, map or interface would print an
+// address or a method's say-so), and every scalar in it must reach the
+// key. A Config field added later without a classification fails here.
+func TestTransCacheKeyCoversConfig(t *testing.T) {
+	scrubbed := map[string]bool{
+		"Tracer": true, "Interrupt": true, "FaultInject": true,
+		"TransCache": true, "TCacheSalt": true,
+	}
+	fingerprint := func(c Config) string { return (&Machine{cfg: c}).tcFingerprint() }
+	want := fingerprint(DefaultConfig())
+
+	ct := reflect.TypeOf(Config{})
+	for i := 0; i < ct.NumField(); i++ {
+		f := ct.Field(i)
+		if scrubbed[f.Name] {
+			// A scrubbed hook, set, leaves the key alone.
+			cfg := DefaultConfig()
+			v := reflect.ValueOf(&cfg).Elem().Field(i)
+			switch f.Type.Kind() {
+			case reflect.Pointer:
+				v.Set(reflect.New(f.Type.Elem()))
+			case reflect.Chan:
+				v.Set(reflect.MakeChan(reflect.ChanOf(reflect.BothDir, f.Type.Elem()), 0))
+			case reflect.String:
+				v.SetString("salt")
+			default:
+				t.Fatalf("scrubbed field %s has unexpected kind %v", f.Name, f.Type.Kind())
+			}
+			if fingerprint(cfg) != want {
+				t.Errorf("scrubbed field %s changes the key", f.Name)
+			}
+			continue
+		}
+		if bad := addressKind(f.Type); bad != "" {
+			t.Errorf("key field %s holds a %s: scrub it or make it a value", f.Name, bad)
+		}
+	}
+	if t.Failed() {
+		return
+	}
+
+	// Perturb each scalar leaf of a default Config in turn.
+	leaves := 0
+	for ; ; leaves++ {
+		cfg := DefaultConfig()
+		skip := leaves
+		path, ok := perturbLeaf(reflect.ValueOf(&cfg).Elem(), "", &skip, scrubbed)
+		if !ok {
+			break
+		}
+		if fingerprint(cfg) == want {
+			t.Errorf("changing %s leaves the translation-cache key unchanged", path)
+		}
+	}
+	if leaves < ct.NumField()-len(scrubbed) {
+		t.Errorf("walked %d key leaves, fewer than Config's %d key fields", leaves, ct.NumField()-len(scrubbed))
+	}
+}
+
+// addressKind names the first pointer-like kind reachable from t by
+// value, or "" when %+v prints t entirely by value.
+func addressKind(t reflect.Type) string {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Chan, reflect.Func, reflect.Map, reflect.Interface:
+		return t.Kind().String()
+	case reflect.Array, reflect.Slice:
+		return addressKind(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if k := addressKind(t.Field(i).Type); k != "" {
+				return k
+			}
+		}
+	}
+	return ""
+}
+
+// perturbLeaf changes the *n-th scalar leaf under v (depth first,
+// skipping top-level fields named in skip) and reports its path. When v
+// holds fewer leaves it changes nothing, counts them off *n and reports
+// false.
+func perturbLeaf(v reflect.Value, path string, n *int, skip map[string]bool) (string, bool) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			name := v.Type().Field(i).Name
+			if path == "" && skip[name] {
+				continue
+			}
+			if p, ok := perturbLeaf(v.Field(i), path+"."+name, n, skip); ok {
+				return p, true
+			}
+		}
+		return "", false
+	case reflect.Array, reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			if p, ok := perturbLeaf(v.Index(i), fmt.Sprintf("%s[%d]", path, i), n, skip); ok {
+				return p, true
+			}
+		}
+		return "", false
+	}
+	if *n > 0 {
+		*n--
+		return "", false
+	}
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(v.Float() + 1)
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	default:
+		panic("unhandled leaf kind " + v.Kind().String() + " at " + path)
+	}
+	return path, true
+}
+
 // Self-modifying code abandons the cache mid-run: nothing is served
 // after the store and nothing is ever published, so a later run of the
 // same image cannot pick up translations describing overwritten text.
@@ -323,6 +449,82 @@ func TestTransCacheEligibility(t *testing.T) {
 		warm, _ := runSrc(t, hotLoopSrc, cfg)
 		if warm.Stats.TCacheHits != 0 {
 			t.Errorf("%s: ineligible run published regions", name)
+		}
+	}
+}
+
+// alwaysConflictSrc stores and immediately reloads the same location
+// through two register views the DBT engine cannot prove equal: memory
+// speculation hoists the load above the store and the MCB rolls back on
+// every single iteration.
+const alwaysConflictSrc = `
+	.data
+cell:	.dword 7
+out:	.dword 0
+	.text
+main:
+	la s0, cell
+	la s1, cell
+	li s2, 0
+	li s3, 0
+loop:
+	mul t0, s2, s2     # slow value for the store
+	sd t0, 0(s0)
+	ld t1, 0(s1)       # same address, unprovable: speculated, conflicts
+	add s3, s3, t1
+	addi s2, s2, 1
+	li t2, 400
+	blt s2, t2, loop
+	la t3, out
+	sd s3, 0(t3)
+	li a0, 0
+	ecall
+`
+
+// A region's lifecycle — translate or cache hit, install, trace
+// upgrade, dispatch — is one path whichever way it is driven: uncached,
+// from a cold or a warm translation cache, chained or not, a run with
+// MCB recoveries ends with the same Stats (bar the translation and
+// cache probe counters) and the same per-region profile.
+func TestRegionLifecycleParity(t *testing.T) {
+	type outcome struct {
+		stats   Stats
+		profile []HotRegion
+	}
+	run := func(cfg Config) (outcome, Stats) {
+		res, m := runSrc(t, alwaysConflictSrc, cfg)
+		prof := m.ProfileReport()
+		for i := range prof {
+			prof[i].TransNS = 0
+		}
+		return outcome{zeroTCacheStats(res.Stats), prof}, res.Stats
+	}
+	var want outcome
+	for _, chained := range []bool{true, false} {
+		cfg := DefaultConfig()
+		cfg.DisableChaining = !chained
+		tc := tcache.New("")
+		for _, pass := range []string{"uncached", "cold", "warm"} {
+			if pass != "uncached" {
+				cfg.TransCache = tc
+			}
+			got, raw := run(cfg)
+			if pass == "warm" && (raw.Translations != 0 || raw.TCacheHits == 0) {
+				t.Errorf("chained=%v: warm run compiled %d regions, hit %d", chained, raw.Translations, raw.TCacheHits)
+			}
+			if want.profile == nil {
+				want = got
+				if want.stats.Recoveries == 0 {
+					t.Fatal("want MCB recoveries to exercise the recovery path, got none")
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got.stats, want.stats) {
+				t.Errorf("chained=%v %s: stats diverge\n got %+v\nwant %+v", chained, pass, got.stats, want.stats)
+			}
+			if !reflect.DeepEqual(got.profile, want.profile) {
+				t.Errorf("chained=%v %s: profile diverges\n got %+v\nwant %+v", chained, pass, got.profile, want.profile)
+			}
 		}
 	}
 }

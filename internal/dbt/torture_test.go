@@ -202,7 +202,7 @@ func TestSchedulerTorture(t *testing.T) {
 				t.Fatalf("trial %d mode %s: compile: %v\n%s", trial, mode, err, blk)
 			}
 			blk3 := genBlockCopy(blk)
-			again, err := compileWith(reused, reusedAnalysis, blk3, len(blk3.Insts), &coreCfg, mode, compileOpts{})
+			again, err := compileWith(reused, reusedAnalysis, blk3, len(blk3.Insts), &coreCfg, mode, false)
 			if err != nil {
 				t.Fatalf("trial %d mode %s: compile through reused memory: %v\n%s", trial, mode, err, blk)
 			}

@@ -104,22 +104,3 @@ func (p Placement) Mismatch(mem *guestmem.Memory, want []int64) (int, int64, err
 	}
 	return -1, 0, nil
 }
-
-// InitArray writes values into the guest array, resolving its placement
-// on the fly (one-shot convenience around Resolve + Placement.Init).
-func InitArray(mem *guestmem.Memory, prog *riscv.Program, a *Array, values []int64) error {
-	pl, err := Resolve(prog, []*Array{a})
-	if err != nil {
-		return err
-	}
-	return pl[0].Init(mem, values)
-}
-
-// ReadArray fetches the current contents of a guest array.
-func ReadArray(mem *guestmem.Memory, prog *riscv.Program, a *Array) ([]int64, error) {
-	pl, err := Resolve(prog, []*Array{a})
-	if err != nil {
-		return nil, err
-	}
-	return pl[0].Read(mem)
-}

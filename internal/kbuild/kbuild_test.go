@@ -28,12 +28,16 @@ func runKernel(t *testing.T, b *kbuild.Builder, init map[string][]int64) map[str
 	if err := m.Load(prog); err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range b.Arrays() {
-		vals := init[a.Name]
+	pls, err := kbuild.Resolve(prog, b.Arrays())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pl := range pls {
+		vals := init[pl.Arr.Name]
 		if vals == nil {
-			vals = make([]int64, a.Elems())
+			vals = make([]int64, pl.Arr.Elems())
 		}
-		if err := kbuild.InitArray(m.Mem(), prog, a, vals); err != nil {
+		if err := pl.Init(m.Mem(), vals); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,12 +49,12 @@ func runKernel(t *testing.T, b *kbuild.Builder, init map[string][]int64) map[str
 		t.Fatalf("kernel exited %d", res.Exit.Code)
 	}
 	out := map[string][]int64{}
-	for _, a := range b.Arrays() {
-		v, err := kbuild.ReadArray(m.Mem(), prog, a)
+	for _, pl := range pls {
+		v, err := pl.Read(m.Mem())
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[a.Name] = v
+		out[pl.Arr.Name] = v
 	}
 	return out
 }
@@ -222,14 +226,24 @@ func TestHostInitErrors(t *testing.T) {
 	prog := riscv.MustAssemble(src)
 	m, _ := dbt.New(dbt.DefaultConfig())
 	_ = m.Load(prog)
-	if err := kbuild.InitArray(m.Mem(), prog, A, make([]int64, 3)); err == nil {
+	pls, err := kbuild.Resolve(prog, []*kbuild.Array{A})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pls[0].Init(m.Mem(), make([]int64, 3)); err == nil {
 		t.Error("wrong length accepted")
 	}
 	ghost := &kbuild.Array{Name: "nope", Rows: 1, Cols: 1}
-	if err := kbuild.InitArray(m.Mem(), prog, ghost, make([]int64, 1)); err == nil {
+	if _, err := kbuild.Resolve(prog, []*kbuild.Array{A, ghost}); err == nil {
 		t.Error("missing symbol accepted")
 	}
-	if _, err := kbuild.ReadArray(m.Mem(), prog, ghost); err == nil {
+	// A placement Resolve never produced points below guest memory: it
+	// fails on init and on read alike.
+	unplaced := kbuild.Placement{Arr: ghost}
+	if err := unplaced.Init(m.Mem(), make([]int64, 1)); err == nil {
+		t.Error("missing symbol accepted on init")
+	}
+	if _, err := unplaced.Read(m.Mem()); err == nil {
 		t.Error("missing symbol accepted on read")
 	}
 }

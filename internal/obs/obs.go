@@ -44,7 +44,7 @@ const (
 	// LevelOff records nothing (equivalent to a nil Tracer).
 	LevelOff Level = iota
 	// LevelBlock records block-granularity events: translation
-	// start/done/fail, deoptimisation, mitigation reports, block
+	// start/done/fail, mitigation reports, block
 	// enter/exit, interp transitions and taken branches, side exits,
 	// cache flushes and traps.
 	LevelBlock
@@ -68,9 +68,6 @@ const (
 	// EvTranslateFail: translation failed and the region degraded to
 	// interpretation. PC = entry; Str = cause.
 	EvTranslateFail
-	// EvDeopt: adaptive retranslation dropped memory speculation for a
-	// storming block. PC = entry.
-	EvDeopt
 	// EvMitigation: the per-block mitigation report at translation
 	// time. PC = entry; Arg1 = speculative loads; Arg2 = risky loads
 	// (Spectre patterns); Arg3 = guard edges inserted.
@@ -157,7 +154,6 @@ var kindNames = [NumEventKinds]string{
 	EvTranslateStart: "translate-start",
 	EvTranslateDone:  "translate-done",
 	EvTranslateFail:  "translate-fail",
-	EvDeopt:          "deopt",
 	EvMitigation:     "mitigation",
 	EvBlockEnter:     "block-enter",
 	EvBlockExit:      "block-exit",

@@ -100,7 +100,6 @@ func sampleEvents() []Event {
 		{Kind: EvRecovery, Cycle: 20, PC: 0x108, Arg1: 0},
 		{Kind: EvCacheFlush, Cycle: 22, Arg1: 16, Arg2: 1},
 		{Kind: EvTranslateFail, Cycle: 25, PC: 0x300, Str: `bad "op"`},
-		{Kind: EvDeopt, Cycle: 30, PC: 0x100},
 		{Kind: EvTrap, Cycle: 31, PC: 0x118, Arg1: 0x9000, Str: "out-of-range-access"},
 		{Kind: EvCounter, Cycle: 32, Arg1: 97, Str: CtrCacheHitRate},
 		{Kind: EvCounter, Cycle: 33, Arg1: 2, Str: CtrMCBOccupancy},

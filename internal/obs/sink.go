@@ -234,10 +234,6 @@ func (s *TextSink) WriteEvents(evs []Event) error {
 			b = appendHex(b, e.PC)
 			b = append(b, ": "...)
 			b = append(b, e.Str...)
-		case EvDeopt:
-			b = append(b, "deopt @"...)
-			b = appendHex(b, e.PC)
-			b = append(b, " (memory speculation off)"...)
 		case EvMitigation:
 			b = append(b, "mitigation @"...)
 			b = appendHex(b, e.PC)
@@ -402,7 +398,6 @@ var lane = [NumEventKinds]struct {
 	EvTranslateStart: {'i', tidTrans},
 	EvTranslateDone:  {'i', tidTrans},
 	EvTranslateFail:  {'i', tidTrans},
-	EvDeopt:          {'i', tidTrans},
 	EvMitigation:     {'i', tidTrans},
 	EvBlockEnter:     {'B', tidExec},
 	EvBlockExit:      {'E', tidExec},
@@ -539,9 +534,6 @@ func (s *PerfettoSink) WriteEvents(evs []Event) error {
 			b = append(b, `","args":{"cause":`...)
 			b = appendJSONString(b, e.Str)
 			b = append(b, '}')
-		case EvDeopt:
-			b = appendName(b, "deopt", e.PC)
-			b = append(b, '"')
 		case EvMitigation:
 			b = appendName(b, "mitigation", e.PC)
 			b = append(b, `","args":{`...)

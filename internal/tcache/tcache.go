@@ -59,9 +59,8 @@ const Schema = "ghostbusters/tcache/v2"
 // same *vliw.Block pointer and rebuild only the per-block dispatch
 // table, which is atomically published (see vliw.Block).
 type Region struct {
-	PC        uint64
-	Trace     bool
-	NoMemSpec bool
+	PC    uint64
+	Trace bool
 
 	// Lo/Hi is the guest text extent [Lo, Hi) the region was translated
 	// from, for store-hook invalidation.
@@ -77,12 +76,10 @@ type Region struct {
 }
 
 // regionKey identifies a region within one run: a PC is compiled at
-// most once per (trace, noMemSpec) shape per run (first-pass block,
-// trace upgrade, deopt retranslation are distinct shapes).
+// most once per shape per run (first-pass block, then trace upgrade).
 type regionKey struct {
-	pc        uint64
-	trace     bool
-	noMemSpec bool
+	pc    uint64
+	trace bool
 }
 
 // Key addresses one deterministic run shape in the cache. The path
@@ -154,15 +151,16 @@ func sanitize(s string) string {
 //	"ghostbusters/tcache/v2\n"       the schema line (Schema)
 //	uvarint len(key), key            Key.Full
 //	uvarint region count
-//	per region, sorted by (PC, Trace, NoMemSpec):
-//	  uvarint PC, flags (1 Trace, 2 NoMemSpec, 4 Pattern), Lo, Hi,
+//	per region, sorted by (PC, Trace):
+//	  uvarint PC, flags (1 Trace, 4 Pattern), Lo, Hi,
 //	          SpecLoads, RiskyLoads, GuardEdges
 //	  block   vliw.AppendBlock
 //	uint32  CRC-32C of everything before it, little-endian
+//
+// Any other flag bit, bit 2 included, makes the document defective.
 const (
-	flagTrace = 1 << iota
-	flagNoMemSpec
-	flagPattern
+	flagTrace   = 1
+	flagPattern = 4
 )
 
 // schemaFamily prefixes every schema this package has written: a first
@@ -185,9 +183,6 @@ func encodeDocument(key string, regions []*Region) ([]byte, error) {
 		var flags uint64
 		if rg.Trace {
 			flags |= flagTrace
-		}
-		if rg.NoMemSpec {
-			flags |= flagNoMemSpec
 		}
 		if rg.Pattern {
 			flags |= flagPattern
@@ -245,7 +240,10 @@ func decodeDocument(data []byte, key string) ([]Region, error) {
 		rg := &regions[i]
 		rg.PC = r.uvarint()
 		flags := r.uvarint()
-		rg.Trace, rg.NoMemSpec, rg.Pattern = flags&flagTrace != 0, flags&flagNoMemSpec != 0, flags&flagPattern != 0
+		if bad := flags &^ (flagTrace | flagPattern); bad != 0 {
+			return nil, fmt.Errorf("region %#x: unknown flag bits %#x", rg.PC, bad)
+		}
+		rg.Trace, rg.Pattern = flags&flagTrace != 0, flags&flagPattern != 0
 		rg.Lo, rg.Hi = r.uvarint(), r.uvarint()
 		rg.SpecLoads, rg.RiskyLoads, rg.GuardEdges = int(r.uvarint()), int(r.uvarint()), int(r.uvarint())
 		if r.err != nil {
@@ -405,7 +403,7 @@ func (c *Cache) load(k Key, st *store) {
 	}
 	for i := range regions {
 		rg := &regions[i]
-		st.regions[regionKey{rg.PC, rg.Trace, rg.NoMemSpec}] = rg
+		st.regions[regionKey{rg.PC, rg.Trace}] = rg
 	}
 }
 
@@ -416,10 +414,7 @@ func (c *Cache) persist(k Key, regions []*Region) {
 		if ra.PC != rb.PC {
 			return ra.PC < rb.PC
 		}
-		if ra.Trace != rb.Trace {
-			return rb.Trace
-		}
-		return rb.NoMemSpec
+		return !ra.Trace && rb.Trace
 	})
 	data, err := encodeDocument(k.Full, regions)
 	if err != nil {
@@ -473,9 +468,9 @@ type Run struct {
 }
 
 // Lookup returns the cached region for a translation request, or nil.
-func (r *Run) Lookup(pc uint64, trace, noMemSpec bool) *Region {
+func (r *Run) Lookup(pc uint64, trace bool) *Region {
 	r.st.mu.RLock()
-	rg := r.st.regions[regionKey{pc, trace, noMemSpec}]
+	rg := r.st.regions[regionKey{pc, trace}]
 	r.st.mu.RUnlock()
 	r.c.statMu.Lock()
 	if rg != nil {
@@ -506,7 +501,7 @@ func (r *Run) Publish() {
 	st.mu.Lock()
 	added := false
 	for _, rg := range r.fresh {
-		k := regionKey{rg.PC, rg.Trace, rg.NoMemSpec}
+		k := regionKey{rg.PC, rg.Trace}
 		if _, ok := st.regions[k]; !ok {
 			st.regions[k] = rg
 			added = true

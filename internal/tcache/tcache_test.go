@@ -115,7 +115,7 @@ func TestDiskRoundTrip(t *testing.T) {
 
 	c2 := New(dir)
 	r2 := c2.Run(k)
-	got := r2.Lookup(0x1000, true, false)
+	got := r2.Lookup(0x1000, true)
 	if got == nil {
 		t.Fatal("published region not found by a fresh cache")
 	}
@@ -124,13 +124,13 @@ func TestDiskRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("region did not round-trip:\nwant %+v\n%v\ngot  %+v\n%v", *want, want.Block, *got, got.Block)
 	}
-	if got := r2.Lookup(0x1010, false, false); !reflect.DeepEqual(got, empty) {
+	if got := r2.Lookup(0x1010, false); !reflect.DeepEqual(got, empty) {
 		t.Errorf("empty-block region did not round-trip: %+v", got)
 	}
-	if r2.Lookup(0x1000, false, false) != nil {
+	if r2.Lookup(0x1000, false) != nil {
 		t.Error("lookup ignores the trace bit: block-shaped probe returned the trace")
 	}
-	if r2.Lookup(0x9999, false, false) != nil {
+	if r2.Lookup(0x9999, false) != nil {
 		t.Error("lookup invented a region")
 	}
 	if err := c2.Err(); err != nil {
@@ -191,7 +191,7 @@ func TestLoadRejectsBadDocuments(t *testing.T) {
 	// region was served, and the cache's error.
 	load := func(dir string) (served bool, err error) {
 		c := New(dir)
-		served = c.Run(k).Lookup(0x1000, true, false) != nil
+		served = c.Run(k).Lookup(0x1000, true) != nil
 		return served, c.Err()
 	}
 	write := func(t *testing.T, path string, data []byte) {
@@ -271,6 +271,30 @@ func TestLoadRejectsBadDocuments(t *testing.T) {
 			t.Errorf("with only the .json: served=%v err=%v, want a quiet cold run", served, err)
 		}
 	})
+	t.Run("unknown flag bits", func(t *testing.T) {
+		// The retired bit 2 and a never-assigned bit 8, each set on the
+		// published region's flags (Trace|Pattern) and correctly sealed:
+		// a defective document, not a quiet miss.
+		for _, bit := range []byte{2, 8} {
+			dir, doc, data := publish(t)
+			at := len(Schema) + 1
+			keyLen, n := binary.Uvarint(data[at:])
+			at += n + int(keyLen)
+			_, n = binary.Uvarint(data[at:]) // region count
+			at += n
+			_, n = binary.Uvarint(data[at:]) // PC
+			at += n
+			if data[at] != flagTrace|flagPattern {
+				t.Fatalf("flags byte %#x, want Trace|Pattern", data[at])
+			}
+			body := bytes.Clone(data[:len(data)-4])
+			body[at] |= bit
+			write(t, doc, reseal(body))
+			if served, err := load(dir); served || err == nil || !strings.Contains(err.Error(), "flag bits") {
+				t.Errorf("flag bit %d: served=%v err=%v, want a cold run and an error", bit, served, err)
+			}
+		}
+	})
 	t.Run("not a document", func(t *testing.T) {
 		dir, doc, _ := publish(t)
 		write(t, doc, []byte(`{"schema":"ghostbusters/tcache/v1"}`+"\n"))
@@ -286,17 +310,17 @@ func TestInMemoryCache(t *testing.T) {
 	c := New("")
 	k := RunKey(testProg(), "unsafe", "cfg", "")
 	r := c.Run(k)
-	if r.Lookup(0x1000, true, false) != nil {
+	if r.Lookup(0x1000, true) != nil {
 		t.Fatal("empty cache returned a region")
 	}
 	r.Record(testRegion(0x1000))
 	r.Publish()
 
 	warm := c.Run(k)
-	if warm.Lookup(0x1000, true, false) == nil {
+	if warm.Lookup(0x1000, true) == nil {
 		t.Fatal("in-memory cache lost the published region")
 	}
-	if c.Run(RunKey(testProg(), "fence", "cfg", "")).Lookup(0x1000, true, false) != nil {
+	if c.Run(RunKey(testProg(), "fence", "cfg", "")).Lookup(0x1000, true) != nil {
 		t.Error("region leaked across modes")
 	}
 	hits, misses, persisted := c.Stats()

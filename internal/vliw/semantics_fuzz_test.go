@@ -15,9 +15,11 @@ import (
 // semantics before dispatch was threaded and the write phase was
 // scheduled at predecode. Every syllable of a bundle reads the
 // pre-bundle register file, its results are queued, and the queue lands
-// only when the whole bundle got through; a fault discards it. It knows
-// the kinds FuzzExecBundleSemantics generates (no MCB, no recovery):
-// every kind that decides a bundle's terminator except chk and lds.
+// only when the whole bundle got through; a fault discards it. MCB
+// conflicts replay their recovery sequence after the bundle's writes,
+// one syllable per cycle, each result landing before the next syllable
+// reads (DESIGN §4, "Memory speculation"). It shares only the MCB with
+// the core, and it knows every kind FuzzExecBundleSemantics generates.
 type refMachine struct {
 	cfg      Config
 	regs     [NumRegs]uint64
@@ -25,6 +27,7 @@ type refMachine struct {
 	cycles   uint64
 	stats    Stats
 	instret  uint64
+	mcb      MCB
 	b        *bus.Bus
 }
 
@@ -51,24 +54,54 @@ func refFault(err error, pc uint64) ExitInfo {
 	return ExitInfo{Fault: f, FaultPC: pc}
 }
 
+// exec runs one block. Every fault drains the MCB, as a fault does on
+// the core.
 func (m *refMachine) exec(blk *Block) ExitInfo {
+	ei := m.run(blk)
+	if ei.Fault != nil {
+		m.mcb.Reset()
+	}
+	return ei
+}
+
+func (m *refMachine) stall(lat uint64) {
+	if hit := m.b.DC.HitLatency(); lat > hit {
+		m.cycles += lat - hit
+	}
+}
+
+// specLoad is the memory side of ldd and lds: a poisoned base or a
+// faulting access squashes the load (no fill, no stall), and the
+// result is poisoned with it.
+func (m *refMachine) specLoad(sy *Syllable) (val, addr uint64, squashed bool) {
+	if m.poisonIn(sy.Ra) {
+		return 0, 0, true
+	}
+	addr = m.read(sy.Ra) + uint64(sy.Imm)
+	v, lat, ok := m.b.LoadSpeculative(addr, sy.Op.MemSize())
+	if !ok {
+		return 0, addr, true
+	}
+	m.stall(lat)
+	return riscv.ExtendLoad(sy.Op, v), addr, false
+}
+
+func (m *refMachine) run(blk *Block) ExitInfo {
 	m.poisoned = [NumRegs]bool{}
 	if len(blk.Bundles) == 0 {
 		m.cycles++ // the dispatch of any block costs a cycle
+		if n := m.mcb.Outstanding(); n != 0 {
+			return refFault(errInternal(0, "vliw: %d MCB entries outstanding at block fallthrough", n), 0)
+		}
 		m.instret += uint64(blk.GuestInsts)
 		return ExitInfo{NextPC: blk.FallPC}
-	}
-	hitLat := m.b.DC.HitLatency()
-	stall := func(lat uint64) {
-		if lat > hitLat {
-			m.cycles += lat - hitLat
-		}
 	}
 	for _, bundle := range blk.Bundles {
 		m.cycles++
 		m.stats.Bundles++
 		var writes []refWrite
 		var written [NumRegs]bool
+		var recov []int16
 		exitTaken, haveNext := false, false
 		var exitTo, nextPC uint64
 		for i := range bundle {
@@ -103,34 +136,42 @@ func (m *refMachine) exec(blk *Block) ExitInfo {
 				if err != nil {
 					return refFault(err, pc)
 				}
-				stall(lat)
+				m.stall(lat)
 				ei = write(riscv.ExtendLoad(sy.Op, v), false)
-			case KLoadD:
+			case KLoadD, KLoadS:
 				m.stats.SpecLoads++
-				squashed := m.poisonIn(sy.Ra)
-				var val uint64
-				if !squashed {
-					v, lat, ok := m.b.LoadSpeculative(m.read(sy.Ra)+uint64(sy.Imm), sy.Op.MemSize())
-					if ok {
-						stall(lat)
-						val = riscv.ExtendLoad(sy.Op, v)
-					} else {
-						squashed = true
-					}
-				}
+				val, addr, squashed := m.specLoad(sy)
 				if squashed {
 					m.stats.SpecSquash++
+				}
+				if sy.Kind == KLoadS {
+					if err := m.mcb.Insert(sy.Tag, addr, sy.Op.MemSize(), squashed); err != nil {
+						return refFault(err, pc)
+					}
 				}
 				ei = write(val, squashed)
 			case KStore:
 				if m.poisonIn(sy.Ra) || m.poisonIn(sy.Rb) {
 					return refFault(errPoisonUse(sy), pc)
 				}
-				lat, err := m.b.Store(m.read(sy.Ra)+uint64(sy.Imm), sy.Op.MemSize(), m.read(sy.Rb))
+				addr := m.read(sy.Ra) + uint64(sy.Imm)
+				lat, err := m.b.Store(addr, sy.Op.MemSize(), m.read(sy.Rb))
 				if err != nil {
 					return refFault(err, pc)
 				}
-				stall(lat)
+				m.stall(lat)
+				m.mcb.StoreCheck(addr, sy.Op.MemSize())
+			case KChk:
+				conflict, faulted, err := m.mcb.Consume(sy.Tag)
+				if err != nil {
+					return refFault(err, pc)
+				}
+				if faulted {
+					return refFault(trap.Newf(trap.DeferredFault, "speculative load fault delivered at chk"), pc)
+				}
+				if conflict {
+					recov = append(recov, sy.Rec)
+				}
 			case KCommit:
 				if m.poisonIn(sy.Ra) {
 					return refFault(errPoisonUse(sy), pc)
@@ -179,19 +220,96 @@ func (m *refMachine) exec(blk *Block) ExitInfo {
 			m.regs[w.reg] = w.val
 			m.poisoned[w.reg] = w.poison
 		}
+		for _, rec := range recov {
+			if ei := m.replay(blk, rec); ei != nil {
+				return *ei
+			}
+		}
 		if exitTaken {
 			m.cycles += m.cfg.ExitPenalty
 			m.stats.SideExits++
+			m.mcb.Reset()
 			m.instret += uint64(blk.GuestInsts)
 			return ExitInfo{NextPC: exitTo, SideExit: true}
 		}
 		if haveNext {
+			if n := m.mcb.Outstanding(); n != 0 {
+				return refFault(errInternal(0, "vliw: %d MCB entries outstanding at block exit", n), 0)
+			}
 			m.instret += uint64(blk.GuestInsts)
 			return ExitInfo{NextPC: nextPC}
 		}
 	}
+	if n := m.mcb.Outstanding(); n != 0 {
+		return refFault(errInternal(0, "vliw: %d MCB entries outstanding at block fallthrough", n), 0)
+	}
 	m.instret += uint64(blk.GuestInsts)
 	return ExitInfo{NextPC: blk.FallPC}
+}
+
+// replay runs recovery rec after an MCB conflict: the fixed penalty,
+// then one cycle per syllable, in order, with architectural semantics.
+// Each result lands before the next syllable reads. A replayed ldd or
+// lds stays dismissable and is no new speculation (no Stats); a
+// replayed lds re-arms its tag at the corrected address.
+func (m *refMachine) replay(blk *Block, rec int16) *ExitInfo {
+	if rec < 0 || int(rec) >= len(blk.Recoveries) {
+		ei := refFault(errInternal(0, "vliw: recovery %d out of range", rec), 0)
+		return &ei
+	}
+	m.stats.Recoveries++
+	m.cycles += m.cfg.RecoveryPenalty
+	seq := blk.Recoveries[rec]
+	for i := range seq {
+		sy := &seq[i]
+		m.cycles++
+		fail := func(err error) *ExitInfo {
+			ei := refFault(err, sy.GuestPC)
+			return &ei
+		}
+		write := func(v uint64, p bool) {
+			if sy.Dst != 0 {
+				m.regs[sy.Dst], m.poisoned[sy.Dst] = v, p
+			}
+		}
+		switch sy.Kind {
+		case KAluRR:
+			write(riscv.EvalALU(sy.Op, m.read(sy.Ra), m.read(sy.Rb)), m.poisonIn(sy.Ra) || m.poisonIn(sy.Rb))
+		case KAluRI:
+			write(riscv.EvalALUImm(sy.Op, m.read(sy.Ra), sy.Imm), m.poisonIn(sy.Ra))
+		case KMovI:
+			write(uint64(sy.Imm), false)
+		case KCommit:
+			if m.poisonIn(sy.Ra) {
+				return fail(errPoisonUse(sy))
+			}
+			write(m.read(sy.Ra), false)
+		case KLoad:
+			if m.poisonIn(sy.Ra) {
+				return fail(errPoisonUse(sy))
+			}
+			v, lat, err := m.b.Load(m.read(sy.Ra)+uint64(sy.Imm), sy.Op.MemSize())
+			if err != nil {
+				return fail(err)
+			}
+			m.stall(lat)
+			write(riscv.ExtendLoad(sy.Op, v), false)
+		case KLoadD, KLoadS:
+			val, addr, squashed := m.specLoad(sy)
+			if sy.Kind == KLoadS {
+				if _, _, err := m.mcb.Consume(sy.Tag); err != nil {
+					return fail(err)
+				}
+				if err := m.mcb.Insert(sy.Tag, addr, sy.Op.MemSize(), squashed); err != nil {
+					return fail(err)
+				}
+			}
+			write(val, squashed)
+		default:
+			return fail(errInternal(sy.GuestPC, "vliw: kind %s not allowed in recovery code", sy.Kind))
+		}
+	}
+	return nil
 }
 
 // fuzzData is where the fuzzed blocks' memory operations land: a small
@@ -206,13 +324,26 @@ const (
 // read-after-write, write-after-write and poison hazards are common.
 var fuzzRegs = [...]uint8{0, 1, 2, 3, 5, 6, 40, 41}
 
-// fuzzBlock turns fuzz bytes into a block of up to 8 bundles. Each
-// syllable takes four bytes: kind and bundle break, registers, an
-// immediate selector and an operation selector. Bit 4 of the kind byte
-// selects the second kind table (jump, jumpr, csr, cflush).
+// Flags of a fuzzed syllable's kind byte beyond the kind tables.
+const (
+	// fuzzMCB turns ldd into lds and br.exit into chk. The tag is bit 2
+	// of the op byte. A chk names recovery (op bit 3), or recovery 2,
+	// which does not exist, when the op byte's high nibble is 0xF.
+	fuzzMCB = 0x20
+	// fuzzRecovery appends the syllable to recovery sequence (op bit 7)
+	// instead of the current bundle.
+	fuzzRecovery = 0x40
+)
+
+// fuzzBlock turns fuzz bytes into a block of up to 8 bundles and two
+// recovery sequences. Each syllable takes four bytes: kind, bundle
+// break and flags, registers, an immediate selector and an operation
+// selector. Bit 4 of the kind byte selects the second kind table
+// (jump, jumpr, csr, cflush).
 func fuzzBlock(cfg Config, data []byte) *Block {
 	blk := &Block{EntryPC: 0x100, FallPC: 0x200}
 	var cur []Syllable
+	var recs [2][]Syllable
 	flush := func() {
 		if len(cur) > 0 {
 			blk.Bundles = append(blk.Bundles, pad(cfg, cur...))
@@ -278,21 +409,39 @@ func fuzzBlock(cfg Config, data []byte) *Block {
 				sy.Op = riscv.CFLUSHALL
 			}
 		}
+		if k&fuzzMCB != 0 {
+			switch sy.Kind {
+			case KLoadD:
+				sy.Kind, sy.Tag = KLoadS, op>>2&1
+			case KBrExit:
+				sy.Kind, sy.Op, sy.Imm, sy.Tag = KChk, 0, 0, op>>2&1
+				sy.Rec = int16(op >> 3 & 1)
+				if op>>4 == 0xF {
+					sy.Rec = 2
+				}
+			}
+		}
+		if k&fuzzRecovery != 0 {
+			recs[op>>7] = append(recs[op>>7], sy)
+			continue
+		}
 		cur = append(cur, sy)
 		if k&8 != 0 || len(cur) == cfg.Width() {
 			flush()
 		}
 	}
 	flush()
+	blk.Recoveries = recs[:]
 	blk.GuestInsts = int(pc-0x100) / 4
 	return blk
 }
 
 // fuzzSyl encodes one syllable the way fuzzBlock decodes it: kind
-// selector k (0–7 the first table, 8–11 the second), fuzzRegs indexes,
-// immediate and op selectors, and whether the bundle ends after it.
+// selector k (0–7 the first table, 8–11 the second, either with the
+// fuzzMCB and fuzzRecovery flags), fuzzRegs indexes, immediate and op
+// selectors, and whether the bundle ends after it.
 func fuzzSyl(k, dst, ra, rb, im, op byte, end bool) []byte {
-	k = k&7 | (k&8)<<1 | rb>>2<<7
+	k = k&7 | (k&8)<<1 | k&(fuzzMCB|fuzzRecovery) | rb>>2<<7
 	if end {
 		k |= 8
 	}
@@ -307,10 +456,12 @@ func fuzzBus() *bus.Bus {
 
 // FuzzExecBundleSemantics runs random blocks on Core.Exec and on the
 // two-phase reference interpreter and requires the same registers,
-// poison bits, cycles, Stats, Instret and exit — fault kind, PC and
+// poison bits, MCB, cycles, Stats, Instret and exit — fault kind, PC and
 // message included. Each block runs twice in a row on the same state, so
 // a fault that abandons a bundle must leave nothing behind for the
-// next run either.
+// next run either. The MCB seeds (lds, store, chk and recovery
+// sequences, with and without a conflict) are the files under
+// testdata/fuzz/FuzzExecBundleSemantics, written with fuzzSyl.
 func FuzzExecBundleSemantics(f *testing.F) {
 	// Pool indexes: 1 = r1, 2 = r2, 3 = r3, 4 = r5, 5 = r6.
 	seed := func(sylls ...[]byte) []byte {
@@ -412,6 +563,9 @@ func FuzzExecBundleSemantics(f *testing.F) {
 			}
 			if c.fr.poisoned != ref.poisoned {
 				t.Fatalf("%s\npoison = %v\nreference %v", where, c.fr.poisoned, ref.poisoned)
+			}
+			if c.MCB != ref.mcb {
+				t.Fatalf("%s\nMCB = %+v\nreference %+v", where, c.MCB, ref.mcb)
 			}
 			if cycles != ref.cycles || c.Stats != ref.stats || c.Instret != ref.instret {
 				t.Fatalf("%s\ncycles %d stats %+v instret %d, reference %d %+v %d",

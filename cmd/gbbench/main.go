@@ -27,8 +27,8 @@
 //	                                        simulated cycles per
 //	                                        (benchmark, mode)
 //	gbbench -exp fig4 -checkperf base.json  fail (exit 1) if any pair's
-//	                                        simulated cycles exceed the
-//	                                        baseline's
+//	                                        simulated cycles differ from
+//	                                        the baseline's
 //
 // Each perf JSON entry also embeds the cell's full metrics snapshot
 // (the stable-name counters of the observability layer: sim.*, dbt.*,
@@ -96,7 +96,7 @@ func main() {
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel benchmark jobs (>= 1)")
 	timeout := flag.Duration("timeout", 0, "wall-clock limit per benchmark run (0 = none)")
 	perfjson := flag.String("perfjson", "", "write per-(benchmark,mode) perf JSON to this file (fig4/ptrmm/kernel)")
-	checkperf := flag.String("checkperf", "", "fail on simulated-cycle regressions vs this perf JSON baseline")
+	checkperf := flag.String("checkperf", "", "fail if any simulated-cycle count differs from this perf JSON baseline")
 	detectJSON := flag.String("detect-json", "", "with -exp detect, write the scored evaluation matrix as JSON to this file")
 	tolerateFaults := flag.Bool("tolerate-faults", false, "render persistently faulted cells as n/a instead of failing the sweep")
 	injectSeed := flag.Uint64("inject-seed", 0, "fault-injection PRNG seed")

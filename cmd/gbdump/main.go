@@ -88,7 +88,7 @@ func main() {
 		fmt.Printf("--- %#x%s (%d guest insts)\n", r.pc, symbolAt(prog, r.pc), r.blk.GuestInsts)
 		fmt.Print(r.blk.String())
 		if *encode {
-			data, err := vliw.EncodeBlock(r.blk)
+			data, err := vliw.AppendBlock(nil, r.blk)
 			fail(err)
 			fmt.Printf("    encoded: %d bytes (%.2f bytes/guest inst)\n",
 				len(data), float64(len(data))/float64(r.blk.GuestInsts))

@@ -87,8 +87,10 @@ func ReadPerf(path string) (*PerfReport, error) {
 }
 
 // CheckPerf compares current measurements against a baseline. Simulated
-// cycles are deterministic, so a regression is exact: any (benchmark,
-// mode) pair whose SimCycles exceeds the baseline fails. Pairs missing
+// cycles are deterministic, so the check is exact: any (benchmark, mode)
+// pair whose SimCycles differs from the baseline fails, fewer cycles as
+// well as more — a change of guest timing must re-record the baseline,
+// or a cycle that silently went missing would pass. Pairs missing
 // from the current report also fail (a benchmark silently dropped is
 // not a pass); pairs new in the current report are fine — they have no
 // expectation yet. Host time is never compared: it varies by machine.
@@ -107,8 +109,8 @@ func CheckPerf(current, baseline *PerfReport) error {
 				want.Benchmark, want.Mode))
 			continue
 		}
-		if e.SimCycles > want.SimCycles {
-			errs = append(errs, fmt.Errorf("harness: perf regression: %s (%s): %d simulated cycles, baseline %d (+%.2f%%)",
+		if e.SimCycles != want.SimCycles {
+			errs = append(errs, fmt.Errorf("harness: perf: %s (%s): %d simulated cycles, baseline %d (%+.2f%%)",
 				e.Benchmark, e.Mode, e.SimCycles, want.SimCycles,
 				100*(float64(e.SimCycles)/float64(want.SimCycles)-1)))
 		}

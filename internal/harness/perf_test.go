@@ -94,14 +94,24 @@ func TestCheckPerf(t *testing.T) {
 		t.Fatalf("identical cycles flagged: %v", err)
 	}
 
-	// Improvements pass; new benchmarks without expectations pass.
-	better := &PerfReport{Schema: PerfSchema, Entries: []PerfEntry{
-		{Benchmark: "gemm", Mode: "unsafe", SimCycles: 900},
+	// New benchmarks without expectations pass.
+	extra := &PerfReport{Schema: PerfSchema, Entries: []PerfEntry{
+		{Benchmark: "gemm", Mode: "unsafe", SimCycles: 1000},
 		{Benchmark: "atax", Mode: "unsafe", SimCycles: 500},
 		{Benchmark: "new-kernel", Mode: "unsafe", SimCycles: 1 << 40},
 	}}
-	if err := CheckPerf(better, baseline); err != nil {
-		t.Fatalf("improvement flagged: %v", err)
+	if err := CheckPerf(extra, baseline); err != nil {
+		t.Fatalf("unbaselined benchmark flagged: %v", err)
+	}
+
+	// A lower count is flagged too: guest timing changed, so the
+	// baseline must be re-recorded.
+	fewer := &PerfReport{Schema: PerfSchema, Entries: []PerfEntry{
+		{Benchmark: "gemm", Mode: "unsafe", SimCycles: 999},
+		{Benchmark: "atax", Mode: "unsafe", SimCycles: 500},
+	}}
+	if err := CheckPerf(fewer, baseline); err == nil || !strings.Contains(err.Error(), "gemm") {
+		t.Fatalf("a lower count is not flagged: %v", err)
 	}
 
 	// A single extra cycle is a regression, and a dropped benchmark is

@@ -20,8 +20,8 @@
 // kernel once per mode, not once per cell), and an optional on-disk
 // layer so separate processes share warm translations. A disk document
 // (schema ghostbusters/tcache/v2) is binary: each region's metadata and
-// its block in the VLIW encoding (vliw.AppendBlock: the EncodeBlock
-// words plus a GuestPC side table), closed by a CRC-32C. Disk writes
+// its block in the VLIW encoding (vliw.AppendBlock: the syllable word
+// image plus a GuestPC side table), closed by a CRC-32C. Disk writes
 // are atomic (tmp + rename) and happen once per run key when a clean
 // run published new regions. A corrupt or truncated document, or a file
 // that is no document at all, degrades to a cold run and an Err(); a

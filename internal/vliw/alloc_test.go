@@ -81,16 +81,9 @@ func TestDecodeBlockAllocs(t *testing.T) {
 		{{Kind: KLoad, Op: riscv.LD, Dst: 7, Ra: 5, GuestPC: 0x108}},
 		{{Kind: KAluRR, Op: riscv.ADD, Dst: 9, Ra: 7, Rb: 8, GuestPC: 0x110}},
 	}
-	words, err := EncodeBlock(blk)
-	if err != nil {
-		t.Fatal(err)
-	}
 	full, err := AppendBlock(nil, blk)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, func() { DecodeBlock(words) }); n != 4 {
-		t.Errorf("DecodeBlock allocates %.0f objects, want 4", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { ConsumeBlock(full) }); n != 4 {
 		t.Errorf("ConsumeBlock allocates %.0f objects, want 4", n)
@@ -98,24 +91,47 @@ func TestDecodeBlockAllocs(t *testing.T) {
 }
 
 // Prepare sizes the threaded-dispatch table exactly (one op per non-nop
-// syllable plus one terminator per bundle), so building it allocates two
-// objects whatever the block's size: the table and its op slice.
+// syllable plus one terminator per bundle, then one op per recovery
+// syllable), so building it allocates two objects whatever the block's
+// size: the table and its op slice.
 func TestPrepareAllocs(t *testing.T) {
 	cfg := DefaultConfig()
-	const runs = 100
-	blks := make([]*Block, runs+1) // AllocsPerRun adds a warm-up call
-	for i := range blks {
-		blks[i] = steadyStateBlock(cfg)
+	withRecoveries := func(cfg Config) *Block {
+		blk := steadyStateBlock(cfg)
+		blk.Bundles[3][0].Rec = 1
+		blk.Recoveries = [][]Syllable{
+			{{Kind: KLoad, Op: riscv.LD, Dst: 7, Ra: 5}},
+			{
+				{Kind: KLoadS, Op: riscv.LD, Dst: 7, Ra: 5, Tag: 0},
+				{Kind: KNop},
+				{Kind: KAluRR, Op: riscv.ADD, Dst: 9, Ra: 7, Rb: 8},
+			},
+		}
+		return blk
 	}
-	next := 0
-	n := testing.AllocsPerRun(runs, func() {
-		blks[next].Prepare()
-		next++
-	})
-	if n != 2 {
-		t.Errorf("Prepare allocates %.0f objects on a fresh block, want 2", n)
-	}
-	if d := blks[0].decoded(); len(d.ops) != cap(d.ops) {
-		t.Errorf("dispatch table holds %d ops in a capacity of %d, want an exact fit", len(d.ops), cap(d.ops))
+	for _, tc := range []struct {
+		name string
+		make func(Config) *Block
+		ops  int
+	}{
+		{"bundles", steadyStateBlock, 8 + 6},
+		{"bundles and recoveries", withRecoveries, 8 + 6 + 4},
+	} {
+		const runs = 100
+		blks := make([]*Block, runs+1) // AllocsPerRun adds a warm-up call
+		for i := range blks {
+			blks[i] = tc.make(cfg)
+		}
+		next := 0
+		n := testing.AllocsPerRun(runs, func() {
+			blks[next].Prepare()
+			next++
+		})
+		if n != 2 {
+			t.Errorf("%s: Prepare allocates %.0f objects on a fresh block, want 2", tc.name, n)
+		}
+		if d := blks[0].decoded(); len(d.ops) != tc.ops || cap(d.ops) != tc.ops {
+			t.Errorf("%s: dispatch table holds %d ops in a capacity of %d, want an exact fit of %d", tc.name, len(d.ops), cap(d.ops), tc.ops)
+		}
 	}
 }

@@ -14,7 +14,8 @@ import (
 // The speculative memory operations keep distinct opcodes in the encoded
 // form, as the paper requires of the VLIW ISA.
 //
-// Image layout (64-bit little-endian words):
+// A block's encoding is its word image followed by a GuestPC side
+// table. Word image layout (64-bit little-endian words):
 //
 //	magic, EntryPC, FallPC
 //	GuestInsts (low 32) | bundle width (high 32)
@@ -35,10 +36,9 @@ import (
 //	[47]    immPool   (1 = imm is a pool index)
 //	[48:64) imm16 / pool index
 //
-// GuestPC is not part of the word image. AppendBlock/ConsumeBlock carry
-// it in a side table after the words, which makes that pair the lossless
-// codec: fault PCs, SMC extents and speculative-load attribution all
-// survive it.
+// GuestPC is not part of the word image: AppendBlock writes it to the
+// side table after the words, so fault PCs, SMC extents and
+// speculative-load attribution all survive the codec.
 const blockMagic = 0x3130574C49564247 // "GBVLIW01", little-endian
 
 // maxWidth bounds the bundle width an image may declare.
@@ -50,9 +50,7 @@ const recMax = 1<<12 - 1
 
 var errTruncated = errors.New("vliw: truncated block image")
 
-// EncodeBlock serialises a block to its binary word image.
-func EncodeBlock(b *Block) ([]byte, error) { return appendWords(nil, b) }
-
+// appendWords appends the word image of b to dst.
 func appendWords(dst []byte, b *Block) ([]byte, error) {
 	width := 0
 	if len(b.Bundles) > 0 {
@@ -132,22 +130,6 @@ func appendWords(dst []byte, b *Block) ([]byte, error) {
 		put(v)
 	}
 	return dst, nil
-}
-
-// DecodeBlock parses the word image produced by EncodeBlock. Every
-// GuestPC of the result is 0; ConsumeBlock restores them.
-func DecodeBlock(data []byte) (*Block, error) {
-	if len(data)%8 != 0 {
-		return nil, errTruncated
-	}
-	b, n, err := decodeWords(data)
-	if err != nil {
-		return nil, err
-	}
-	if n != len(data) {
-		return nil, fmt.Errorf("vliw: %d bytes after the constant pool", len(data)-n)
-	}
-	return b, nil
 }
 
 // decodeWords parses one word image from the front of data and returns
@@ -259,10 +241,10 @@ func decodeSyllable(s *Syllable, w uint64, pool []byte) error {
 	return nil
 }
 
-// AppendBlock appends the lossless form of b to dst: its EncodeBlock
-// word image, then the GuestPC side table — per syllable, bundles first
-// and recoveries after, the zigzag uvarint of its GuestPC minus the
-// previous syllable's (EntryPC before the first).
+// AppendBlock appends the encoding of b to dst: its word image, then
+// the GuestPC side table — per syllable, bundles first and recoveries
+// after, the zigzag uvarint of its GuestPC minus the previous
+// syllable's (EntryPC before the first).
 func AppendBlock(dst []byte, b *Block) ([]byte, error) {
 	dst, err := appendWords(dst, b)
 	if err != nil {
@@ -287,7 +269,7 @@ func AppendBlock(dst []byte, b *Block) ([]byte, error) {
 
 // ConsumeBlock decodes one block written by AppendBlock from the front
 // of src, GuestPCs included, and returns it with the number of bytes it
-// read. Like DecodeBlock it rejects hostile input with an error.
+// read. It rejects hostile input with an error, never a panic.
 func ConsumeBlock(src []byte) (*Block, int, error) {
 	b, n, err := decodeWords(src)
 	if err != nil {

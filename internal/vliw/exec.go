@@ -3,7 +3,6 @@ package vliw
 import (
 	"ghostbusters/internal/bus"
 	"ghostbusters/internal/obs"
-	"ghostbusters/internal/riscv"
 	"ghostbusters/internal/trap"
 )
 
@@ -27,7 +26,8 @@ type Stats struct {
 // Core executes translated blocks in order, bundle by bundle, with the
 // cycle accounting of an in-order VLIW: one cycle per bundle, the whole
 // machine stalls on a cache miss, taken side exits pay a refill penalty,
-// and MCB conflicts pay the DBT-generated recovery sequence.
+// and MCB conflicts pay a fixed penalty plus one cycle per op of the
+// DBT-generated recovery sequence.
 //
 // Speculative results carry a poison bit (the NaT-style deferred
 // exception of Transmeta-like machines): a dismissable load whose fault
@@ -52,8 +52,8 @@ type Core struct {
 
 	// scr holds the per-bundle scratch state, kept on the core so the
 	// steady-state execution loop is allocation-free: the recovery list
-	// grows to the widest bundle once and is then reused for every
-	// bundle of every block.
+	// grows to the most chks of one bundle once and is then reused for
+	// every bundle of every block.
 	scr execScratch
 
 	// fr is the per-Exec frame the threaded-dispatch handlers operate
@@ -65,9 +65,9 @@ type Core struct {
 // bundle's staged writes, indexed by destination register (the
 // terminator commits the registers its mask names, and every one of
 // them is written earlier in the same bundle, so stale slots are never
-// read), and the recoveries its chks requested.
+// read), and the chks that found a conflict, in check order.
 type execScratch struct {
-	recov  []int16
+	recov  []*dop
 	val    [NumRegs]uint64
 	poison [NumRegs]bool
 }
@@ -85,10 +85,11 @@ func NewCore(cfg Config) (*Core, error) {
 
 // Reset returns c to the state NewCore(cfg) builds: zero statistics, an
 // empty MCB, no tracer, and no reference to the last block, bus or
-// register file it ran on. It keeps the scratch recovery list's memory.
-// cfg must be valid (see Config.Validate).
+// register file it ran on. It keeps the scratch recovery list's memory,
+// cleared. cfg must be valid (see Config.Validate).
 func (c *Core) Reset(cfg Config) {
 	recov := c.scr.recov[:0]
+	clear(recov[:cap(recov)])
 	*c = Core{Cfg: cfg}
 	c.scr.recov = recov
 }
@@ -127,8 +128,8 @@ func errInternal(pc uint64, format string, args ...any) *trap.Fault {
 // Dispatch is threaded-code style: the block's predecoded dop table
 // (built once, see threaded.go) is walked with one indirect call per
 // live operation; bundle boundaries are pseudo-ops carrying the write
-// phase, MCB recoveries and the exit decision. Semantics and cycle
-// accounting are identical to the original per-bundle interpreter.
+// phase, MCB recoveries and the exit decision. A recovery runs the ops
+// predecoded for it in the same table.
 func (c *Core) Exec(blk *Block, regs *[NumRegs]uint64, b *bus.Bus, cycles *uint64) ExitInfo {
 	fr := &c.fr
 	fr.regs, fr.b, fr.cycles, fr.blk = regs, b, cycles, blk
@@ -150,10 +151,10 @@ func (c *Core) Exec(blk *Block, regs *[NumRegs]uint64, b *bus.Bus, cycles *uint6
 		return ExitInfo{NextPC: blk.FallPC}
 	}
 
-	dec := blk.decoded()
+	ops := blk.decoded().ops
+	fr.ops = ops
 	*cycles++
 	c.Stats.Bundles++
-	ops := dec.ops
 	for i := 0; i < len(ops); i++ {
 		d := &ops[i]
 		if d.fn(c, d) != ctlNext {
@@ -162,96 +163,4 @@ func (c *Core) Exec(blk *Block, regs *[NumRegs]uint64, b *bus.Bus, cycles *uint6
 	}
 	// Unreachable: the final bundle's terminator always stops.
 	return fr.exit
-}
-
-// execRecovery re-executes a speculative load and its forward slice
-// sequentially (one syllable per cycle) with architectural semantics —
-// the hardware "rolls back and re-executes the instruction correctly"
-// (paper, Section III-B). Dependent speculative loads refresh their MCB
-// entries with the corrected address so their own chk still validates.
-func (c *Core) execRecovery(seq []Syllable, regs *[NumRegs]uint64, poisoned *[NumRegs]bool, b *bus.Bus, cycles *uint64) *ExitInfo {
-	hitLat := b.DC.HitLatency()
-	read := func(r uint8) uint64 {
-		if r == 0 {
-			return 0
-		}
-		return regs[r]
-	}
-	write := func(r uint8, v uint64, p bool) {
-		if r != 0 {
-			regs[r] = v
-			poisoned[r] = p
-		}
-	}
-	failf := func(sy *Syllable, err error) *ExitInfo {
-		c.MCB.Reset()
-		f := trap.From(err)
-		if f.PC == 0 {
-			f.PC = sy.GuestPC
-		}
-		return &ExitInfo{Fault: f, FaultPC: sy.GuestPC}
-	}
-	for i := range seq {
-		sy := &seq[i]
-		*cycles++
-		switch sy.Kind {
-		case KAluRR:
-			p := (sy.Ra != 0 && poisoned[sy.Ra]) || (sy.Rb != 0 && poisoned[sy.Rb])
-			write(sy.Dst, riscv.EvalALU(sy.Op, read(sy.Ra), read(sy.Rb)), p)
-		case KAluRI:
-			write(sy.Dst, riscv.EvalALUImm(sy.Op, read(sy.Ra), sy.Imm), sy.Ra != 0 && poisoned[sy.Ra])
-		case KMovI:
-			write(sy.Dst, uint64(sy.Imm), false)
-		case KCommit:
-			if sy.Ra != 0 && poisoned[sy.Ra] {
-				return failf(sy, errPoisonUse(sy))
-			}
-			write(sy.Dst, read(sy.Ra), false)
-		case KLoad:
-			if sy.Ra != 0 && poisoned[sy.Ra] {
-				return failf(sy, errPoisonUse(sy))
-			}
-			addr := read(sy.Ra) + uint64(sy.Imm)
-			v, lat, err := b.Load(addr, sy.Op.MemSize())
-			if err != nil {
-				return failf(sy, err)
-			}
-			if lat > hitLat {
-				*cycles += lat - hitLat
-			}
-			write(sy.Dst, riscv.ExtendLoad(sy.Op, v), false)
-		case KLoadD, KLoadS:
-			// Still ahead of its own chk: keep dismissable semantics and
-			// refresh the MCB entry with the corrected address.
-			squashed := sy.Ra != 0 && poisoned[sy.Ra]
-			var val, addr uint64
-			if !squashed {
-				addr = read(sy.Ra) + uint64(sy.Imm)
-				v, lat, ok := b.LoadSpeculative(addr, sy.Op.MemSize())
-				if ok {
-					if lat > hitLat {
-						*cycles += lat - hitLat
-					}
-					val = riscv.ExtendLoad(sy.Op, v)
-					if b.OnSpecLoad != nil {
-						b.OnSpecLoad(sy.GuestPC, addr, *cycles)
-					}
-				} else {
-					squashed = true
-				}
-			}
-			if sy.Kind == KLoadS {
-				if _, _, err := c.MCB.Consume(sy.Tag); err != nil {
-					return failf(sy, err)
-				}
-				if err := c.MCB.Insert(sy.Tag, addr, sy.Op.MemSize(), squashed); err != nil {
-					return failf(sy, err)
-				}
-			}
-			write(sy.Dst, val, squashed)
-		default:
-			return failf(sy, errInternal(sy.GuestPC, "vliw: kind %s not allowed in recovery code", sy.Kind))
-		}
-	}
-	return nil
 }

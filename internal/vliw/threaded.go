@@ -16,10 +16,11 @@ import (
 // branch / extend semantics resolved to direct function values, each
 // result's write mode fixed (see writeSchedule) and the handler chosen
 // for it (see specialise), and a bundle-terminator pseudo-op carrying
-// the write-phase, recovery and exit logic. The
-// table is built at translation time (or lazily on first dispatch) and
-// shared read-only afterwards, so the steady-state execution loop stays
-// allocation-free.
+// the write-phase, recovery and exit logic. The block's MCB recovery
+// sequences follow the last terminator in the same table, one op per
+// syllable, each a bundle of its own. The table is built at translation
+// time (or lazily on first dispatch) and shared read-only afterwards,
+// so the steady-state execution loop stays allocation-free.
 
 // ctl is a handler's verdict: continue with the next dop, or stop the
 // block (c.fr.exit holds the completed ExitInfo, fault or not).
@@ -47,7 +48,8 @@ const (
 // hot path never switches on riscv.Op again. sy points back into the
 // block's bundle storage for diagnostics (poison faults print the
 // original syllable). A bundle terminator carries the bundle's staged
-// write mask in imm. The dop stays one 64-byte cache line.
+// write mask in imm, and a chk where its recovery's ops sit (see
+// recoveryRange). The dop stays one 64-byte cache line.
 type dop struct {
 	fn  func(c *Core, d *dop) ctl
 	alu func(a, b uint64) uint64
@@ -77,6 +79,7 @@ type execFrame struct {
 	b         *bus.Bus
 	cycles    *uint64
 	blk       *Block
+	ops       []dop
 	hitLat    uint64
 	exitTo    uint64
 	exitPC    uint64
@@ -206,31 +209,37 @@ func opLoad(c *Core, d *dop) ctl {
 	return c.push(d, d.ext(v), false)
 }
 
+// specAccess is the memory side of a dismissable load, issued or
+// replayed: a poisoned base squashes it before any access, and so does
+// a faulting address; otherwise it fills the cache, stalls on a miss
+// and tells the ground-truth observer. A squashed load reads 0.
+func (c *Core) specAccess(d *dop) (val, addr uint64, squashed bool) {
+	fr := &c.fr
+	if fr.poisonIn(d.ra) {
+		return 0, 0, true
+	}
+	addr = fr.read(d.ra) + uint64(d.imm)
+	v, lat, ok := fr.b.LoadSpeculative(addr, int(d.siz))
+	if !ok {
+		return 0, addr, true
+	}
+	if lat > fr.hitLat {
+		*fr.cycles += lat - fr.hitLat
+	}
+	if fr.b.OnSpecLoad != nil {
+		// The ground-truth observer: this cache fill happened under
+		// speculation (see bus.OnSpecLoad).
+		fr.b.OnSpecLoad(d.pc, addr, *fr.cycles)
+	}
+	return d.ext(v), addr, false
+}
+
 // specLoad is the shared body of KLoadD/KLoadS: dismissable semantics,
-// poison on squash, ground-truth observer hook, spec-level tracing.
+// poison on squash, spec-level statistics and tracing.
 func specLoad(c *Core, d *dop, mcb bool) ctl {
 	fr := &c.fr
 	c.Stats.SpecLoads++
-	squashed := fr.poisonIn(d.ra)
-	var val uint64
-	var addr uint64
-	if !squashed {
-		addr = fr.read(d.ra) + uint64(d.imm)
-		v, lat, ok := fr.b.LoadSpeculative(addr, int(d.siz))
-		if ok {
-			if lat > fr.hitLat {
-				*fr.cycles += lat - fr.hitLat
-			}
-			val = d.ext(v)
-			if fr.b.OnSpecLoad != nil {
-				// The ground-truth observer: this cache fill
-				// happened under speculation (see bus.OnSpecLoad).
-				fr.b.OnSpecLoad(d.pc, addr, *fr.cycles)
-			}
-		} else {
-			squashed = true
-		}
-	}
+	val, addr, squashed := c.specAccess(d)
 	if squashed {
 		c.Stats.SpecSquash++
 	}
@@ -254,6 +263,27 @@ func specLoad(c *Core, d *dop, mcb bool) ctl {
 
 func opLoadD(c *Core, d *dop) ctl { return specLoad(c, d, false) }
 func opLoadS(c *Core, d *dop) ctl { return specLoad(c, d, true) }
+
+// A replayed ldd or lds (recovery code) is still ahead of its own chk,
+// so it stays dismissable, but it is no new speculation: Stats and the
+// tracer do not see it. A replayed lds re-arms its tag at the corrected
+// address, so its own chk still validates.
+
+func opReplayLoadD(c *Core, d *dop) ctl {
+	val, _, squashed := c.specAccess(d)
+	return c.push(d, val, squashed)
+}
+
+func opReplayLoadS(c *Core, d *dop) ctl {
+	val, addr, squashed := c.specAccess(d)
+	if _, _, err := c.MCB.Consume(d.tag); err != nil {
+		return c.fail(err, d.pc)
+	}
+	if err := c.MCB.Insert(d.tag, addr, int(d.siz), squashed); err != nil {
+		return c.fail(err, d.pc)
+	}
+	return c.push(d, val, squashed)
+}
 
 func opStore(c *Core, d *dop) ctl {
 	fr := &c.fr
@@ -288,7 +318,7 @@ func opChk(c *Core, d *dop) ctl {
 		return c.fail(trap.Newf(trap.DeferredFault, "speculative load fault delivered at chk"), d.pc)
 	}
 	if conflict {
-		c.scr.recov = append(c.scr.recov, d.rec)
+		c.scr.recov = append(c.scr.recov, d)
 	}
 	return ctlNext
 }
@@ -359,9 +389,15 @@ func opBadKind(c *Core, d *dop) ctl {
 	return c.fail(errInternal(d.pc, "vliw: unknown syllable kind %d", d.sy.Kind), d.pc)
 }
 
+func opRecoveryBadKind(c *Core, d *dop) ctl {
+	return c.fail(errInternal(d.pc, "vliw: kind %s not allowed in recovery code", d.sy.Kind), d.pc)
+}
+
 // finishBundle runs the bundle's write phase (the staged writes named
 // by the terminator's mask; direct writes have already landed), any MCB
-// recoveries detected in check order, and the exit decision.
+// recoveries detected in check order, and the exit decision. A recovery
+// costs the fixed penalty, then one cycle per op, and its ops run in
+// order, each one's write landing before the next reads.
 func (c *Core) finishBundle(term *dop) ctl {
 	fr := &c.fr
 	scr := &c.scr
@@ -375,22 +411,25 @@ func (c *Core) finishBundle(term *dop) ctl {
 	blk := fr.blk
 	recov := scr.recov
 	scr.recov = recov[:0]
-	for _, rec := range recov {
-		if int(rec) < 0 || int(rec) >= len(blk.Recoveries) {
-			return c.fail(errInternal(0, "vliw: recovery %d out of range", rec), 0)
+	for _, chk := range recov {
+		if chk.imm < 0 {
+			return c.fail(errInternal(0, "vliw: recovery %d out of range", chk.rec), 0)
 		}
 		c.Stats.Recoveries++
 		*fr.cycles += c.Cfg.RecoveryPenalty
+		seq := fr.ops[chk.imm>>32:][:uint32(chk.imm)]
 		if c.Tracer.SpecOn() {
 			var rpc uint64
-			if seq := blk.Recoveries[rec]; len(seq) > 0 {
-				rpc = seq[0].GuestPC
+			if len(seq) > 0 {
+				rpc = seq[0].pc
 			}
-			c.Tracer.Emit(obs.Event{Kind: obs.EvRecovery, Cycle: *fr.cycles, PC: rpc, Arg1: uint64(rec)})
+			c.Tracer.Emit(obs.Event{Kind: obs.EvRecovery, Cycle: *fr.cycles, PC: rpc, Arg1: uint64(chk.rec)})
 		}
-		if ei := c.execRecovery(blk.Recoveries[rec], fr.regs, &fr.poisoned, fr.b, fr.cycles); ei != nil {
-			fr.exit = *ei
-			return ctlStop
+		for i := range seq {
+			*fr.cycles++
+			if d := &seq[i]; d.fn(c, d) != ctlNext {
+				return ctlStop
+			}
 		}
 	}
 
@@ -456,16 +495,21 @@ func opEndBlock(c *Core, d *dop) ctl {
 }
 
 // buildDecoded flattens a block into its threaded-dispatch table: one
-// op per non-nop syllable plus one terminator per bundle, allocated once
-// at that exact size, with each bundle's write schedule fixed.
+// op per non-nop syllable plus one terminator per bundle, then one op
+// per recovery syllable, allocated once at that exact size, with each
+// bundle's write schedule fixed.
 func buildDecoded(blk *Block) *decoded {
-	n := len(blk.Bundles)
+	nb := len(blk.Bundles)
 	for _, bundle := range blk.Bundles {
 		for i := range bundle {
 			if bundle[i].Kind != KNop {
-				n++
+				nb++
 			}
 		}
+	}
+	n := nb
+	for _, seq := range blk.Recoveries {
+		n += len(seq)
 	}
 	ops := make([]dop, 0, n)
 	for bi := range blk.Bundles {
@@ -476,46 +520,9 @@ func buildDecoded(blk *Block) *decoded {
 			if sy.Kind == KNop {
 				continue
 			}
-			d := dop{
-				sy: sy, imm: sy.Imm, pc: sy.GuestPC,
-				dst: sy.Dst, ra: sy.Ra, rb: sy.Rb,
-				tag: sy.Tag, rec: sy.Rec,
-			}
-			switch sy.Kind {
-			case KAluRR:
-				d.fn, d.alu = opAluRR, aluFunc(sy.Op)
-			case KAluRI:
-				d.fn, d.alu = opAluRI, aluImmFunc(sy.Op)
-			case KMovI:
-				d.fn = opMovI
-			case KLoad:
-				d.fn, d.siz, d.ext = opLoad, uint8(sy.Op.MemSize()), extendFunc(sy.Op)
-			case KLoadD:
-				d.fn, d.siz, d.ext = opLoadD, uint8(sy.Op.MemSize()), extendFunc(sy.Op)
-			case KLoadS:
-				d.fn, d.siz, d.ext = opLoadS, uint8(sy.Op.MemSize()), extendFunc(sy.Op)
-			case KStore:
-				d.fn, d.siz = opStore, uint8(sy.Op.MemSize())
-			case KChk:
-				d.fn = opChk
-			case KBrExit:
-				d.fn, d.cmp = opBrExit, branchFunc(sy.Op)
-			case KJump:
-				d.fn = opJump
-			case KJumpR:
-				d.fn = opJumpR
-			case KCsr:
-				d.fn = opCsr
-			case KFlush:
-				if sy.Op == riscv.CFLUSHALL {
-					d.fn = opFlushAll
-				} else {
-					d.fn = opFlushLine
-				}
-			case KCommit:
-				d.fn = opCommit
-			default:
-				d.fn = opBadKind
+			d := newDop(sy)
+			if sy.Kind == KChk {
+				d.imm = recoveryRange(blk, nb, sy.Rec)
 			}
 			ops = append(ops, d)
 		}
@@ -532,7 +539,88 @@ func buildDecoded(blk *Block) *decoded {
 		}
 		ops = append(ops, term)
 	}
+	// Recovery code runs sequentially: each op is a bundle of its own,
+	// so every write is direct. Nops stay, since each op costs a cycle.
+	for _, seq := range blk.Recoveries {
+		for i := range seq {
+			ops = append(ops, newDop(&seq[i]))
+			d := &ops[len(ops)-1]
+			switch d.sy.Kind {
+			case KAluRR, KAluRI, KMovI, KLoad, KCommit:
+			case KLoadD:
+				d.fn = opReplayLoadD
+			case KLoadS:
+				d.fn = opReplayLoadS
+			default:
+				d.fn = opRecoveryBadKind
+			}
+			writeSchedule(ops[len(ops)-1:])
+			specialise(d)
+		}
+	}
 	return &decoded{ops: ops}
+}
+
+// newDop predecodes one syllable: its operands, its semantic functions
+// and its generic handler.
+func newDop(sy *Syllable) dop {
+	d := dop{
+		sy: sy, imm: sy.Imm, pc: sy.GuestPC,
+		dst: sy.Dst, ra: sy.Ra, rb: sy.Rb,
+		tag: sy.Tag, rec: sy.Rec,
+	}
+	switch sy.Kind {
+	case KAluRR:
+		d.fn, d.alu = opAluRR, aluFunc(sy.Op)
+	case KAluRI:
+		d.fn, d.alu = opAluRI, aluImmFunc(sy.Op)
+	case KMovI:
+		d.fn = opMovI
+	case KLoad:
+		d.fn, d.siz, d.ext = opLoad, uint8(sy.Op.MemSize()), extendFunc(sy.Op)
+	case KLoadD:
+		d.fn, d.siz, d.ext = opLoadD, uint8(sy.Op.MemSize()), extendFunc(sy.Op)
+	case KLoadS:
+		d.fn, d.siz, d.ext = opLoadS, uint8(sy.Op.MemSize()), extendFunc(sy.Op)
+	case KStore:
+		d.fn, d.siz = opStore, uint8(sy.Op.MemSize())
+	case KChk:
+		d.fn = opChk
+	case KBrExit:
+		d.fn, d.cmp = opBrExit, branchFunc(sy.Op)
+	case KJump:
+		d.fn = opJump
+	case KJumpR:
+		d.fn = opJumpR
+	case KCsr:
+		d.fn = opCsr
+	case KFlush:
+		if sy.Op == riscv.CFLUSHALL {
+			d.fn = opFlushAll
+		} else {
+			d.fn = opFlushLine
+		}
+	case KCommit:
+		d.fn = opCommit
+	default:
+		d.fn = opBadKind
+	}
+	return d
+}
+
+// recoveryRange is what a chk's imm holds: where recovery rec's ops sit
+// in a table whose bundle part holds nb ops, as the first index in the
+// high 32 bits and the count in the low 32, or -1 when the block has no
+// recovery rec (a conflict on that chk is an internal error).
+func recoveryRange(blk *Block, nb int, rec int16) int64 {
+	if rec < 0 || int(rec) >= len(blk.Recoveries) {
+		return -1
+	}
+	lo := nb
+	for _, seq := range blk.Recoveries[:rec] {
+		lo += len(seq)
+	}
+	return int64(lo)<<32 | int64(len(blk.Recoveries[rec]))
 }
 
 // writeSchedule sets the write mode of every writing dop of one bundle
@@ -631,11 +719,21 @@ func canFault(sy *Syllable) bool {
 	return true
 }
 
-// Pre-resolved semantic functions. Named package-level functions for
-// the common operations keep decode allocation-light; rare or unknown
-// operations fall back to a closure over the generic evaluator so the
-// semantics (including the zero result for unknown ops) stay identical
-// to the switch-based interpreter.
+// Pre-resolved semantic functions. Named package-level functions cover
+// the common operations; rare or unknown operations fall back to the
+// generic evaluator, through closures built once per riscv.Op so that
+// predecoding allocates nothing, and the semantics (including the zero
+// result for unknown ops) stay those of riscv.EvalALU/EvalALUImm.
+
+var aluEval, aluImmEval [256]func(a, b uint64) uint64
+
+func init() {
+	for i := range aluEval {
+		op := riscv.Op(i)
+		aluEval[i] = func(a, b uint64) uint64 { return riscv.EvalALU(op, a, b) }
+		aluImmEval[i] = func(a, b uint64) uint64 { return riscv.EvalALUImm(op, a, int64(b)) }
+	}
+}
 
 func aluAdd(a, b uint64) uint64  { return a + b }
 func aluSub(a, b uint64) uint64  { return a - b }
@@ -700,7 +798,7 @@ func aluFunc(op riscv.Op) func(a, b uint64) uint64 {
 	case riscv.MUL:
 		return aluMul
 	}
-	return func(a, b uint64) uint64 { return riscv.EvalALU(op, a, b) }
+	return aluEval[op]
 }
 
 // aluImmFunc resolves a register-immediate ALU op to a two-operand
@@ -736,7 +834,7 @@ func aluImmFunc(op riscv.Op) func(a, b uint64) uint64 {
 	case riscv.SRAIW:
 		return aluSraw
 	}
-	return func(a, b uint64) uint64 { return riscv.EvalALUImm(op, a, int64(b)) }
+	return aluImmEval[op]
 }
 
 func extIdent(v uint64) uint64 { return v }

@@ -559,7 +559,7 @@ func TestMCBUnit(t *testing.T) {
 	}
 }
 
-// Encoding round trip over randomized blocks.
+// Encoding round trip over randomized blocks, GuestPCs included.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	kinds := []Kind{KNop, KAluRR, KAluRI, KMovI, KLoad, KLoadD, KLoadS, KStore, KChk, KBrExit, KJump, KJumpR, KCsr, KFlush, KCommit}
@@ -600,71 +600,39 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			}
 			blk.Recoveries = append(blk.Recoveries, rec)
 		}
-		data, err := EncodeBlock(blk)
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		got, err := DecodeBlock(data)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if got.EntryPC != blk.EntryPC || got.FallPC != blk.FallPC || got.GuestInsts != blk.GuestInsts {
-			t.Fatalf("header mismatch: %+v vs %+v", got, blk)
-		}
-		if len(got.Bundles) != len(blk.Bundles) || len(got.Recoveries) != len(blk.Recoveries) {
-			t.Fatalf("shape mismatch")
-		}
-		for i := range blk.Bundles {
-			for j := range blk.Bundles[i] {
-				want := blk.Bundles[i][j]
-				want.GuestPC = 0 // not encoded
-				if got.Bundles[i][j] != want {
-					t.Fatalf("bundle %d syll %d: got %+v want %+v", i, j, got.Bundles[i][j], want)
-				}
-			}
-		}
-		for i := range blk.Recoveries {
-			for j := range blk.Recoveries[i] {
-				want := blk.Recoveries[i][j]
-				want.GuestPC = 0
-				if got.Recoveries[i][j] != want {
-					t.Fatalf("rec %d syll %d mismatch", i, j)
-				}
-			}
-		}
-		// The lossless codec restores everything, GuestPCs included.
 		full, err := AppendBlock([]byte("prefix"), blk)
 		if err != nil {
 			t.Fatalf("append: %v", err)
 		}
-		lossless, n, err := ConsumeBlock(full[len("prefix"):])
+		got, n, err := ConsumeBlock(full[len("prefix"):])
 		if err != nil {
 			t.Fatalf("consume: %v", err)
 		}
-		if n != len(full)-len("prefix") || !reflect.DeepEqual(lossless, blk) {
-			t.Fatalf("lossless round trip (%d of %d bytes):\n%v\nwant\n%v", n, len(full)-len("prefix"), lossless, blk)
+		if n != len(full)-len("prefix") || !reflect.DeepEqual(got, blk) {
+			t.Fatalf("round trip (%d of %d bytes):\n%v\nwant\n%v", n, len(full)-len("prefix"), got, blk)
 		}
 	}
 }
 
 func TestDecodeRejectsCorrupt(t *testing.T) {
 	blk := &Block{Bundles: []Bundle{{Syllable{Kind: KMovI, Dst: 5, Imm: 1}}}}
-	data, err := EncodeBlock(blk)
+	data, err := AppendBlock(nil, blk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeBlock(data[:8]); err == nil {
+	words := len(data) - 1 // one GuestPC delta byte follows the word image
+	if _, _, err := ConsumeBlock(data[:8]); err == nil {
 		t.Error("truncated image accepted")
 	}
 	bad := append([]byte(nil), data...)
 	bad[0] ^= 0xFF
-	if _, err := DecodeBlock(bad); err == nil {
+	if _, _, err := ConsumeBlock(bad); err == nil {
 		t.Error("bad magic accepted")
 	}
-	if _, err := DecodeBlock(data[:len(data)-8]); err == nil {
+	if _, _, err := ConsumeBlock(data[:words-8]); err == nil {
 		t.Error("missing pool accepted")
 	}
-	if _, _, err := ConsumeBlock(data); err == nil {
+	if _, _, err := ConsumeBlock(data[:words]); err == nil {
 		t.Error("missing GuestPC table accepted")
 	}
 }
@@ -697,15 +665,13 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 		"kind past KCommit":                                  image(blockMagic, 0, 0, 1<<32, 1, uint64(KCommit+1), 0),
 	}
 	for name, data := range cases {
-		if _, err := DecodeBlock(data); err == nil {
-			t.Errorf("%s: DecodeBlock accepted it", name)
-		}
 		if _, _, err := ConsumeBlock(append(data, 0, 0, 0)); err == nil {
 			t.Errorf("%s: ConsumeBlock accepted it", name)
 		}
 	}
-	// The well-formed neighbour of the cases above decodes.
-	if _, err := DecodeBlock(image(blockMagic, 0, 0, 1<<32, 1, nop, 0)); err != nil {
+	// The well-formed neighbour of the cases above, with its one
+	// GuestPC delta, decodes.
+	if _, _, err := ConsumeBlock(append(image(blockMagic, 0, 0, 1<<32, 1, nop, 0), 0)); err != nil {
 		t.Errorf("one-nop image rejected: %v", err)
 	}
 }
@@ -975,7 +941,8 @@ func TestWriteSchedule(t *testing.T) {
 // in-place handler (add and addi their inline one), everything
 // else keeps the generic handler and push; a non-final bundle that
 // stages nothing and holds no chk, br.exit, jump or jumpr gets the plain
-// end; the final bundle always gets opEndBlock.
+// end; the final bundle always gets opEndBlock. Recovery ops follow it,
+// each a one-op bundle, so every recovery write is direct.
 func TestDecodedSpecialisation(t *testing.T) {
 	type handler = func(*Core, *dop) ctl
 	name := map[uintptr]string{}
@@ -988,6 +955,7 @@ func TestDecodedSpecialisation(t *testing.T) {
 		"opAddDirect": opAddDirect, "opAddIDirect": opAddIDirect,
 		"opMovIDirect": opMovIDirect, "opCommitDirect": opCommitDirect,
 		"opEndBundle": opEndBundle, "opEndBundlePlain": opEndBundlePlain, "opEndBlock": opEndBlock,
+		"opReplayLoadD": opReplayLoadD, "opReplayLoadS": opReplayLoadS, "opRecoveryBadKind": opRecoveryBadKind,
 	} {
 		name[reflect.ValueOf(fn).Pointer()] = n
 	}
@@ -997,9 +965,10 @@ func TestDecodedSpecialisation(t *testing.T) {
 	}
 	ld := Syllable{Kind: KLoad, Op: riscv.LD, Dst: 20, Ra: 21}
 	cases := []struct {
-		name    string
-		bundles [][]Syllable
-		want    []string // one per dop, terminators included
+		name       string
+		bundles    [][]Syllable
+		recoveries [][]Syllable
+		want       []string // one per dop, terminators included
 	}{
 		{
 			name: "direct writes",
@@ -1078,15 +1047,41 @@ func TestDecodedSpecialisation(t *testing.T) {
 			bundles: [][]Syllable{{{Kind: KMovI, Dst: 5, Imm: 1}}},
 			want:    []string{"opMovIDirect", "opEndBlock"},
 		},
+		{
+			name:    "recovery ops",
+			bundles: [][]Syllable{{{Kind: KChk, Tag: 0, Rec: 1}}},
+			recoveries: [][]Syllable{{ld}, {
+				ld,
+				{Kind: KAluRR, Op: riscv.ADD, Dst: 5, Ra: 20, Rb: 2},
+				{Kind: KAluRI, Op: riscv.SLLI, Dst: 6, Ra: 5, Imm: 3},
+				{Kind: KLoadD, Op: riscv.LD, Dst: 7, Ra: 6},
+				{Kind: KLoadS, Op: riscv.LW, Dst: 8, Ra: 7, Tag: 1},
+				{Kind: KCommit, Dst: 9, Ra: 8},
+				{Kind: KMovI, Dst: 0, Imm: 1},
+				{Kind: KStore, Op: riscv.SD, Ra: 1, Rb: 2},
+				{Kind: KNop},
+				{Kind: KCsr, Op: riscv.CSRRS, Dst: 10, Imm: riscv.CSRCycle},
+			}},
+			want: []string{
+				"opChk", "opEndBlock",
+				"opLoad",
+				"opLoad", "opAddDirect", "opAluRIDirect", "opReplayLoadD", "opReplayLoadS",
+				"opCommitDirect", "opMovI", "opRecoveryBadKind", "opRecoveryBadKind", "opRecoveryBadKind",
+			},
+		},
 	}
 	cfg := DefaultConfig()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			blk := &Block{}
+			blk := &Block{Recoveries: tc.recoveries}
 			for _, b := range tc.bundles {
 				blk.Bundles = append(blk.Bundles, pad(cfg, b...))
 			}
 			ops := buildDecoded(blk).ops
+			end := len(ops)
+			for _, seq := range blk.Recoveries {
+				end -= len(seq)
+			}
 			var got []string
 			first := 0
 			for i := range ops {
@@ -1097,9 +1092,12 @@ func TestDecodedSpecialisation(t *testing.T) {
 					if direct[n] && (d.wm != wmDirect || d.dst == 0) {
 						t.Errorf("%s (write mode %d, r%d) got the direct handler %s", d.sy, d.wm, d.dst, n)
 					}
+					if i >= end && d.dst != 0 && writesDst(d.sy.Kind) && d.wm != wmDirect {
+						t.Errorf("recovery op %s has write mode %d, want direct", d.sy, d.wm)
+					}
 					continue
 				}
-				last := i == len(ops)-1
+				last := i == end-1
 				if last != (n == "opEndBlock") {
 					t.Errorf("terminator %d is %s; the final bundle, and only it, ends the block", i, n)
 				}

@@ -43,7 +43,8 @@ func translatedBlocks(t testing.TB, src string) []*vliw.Block {
 // FuzzDecodeBlock feeds hostile images to ConsumeBlock. It may not
 // panic, and whatever it accepts must survive a re-encode through
 // AppendBlock unchanged, GuestPCs included. The seeds are the encoded
-// blocks of the Fig. 4 kernels and both PoCs.
+// blocks of the Fig. 4 kernels and both PoCs, each in full and as its
+// bare word image with the GuestPC side table cut off.
 func FuzzDecodeBlock(f *testing.F) {
 	var srcs []string
 	for _, k := range polybench.All() {
@@ -62,10 +63,15 @@ func FuzzDecodeBlock(f *testing.F) {
 	}
 	for _, src := range srcs {
 		for _, b := range translatedBlocks(f, src) {
+			words, err := vliw.AppendWords(nil, b)
+			if err != nil {
+				f.Fatal(err)
+			}
 			full, err := vliw.AppendBlock(nil, b)
 			if err != nil {
 				f.Fatal(err)
 			}
+			f.Add(words)
 			f.Add(full)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"ghostbusters/internal/guestmem"
 	"ghostbusters/internal/ir"
 	"ghostbusters/internal/riscv"
+	"ghostbusters/internal/tcache"
 	"ghostbusters/internal/vliw"
 )
 
@@ -52,8 +53,9 @@ type chainLink struct {
 // the memory its regions compile through (the front end's builder and
 // visited set, the poison analysis and the scheduling graph), the
 // machine's parts (bus, data cache, VLIW core and interpreter predecode
-// table), and the slabs its installed regions and profile counters live
-// in. entries values are pointers so chain links can bump a block's
+// table), the translation-cache key's fingerprint buffer and run view,
+// and the slabs its installed regions and profile counters live in.
+// entries values are pointers so chain links can bump a block's
 // profile counter without a map lookup.
 type transState struct {
 	mem *guestmem.Memory
@@ -74,6 +76,12 @@ type transState struct {
 	dcache  cache.Cache
 	vcore   vliw.Core
 	predTab riscv.Predecode
+
+	// fp holds the translation-cache fingerprint of the machine's
+	// configuration and tcRun its view of the cache; Load fills both
+	// when the run uses the cache, and Machine.tcr points at tcRun.
+	fp    []byte
+	tcRun tcache.Run
 
 	// regions, counters and brStats hold what trans, entries and
 	// branches point at.
@@ -113,6 +121,7 @@ func (ts *transState) reset() {
 	ts.dcache.Reset(ts.dcache.Config())
 	ts.vcore.Reset(ts.vcore.Cfg)
 	ts.predTab.Reset(0, 0)
+	ts.tcRun = tcache.Run{}
 }
 
 // slabChunk is how many values one chunk of a slab holds.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"ghostbusters/internal/bus"
@@ -416,8 +417,7 @@ func (m *Machine) Load(p *riscv.Program) error {
 	m.textLo = p.TextBase
 	m.textHi = p.TextBase + uint64(4*len(p.Text))
 	if m.cfg.TransCache != nil && m.tcacheEligible() {
-		key := tcache.RunKey(p, m.cfg.Mitigation.String(), m.tcFingerprint(), m.cfg.TCacheSalt)
-		m.tcr = m.cfg.TransCache.Run(key)
+		m.openTransCache(p)
 	}
 	m.state = riscv.State{PC: p.Entry}
 	m.state.X[2] = m.mem.Top() - 64 // sp
@@ -433,20 +433,91 @@ func (m *Machine) tcacheEligible() bool {
 		!m.cfg.VerifyEncoding && m.inj == nil
 }
 
-// tcFingerprint renders every configuration field that can influence
-// translation output or the run's translation schedule. Runtime-only
-// hooks (tracer, interrupt channel, the cache handle itself) are
-// scrubbed; everything else — core geometry, cache model, interpreter
-// timing, thresholds, mitigation knobs — is part of the key, so a
-// config change can never be served stale code.
-func (m *Machine) tcFingerprint() string {
-	c := m.cfg
-	c.Tracer = nil
-	c.Interrupt = nil
-	c.FaultInject = nil
-	c.TransCache = nil
-	c.TCacheSalt = ""
-	return fmt.Sprintf("%+v", c)
+// openTransCache opens the run's view of the translation cache under
+// the key of p and the machine's configuration. Once the key's store
+// exists it allocates nothing: p memoises its digest, and the
+// fingerprint buffer and the run view belong to the machine's reused
+// translation state.
+func (m *Machine) openTransCache(p *riscv.Program) {
+	m.fp = m.cfg.appendFingerprint(m.fp[:0])
+	m.cfg.TransCache.Open(&m.tcRun, tcache.Key{
+		Image:       p.Digest(),
+		Mode:        m.cfg.Mitigation.String(),
+		Fingerprint: m.fp,
+		Salt:        m.cfg.TCacheSalt,
+	})
+	m.tcr = &m.tcRun
+}
+
+// appendFingerprint appends to b every configuration field that can
+// influence translation output or the run's translation schedule, as
+// "name=value" pairs: core geometry, cache model, interpreter timing,
+// thresholds, mitigation knobs. A config change can then never be
+// served stale code. The runtime hooks (Tracer, Interrupt, FaultInject,
+// the TransCache handle itself) are left out, and so is TCacheSalt,
+// which the key carries on its own. TestFingerprintCoversConfig fails
+// when a Config field is neither written here nor named as left out.
+func (c *Config) appendFingerprint(b []byte) []byte {
+	w := fpWriter{b}
+	w.uint("Mitigation", uint64(c.Mitigation))
+	w.int("Cache.Sets", int64(c.Cache.Sets))
+	w.int("Cache.Ways", int64(c.Cache.Ways))
+	w.uint("Cache.LineSize", c.Cache.LineSize)
+	w.uint("Cache.HitLatency", c.Cache.HitLatency)
+	w.uint("Cache.MissPenalty", c.Cache.MissPenalty)
+	w.int("len(Core.Slots)", int64(len(c.Core.Slots)))
+	for _, s := range c.Core.Slots {
+		w.uint("Core.Slot", uint64(s))
+	}
+	w.uint("Core.LatALU", c.Core.LatALU)
+	w.uint("Core.LatMul", c.Core.LatMul)
+	w.uint("Core.LatDiv", c.Core.LatDiv)
+	w.uint("Core.LatLoad", c.Core.LatLoad)
+	w.uint("Core.ExitPenalty", c.Core.ExitPenalty)
+	w.uint("Core.RecoveryPenalty", c.Core.RecoveryPenalty)
+	w.uint("Interp.BaseCPI", c.Interp.BaseCPI)
+	w.uint("Interp.MulExtra", c.Interp.MulExtra)
+	w.uint("Interp.DivExtra", c.Interp.DivExtra)
+	w.uint("MemBase", c.MemBase)
+	w.uint("MemSize", c.MemSize)
+	w.uint("HotThreshold", c.HotThreshold)
+	w.uint("TraceThreshold", c.TraceThreshold)
+	w.int("MaxTraceInsts", int64(c.MaxTraceInsts))
+	w.int("MaxUnroll", int64(c.MaxUnroll))
+	w.bool("DisableTranslation", c.DisableTranslation)
+	w.bool("DisableTraces", c.DisableTraces)
+	w.bool("DisableChaining", c.DisableChaining)
+	w.bool("DisablePredecode", c.DisablePredecode)
+	w.uint("MaxCycles", c.MaxCycles)
+	w.bool("StrictAlign", c.StrictAlign)
+	w.bool("VerifyEncoding", c.VerifyEncoding)
+	w.bool("Audit", c.Audit)
+	return w.b
+}
+
+// fpWriter appends space-separated "name=value" pairs.
+type fpWriter struct{ b []byte }
+
+func (w *fpWriter) name(name string) {
+	if len(w.b) > 0 {
+		w.b = append(w.b, ' ')
+	}
+	w.b = append(append(w.b, name...), '=')
+}
+
+func (w *fpWriter) uint(name string, v uint64) {
+	w.name(name)
+	w.b = strconv.AppendUint(w.b, v, 10)
+}
+
+func (w *fpWriter) int(name string, v int64) {
+	w.name(name)
+	w.b = strconv.AppendInt(w.b, v, 10)
+}
+
+func (w *fpWriter) bool(name string, v bool) {
+	w.name(name)
+	w.b = strconv.AppendBool(w.b, v)
 }
 
 // Release puts the machine's guest image, translation state and parts
@@ -461,7 +532,7 @@ func (m *Machine) Release() {
 	if ts == nil {
 		return
 	}
-	m.transState, m.b, m.core, m.pred = nil, nil, nil, nil
+	m.transState, m.b, m.core, m.pred, m.tcr = nil, nil, nil, nil, nil
 	ts.reset()
 	spares.Lock()
 	spares.sets = append(spares.sets, ts)

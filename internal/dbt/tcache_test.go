@@ -246,24 +246,24 @@ func TestTransCacheKeySeparation(t *testing.T) {
 	}
 }
 
-// The translation-cache key is the machine's Config rendered with %+v,
-// minus the scrubbed runtime hooks. Every other field must print by
-// value (a pointer, channel, func, map or interface would print an
-// address or a method's say-so), and every scalar in it must reach the
-// key. A Config field added later without a classification fails here.
-func TestTransCacheKeyCoversConfig(t *testing.T) {
+// The translation-cache fingerprint is written field by field, leaving
+// out the runtime hooks and the salt. Every other leaf of Config, nested
+// ones included, must reach it, and every left-out field must not: a
+// Config field added later without being written into the fingerprint
+// or named here fails.
+func TestFingerprintCoversConfig(t *testing.T) {
 	scrubbed := map[string]bool{
 		"Tracer": true, "Interrupt": true, "FaultInject": true,
 		"TransCache": true, "TCacheSalt": true,
 	}
-	fingerprint := func(c Config) string { return (&Machine{cfg: c}).tcFingerprint() }
+	fingerprint := func(c Config) string { return string(c.appendFingerprint(nil)) }
 	want := fingerprint(DefaultConfig())
 
 	ct := reflect.TypeOf(Config{})
 	for i := 0; i < ct.NumField(); i++ {
 		f := ct.Field(i)
 		if scrubbed[f.Name] {
-			// A scrubbed hook, set, leaves the key alone.
+			// A scrubbed hook, set, leaves the fingerprint alone.
 			cfg := DefaultConfig()
 			v := reflect.ValueOf(&cfg).Elem().Field(i)
 			switch f.Type.Kind() {
@@ -277,84 +277,65 @@ func TestTransCacheKeyCoversConfig(t *testing.T) {
 				t.Fatalf("scrubbed field %s has unexpected kind %v", f.Name, f.Type.Kind())
 			}
 			if fingerprint(cfg) != want {
-				t.Errorf("scrubbed field %s changes the key", f.Name)
+				t.Errorf("scrubbed field %s changes the fingerprint", f.Name)
 			}
 			continue
 		}
-		if bad := addressKind(f.Type); bad != "" {
-			t.Errorf("key field %s holds a %s: scrub it or make it a value", f.Name, bad)
-		}
-	}
-	if t.Failed() {
-		return
-	}
-
-	// Perturb each scalar leaf of a default Config in turn.
-	leaves := 0
-	for ; ; leaves++ {
-		cfg := DefaultConfig()
-		skip := leaves
-		path, ok := perturbLeaf(reflect.ValueOf(&cfg).Elem(), "", &skip, scrubbed)
-		if !ok {
-			break
-		}
-		if fingerprint(cfg) == want {
-			t.Errorf("changing %s leaves the translation-cache key unchanged", path)
-		}
-	}
-	if leaves < ct.NumField()-len(scrubbed) {
-		t.Errorf("walked %d key leaves, fewer than Config's %d key fields", leaves, ct.NumField()-len(scrubbed))
-	}
-}
-
-// addressKind names the first pointer-like kind reachable from t by
-// value, or "" when %+v prints t entirely by value.
-func addressKind(t reflect.Type) string {
-	switch t.Kind() {
-	case reflect.Pointer, reflect.UnsafePointer, reflect.Chan, reflect.Func, reflect.Map, reflect.Interface:
-		return t.Kind().String()
-	case reflect.Array, reflect.Slice:
-		return addressKind(t.Elem())
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			if k := addressKind(t.Field(i).Type); k != "" {
-				return k
+		// Perturb each leaf of the field in turn.
+		leaves := 0
+		for ; ; leaves++ {
+			cfg := DefaultConfig()
+			skip := leaves
+			path, err := perturbLeaf(reflect.ValueOf(&cfg).Elem().Field(i), f.Name, &skip)
+			if err != nil {
+				t.Error(err)
+				break
+			}
+			if path == "" {
+				break
+			}
+			if fingerprint(cfg) == want {
+				t.Errorf("changing %s leaves the fingerprint unchanged", path)
 			}
 		}
+		if leaves == 0 {
+			t.Errorf("field %s has no leaf to perturb", f.Name)
+		}
 	}
-	return ""
 }
 
-// perturbLeaf changes the *n-th scalar leaf under v (depth first,
-// skipping top-level fields named in skip) and reports its path. When v
-// holds fewer leaves it changes nothing, counts them off *n and reports
-// false.
-func perturbLeaf(v reflect.Value, path string, n *int, skip map[string]bool) (string, bool) {
+// perturbLeaf changes the *n-th leaf under v (depth first) and reports
+// its path. A leaf is a scalar, or a slice's length (grown by one zero
+// element). When v holds fewer leaves it changes nothing, counts them
+// off *n and reports "". A pointer-like leaf is an error: its value
+// would say nothing about the configuration it points at.
+func perturbLeaf(v reflect.Value, path string, n *int) (string, error) {
 	switch v.Kind() {
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			name := v.Type().Field(i).Name
-			if path == "" && skip[name] {
-				continue
-			}
-			if p, ok := perturbLeaf(v.Field(i), path+"."+name, n, skip); ok {
-				return p, true
+			if p, err := perturbLeaf(v.Field(i), path+"."+v.Type().Field(i).Name, n); p != "" || err != nil {
+				return p, err
 			}
 		}
-		return "", false
+		return "", nil
 	case reflect.Array, reflect.Slice:
 		for i := 0; i < v.Len(); i++ {
-			if p, ok := perturbLeaf(v.Index(i), fmt.Sprintf("%s[%d]", path, i), n, skip); ok {
-				return p, true
+			if p, err := perturbLeaf(v.Index(i), fmt.Sprintf("%s[%d]", path, i), n); p != "" || err != nil {
+				return p, err
 			}
 		}
-		return "", false
+		if v.Kind() == reflect.Array {
+			return "", nil
+		}
 	}
 	if *n > 0 {
 		*n--
-		return "", false
+		return "", nil
 	}
 	switch v.Kind() {
+	case reflect.Slice:
+		v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+		return "len(" + path + ")", nil
 	case reflect.Bool:
 		v.SetBool(!v.Bool())
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
@@ -366,9 +347,34 @@ func perturbLeaf(v reflect.Value, path string, n *int, skip map[string]bool) (st
 	case reflect.String:
 		v.SetString(v.String() + "x")
 	default:
-		panic("unhandled leaf kind " + v.Kind().String() + " at " + path)
+		return "", fmt.Errorf("%s holds a %s: write it into the fingerprint by value, or scrub it", path, v.Kind())
 	}
-	return path, true
+	return path, nil
+}
+
+// A warm run keys its cached translations without allocating: the
+// image digest is memoised on the program, the fingerprint and the run
+// view reuse the machine's translation state, and the store is found by
+// a fixed-size digest.
+func TestTransCacheKeyAllocs(t *testing.T) {
+	p, err := riscv.Assemble(hotLoopSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.TransCache = tcache.New("")
+	cfg.TCacheSalt = "salt"
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	if err := m.Load(p); err != nil { // makes the key's store
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { m.openTransCache(p) }); n != 0 {
+		t.Errorf("keying a warm run allocates %.1f objects, want 0", n)
+	}
 }
 
 // Self-modifying code abandons the cache mid-run: nothing is served

@@ -31,10 +31,13 @@ const (
 // measured, so the in-memory translation cache holds its regions, the
 // PoC's program is memoised and a released machine waits on the spare
 // list. Measured on go1.24,
-// linux/amd64: 31 objects and ~5.8 KB for gemm, 40 objects and ~9.3 KB
-// for spectre-v1, mostly the translation-cache key (tcache.RunKey and
-// the configuration fingerprint), the artifact key, the Machine and the
-// cell's result.
+// linux/amd64: 4 objects and ~2.3 KB for gemm (the Machine, its bus
+// store hook, the run's Result and the cell's KernelRun), 20 objects
+// and ~5.8 KB for spectre-v1 (the same plus the attack's source text,
+// scoreboard and result). Keying the translation cache allocates nothing (the program
+// memoises its image digest, the machine's reused translation state
+// holds the configuration fingerprint), and neither does keying the
+// artifact cache.
 func TestWarmCellAllocs(t *testing.T) {
 	k, err := polybench.ByName("gemm")
 	if err != nil {
@@ -48,8 +51,8 @@ func TestWarmCellAllocs(t *testing.T) {
 		bench        Bench
 		objs, nbytes uint64
 	}{
-		{KernelBench(k, 0), 31, 5832},
-		{SpectreBench(attack.V1, attack.Params{Secret: []byte{0x5A, 0xC3}}), 40, 9285},
+		{KernelBench(k, 0), 4, 2256},
+		{SpectreBench(attack.V1, attack.Params{Secret: []byte{0x5A, 0xC3}}), 20, 5848},
 	} {
 		run := func() {
 			if _, err := c.bench.Run(context.Background(), cfg, arts); err != nil {

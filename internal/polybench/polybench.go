@@ -37,17 +37,6 @@ type Kernel struct {
 	Make     func(n int) (*Spec, error)
 }
 
-// CacheKey identifies the artifact Make(n) produces: the generated
-// source, the assembled image and the reference outputs are all pure
-// functions of (kernel name, n), so the key is exactly that pair. A zero
-// n normalises to DefaultN, matching the harness's size handling.
-func (k Kernel) CacheKey(n int) string {
-	if n == 0 {
-		n = k.DefaultN
-	}
-	return fmt.Sprintf("%s/n%d", k.Name, n)
-}
-
 // All returns the benchmark suite in Figure 4 order.
 func All() []Kernel {
 	return []Kernel{

@@ -1,12 +1,19 @@
 package riscv
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 )
 
-// Program is an assembled guest image.
+// Program is an assembled guest image. A program is immutable once
+// assembled (or, for a hand-built one, once first loaded): machines of
+// many goroutines share it, and Digest memoises a hash of its image.
+// Patch a copy of the text or data, never a program already handed to
+// a machine.
 type Program struct {
 	Entry    uint64
 	TextBase uint64
@@ -14,6 +21,35 @@ type Program struct {
 	DataBase uint64
 	Data     []byte
 	Symbols  map[string]uint64
+
+	digestOnce sync.Once
+	digest     [sha256.Size]byte
+}
+
+// Digest returns the SHA-256 of the guest image: entry point, text base
+// and words, data base and bytes. It is computed on the first call and
+// memoised, so a program must not change after it (see Program).
+func (p *Program) Digest() [sha256.Size]byte {
+	p.digestOnce.Do(func() {
+		h := sha256.New()
+		var w [8]byte
+		u64 := func(v uint64) {
+			binary.LittleEndian.PutUint64(w[:], v)
+			h.Write(w[:])
+		}
+		u64(p.Entry)
+		u64(p.TextBase)
+		u64(uint64(len(p.Text)))
+		for _, ins := range p.Text {
+			binary.LittleEndian.PutUint32(w[:4], ins)
+			h.Write(w[:4])
+		}
+		u64(p.DataBase)
+		u64(uint64(len(p.Data)))
+		h.Write(p.Data)
+		h.Sum(p.digest[:0])
+	})
+	return p.digest
 }
 
 // Symbol returns the address of a label defined in the program.

@@ -15,6 +15,15 @@
 // (fault injection, auditing, encode-verification, self-modifying code)
 // bypasses or abandons the cache instead of risking a wrong hit.
 //
+// A Key carries the guest image's digest (riscv.Program.Digest, which a
+// program computes once and memoises — a program is immutable once
+// assembled), the mode, the caller's configuration fingerprint and the
+// input salt. The in-memory layer finds a key's store by a fixed-size
+// digest of those four parts, so a warm run keys its store without
+// allocating; the readable strings (the document path and the unhashed
+// key a document stores) are built only when the disk layer reads or
+// writes a document.
+//
 // The cache has two layers: a process-wide in-memory store shared by
 // every machine with the same key (an experiment sweep translates each
 // kernel once per mode, not once per cell), and an optional on-disk
@@ -42,8 +51,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
-	"ghostbusters/internal/riscv"
 	"ghostbusters/internal/vliw"
 )
 
@@ -82,49 +91,64 @@ type regionKey struct {
 	trace bool
 }
 
-// Key addresses one deterministic run shape in the cache. The path
-// components are hashes (image, config+salt) plus the sanitized mode
-// name; Full keeps the unhashed material so a loaded document can be
-// verified against hash collisions and stale fingerprint rules.
+// Key is the material of one run's cache key: the guest image, the
+// mitigation mode, the machine configuration fingerprint, and a salt
+// covering run inputs that live outside the image (the harness hashes
+// the arrays it writes into guest memory after load — they steer
+// profiling and therefore trace shapes).
+//
+// The in-memory layer finds a key's store by a fixed-size digest of this
+// material (id), so a warm run keys its store without allocating. The
+// readable form the disk layer needs (names) is built only when a
+// document is read or written.
 type Key struct {
-	Image  string // hash of the guest image
-	Mode   string // mitigation mode, sanitized for use as a path element
-	Config string // hash of config fingerprint + input salt
-	Full   string // unhashed composite, stored in the document for verification
+	Image [sha256.Size]byte // riscv.Program.Digest of the guest image
+	Mode  string            // mitigation mode name
+	// Fingerprint renders every configuration field that can influence
+	// translation output or the run's translation schedule. The caller
+	// owns the bytes and keeps them unchanged while the Run opened with
+	// the key is in use: Publish may write them into a document.
+	Fingerprint []byte
+	Salt        string
 }
 
-// RunKey composes the cache key for one run: the guest image (text,
-// data, entry point and bases), the mitigation mode, the machine
-// configuration fingerprint, and a salt covering run inputs that live
-// outside the image (the harness hashes the arrays it writes into guest
-// memory after load — they steer profiling and therefore trace shapes).
-func RunKey(p *riscv.Program, mode, fingerprint, salt string) Key {
+// id is the digest the in-memory layer files a key's store under. Each
+// variable-length part is length-prefixed, so no two keys share an id
+// short of a SHA-256 collision.
+func (k Key) id() [sha256.Size]byte {
 	h := sha256.New()
+	h.Write(k.Image[:])
 	var w [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(w[:], v)
+	for _, part := range [...][]byte{[]byte(k.Mode), k.Fingerprint, []byte(k.Salt)} {
+		binary.LittleEndian.PutUint64(w[:], uint64(len(part)))
 		h.Write(w[:])
+		h.Write(part)
 	}
-	u64(p.Entry)
-	u64(p.TextBase)
-	u64(uint64(len(p.Text)))
-	for _, ins := range p.Text {
-		binary.LittleEndian.PutUint32(w[:4], ins)
-		h.Write(w[:4])
-	}
-	u64(p.DataBase)
-	u64(uint64(len(p.Data)))
-	h.Write(p.Data)
-	image := hex.EncodeToString(h.Sum(nil))[:24]
+	var id [sha256.Size]byte
+	h.Sum(id[:0])
+	return id
+}
 
-	ch := sha256.Sum256([]byte(fingerprint + "\x00" + salt))
-	config := hex.EncodeToString(ch[:])[:24]
+// names is the readable form of a key the disk layer uses. The path
+// elements are hashes (image, fingerprint+salt) plus the sanitized mode
+// name; full keeps the unhashed material, so a loaded document can be
+// verified against hash collisions and stale fingerprint rules.
+type names struct {
+	image  string // hash of the guest image
+	mode   string // mitigation mode, sanitized for use as a path element
+	config string // hash of fingerprint + input salt
+	full   string // unhashed composite, stored in the document for verification
+}
 
-	return Key{
-		Image:  image,
-		Mode:   sanitize(mode),
-		Config: config,
-		Full:   fmt.Sprintf("%s|%s|%s|%s", image, mode, fingerprint, salt),
+func (k Key) names() names {
+	image := hex.EncodeToString(k.Image[:])[:24]
+	fp := string(k.Fingerprint)
+	ch := sha256.Sum256([]byte(fp + "\x00" + k.Salt))
+	return names{
+		image:  image,
+		mode:   sanitize(k.Mode),
+		config: hex.EncodeToString(ch[:])[:24],
+		full:   image + "|" + k.Mode + "|" + fp + "|" + k.Salt,
 	}
 }
 
@@ -306,21 +330,18 @@ type Cache struct {
 	dir string // "" = in-memory only
 
 	mu     sync.Mutex
-	stores map[string]*store // key id → loaded (or fresh) store
+	stores map[[sha256.Size]byte]*store // Key.id → loaded (or fresh) store
 
 	errMu sync.Mutex
 	err   error // first persistence failure (best-effort layer)
 
-	statMu    sync.Mutex
-	hits      uint64
-	misses    uint64
-	persisted int
+	hits, misses, persisted atomic.Uint64
 }
 
 // New returns a cache rooted at dir; dir == "" keeps the cache
 // in-memory only (process-wide sharing without persistence).
 func New(dir string) *Cache {
-	return &Cache{dir: dir, stores: make(map[string]*store)}
+	return &Cache{dir: dir, stores: make(map[[sha256.Size]byte]*store)}
 }
 
 // DefaultDir is the conventional on-disk root: the user cache
@@ -353,40 +374,40 @@ func (c *Cache) setErr(err error) {
 // Stats reports cache effectiveness: region lookups served and missed,
 // and how many documents were written to disk.
 func (c *Cache) Stats() (hits, misses uint64, persisted int) {
-	c.statMu.Lock()
-	defer c.statMu.Unlock()
-	return c.hits, c.misses, c.persisted
+	return c.hits.Load(), c.misses.Load(), int(c.persisted.Load())
 }
 
 // path returns the document path for a key: <dir>/<image>/<mode>/<config>.bin.
 // Documents of earlier schemas (v1 wrote <config>.json) are never read.
-func (c *Cache) path(k Key) string {
-	return filepath.Join(c.dir, k.Image, k.Mode, k.Config+".bin")
+func (c *Cache) path(n names) string {
+	return filepath.Join(c.dir, n.image, n.mode, n.config+".bin")
 }
 
-// Run opens the per-run view for a key, loading the key's disk document
-// into the shared store on first use.
-func (c *Cache) Run(k Key) *Run {
-	id := k.Image + "/" + k.Mode + "/" + k.Config
+// Open starts r as the per-run view for a key, loading the key's disk
+// document into the shared store on first use. Once the key's store
+// exists, Open allocates nothing: a caller can keep r in memory it
+// reuses from run to run.
+func (c *Cache) Open(r *Run, k Key) {
+	id := k.id()
 	c.mu.Lock()
 	st := c.stores[id]
 	if st == nil {
 		st = &store{regions: make(map[regionKey]*Region)}
 		c.stores[id] = st
 		if c.dir != "" {
-			c.load(k, st)
+			c.load(k.names(), st)
 		}
 	}
 	c.mu.Unlock()
-	return &Run{c: c, key: k, st: st}
+	*r = Run{c: c, key: k, st: st}
 }
 
 // load populates a fresh store from the key's disk document. Failures
 // (missing file, a corrupt or truncated document, a schema or key
 // mismatch) leave the store empty: the run is simply cold. Everything
 // but a missing file or a foreign document also lands in Err().
-func (c *Cache) load(k Key, st *store) {
-	path := c.path(k)
+func (c *Cache) load(n names, st *store) {
+	path := c.path(n)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if !os.IsNotExist(err) {
@@ -394,7 +415,7 @@ func (c *Cache) load(k Key, st *store) {
 		}
 		return
 	}
-	regions, err := decodeDocument(data, k.Full)
+	regions, err := decodeDocument(data, n.full)
 	if err != nil {
 		if !errors.Is(err, errForeign) {
 			c.setErr(fmt.Errorf("tcache: parsing %s: %w", path, err))
@@ -408,7 +429,7 @@ func (c *Cache) load(k Key, st *store) {
 }
 
 // persist writes the key's full region set as an atomic document.
-func (c *Cache) persist(k Key, regions []*Region) {
+func (c *Cache) persist(n names, regions []*Region) {
 	sort.Slice(regions, func(a, b int) bool {
 		ra, rb := regions[a], regions[b]
 		if ra.PC != rb.PC {
@@ -416,12 +437,12 @@ func (c *Cache) persist(k Key, regions []*Region) {
 		}
 		return !ra.Trace && rb.Trace
 	})
-	data, err := encodeDocument(k.Full, regions)
+	path := c.path(n)
+	data, err := encodeDocument(n.full, regions)
 	if err != nil {
-		c.setErr(fmt.Errorf("tcache: encoding %s: %w", c.path(k), err))
+		c.setErr(fmt.Errorf("tcache: encoding %s: %w", path, err))
 		return
 	}
-	path := c.path(k)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		c.setErr(fmt.Errorf("tcache: %w", err))
 		return
@@ -443,9 +464,7 @@ func (c *Cache) persist(k Key, regions []*Region) {
 		c.setErr(fmt.Errorf("tcache: %w", err))
 		return
 	}
-	c.statMu.Lock()
-	c.persisted++
-	c.statMu.Unlock()
+	c.persisted.Add(1)
 }
 
 func err2(a, b error) error {
@@ -458,8 +477,8 @@ func err2(a, b error) error {
 // Run is one machine's view of the cache: lookups against the shared
 // store during the run, fresh compilations recorded locally, and a
 // single Publish on clean guest exit that merges them into the store
-// and schedules the disk write. A Run is used by one machine (one
-// goroutine); the shared store behind it is safe for many.
+// and schedules the disk write. Cache.Open starts one. A Run is used by one machine (one goroutine); the
+// shared store behind it is safe for many.
 type Run struct {
 	c     *Cache
 	key   Key
@@ -472,13 +491,11 @@ func (r *Run) Lookup(pc uint64, trace bool) *Region {
 	r.st.mu.RLock()
 	rg := r.st.regions[regionKey{pc, trace}]
 	r.st.mu.RUnlock()
-	r.c.statMu.Lock()
 	if rg != nil {
-		r.c.hits++
+		r.c.hits.Add(1)
 	} else {
-		r.c.misses++
+		r.c.misses.Add(1)
 	}
-	r.c.statMu.Unlock()
 	return rg
 }
 
@@ -517,6 +534,6 @@ func (r *Run) Publish() {
 	st.mu.Unlock()
 	r.fresh = nil
 	if snapshot != nil {
-		r.c.persist(r.key, snapshot)
+		r.c.persist(r.key.names(), snapshot)
 	}
 }

@@ -49,46 +49,65 @@ func testRegion(pc uint64) *Region {
 	}
 }
 
+// testKey builds the key of a run of p.
+func testKey(p *riscv.Program, mode, fingerprint, salt string) Key {
+	return Key{Image: p.Digest(), Mode: mode, Fingerprint: []byte(fingerprint), Salt: salt}
+}
+
+// open opens a fresh Run on k.
+func open(c *Cache, k Key) *Run {
+	r := new(Run)
+	c.Open(r, k)
+	return r
+}
+
 // The key must separate every input that can change a deterministic
 // run's translation schedule: image contents, entry point, mode,
 // configuration fingerprint and the out-of-image input salt.
 func TestRunKeySensitivity(t *testing.T) {
-	base := RunKey(testProg(), "unsafe", "cfg", "salt")
+	base := testKey(testProg(), "unsafe", "cfg", "salt")
 
-	if again := RunKey(testProg(), "unsafe", "cfg", "salt"); again != base {
-		t.Fatalf("identical inputs produced different keys:\n%+v\n%+v", base, again)
+	again := testKey(testProg(), "unsafe", "cfg", "salt")
+	if again.id() != base.id() || again.names() != base.names() {
+		t.Fatalf("identical inputs produced different keys:\n%+v\n%+v", base.names(), again.names())
 	}
 
 	vary := map[string]Key{}
 	p := testProg()
 	p.Text[0] ^= 1
-	vary["text word"] = RunKey(p, "unsafe", "cfg", "salt")
+	vary["text word"] = testKey(p, "unsafe", "cfg", "salt")
 	p = testProg()
 	p.Data[0] ^= 1
-	vary["data byte"] = RunKey(p, "unsafe", "cfg", "salt")
+	vary["data byte"] = testKey(p, "unsafe", "cfg", "salt")
 	p = testProg()
 	p.Entry += 4
-	vary["entry"] = RunKey(p, "unsafe", "cfg", "salt")
-	vary["mode"] = RunKey(testProg(), "fence", "cfg", "salt")
-	vary["fingerprint"] = RunKey(testProg(), "unsafe", "cfg2", "salt")
-	vary["salt"] = RunKey(testProg(), "unsafe", "cfg", "salt2")
+	vary["entry"] = testKey(p, "unsafe", "cfg", "salt")
+	vary["mode"] = testKey(testProg(), "fence", "cfg", "salt")
+	vary["fingerprint"] = testKey(testProg(), "unsafe", "cfg2", "salt")
+	vary["salt"] = testKey(testProg(), "unsafe", "cfg", "salt2")
+	// Moving a byte between two parts changes neither part's bytes in
+	// the concatenation; the length prefixes must still tell them apart.
+	vary["part boundary"] = testKey(testProg(), "unsafe", "cfgs", "alt")
 
-	seen := map[string]string{base.Full: "base"}
+	ids := map[[32]byte]string{base.id(): "base"}
+	fulls := map[string]string{base.names().full: "base"}
 	for what, k := range vary {
-		if k == base {
-			t.Errorf("changing the %s did not change the key", what)
+		if prev, dup := ids[k.id()]; dup {
+			t.Errorf("%s and %s share a store id", what, prev)
 		}
-		if prev, dup := seen[k.Full]; dup {
-			t.Errorf("%s and %s collide on %q", what, prev, k.Full)
+		ids[k.id()] = what
+		full := k.names().full
+		if prev, dup := fulls[full]; dup {
+			t.Errorf("%s and %s collide on %q", what, prev, full)
 		}
-		seen[k.Full] = what
+		fulls[full] = what
 	}
 	// Image-only changes must leave the config hash alone and vice
 	// versa, so documents land in the right directory level.
-	if vary["text word"].Config != base.Config {
+	if vary["text word"].names().config != base.names().config {
 		t.Error("image change perturbed the config hash")
 	}
-	if vary["fingerprint"].Image != base.Image {
+	if vary["fingerprint"].names().image != base.names().image {
 		t.Error("fingerprint change perturbed the image hash")
 	}
 }
@@ -97,10 +116,10 @@ func TestRunKeySensitivity(t *testing.T) {
 // the same directory — the cross-process warm-start path.
 func TestDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	k := RunKey(testProg(), "unsafe", "cfg", "")
+	k := testKey(testProg(), "unsafe", "cfg", "")
 
 	c1 := New(dir)
-	r1 := c1.Run(k)
+	r1 := open(c1, k)
 	want := testRegion(0x1000)
 	r1.Record(want)
 	empty := &Region{PC: 0x1010, Lo: 0x1010, Hi: 0x1014, Block: &vliw.Block{EntryPC: 0x1010}}
@@ -114,7 +133,7 @@ func TestDiskRoundTrip(t *testing.T) {
 	}
 
 	c2 := New(dir)
-	r2 := c2.Run(k)
+	r2 := open(c2, k)
 	got := r2.Lookup(0x1000, true)
 	if got == nil {
 		t.Fatal("published region not found by a fresh cache")
@@ -164,11 +183,11 @@ func reseal(body []byte) []byte {
 // never to a panic or to wrong code. Defects surface through Err();
 // documents of another schema version or key are skipped quietly.
 func TestLoadRejectsBadDocuments(t *testing.T) {
-	k := RunKey(testProg(), "unsafe", "cfg", "")
+	k := testKey(testProg(), "unsafe", "cfg", "")
 	publish := func(t *testing.T) (dir, doc string, data []byte) {
 		dir = t.TempDir()
 		c := New(dir)
-		r := c.Run(k)
+		r := open(c, k)
 		r.Record(testRegion(0x1000))
 		r.Publish()
 		if err := c.Err(); err != nil {
@@ -191,7 +210,7 @@ func TestLoadRejectsBadDocuments(t *testing.T) {
 	// region was served, and the cache's error.
 	load := func(dir string) (served bool, err error) {
 		c := New(dir)
-		served = c.Run(k).Lookup(0x1000, true) != nil
+		served = open(c, k).Lookup(0x1000, true) != nil
 		return served, c.Err()
 	}
 	write := func(t *testing.T, path string, data []byte) {
@@ -254,13 +273,25 @@ func TestLoadRejectsBadDocuments(t *testing.T) {
 		if served, err := load(dir); served || err != nil {
 			t.Errorf("served=%v err=%v, want a quiet cold run", served, err)
 		}
+		// The cold run publishes over the foreign document, and the
+		// next cache on the directory starts warm.
+		c := New(dir)
+		r := open(c, k)
+		r.Record(testRegion(0x1000))
+		r.Publish()
+		if _, _, persisted := c.Stats(); persisted != 1 || c.Err() != nil {
+			t.Errorf("republishing wrote %d documents, err %v; want 1 and none", persisted, c.Err())
+		}
+		if served, err := load(dir); !served || err != nil {
+			t.Errorf("after republishing: served=%v err=%v, want a warm run", served, err)
+		}
 	})
 	t.Run("leftover v1 json", func(t *testing.T) {
 		// A schema v1 document sits at <config>.json beside the v2 one;
 		// nothing reads it, with or without the .bin present.
 		dir, doc, _ := publish(t)
 		v1 := strings.TrimSuffix(doc, ".bin") + ".json"
-		write(t, v1, []byte(`{"schema":"ghostbusters/tcache/v1","key":"`+k.Full+`","regions":[]}`+"\n"))
+		write(t, v1, []byte(`{"schema":"ghostbusters/tcache/v1","key":"`+k.names().full+`","regions":[]}`+"\n"))
 		if served, err := load(dir); !served || err != nil {
 			t.Errorf("with the .bin present: served=%v err=%v, want a warm run", served, err)
 		}
@@ -308,19 +339,19 @@ func TestLoadRejectsBadDocuments(t *testing.T) {
 // nothing on disk, never an error.
 func TestInMemoryCache(t *testing.T) {
 	c := New("")
-	k := RunKey(testProg(), "unsafe", "cfg", "")
-	r := c.Run(k)
+	k := testKey(testProg(), "unsafe", "cfg", "")
+	r := open(c, k)
 	if r.Lookup(0x1000, true) != nil {
 		t.Fatal("empty cache returned a region")
 	}
 	r.Record(testRegion(0x1000))
 	r.Publish()
 
-	warm := c.Run(k)
+	warm := open(c, k)
 	if warm.Lookup(0x1000, true) == nil {
 		t.Fatal("in-memory cache lost the published region")
 	}
-	if c.Run(RunKey(testProg(), "fence", "cfg", "")).Lookup(0x1000, true) != nil {
+	if open(c, testKey(testProg(), "fence", "cfg", "")).Lookup(0x1000, true) != nil {
 		t.Error("region leaked across modes")
 	}
 	hits, misses, persisted := c.Stats()
@@ -340,14 +371,14 @@ func TestInMemoryCache(t *testing.T) {
 func TestPublishIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	c := New(dir)
-	k := RunKey(testProg(), "unsafe", "cfg", "")
+	k := testKey(testProg(), "unsafe", "cfg", "")
 
-	r1 := c.Run(k)
+	r1 := open(c, k)
 	r1.Record(testRegion(0x1000))
 	r1.Publish()
 	_, _, p1 := c.Stats()
 
-	r2 := c.Run(k)
+	r2 := open(c, k)
 	r2.Record(testRegion(0x1000)) // same region, recorded by a second cold-ish run
 	r2.Publish()
 	_, _, p2 := c.Stats()

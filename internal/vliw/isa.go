@@ -83,15 +83,18 @@ func (k Kind) IsControl() bool {
 }
 
 // Syllable is one operation inside a bundle.
+//
+// The byte-sized fields and Rec pack into the first word, so a syllable
+// is three words (24 bytes; TestSyllableSize pins it).
 type Syllable struct {
 	Kind Kind
 	Op   riscv.Op // semantic sub-operation (ALU op, load size, branch cond)
 	Dst  uint8    // destination physical register
 	Ra   uint8    // first source
 	Rb   uint8    // second source
-	Imm  int64    // immediate / displacement / exit PC / CSR number
 	Tag  uint8    // MCB tag for KLoadS / KChk
 	Rec  int16    // recovery sequence index for KChk, -1 if none
+	Imm  int64    // immediate / displacement / exit PC / CSR number
 
 	GuestPC uint64 // guest address this syllable derives from (debugging)
 }

@@ -1179,3 +1179,11 @@ func TestDopIsOneCacheLine(t *testing.T) {
 		t.Fatalf("sizeof(dop) = %d, want 64", n)
 	}
 }
+
+// A Syllable is three words: the byte-sized fields and Rec share the
+// first, ahead of Imm.
+func TestSyllableSize(t *testing.T) {
+	if n := unsafe.Sizeof(Syllable{}); n != 24 {
+		t.Fatalf("sizeof(Syllable) = %d, want 24", n)
+	}
+}

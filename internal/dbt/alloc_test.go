@@ -60,7 +60,7 @@ func TestCompileAllocsPerRegion(t *testing.T) {
 	compile() // the run left the compile memory warm; make sure of it
 	n := testing.AllocsPerRun(50, compile)
 	t.Logf("compiling the v1 trace at %#x (%d guest insts, %d bundles) allocates %.0f objects",
-		pc, blk.GuestInsts, len(blk.Bundles), n)
+		pc, blk.GuestInsts, len(blk.Slots), n)
 	if n > compileAllocBudget {
 		t.Errorf("compiling the v1 trace allocates %.0f objects, budget %d", n, compileAllocBudget)
 	}

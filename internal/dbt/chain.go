@@ -83,6 +83,12 @@ type transState struct {
 	fp    []byte
 	tcRun tcache.Run
 
+	// storeHook is the bus store hook of the machine that holds the set
+	// (owner), bound once per set so a machine's Load allocates no
+	// method value.
+	owner     *Machine
+	storeHook func(addr uint64, size int)
+
 	// regions, counters and brStats hold what trans, entries and
 	// branches point at.
 	regions  slab[transEntry]
@@ -92,7 +98,7 @@ type transState struct {
 
 // newTransState makes an empty transState over the guest image mem.
 func newTransState(mem *guestmem.Memory) *transState {
-	return &transState{
+	ts := &transState{
 		mem:      mem,
 		entries:  make(map[uint64]*uint64),
 		branches: make(map[uint64]*brStat),
@@ -100,6 +106,8 @@ func newTransState(mem *guestmem.Memory) *transState {
 		noTrans:  make(map[uint64]struct{}),
 		visited:  make(map[uint64]struct{}),
 	}
+	ts.storeHook = func(addr uint64, size int) { ts.owner.onGuestStore(addr, size) }
+	return ts
 }
 
 // reset empties the set for the next machine: the maps and slabs, the
@@ -122,6 +130,7 @@ func (ts *transState) reset() {
 	ts.vcore.Reset(ts.vcore.Cfg)
 	ts.predTab.Reset(0, 0)
 	ts.tcRun = tcache.Run{}
+	ts.owner = nil
 }
 
 // slabChunk is how many values one chunk of a slab holds.
@@ -182,25 +191,9 @@ func takeSpare(base, size uint64) *transState {
 // below or above their entry).
 func blockExtent(blk *vliw.Block) (lo, hi uint64) {
 	lo, hi = blk.EntryPC, blk.EntryPC+4
-	scan := func(sy *vliw.Syllable) {
-		if sy.GuestPC == 0 {
-			return
-		}
-		if sy.GuestPC < lo {
-			lo = sy.GuestPC
-		}
-		if sy.GuestPC+4 > hi {
-			hi = sy.GuestPC + 4
-		}
-	}
-	for _, bun := range blk.Bundles {
-		for i := range bun {
-			scan(&bun[i])
-		}
-	}
-	for _, rec := range blk.Recoveries {
-		for i := range rec {
-			scan(&rec[i])
+	for i := range blk.Syls {
+		if pc := blk.Syls[i].GuestPC; pc != 0 {
+			lo, hi = min(lo, pc), max(hi, pc+4)
 		}
 	}
 	return lo, hi

@@ -3,6 +3,7 @@ package dbt
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"ghostbusters/internal/core"
@@ -169,21 +170,33 @@ func (g *graph) syllable(id int) (vliw.Syllable, error) {
 	return s, nil
 }
 
-// emit builds the final vliw.Block: syllables placed into bundles,
-// dependent loads promoted to dismissable form, recovery slices attached
-// to each chk. The block's bundles share one syllable array, as do its
-// recoveries; neither is g's memory.
+// emit builds the final vliw.Block in its dense form: syllables placed
+// into bundles, dependent loads promoted to dismissable form, recovery
+// slices attached to each chk. The block's syllables, bundles' and
+// recoveries' alike, share one array that is not g's memory.
 func (g *graph) emit(place []placement, numBundles, guestInsts int) (*vliw.Block, error) {
 	blk := &vliw.Block{
 		EntryPC:    g.b.EntryPC,
 		FallPC:     g.b.FallPC,
 		GuestInsts: guestInsts,
 	}
-	width := g.cfg.Width()
-	syls := make([]vliw.Syllable, numBundles*width)
-	blk.Bundles = make([]vliw.Bundle, numBundles)
-	for i := range blk.Bundles {
-		blk.Bundles[i] = syls[i*width : (i+1)*width : (i+1)*width]
+	if numBundles > 0 {
+		blk.Slots, blk.Width = make([]vliw.Slots, numBundles), g.cfg.Width()
+	}
+	// Every node fills one slot; the slot masks fix where each bundle's
+	// syllables start.
+	for id := range g.nodes {
+		p := place[id]
+		bit := uint16(1) << p.slot
+		if blk.Slots[p.cycle].Mask&bit != 0 {
+			return nil, fmt.Errorf("dbt: slot collision at bundle %d slot %d", p.cycle, p.slot)
+		}
+		blk.Slots[p.cycle].Mask |= bit
+	}
+	nbs := 0
+	for i := range blk.Slots {
+		blk.Slots[i].Start = uint16(nbs)
+		nbs += bits.OnesCount16(blk.Slots[i].Mask)
 	}
 
 	// Forward slices: for each MCB-speculated load, every node data-
@@ -285,14 +298,19 @@ func (g *graph) emit(place []placement, numBundles, guestInsts int) (*vliw.Block
 		return nil, err
 	}
 
+	if nbs+len(sliceNodes) > vliw.MaxSyllables {
+		return nil, fmt.Errorf("dbt: block of %d syllables exceeds %d", nbs+len(sliceNodes), vliw.MaxSyllables)
+	}
+	blk.Syls = make([]vliw.Syllable, nbs+len(sliceNodes))
+
 	// Recovery sequences, one per chk, in tag (program) order:
-	// Recoveries[k] belongs to specLoads[k].
+	// recovery k belongs to specLoads[k].
 	if len(g.specLoads) > 0 {
-		recSyls := make([]vliw.Syllable, len(sliceNodes))
-		blk.Recoveries = make([][]vliw.Syllable, len(g.specLoads))
+		blk.RecStart = make([]uint16, len(g.specLoads))
 		for k, l := range g.specLoads {
 			lo, hi := sliceOff[k], sliceOff[k+1]
-			rec := recSyls[lo:hi:hi]
+			blk.RecStart[k] = uint16(nbs + lo)
+			rec := blk.Syls[nbs+lo : nbs+hi]
 			for j, id := range sliceNodes[lo:hi] {
 				s, err := g.syllable(id)
 				if err != nil {
@@ -305,7 +323,6 @@ func (g *graph) emit(place []placement, numBundles, guestInsts int) (*vliw.Block
 				}
 				rec[j] = s
 			}
-			blk.Recoveries[k] = rec
 		}
 	}
 
@@ -319,10 +336,8 @@ func (g *graph) emit(place []placement, numBundles, guestInsts int) (*vliw.Block
 			s.Rec = int16(g.specRow[g.nodes[id].irIdx])
 		}
 		p := place[id]
-		if blk.Bundles[p.cycle][p.slot].Kind != vliw.KNop {
-			return nil, fmt.Errorf("dbt: slot collision at bundle %d slot %d", p.cycle, p.slot)
-		}
-		blk.Bundles[p.cycle][p.slot] = s
+		sl := blk.Slots[p.cycle]
+		blk.Syls[int(sl.Start)+bits.OnesCount16(sl.Mask&(1<<p.slot-1))] = s
 	}
 	return blk, nil
 }

@@ -347,6 +347,7 @@ func New(cfg Config) (*Machine, error) {
 		chainEpoch: 1,
 		transLo:    ^uint64(0),
 	}
+	ts.owner = m
 	if cfg.FaultInject.enabled() {
 		m.inj = newInjector(*cfg.FaultInject)
 		m.b.OnAccess = m.inj.busHook(m)
@@ -413,7 +414,7 @@ func (m *Machine) Load(p *riscv.Program) error {
 	// predecode entries and translated regions (plus their chain
 	// links). It is wired even with predecode disabled — translated
 	// code must never survive the guest overwriting it.
-	m.b.OnStore = m.onGuestStore
+	m.b.OnStore = m.storeHook
 	m.textLo = p.TextBase
 	m.textHi = p.TextBase + uint64(4*len(p.Text))
 	if m.cfg.TransCache != nil && m.tcacheEligible() {
@@ -783,7 +784,7 @@ func (m *Machine) install(e *transEntry, t0 time.Time) {
 			Arg2: uint64(e.RiskyLoads),
 			Arg3: uint64(e.GuardEdges)})
 		m.tr.Emit(obs.Event{Kind: obs.EvTranslateDone, Cycle: m.cycles, PC: e.PC,
-			Arg1: uint64(blk.GuestInsts), Arg2: uint64(len(blk.Bundles)),
+			Arg1: uint64(blk.GuestInsts), Arg2: uint64(len(blk.Slots)),
 			Arg3: uint64(e.transNS), Str: e.kind()})
 		if m.tr.SpecOn() {
 			// Counter track: cumulative Spectre-pattern loads found so
@@ -955,7 +956,7 @@ func (m *Machine) dispatch(pc uint64, e *transEntry) vliw.ExitInfo {
 	tron := m.tr.BlockOn()
 	if tron {
 		m.tr.Emit(obs.Event{Kind: obs.EvBlockEnter, Cycle: m.cycles, PC: pc,
-			Arg1: uint64(e.Block.GuestInsts), Arg2: uint64(len(e.Block.Bundles)), Str: e.kind()})
+			Arg1: uint64(e.Block.GuestInsts), Arg2: uint64(len(e.Block.Slots)), Str: e.kind()})
 	}
 	start := m.cycles
 	csBefore := m.core.Stats
@@ -1101,7 +1102,7 @@ func (m *Machine) ProfileReport() []HotRegion {
 			Entries:         entered,
 			Dispatches:      e.execs,
 			GuestInsts:      e.Block.GuestInsts,
-			Bundles:         len(e.Block.Bundles),
+			Bundles:         len(e.Block.Slots),
 			IsTrace:         e.Trace,
 			Cycles:          e.cycles,
 			BundleExecs:     e.bundles,

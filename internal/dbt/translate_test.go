@@ -294,7 +294,8 @@ main:
 	if err != nil {
 		t.Fatal(err)
 	}
-	for bi, bun := range res.Block.Bundles {
+	for bi := range res.Block.Slots {
+		bun := res.Block.AppendBundle(nil, bi)
 		if len(bun) != cfg.Width() {
 			t.Fatalf("bundle %d has width %d", bi, len(bun))
 		}
@@ -332,8 +333,8 @@ main:
 	}
 	chkCycle, store2Cycle := -1, -1
 	storesSeen := 0
-	for bi, bun := range res.Block.Bundles {
-		for _, syl := range bun {
+	for bi := range res.Block.Slots {
+		for _, syl := range res.Block.AppendBundle(nil, bi) {
 			switch syl.Kind {
 			case vliw.KChk:
 				chkCycle = bi

@@ -30,14 +30,14 @@ const (
 // paper-size kernel cell and a PoC cell, each run before it is
 // measured, so the in-memory translation cache holds its regions, the
 // PoC's program is memoised and a released machine waits on the spare
-// list. Measured on go1.24,
-// linux/amd64: 4 objects and ~2.3 KB for gemm (the Machine, its bus
-// store hook, the run's Result and the cell's KernelRun), 20 objects
-// and ~5.8 KB for spectre-v1 (the same plus the attack's source text,
-// scoreboard and result). Keying the translation cache allocates nothing (the program
-// memoises its image digest, the machine's reused translation state
-// holds the configuration fingerprint), and neither does keying the
-// artifact cache.
+// list. Measured on go1.24, linux/amd64: 3 objects and ~2.2 KB for gemm
+// (the Machine, the run's Result and the cell's KernelRun; the bus store
+// hook is bound once per reused translation state), 19 objects and ~5.6
+// KB for spectre-v1 (the same plus the attack's source text, scoreboard
+// and result). Keying the translation cache allocates nothing (the
+// program memoises its image digest, the machine's reused translation
+// state holds the configuration fingerprint), and neither does keying
+// the artifact cache.
 func TestWarmCellAllocs(t *testing.T) {
 	k, err := polybench.ByName("gemm")
 	if err != nil {
@@ -51,8 +51,8 @@ func TestWarmCellAllocs(t *testing.T) {
 		bench        Bench
 		objs, nbytes uint64
 	}{
-		{KernelBench(k, 0), 4, 2256},
-		{SpectreBench(attack.V1, attack.Params{Secret: []byte{0x5A, 0xC3}}), 20, 5848},
+		{KernelBench(k, 0), 3, 2240},
+		{SpectreBench(attack.V1, attack.Params{Secret: []byte{0x5A, 0xC3}}), 19, 5636},
 	} {
 		run := func() {
 			if _, err := c.bench.Run(context.Background(), cfg, arts); err != nil {

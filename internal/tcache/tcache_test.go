@@ -30,22 +30,21 @@ func testProg() *riscv.Program {
 // round trip exercises nested serialization (bundles, recoveries,
 // guest PCs).
 func testRegion(pc uint64) *Region {
+	blk, err := vliw.Pack([]vliw.Bundle{
+		{{Kind: vliw.KAluRI, Op: riscv.ADDI, Dst: 10, Ra: 10, Imm: 1, Rec: -1, GuestPC: pc}},
+		{{Kind: vliw.KJump, Imm: int64(pc + 8), Rec: -1, GuestPC: pc + 4}},
+	}, [][]vliw.Syllable{
+		{{Kind: vliw.KJump, Imm: int64(pc), Rec: -1, GuestPC: pc}},
+	})
+	if err != nil {
+		panic(err)
+	}
+	blk.EntryPC, blk.FallPC, blk.GuestInsts = pc, pc+8, 2
 	return &Region{
 		PC: pc, Trace: true,
 		Lo: pc, Hi: pc + 8,
 		SpecLoads: 2, RiskyLoads: 1, GuardEdges: 3, Pattern: true,
-		Block: &vliw.Block{
-			EntryPC: pc,
-			Bundles: []vliw.Bundle{
-				{{Kind: vliw.KAluRI, Op: riscv.ADDI, Dst: 10, Ra: 10, Imm: 1, Rec: -1, GuestPC: pc}},
-				{{Kind: vliw.KJump, Imm: int64(pc + 8), Rec: -1, GuestPC: pc + 4}},
-			},
-			Recoveries: [][]vliw.Syllable{
-				{{Kind: vliw.KJump, Imm: int64(pc), Rec: -1, GuestPC: pc}},
-			},
-			FallPC:     pc + 8,
-			GuestInsts: 2,
-		},
+		Block: blk,
 	}
 }
 

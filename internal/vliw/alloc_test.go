@@ -9,8 +9,8 @@ import (
 // steadyStateBlock is a representative translated block: immediates, ALU
 // work, a speculative (MCB) load with its chk, a store and a not-taken
 // side exit — the mix a Fig. 4 kernel inner loop compiles to.
-func steadyStateBlock(cfg Config) *Block {
-	return &Block{
+func steadyStateBlock(cfg Config) testBlock {
+	return testBlock{
 		EntryPC: 0x100,
 		FallPC:  0x200,
 		Bundles: []Bundle{
@@ -35,7 +35,7 @@ func steadyStateBlock(cfg Config) *Block {
 func TestExecSteadyStateZeroAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	c := MustNewCore(cfg)
-	blk := steadyStateBlock(cfg)
+	blk := steadyStateBlock(cfg).pack()
 	b := newTestBus()
 	var regs [NumRegs]uint64
 	var cycles uint64
@@ -59,7 +59,7 @@ func TestExecSteadyStateZeroAllocs(t *testing.T) {
 func BenchmarkExecSteadyState(b *testing.B) {
 	cfg := DefaultConfig()
 	c := MustNewCore(cfg)
-	blk := steadyStateBlock(cfg)
+	blk := steadyStateBlock(cfg).pack()
 	bs := newTestBus()
 	var regs [NumRegs]uint64
 	var cycles uint64
@@ -72,16 +72,16 @@ func BenchmarkExecSteadyState(b *testing.B) {
 	}
 }
 
-// Decoding reads the image in place and backs every bundle and recovery
-// with one syllable slice: four allocations per block (the Block, the
-// syllables, the bundle and recovery headers) whatever its size.
+// Decoding reads the image in place and writes the dense form: four
+// allocations per block (the Block, its syllables, its bundles' slot
+// masks and its recovery starts) whatever its size.
 func TestDecodeBlockAllocs(t *testing.T) {
-	blk := steadyStateBlock(DefaultConfig())
-	blk.Recoveries = [][]Syllable{
+	tb := steadyStateBlock(DefaultConfig())
+	tb.Recoveries = [][]Syllable{
 		{{Kind: KLoad, Op: riscv.LD, Dst: 7, Ra: 5, GuestPC: 0x108}},
 		{{Kind: KAluRR, Op: riscv.ADD, Dst: 9, Ra: 7, Rb: 8, GuestPC: 0x110}},
 	}
-	full, err := AppendBlock(nil, blk)
+	full, err := AppendBlock(nil, tb.pack())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +97,9 @@ func TestDecodeBlockAllocs(t *testing.T) {
 func TestPrepareAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	withRecoveries := func(cfg Config) *Block {
-		blk := steadyStateBlock(cfg)
-		blk.Bundles[3][0].Rec = 1
-		blk.Recoveries = [][]Syllable{
+		tb := steadyStateBlock(cfg)
+		tb.Bundles[3][0].Rec = 1
+		tb.Recoveries = [][]Syllable{
 			{{Kind: KLoad, Op: riscv.LD, Dst: 7, Ra: 5}},
 			{
 				{Kind: KLoadS, Op: riscv.LD, Dst: 7, Ra: 5, Tag: 0},
@@ -107,14 +107,14 @@ func TestPrepareAllocs(t *testing.T) {
 				{Kind: KAluRR, Op: riscv.ADD, Dst: 9, Ra: 7, Rb: 8},
 			},
 		}
-		return blk
+		return tb.pack()
 	}
 	for _, tc := range []struct {
 		name string
 		make func(Config) *Block
 		ops  int
 	}{
-		{"bundles", steadyStateBlock, 8 + 6},
+		{"bundles", func(cfg Config) *Block { return steadyStateBlock(cfg).pack() }, 8 + 6},
 		{"bundles and recoveries", withRecoveries, 8 + 6 + 4},
 	} {
 		const runs = 100

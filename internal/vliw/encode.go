@@ -20,7 +20,7 @@ import (
 //	magic, EntryPC, FallPC
 //	GuestInsts (low 32) | bundle width (high 32)
 //	bundle count (low 32) | recovery count (high 32)
-//	bundle syllables, width per bundle
+//	bundle syllables, width per bundle, nops included
 //	per recovery: its length, then its syllables
 //	constant-pool length, then the pool
 //
@@ -41,8 +41,8 @@ import (
 // speculative-load attribution all survive the codec.
 const blockMagic = 0x3130574C49564247 // "GBVLIW01", little-endian
 
-// maxWidth bounds the bundle width an image may declare.
-const maxWidth = 64
+// padWord is the word of a padding slot, Syllable{}: Rec 0 is rec+1 = 1.
+const padWord = 1 << 35
 
 // recMax is the largest value of the 12-bit rec+1 field; the encoder
 // never emits it, so the decoder rejects it.
@@ -50,19 +50,15 @@ const recMax = 1<<12 - 1
 
 var errTruncated = errors.New("vliw: truncated block image")
 
-// appendWords appends the word image of b to dst.
+// appendWords appends the word image of b to dst, each bundle at full
+// width.
 func appendWords(dst []byte, b *Block) ([]byte, error) {
-	width := 0
-	if len(b.Bundles) > 0 {
-		width = len(b.Bundles[0])
+	width := b.Width
+	if len(b.Slots) == 0 {
+		width = 0
 	}
-	if width > maxWidth {
-		return nil, fmt.Errorf("vliw: bundle width %d exceeds %d", width, maxWidth)
-	}
-	for i, bun := range b.Bundles {
-		if len(bun) != width {
-			return nil, fmt.Errorf("vliw: bundle %d has width %d, want %d", i, len(bun), width)
-		}
+	if width > MaxWidth {
+		return nil, fmt.Errorf("vliw: bundle width %d exceeds %d", width, MaxWidth)
 	}
 
 	put := func(w uint64) { dst = binary.LittleEndian.AppendUint64(dst, w) }
@@ -109,15 +105,18 @@ func appendWords(dst []byte, b *Block) ([]byte, error) {
 	put(b.EntryPC)
 	put(b.FallPC)
 	put(uint64(uint32(b.GuestInsts)) | uint64(width)<<32)
-	put(uint64(uint32(len(b.Bundles))) | uint64(uint32(len(b.Recoveries)))<<32)
-	for _, bun := range b.Bundles {
-		for i := range bun {
-			if err := encSyll(&bun[i]); err != nil {
+	put(uint64(uint32(len(b.Slots))) | uint64(uint32(len(b.RecStart)))<<32)
+	var bun Bundle
+	for i := range b.Slots {
+		bun = b.AppendBundle(bun[:0], i)
+		for j := range bun {
+			if err := encSyll(&bun[j]); err != nil {
 				return nil, err
 			}
 		}
 	}
-	for _, rec := range b.Recoveries {
+	for k := range b.RecStart {
+		rec := b.Recovery(k)
 		put(uint64(len(rec)))
 		for i := range rec {
 			if err := encSyll(&rec[i]); err != nil {
@@ -132,14 +131,16 @@ func appendWords(dst []byte, b *Block) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeWords parses one word image from the front of data and returns
-// the block and the image's length in bytes. It reads the words in
-// place, bounds every count against len(data) before using it (the
-// image may come from a shared, writable cache directory), and backs all
-// bundles and recoveries with one syllable slice.
-func decodeWords(data []byte) (*Block, int, error) {
-	nw := uint64(len(data) / 8)
-	word := func(i uint64) uint64 { return binary.LittleEndian.Uint64(data[8*i:]) }
+// ConsumeBlock decodes one block written by AppendBlock from the front
+// of src into its dense form, GuestPCs included, and returns it with the
+// number of bytes it read. It reads the word image and the side table in
+// place and in step, bounds every count against len(src) before using it
+// (the image may come from a shared, writable cache directory), and
+// validates every syllable word, padding included, before dropping the
+// padding. It rejects hostile input with an error, never a panic.
+func ConsumeBlock(src []byte) (*Block, int, error) {
+	nw := uint64(len(src) / 8)
+	word := func(i uint64) uint64 { return binary.LittleEndian.Uint64(src[8*i:]) }
 	if nw < 6 {
 		return nil, 0, errTruncated
 	}
@@ -148,17 +149,24 @@ func decodeWords(data []byte) (*Block, int, error) {
 	}
 	shape, counts := word(3), word(4)
 	width, nBundles, nRec := shape>>32, uint64(uint32(counts)), counts>>32
-	if width > maxWidth || (width == 0) != (nBundles == 0) {
+	if width > MaxWidth || (width == 0) != (nBundles == 0) {
 		return nil, 0, fmt.Errorf("vliw: bad bundle width %d for %d bundles", width, nBundles)
 	}
-	// The body needs a word per bundle syllable, a length word per
-	// recovery and the pool length word (nSyl < 2^39, nRec < 2^32). The
-	// walk keeps rp + (recoveries left) + 1 <= nw, so no bound underflows.
-	nSyl := nBundles * width
-	if 5+nSyl+nRec >= nw {
+	// The body needs a word per bundle slot, a length word per recovery
+	// and the pool length word (slot words < 2^36, nRec < 2^32). The
+	// walk keeps rp + (recoveries left) + 1 <= nw, so no bound
+	// underflows. nSyl bounds the syllables the block keeps.
+	slotWords := nBundles * width
+	if 5+slotWords+nRec >= nw {
 		return nil, 0, errTruncated
 	}
-	rp := 5 + nSyl
+	nSyl := uint64(0)
+	for i := uint64(5); i < 5+slotWords; i++ {
+		if word(i) != padWord {
+			nSyl++
+		}
+	}
+	rp := 5 + slotWords
 	for left := nRec; left > 0; left-- {
 		n := word(rp)
 		if n > nw-rp-1-left {
@@ -167,49 +175,67 @@ func decodeWords(data []byte) (*Block, int, error) {
 		rp += 1 + n
 		nSyl += n
 	}
+	if nSyl > MaxSyllables {
+		return nil, 0, fmt.Errorf("vliw: %d syllables exceed %d", nSyl, MaxSyllables)
+	}
 	poolLen := word(rp)
 	if poolLen > nw-rp-1 {
 		return nil, 0, errTruncated
 	}
-	pool := data[8*(rp+1) : 8*(rp+1+poolLen)]
+	pool := src[8*(rp+1) : 8*(rp+1+poolLen)]
 
-	b := &Block{EntryPC: word(1), FallPC: word(2), GuestInsts: int(uint32(shape))}
-	syl := make([]Syllable, nSyl)
-	next, pos := uint64(0), uint64(5)
-	take := func(n uint64) ([]Syllable, error) {
-		s := syl[next : next+n : next+n]
-		for i := range s {
-			if err := decodeSyllable(&s[i], word(pos), pool); err != nil {
-				return nil, err
-			}
-			pos++
+	b := &Block{EntryPC: word(1), FallPC: word(2), GuestInsts: int(uint32(shape)), Width: int(width)}
+	if nSyl > 0 {
+		b.Syls = make([]Syllable, 0, nSyl)
+	}
+	// next decodes the syllable at word pos and its GuestPC at byte off.
+	pos, off, pc := uint64(5), int(8*(rp+1+poolLen)), b.EntryPC
+	next := func() (sy Syllable, err error) {
+		if err := decodeSyllable(&sy, word(pos), pool); err != nil {
+			return sy, err
 		}
-		next += n
-		return s, nil
+		pos++
+		z, k := binary.Uvarint(src[off:])
+		if k <= 0 {
+			return sy, errors.New("vliw: truncated GuestPC table")
+		}
+		off += k
+		pc += z>>1 ^ -(z & 1)
+		sy.GuestPC = pc
+		return sy, nil
 	}
 	if nBundles > 0 {
-		b.Bundles = make([]Bundle, nBundles)
-		for i := range b.Bundles {
-			bun, err := take(width)
+		b.Slots = make([]Slots, nBundles)
+	}
+	for i := range b.Slots {
+		b.Slots[i].Start = uint16(len(b.Syls))
+		for j := range width {
+			sy, err := next()
 			if err != nil {
 				return nil, 0, err
 			}
-			b.Bundles[i] = bun
+			if !padding(sy) {
+				b.Slots[i].Mask |= 1 << j
+				b.Syls = append(b.Syls, sy)
+			}
 		}
 	}
 	if nRec > 0 {
-		b.Recoveries = make([][]Syllable, nRec)
-		for i := range b.Recoveries {
-			n := word(pos)
-			pos++
-			rec, err := take(n)
+		b.RecStart = make([]uint16, nRec)
+	}
+	for k := range b.RecStart {
+		b.RecStart[k] = uint16(len(b.Syls))
+		n := word(pos)
+		pos++
+		for range n {
+			sy, err := next()
 			if err != nil {
 				return nil, 0, err
 			}
-			b.Recoveries[i] = rec
+			b.Syls = append(b.Syls, sy)
 		}
 	}
-	return b, int(8 * (rp + 1 + poolLen)), nil
+	return b, off, nil
 }
 
 // decodeSyllable unpacks one syllable word into s, resolving pool
@@ -242,9 +268,9 @@ func decodeSyllable(s *Syllable, w uint64, pool []byte) error {
 }
 
 // AppendBlock appends the encoding of b to dst: its word image, then
-// the GuestPC side table — per syllable, bundles first and recoveries
-// after, the zigzag uvarint of its GuestPC minus the previous
-// syllable's (EntryPC before the first).
+// the GuestPC side table — per syllable, bundle slots first (padding's
+// GuestPC is 0) and recoveries after, the zigzag uvarint of its GuestPC
+// minus the previous syllable's (EntryPC before the first).
 func AppendBlock(dst []byte, b *Block) ([]byte, error) {
 	dst, err := appendWords(dst, b)
 	if err != nil {
@@ -258,45 +284,11 @@ func AppendBlock(dst []byte, b *Block) ([]byte, error) {
 			prev = s[i].GuestPC
 		}
 	}
-	for _, bun := range b.Bundles {
+	var bun Bundle
+	for i := range b.Slots {
+		bun = b.AppendBundle(bun[:0], i)
 		put(bun)
 	}
-	for _, rec := range b.Recoveries {
-		put(rec)
-	}
+	put(b.Syls[b.bundleSyls():])
 	return dst, nil
-}
-
-// ConsumeBlock decodes one block written by AppendBlock from the front
-// of src, GuestPCs included, and returns it with the number of bytes it
-// read. It rejects hostile input with an error, never a panic.
-func ConsumeBlock(src []byte) (*Block, int, error) {
-	b, n, err := decodeWords(src)
-	if err != nil {
-		return nil, 0, err
-	}
-	prev := b.EntryPC
-	get := func(s []Syllable) error {
-		for i := range s {
-			z, k := binary.Uvarint(src[n:])
-			if k <= 0 {
-				return errors.New("vliw: truncated GuestPC table")
-			}
-			n += k
-			prev += z>>1 ^ -(z & 1)
-			s[i].GuestPC = prev
-		}
-		return nil
-	}
-	for _, bun := range b.Bundles {
-		if err := get(bun); err != nil {
-			return nil, 0, err
-		}
-	}
-	for _, rec := range b.Recoveries {
-		if err := get(rec); err != nil {
-			return nil, 0, err
-		}
-	}
-	return b, n, nil
 }

@@ -42,9 +42,11 @@ func translatedBlocks(t testing.TB, src string) []*vliw.Block {
 
 // FuzzDecodeBlock feeds hostile images to ConsumeBlock. It may not
 // panic, and whatever it accepts must survive a re-encode through
-// AppendBlock unchanged, GuestPCs included. The seeds are the encoded
-// blocks of the Fig. 4 kernels and both PoCs, each in full and as its
-// bare word image with the GuestPC side table cut off.
+// AppendBlock unchanged, GuestPCs included. Its bundles, expanded to
+// full width with nops in whatever slots the image put them, must pack
+// back into the same block and expand to the same bundles. The seeds
+// are the encoded blocks of the Fig. 4 kernels and both PoCs, each in
+// full and as its bare word image with the GuestPC side table cut off.
 func FuzzDecodeBlock(f *testing.F) {
 	var srcs []string
 	for _, k := range polybench.All() {
@@ -91,6 +93,27 @@ func FuzzDecodeBlock(f *testing.F) {
 			}
 			if n2 != len(again) || !reflect.DeepEqual(b, b2) {
 				t.Fatalf("round trip changed the block (%d of %d bytes):\n%v\n%v", n2, len(again), b, b2)
+			}
+			bundles := make([]vliw.Bundle, len(b.Slots))
+			for i := range bundles {
+				bundles[i] = b.AppendBundle(nil, i)
+			}
+			recs := make([][]vliw.Syllable, len(b.RecStart))
+			for k := range recs {
+				recs[k] = b.Recovery(k)
+			}
+			p, err := vliw.Pack(bundles, recs)
+			if err != nil {
+				t.Fatalf("expanded block does not pack: %v", err)
+			}
+			p.EntryPC, p.FallPC, p.GuestInsts = b.EntryPC, b.FallPC, b.GuestInsts
+			if !reflect.DeepEqual(p, b) {
+				t.Fatalf("packing the expanded bundles changed the block:\n%v\n%v", b, p)
+			}
+			for i := range bundles {
+				if got := p.AppendBundle(nil, i); !reflect.DeepEqual(got, bundles[i]) {
+					t.Fatalf("bundle %d expands to %v, packed from %v", i, got, bundles[i])
+				}
 			}
 		}
 	})

@@ -134,20 +134,44 @@ func (s Syllable) String() string {
 	return s.Kind.String()
 }
 
-// Bundle is one issue group: IssueWidth syllables executing in lockstep.
-// All reads sample the register state before the bundle; writes apply
-// after the bundle.
+// Bundle is one issue group at full width: IssueWidth syllables executing
+// in lockstep. All reads sample the register state before the bundle;
+// writes apply after the bundle. A Block stores its bundles packed.
 type Bundle []Syllable
 
+// Slots places one bundle in its block's dense syllables: the syllables
+// of the bundle's occupied slots are Syls[Start:], one per set bit of
+// Mask, in slot order; the slots whose bit is clear hold padding.
+type Slots struct {
+	Start uint16
+	Mask  uint16
+}
+
+// MaxWidth is the widest bundle a block holds, and MaxSyllables the most
+// syllables (a dop indexes them in 16 bits).
+const (
+	MaxWidth     = 16
+	MaxSyllables = 1<<16 - 1
+)
+
 // Block is a translated code region: the unit the DBT engine produces
-// and the core executes.
+// and the core executes. It holds one dense form, which the dispatch
+// table indexes and the codec encodes.
 type Block struct {
 	EntryPC uint64
-	Bundles []Bundle
-	// Recoveries holds DBT-generated recovery sequences for KChk: the
-	// speculative load re-executed architecturally plus its forward
-	// slice, run sequentially on conflict.
-	Recoveries [][]Syllable
+	// Syls holds the block's syllables: each bundle's occupied slots,
+	// bundle after bundle, then the recovery sequences (nops included,
+	// since each costs a cycle). A bundle slot is occupied unless it
+	// holds padding: a guest fence is a nop that occupies its slot.
+	Syls []Syllable
+	// Slots places each bundle in Syls; Width is the bundles' issue
+	// width (0 when there are none).
+	Slots []Slots
+	Width int
+	// RecStart[k] is where recovery k starts in Syls (it ends where the
+	// next starts): the code a KChk runs on conflict, the speculative
+	// load re-executed architecturally plus its forward slice.
+	RecStart []uint16
 	// FallPC is where execution continues when the block completes
 	// without a control syllable redirecting it.
 	FallPC uint64
@@ -161,6 +185,74 @@ type Block struct {
 	// a shared translation cache can be executed by concurrent
 	// machines without a lock.
 	dec atomic.Pointer[decoded]
+}
+
+// Pack builds a block's dense form from full-width bundles and recovery
+// sequences: the bundles' padding is dropped. The caller sets EntryPC,
+// FallPC and GuestInsts.
+func Pack(bundles []Bundle, recoveries [][]Syllable) (*Block, error) {
+	b := new(Block)
+	if len(bundles) > 0 {
+		b.Slots, b.Width = make([]Slots, len(bundles)), len(bundles[0])
+	}
+	for i, bun := range bundles {
+		if len(bun) != b.Width || b.Width > MaxWidth {
+			return nil, fmt.Errorf("vliw: bundle %d has width %d, want %d (at most %d)", i, len(bun), b.Width, MaxWidth)
+		}
+		b.Slots[i].Start = uint16(len(b.Syls))
+		for j := range bun {
+			if !padding(bun[j]) {
+				b.Slots[i].Mask |= 1 << j
+				b.Syls = append(b.Syls, bun[j])
+			}
+		}
+	}
+	for _, rec := range recoveries {
+		b.RecStart = append(b.RecStart, uint16(len(b.Syls)))
+		b.Syls = append(b.Syls, rec...)
+	}
+	if len(b.Syls) > MaxSyllables {
+		return nil, fmt.Errorf("vliw: %d syllables exceed %d", len(b.Syls), MaxSyllables)
+	}
+	return b, nil
+}
+
+// padding reports whether s only pads its bundle: a nop with nothing set
+// but, at most, a guest PC (the codec drops that with the slot).
+func padding(s Syllable) bool {
+	s.GuestPC = 0
+	return s == Syllable{}
+}
+
+// AppendBundle appends bundle i at full width to dst: its syllables in
+// their slots, padding in the others.
+func (b *Block) AppendBundle(dst Bundle, i int) Bundle {
+	s, next := b.Slots[i], int(b.Slots[i].Start)
+	for j := range b.Width {
+		var sy Syllable
+		if s.Mask>>j&1 != 0 {
+			sy, next = b.Syls[next], next+1
+		}
+		dst = append(dst, sy)
+	}
+	return dst
+}
+
+// bundleSyls is how many of Syls belong to bundles.
+func (b *Block) bundleSyls() int {
+	if len(b.RecStart) > 0 {
+		return int(b.RecStart[0])
+	}
+	return len(b.Syls)
+}
+
+// Recovery returns recovery sequence k.
+func (b *Block) Recovery(k int) []Syllable {
+	end := len(b.Syls)
+	if k+1 < len(b.RecStart) {
+		end = int(b.RecStart[k+1])
+	}
+	return b.Syls[b.RecStart[k]:end]
 }
 
 // decoded returns the block's threaded-dispatch table, building it on
@@ -320,6 +412,9 @@ func (c *Config) Validate() error {
 	if len(c.Slots) == 0 {
 		return fmt.Errorf("vliw: config has no slots")
 	}
+	if len(c.Slots) > MaxWidth {
+		return fmt.Errorf("vliw: issue width %d exceeds %d", len(c.Slots), MaxWidth)
+	}
 	var caps SlotCap
 	for _, s := range c.Slots {
 		caps |= s
@@ -335,10 +430,13 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// String renders a block's schedule for debugging.
+// String renders a block's schedule for debugging, each bundle at full
+// width.
 func (b *Block) String() string {
-	s := fmt.Sprintf("vliw block @%#x (%d bundles, falls to %#x)\n", b.EntryPC, len(b.Bundles), b.FallPC)
-	for i, bun := range b.Bundles {
+	s := fmt.Sprintf("vliw block @%#x (%d bundles, falls to %#x)\n", b.EntryPC, len(b.Slots), b.FallPC)
+	var bun Bundle
+	for i := range b.Slots {
+		bun = b.AppendBundle(bun[:0], i)
 		s += fmt.Sprintf("  %3d: ", i)
 		for j, sy := range bun {
 			if j > 0 {
@@ -348,9 +446,9 @@ func (b *Block) String() string {
 		}
 		s += "\n"
 	}
-	for i, rec := range b.Recoveries {
+	for i := range b.RecStart {
 		s += fmt.Sprintf("  rec%d:", i)
-		for _, sy := range rec {
+		for _, sy := range b.Recovery(i) {
 			s += " {" + sy.String() + "}"
 		}
 		s += "\n"

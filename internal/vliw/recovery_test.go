@@ -31,7 +31,7 @@ func TestRecoverySemantics(t *testing.T) {
 	// value the recovery recomputes. chk t1 consumes a second entry
 	// when the test loads one under tag 1.
 	conflictBlock := func(store uint64, rec ...Syllable) *Block {
-		return &Block{
+		return testBlock{
 			FallPC: 0x300,
 			Bundles: []Bundle{
 				pad(cfg, Syllable{Kind: KLoadS, Op: riscv.LD, Dst: 40, Imm: 0x20000, GuestPC: 0x100},
@@ -42,7 +42,7 @@ func TestRecoverySemantics(t *testing.T) {
 				pad(cfg, Syllable{Kind: KCommit, Dst: 6, Ra: 41, GuestPC: 0x110}),
 			},
 			Recoveries: [][]Syllable{rec},
-		}
+		}.pack()
 	}
 	cases := []recoveryCase{
 		{
@@ -76,7 +76,7 @@ func TestRecoverySemantics(t *testing.T) {
 			// tag 1 there, so the store to its stale address 0x20108
 			// conflicts with nothing and chk t1 needs no recovery.
 			name: "replayed lds refreshes the MCB and is not new speculation",
-			blk: &Block{
+			blk: testBlock{
 				FallPC: 0x300,
 				Bundles: []Bundle{
 					pad(cfg, Syllable{Kind: KLoadS, Op: riscv.LD, Dst: 40, Imm: 0x20000, GuestPC: 0x100},
@@ -95,7 +95,7 @@ func TestRecoverySemantics(t *testing.T) {
 						{Kind: KLoadS, Op: riscv.LD, Dst: 41, Ra: 40, Imm: 8, Tag: 1, GuestPC: 0x108},
 					},
 				},
-			},
+			}.pack(),
 			tracer: true,
 			check: func(t *testing.T, c *Core, regs *[NumRegs]uint64, cycles uint64, ei ExitInfo, b *bus.Bus) {
 				if ei.Fault != nil {
@@ -132,7 +132,7 @@ func TestRecoverySemantics(t *testing.T) {
 			// op uses it as a base. The first replayed op has landed,
 			// and the outstanding tag 1 is drained with the fault.
 			name: "poisoned base in a replayed ld",
-			blk: &Block{
+			blk: testBlock{
 				FallPC: 0x300,
 				Bundles: []Bundle{
 					pad(cfg, Syllable{Kind: KLoadD, Op: riscv.LD, Dst: 42, Imm: 8, GuestPC: 0xf0}),
@@ -147,7 +147,7 @@ func TestRecoverySemantics(t *testing.T) {
 					{Kind: KLoad, Op: riscv.LD, Dst: 40, Imm: 0x20000, GuestPC: 0x200},
 					{Kind: KLoad, Op: riscv.LD, Dst: 41, Ra: 42, GuestPC: 0x204},
 				}},
-			},
+			}.pack(),
 			check: func(t *testing.T, c *Core, regs *[NumRegs]uint64, cycles uint64, ei ExitInfo, b *bus.Bus) {
 				if ei.Fault == nil || ei.Fault.Kind != trap.DeferredFault {
 					t.Fatalf("exit = %+v, want a deferred fault", ei)

@@ -56,7 +56,7 @@ func refFault(err error, pc uint64) ExitInfo {
 
 // exec runs one block. Every fault drains the MCB, as a fault does on
 // the core.
-func (m *refMachine) exec(blk *Block) ExitInfo {
+func (m *refMachine) exec(blk *testBlock) ExitInfo {
 	ei := m.run(blk)
 	if ei.Fault != nil {
 		m.mcb.Reset()
@@ -86,7 +86,7 @@ func (m *refMachine) specLoad(sy *Syllable) (val, addr uint64, squashed bool) {
 	return riscv.ExtendLoad(sy.Op, v), addr, false
 }
 
-func (m *refMachine) run(blk *Block) ExitInfo {
+func (m *refMachine) run(blk *testBlock) ExitInfo {
 	m.poisoned = [NumRegs]bool{}
 	if len(blk.Bundles) == 0 {
 		m.cycles++ // the dispatch of any block costs a cycle
@@ -252,7 +252,7 @@ func (m *refMachine) run(blk *Block) ExitInfo {
 // Each result lands before the next syllable reads. A replayed ldd or
 // lds stays dismissable and is no new speculation (no Stats); a
 // replayed lds re-arms its tag at the corrected address.
-func (m *refMachine) replay(blk *Block, rec int16) *ExitInfo {
+func (m *refMachine) replay(blk *testBlock, rec int16) *ExitInfo {
 	if rec < 0 || int(rec) >= len(blk.Recoveries) {
 		ei := refFault(errInternal(0, "vliw: recovery %d out of range", rec), 0)
 		return &ei
@@ -340,8 +340,8 @@ const (
 // break and flags, registers, an immediate selector and an operation
 // selector. Bit 4 of the kind byte selects the second kind table
 // (jump, jumpr, csr, cflush).
-func fuzzBlock(cfg Config, data []byte) *Block {
-	blk := &Block{EntryPC: 0x100, FallPC: 0x200}
+func fuzzBlock(cfg Config, data []byte) *testBlock {
+	blk := &testBlock{EntryPC: 0x100, FallPC: 0x200}
 	var cur []Syllable
 	var recs [2][]Syllable
 	flush := func() {
@@ -523,7 +523,8 @@ func FuzzExecBundleSemantics(f *testing.F) {
 		fuzzSyl(7, 0, 1, 2, 0, 1, true))) // bne r1, r2
 	cfg := DefaultConfig()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		blk := fuzzBlock(cfg, data)
+		tb := fuzzBlock(cfg, data)
+		blk := tb.pack()
 		c := MustNewCore(cfg)
 		ref := &refMachine{cfg: cfg, b: fuzzBus()}
 		b := fuzzBus()
@@ -544,7 +545,7 @@ func FuzzExecBundleSemantics(f *testing.F) {
 		var cycles uint64
 		for run := 0; run < 2; run++ {
 			got := c.Exec(blk, &regs, b, &cycles)
-			want := ref.exec(blk)
+			want := ref.exec(tb)
 			where := fmt.Sprintf("run %d of\n%s", run, blk)
 			if (got.Fault == nil) != (want.Fault == nil) {
 				t.Fatalf("%s\nexit = %+v, reference %+v", where, got, want)

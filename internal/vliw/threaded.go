@@ -12,10 +12,11 @@ import (
 // This file implements the threaded-code dispatch engine: instead of
 // re-interpreting each syllable's Kind/Op through nested switches on
 // every execution, a block is predecoded once into a flat table of dops
-// — nops stripped, one handler function pointer per operation, ALU /
-// branch / extend semantics resolved to direct function values, each
-// result's write mode fixed (see writeSchedule) and the handler chosen
-// for it (see specialise), and a bundle-terminator pseudo-op carrying
+// — one per live syllable of the block's dense form (a fence's nop has
+// none), one handler function pointer per operation, ALU / branch /
+// extend semantics resolved to direct function values, each result's
+// write mode fixed (see writeSchedule) and the handler chosen for it
+// (see specialise), and a bundle-terminator pseudo-op carrying
 // the write-phase, recovery and exit logic. The block's MCB recovery
 // sequences follow the last terminator in the same table, one op per
 // syllable, each a bundle of its own. The table is built at translation
@@ -43,28 +44,26 @@ const (
 	wmDouble              // a second write of dst in the bundle: fault after the op's work
 )
 
-// dop is one predecoded operation. The handler fn interprets the other
-// fields; alu/ext/cmp are the pre-resolved semantic functions so the
-// hot path never switches on riscv.Op again. sy points back into the
-// block's bundle storage for diagnostics (poison faults print the
-// original syllable). A bundle terminator carries the bundle's staged
-// write mask in imm, and a chk where its recovery's ops sit (see
-// recoveryRange). The dop stays one 64-byte cache line.
+// dop is one predecoded operation, 32 bytes (two to a cache line). The
+// handler fn interprets the other fields; sem is the pre-resolved
+// semantic function so the hot path never switches on riscv.Op again:
+// the ALU op of an alu/alui, the extension of a load (its second operand
+// unused), the condition of a br.exit (1 if taken). sy indexes the
+// syllable in the block's Syls, through which the fault, exit and
+// observer paths read its guest PC (and a chk its recovery index). A
+// bundle terminator carries the bundle's staged write mask in imm, and a
+// chk where its recovery's ops sit (see recoveryRange).
 type dop struct {
 	fn  func(c *Core, d *dop) ctl
-	alu func(a, b uint64) uint64
-	ext func(v uint64) uint64
-	cmp func(a, b uint64) bool
-	sy  *Syllable
+	sem func(a, b uint64) uint64
 	imm int64
-	pc  uint64
+	sy  uint16
 	dst uint8
 	ra  uint8
 	rb  uint8
 	tag uint8
 	siz uint8
 	wm  uint8
-	rec int16
 }
 
 // decoded is the immutable threaded-dispatch table of one block.
@@ -99,6 +98,10 @@ func (fr *execFrame) read(r uint8) uint64 {
 
 func (fr *execFrame) poisonIn(r uint8) bool { return r != 0 && fr.poisoned[r] }
 
+// syl returns the syllable d was predecoded from, and pc its guest PC.
+func (fr *execFrame) syl(d *dop) *Syllable { return &fr.blk.Syls[d.sy] }
+func (fr *execFrame) pc(d *dop) uint64     { return fr.blk.Syls[d.sy].GuestPC }
+
 // fail terminates the block with a fault, mirroring the architectural
 // contract: the MCB is drained and the fault is pinned to the guest PC
 // of the operation when lower layers did not set one.
@@ -122,7 +125,8 @@ func (c *Core) push(d *dop, v uint64, p bool) ctl {
 		c.scr.val[d.dst] = v
 		c.scr.poison[d.dst] = p
 	case wmDouble:
-		return c.fail(errInternal(d.pc, "vliw: double write of r%d in one bundle", d.dst), d.pc)
+		pc := c.fr.pc(d)
+		return c.fail(errInternal(pc, "vliw: double write of r%d in one bundle", d.dst), pc)
 	}
 	return ctlNext
 }
@@ -134,21 +138,21 @@ func (c *Core) push(d *dop, v uint64, p bool) ctl {
 
 func opAluRRDirect(c *Core, d *dop) ctl {
 	fr := &c.fr
-	fr.regs[d.dst] = d.alu(fr.read(d.ra), fr.read(d.rb))
+	fr.regs[d.dst] = d.sem(fr.read(d.ra), fr.read(d.rb))
 	fr.poisoned[d.dst] = fr.poisonIn(d.ra) || fr.poisonIn(d.rb)
 	return ctlNext
 }
 
 func opAluRIDirect(c *Core, d *dop) ctl {
 	fr := &c.fr
-	fr.regs[d.dst] = d.alu(fr.read(d.ra), uint64(d.imm))
+	fr.regs[d.dst] = d.sem(fr.read(d.ra), uint64(d.imm))
 	fr.poisoned[d.dst] = fr.poisonIn(d.ra)
 	return ctlNext
 }
 
 // add and addi, the most frequent ALU ops of a Figure 4 sweep, also do
 // their arithmetic inline, so they make no second indirect call through
-// d.alu.
+// d.sem.
 
 func opAddDirect(c *Core, d *dop) ctl {
 	fr := &c.fr
@@ -172,7 +176,7 @@ func opMovIDirect(c *Core, d *dop) ctl {
 func opCommitDirect(c *Core, d *dop) ctl {
 	fr := &c.fr
 	if fr.poisonIn(d.ra) {
-		return c.fail(errPoisonUse(d.sy), d.pc)
+		return c.fail(errPoisonUse(fr.syl(d)), fr.pc(d))
 	}
 	fr.regs[d.dst], fr.poisoned[d.dst] = fr.read(d.ra), false
 	return ctlNext
@@ -181,12 +185,12 @@ func opCommitDirect(c *Core, d *dop) ctl {
 func opAluRR(c *Core, d *dop) ctl {
 	fr := &c.fr
 	p := fr.poisonIn(d.ra) || fr.poisonIn(d.rb)
-	return c.push(d, d.alu(fr.read(d.ra), fr.read(d.rb)), p)
+	return c.push(d, d.sem(fr.read(d.ra), fr.read(d.rb)), p)
 }
 
 func opAluRI(c *Core, d *dop) ctl {
 	fr := &c.fr
-	return c.push(d, d.alu(fr.read(d.ra), uint64(d.imm)), fr.poisonIn(d.ra))
+	return c.push(d, d.sem(fr.read(d.ra), uint64(d.imm)), fr.poisonIn(d.ra))
 }
 
 func opMovI(c *Core, d *dop) ctl {
@@ -196,17 +200,17 @@ func opMovI(c *Core, d *dop) ctl {
 func opLoad(c *Core, d *dop) ctl {
 	fr := &c.fr
 	if fr.poisonIn(d.ra) {
-		return c.fail(errPoisonUse(d.sy), d.pc)
+		return c.fail(errPoisonUse(fr.syl(d)), fr.pc(d))
 	}
 	addr := fr.read(d.ra) + uint64(d.imm)
 	v, lat, err := fr.b.Load(addr, int(d.siz))
 	if err != nil {
-		return c.fail(err, d.pc)
+		return c.fail(err, fr.pc(d))
 	}
 	if lat > fr.hitLat {
 		*fr.cycles += lat - fr.hitLat // stall-on-miss
 	}
-	return c.push(d, d.ext(v), false)
+	return c.push(d, d.sem(v, 0), false)
 }
 
 // specAccess is the memory side of a dismissable load, issued or
@@ -229,9 +233,9 @@ func (c *Core) specAccess(d *dop) (val, addr uint64, squashed bool) {
 	if fr.b.OnSpecLoad != nil {
 		// The ground-truth observer: this cache fill happened under
 		// speculation (see bus.OnSpecLoad).
-		fr.b.OnSpecLoad(d.pc, addr, *fr.cycles)
+		fr.b.OnSpecLoad(fr.pc(d), addr, *fr.cycles)
 	}
-	return d.ext(v), addr, false
+	return d.sem(v, 0), addr, false
 }
 
 // specLoad is the shared body of KLoadD/KLoadS: dismissable semantics,
@@ -244,14 +248,15 @@ func specLoad(c *Core, d *dop, mcb bool) ctl {
 		c.Stats.SpecSquash++
 	}
 	if c.Tracer.SpecOn() {
-		c.Tracer.Emit(obs.Event{Kind: obs.EvSpecLoad, Cycle: *fr.cycles, PC: d.pc, Arg1: addr})
+		pc := fr.pc(d)
+		c.Tracer.Emit(obs.Event{Kind: obs.EvSpecLoad, Cycle: *fr.cycles, PC: pc, Arg1: addr})
 		if squashed {
-			c.Tracer.Emit(obs.Event{Kind: obs.EvSpecSquash, Cycle: *fr.cycles, PC: d.pc, Arg1: addr})
+			c.Tracer.Emit(obs.Event{Kind: obs.EvSpecSquash, Cycle: *fr.cycles, PC: pc, Arg1: addr})
 		}
 	}
 	if mcb {
 		if err := c.MCB.Insert(d.tag, addr, int(d.siz), squashed); err != nil {
-			return c.fail(err, d.pc)
+			return c.fail(err, fr.pc(d))
 		}
 		if c.Tracer.SpecOn() {
 			c.Tracer.Emit(obs.Event{Kind: obs.EvCounter, Cycle: *fr.cycles,
@@ -277,10 +282,10 @@ func opReplayLoadD(c *Core, d *dop) ctl {
 func opReplayLoadS(c *Core, d *dop) ctl {
 	val, addr, squashed := c.specAccess(d)
 	if _, _, err := c.MCB.Consume(d.tag); err != nil {
-		return c.fail(err, d.pc)
+		return c.fail(err, c.fr.pc(d))
 	}
 	if err := c.MCB.Insert(d.tag, addr, int(d.siz), squashed); err != nil {
-		return c.fail(err, d.pc)
+		return c.fail(err, c.fr.pc(d))
 	}
 	return c.push(d, val, squashed)
 }
@@ -288,12 +293,12 @@ func opReplayLoadS(c *Core, d *dop) ctl {
 func opStore(c *Core, d *dop) ctl {
 	fr := &c.fr
 	if fr.poisonIn(d.ra) || fr.poisonIn(d.rb) {
-		return c.fail(errPoisonUse(d.sy), d.pc)
+		return c.fail(errPoisonUse(fr.syl(d)), fr.pc(d))
 	}
 	addr := fr.read(d.ra) + uint64(d.imm)
 	lat, err := fr.b.Store(addr, int(d.siz), fr.read(d.rb))
 	if err != nil {
-		return c.fail(err, d.pc)
+		return c.fail(err, fr.pc(d))
 	}
 	if lat > fr.hitLat {
 		*fr.cycles += lat - fr.hitLat
@@ -306,7 +311,7 @@ func opChk(c *Core, d *dop) ctl {
 	fr := &c.fr
 	conflict, faulted, err := c.MCB.Consume(d.tag)
 	if err != nil {
-		return c.fail(err, d.pc)
+		return c.fail(err, fr.pc(d))
 	}
 	if c.Tracer.SpecOn() {
 		c.Tracer.Emit(obs.Event{Kind: obs.EvCounter, Cycle: *fr.cycles,
@@ -315,7 +320,7 @@ func opChk(c *Core, d *dop) ctl {
 	if faulted {
 		// The speculative load faults at its original
 		// program position (exception no longer deferred).
-		return c.fail(trap.Newf(trap.DeferredFault, "speculative load fault delivered at chk"), d.pc)
+		return c.fail(trap.Newf(trap.DeferredFault, "speculative load fault delivered at chk"), fr.pc(d))
 	}
 	if conflict {
 		c.scr.recov = append(c.scr.recov, d)
@@ -326,12 +331,12 @@ func opChk(c *Core, d *dop) ctl {
 func opBrExit(c *Core, d *dop) ctl {
 	fr := &c.fr
 	if fr.poisonIn(d.ra) || fr.poisonIn(d.rb) {
-		return c.fail(errPoisonUse(d.sy), d.pc)
+		return c.fail(errPoisonUse(fr.syl(d)), fr.pc(d))
 	}
-	if d.cmp(fr.read(d.ra), fr.read(d.rb)) {
+	if d.sem(fr.read(d.ra), fr.read(d.rb)) != 0 {
 		fr.exitTaken = true
 		fr.exitTo = uint64(d.imm)
-		fr.exitPC = d.pc
+		fr.exitPC = fr.pc(d)
 	}
 	return ctlNext
 }
@@ -345,7 +350,7 @@ func opJump(c *Core, d *dop) ctl {
 func opJumpR(c *Core, d *dop) ctl {
 	fr := &c.fr
 	if fr.poisonIn(d.ra) {
-		return c.fail(errPoisonUse(d.sy), d.pc)
+		return c.fail(errPoisonUse(fr.syl(d)), fr.pc(d))
 	}
 	fr.nextPC, fr.haveNext = fr.read(d.ra)+uint64(d.imm), true
 	return ctlNext
@@ -371,7 +376,7 @@ func opFlushAll(c *Core, d *dop) ctl {
 func opFlushLine(c *Core, d *dop) ctl {
 	fr := &c.fr
 	if fr.poisonIn(d.ra) {
-		return c.fail(errPoisonUse(d.sy), d.pc)
+		return c.fail(errPoisonUse(fr.syl(d)), fr.pc(d))
 	}
 	fr.b.FlushLine(fr.read(d.ra))
 	return ctlNext
@@ -380,17 +385,19 @@ func opFlushLine(c *Core, d *dop) ctl {
 func opCommit(c *Core, d *dop) ctl {
 	fr := &c.fr
 	if fr.poisonIn(d.ra) {
-		return c.fail(errPoisonUse(d.sy), d.pc)
+		return c.fail(errPoisonUse(fr.syl(d)), fr.pc(d))
 	}
 	return c.push(d, fr.read(d.ra), false)
 }
 
 func opBadKind(c *Core, d *dop) ctl {
-	return c.fail(errInternal(d.pc, "vliw: unknown syllable kind %d", d.sy.Kind), d.pc)
+	pc := c.fr.pc(d)
+	return c.fail(errInternal(pc, "vliw: unknown syllable kind %d", c.fr.syl(d).Kind), pc)
 }
 
 func opRecoveryBadKind(c *Core, d *dop) ctl {
-	return c.fail(errInternal(d.pc, "vliw: kind %s not allowed in recovery code", d.sy.Kind), d.pc)
+	pc := c.fr.pc(d)
+	return c.fail(errInternal(pc, "vliw: kind %s not allowed in recovery code", c.fr.syl(d).Kind), pc)
 }
 
 // finishBundle runs the bundle's write phase (the staged writes named
@@ -413,7 +420,7 @@ func (c *Core) finishBundle(term *dop) ctl {
 	scr.recov = recov[:0]
 	for _, chk := range recov {
 		if chk.imm < 0 {
-			return c.fail(errInternal(0, "vliw: recovery %d out of range", chk.rec), 0)
+			return c.fail(errInternal(0, "vliw: recovery %d out of range", fr.syl(chk).Rec), 0)
 		}
 		c.Stats.Recoveries++
 		*fr.cycles += c.Cfg.RecoveryPenalty
@@ -421,9 +428,9 @@ func (c *Core) finishBundle(term *dop) ctl {
 		if c.Tracer.SpecOn() {
 			var rpc uint64
 			if len(seq) > 0 {
-				rpc = seq[0].pc
+				rpc = fr.pc(&seq[0])
 			}
-			c.Tracer.Emit(obs.Event{Kind: obs.EvRecovery, Cycle: *fr.cycles, PC: rpc, Arg1: uint64(chk.rec)})
+			c.Tracer.Emit(obs.Event{Kind: obs.EvRecovery, Cycle: *fr.cycles, PC: rpc, Arg1: uint64(fr.syl(chk).Rec)})
 		}
 		for i := range seq {
 			*fr.cycles++
@@ -495,99 +502,91 @@ func opEndBlock(c *Core, d *dop) ctl {
 }
 
 // buildDecoded flattens a block into its threaded-dispatch table: one
-// op per non-nop syllable plus one terminator per bundle, then one op
-// per recovery syllable, allocated once at that exact size, with each
-// bundle's write schedule fixed.
+// op per non-nop bundle syllable plus one terminator per bundle, then
+// one op per recovery syllable, allocated once at that exact size, with
+// each bundle's write schedule fixed.
 func buildDecoded(blk *Block) *decoded {
-	nb := len(blk.Bundles)
-	for _, bundle := range blk.Bundles {
-		for i := range bundle {
-			if bundle[i].Kind != KNop {
-				nb++
-			}
+	syls := blk.Syls
+	nbs := blk.bundleSyls()
+	nb := len(blk.Slots)
+	for i := range syls[:nbs] {
+		if syls[i].Kind != KNop {
+			nb++
 		}
 	}
-	n := nb
-	for _, seq := range blk.Recoveries {
-		n += len(seq)
-	}
-	ops := make([]dop, 0, n)
-	for bi := range blk.Bundles {
-		bundle := blk.Bundles[bi]
+	ops := make([]dop, 0, nb+len(syls)-nbs)
+	for bi, s := range blk.Slots {
 		first := len(ops)
-		for i := range bundle {
-			sy := &bundle[i]
-			if sy.Kind == KNop {
+		for i := int(s.Start); i < int(s.Start)+bits.OnesCount16(s.Mask); i++ {
+			if syls[i].Kind == KNop {
 				continue
 			}
-			d := newDop(sy)
-			if sy.Kind == KChk {
-				d.imm = recoveryRange(blk, nb, sy.Rec)
+			d := newDop(syls, i)
+			if syls[i].Kind == KChk {
+				d.imm = recoveryRange(blk, nb, syls[i].Rec)
 			}
 			ops = append(ops, d)
 		}
-		staged := writeSchedule(ops[first:])
+		staged := writeSchedule(ops[first:], syls)
 		term := dop{fn: opEndBundle, imm: int64(staged)}
 		switch {
-		case bi == len(blk.Bundles)-1:
+		case bi == len(blk.Slots)-1:
 			term.fn = opEndBlock
-		case staged == 0 && plainBundle(ops[first:]):
+		case staged == 0 && plainBundle(ops[first:], syls):
 			term.fn = opEndBundlePlain
 		}
 		for i := first; i < len(ops); i++ {
-			specialise(&ops[i])
+			specialise(&ops[i], syls)
 		}
 		ops = append(ops, term)
 	}
 	// Recovery code runs sequentially: each op is a bundle of its own,
 	// so every write is direct. Nops stay, since each op costs a cycle.
-	for _, seq := range blk.Recoveries {
-		for i := range seq {
-			ops = append(ops, newDop(&seq[i]))
-			d := &ops[len(ops)-1]
-			switch d.sy.Kind {
-			case KAluRR, KAluRI, KMovI, KLoad, KCommit:
-			case KLoadD:
-				d.fn = opReplayLoadD
-			case KLoadS:
-				d.fn = opReplayLoadS
-			default:
-				d.fn = opRecoveryBadKind
-			}
-			writeSchedule(ops[len(ops)-1:])
-			specialise(d)
+	for i := nbs; i < len(syls); i++ {
+		ops = append(ops, newDop(syls, i))
+		d := &ops[len(ops)-1]
+		switch syls[i].Kind {
+		case KAluRR, KAluRI, KMovI, KLoad, KCommit:
+		case KLoadD:
+			d.fn = opReplayLoadD
+		case KLoadS:
+			d.fn = opReplayLoadS
+		default:
+			d.fn = opRecoveryBadKind
 		}
+		writeSchedule(ops[len(ops)-1:], syls)
+		specialise(d, syls)
 	}
 	return &decoded{ops: ops}
 }
 
-// newDop predecodes one syllable: its operands, its semantic functions
-// and its generic handler.
-func newDop(sy *Syllable) dop {
+// newDop predecodes syllable i of syls: its operands, its semantic
+// function and its generic handler.
+func newDop(syls []Syllable, i int) dop {
+	sy := &syls[i]
 	d := dop{
-		sy: sy, imm: sy.Imm, pc: sy.GuestPC,
-		dst: sy.Dst, ra: sy.Ra, rb: sy.Rb,
-		tag: sy.Tag, rec: sy.Rec,
+		sy: uint16(i), imm: sy.Imm,
+		dst: sy.Dst, ra: sy.Ra, rb: sy.Rb, tag: sy.Tag,
 	}
 	switch sy.Kind {
 	case KAluRR:
-		d.fn, d.alu = opAluRR, aluFunc(sy.Op)
+		d.fn, d.sem = opAluRR, aluFunc(sy.Op)
 	case KAluRI:
-		d.fn, d.alu = opAluRI, aluImmFunc(sy.Op)
+		d.fn, d.sem = opAluRI, aluImmFunc(sy.Op)
 	case KMovI:
 		d.fn = opMovI
 	case KLoad:
-		d.fn, d.siz, d.ext = opLoad, uint8(sy.Op.MemSize()), extendFunc(sy.Op)
+		d.fn, d.siz, d.sem = opLoad, uint8(sy.Op.MemSize()), extendFunc(sy.Op)
 	case KLoadD:
-		d.fn, d.siz, d.ext = opLoadD, uint8(sy.Op.MemSize()), extendFunc(sy.Op)
+		d.fn, d.siz, d.sem = opLoadD, uint8(sy.Op.MemSize()), extendFunc(sy.Op)
 	case KLoadS:
-		d.fn, d.siz, d.ext = opLoadS, uint8(sy.Op.MemSize()), extendFunc(sy.Op)
+		d.fn, d.siz, d.sem = opLoadS, uint8(sy.Op.MemSize()), extendFunc(sy.Op)
 	case KStore:
 		d.fn, d.siz = opStore, uint8(sy.Op.MemSize())
 	case KChk:
 		d.fn = opChk
 	case KBrExit:
-		d.fn, d.cmp = opBrExit, branchFunc(sy.Op)
+		d.fn, d.sem = opBrExit, branchFunc(sy.Op)
 	case KJump:
 		d.fn = opJump
 	case KJumpR:
@@ -613,14 +612,11 @@ func newDop(sy *Syllable) dop {
 // high 32 bits and the count in the low 32, or -1 when the block has no
 // recovery rec (a conflict on that chk is an internal error).
 func recoveryRange(blk *Block, nb int, rec int16) int64 {
-	if rec < 0 || int(rec) >= len(blk.Recoveries) {
+	if rec < 0 || int(rec) >= len(blk.RecStart) {
 		return -1
 	}
-	lo := nb
-	for _, seq := range blk.Recoveries[:rec] {
-		lo += len(seq)
-	}
-	return int64(lo)<<32 | int64(len(blk.Recoveries[rec]))
+	lo := nb + int(blk.RecStart[rec]-blk.RecStart[0])
+	return int64(lo)<<32 | int64(len(blk.Recovery(int(rec))))
 }
 
 // writeSchedule sets the write mode of every writing dop of one bundle
@@ -633,11 +629,11 @@ func recoveryRange(blk *Block, nb int, rec int16) int64 {
 // staged. A second write of the same register is a double write: the op
 // does its own work, then faults — so a later write of a register also
 // stages the first. Writes to r0 are discarded.
-func writeSchedule(ops []dop) (staged uint64) {
+func writeSchedule(ops []dop, syls []Syllable) (staged uint64) {
 	var written uint64
 	for i := range ops {
 		d := &ops[i]
-		if d.dst == 0 || !writesDst(d.sy.Kind) {
+		if d.dst == 0 || !writesDst(syls[d.sy].Kind) {
 			continue
 		}
 		if bit := uint64(1) << d.dst; written&bit != 0 {
@@ -656,7 +652,7 @@ func writeSchedule(ops []dop) (staged uint64) {
 			staged |= bit
 		}
 		readLater |= 1<<d.ra | 1<<d.rb
-		faultLater = faultLater || d.wm == wmDouble || canFault(d.sy)
+		faultLater = faultLater || d.wm == wmDouble || canFault(&syls[d.sy])
 	}
 	return staged
 }
@@ -664,19 +660,19 @@ func writeSchedule(ops []dop) (staged uint64) {
 // specialise gives a direct write its in-place handler, and add and
 // addi their inline one. Staged and double writes, and writes to r0,
 // keep the generic handler and push.
-func specialise(d *dop) {
+func specialise(d *dop, syls []Syllable) {
 	if d.wm != wmDirect {
 		return
 	}
-	switch d.sy.Kind {
+	switch sy := &syls[d.sy]; sy.Kind {
 	case KAluRR:
 		d.fn = opAluRRDirect
-		if d.sy.Op == riscv.ADD {
+		if sy.Op == riscv.ADD {
 			d.fn = opAddDirect
 		}
 	case KAluRI:
 		d.fn = opAluRIDirect
-		if d.sy.Op == riscv.ADDI {
+		if sy.Op == riscv.ADDI {
 			d.fn = opAddIDirect
 		}
 	case KMovI:
@@ -688,9 +684,9 @@ func specialise(d *dop) {
 
 // plainBundle reports whether a bundle holds none of the kinds that
 // leave work for its terminator besides the staged commit.
-func plainBundle(ops []dop) bool {
+func plainBundle(ops []dop, syls []Syllable) bool {
 	for i := range ops {
-		switch ops[i].sy.Kind {
+		switch syls[ops[i].sy].Kind {
 		case KChk, KBrExit, KJump, KJumpR:
 			return false
 		}
@@ -837,13 +833,13 @@ func aluImmFunc(op riscv.Op) func(a, b uint64) uint64 {
 	return aluImmEval[op]
 }
 
-func extIdent(v uint64) uint64 { return v }
-func extB(v uint64) uint64     { return uint64(int64(int8(v))) }
-func extH(v uint64) uint64     { return uint64(int64(int16(v))) }
-func extW(v uint64) uint64     { return uint64(int64(int32(v))) }
+func extIdent(v, _ uint64) uint64 { return v }
+func extB(v, _ uint64) uint64     { return uint64(int64(int8(v))) }
+func extH(v, _ uint64) uint64     { return uint64(int64(int16(v))) }
+func extW(v, _ uint64) uint64     { return uint64(int64(int32(v))) }
 
-// extendFunc resolves a load op's sign/zero extension.
-func extendFunc(op riscv.Op) func(v uint64) uint64 {
+// extendFunc resolves a load op's sign/zero extension of a (b unused).
+func extendFunc(op riscv.Op) func(v, _ uint64) uint64 {
 	switch op {
 	case riscv.LB:
 		return extB
@@ -854,19 +850,26 @@ func extendFunc(op riscv.Op) func(v uint64) uint64 {
 	case riscv.LD, riscv.LBU, riscv.LHU, riscv.LWU:
 		return extIdent
 	}
-	return func(v uint64) uint64 { return riscv.ExtendLoad(op, v) }
+	return func(v, _ uint64) uint64 { return riscv.ExtendLoad(op, v) }
 }
 
-func brEq(a, b uint64) bool    { return a == b }
-func brNe(a, b uint64) bool    { return a != b }
-func brLt(a, b uint64) bool    { return int64(a) < int64(b) }
-func brGe(a, b uint64) bool    { return int64(a) >= int64(b) }
-func brLtu(a, b uint64) bool   { return a < b }
-func brGeu(a, b uint64) bool   { return a >= b }
-func brNever(a, b uint64) bool { return false }
+func brEq(a, b uint64) uint64    { return b2u(a == b) }
+func brNe(a, b uint64) uint64    { return b2u(a != b) }
+func brLt(a, b uint64) uint64    { return b2u(int64(a) < int64(b)) }
+func brGe(a, b uint64) uint64    { return b2u(int64(a) >= int64(b)) }
+func brLtu(a, b uint64) uint64   { return b2u(a < b) }
+func brGeu(a, b uint64) uint64   { return b2u(a >= b) }
+func brNever(a, b uint64) uint64 { return 0 }
 
-// branchFunc resolves a side-exit condition.
-func branchFunc(op riscv.Op) func(a, b uint64) bool {
+func b2u(t bool) uint64 {
+	if t {
+		return 1
+	}
+	return 0
+}
+
+// branchFunc resolves a side-exit condition: 1 if taken.
+func branchFunc(op riscv.Op) func(a, b uint64) uint64 {
 	switch op {
 	case riscv.BEQ:
 		return brEq

@@ -29,7 +29,7 @@ func pad(cfg Config, sylls ...Syllable) Bundle {
 func TestExecStraightLineALU(t *testing.T) {
 	cfg := DefaultConfig()
 	c := MustNewCore(cfg)
-	blk := &Block{
+	blk := testBlock{
 		EntryPC: 0x100,
 		FallPC:  0x200,
 		Bundles: []Bundle{
@@ -40,7 +40,7 @@ func TestExecStraightLineALU(t *testing.T) {
 			pad(cfg, Syllable{Kind: KAluRI, Op: riscv.SLLI, Dst: 8, Ra: 7, Imm: 2}),
 		},
 		GuestInsts: 4,
-	}
+	}.pack()
 	var regs [NumRegs]uint64
 	var cycles uint64
 	b := newTestBus()
@@ -67,11 +67,11 @@ func TestExecBundleReadsPreBundleState(t *testing.T) {
 	// values (the VLIW lockstep semantics).
 	cfg := DefaultConfig()
 	c := MustNewCore(cfg)
-	blk := &Block{Bundles: []Bundle{
+	blk := testBlock{Bundles: []Bundle{
 		pad(cfg,
 			Syllable{Kind: KAluRI, Op: riscv.ADDI, Dst: 5, Ra: 6},
 			Syllable{Kind: KAluRI, Op: riscv.ADDI, Dst: 6, Ra: 5}),
-	}}
+	}}.pack()
 	var regs [NumRegs]uint64
 	regs[5], regs[6] = 111, 222
 	var cycles uint64
@@ -87,11 +87,11 @@ func TestExecBundleReadsPreBundleState(t *testing.T) {
 func TestExecDoubleWriteFaults(t *testing.T) {
 	cfg := DefaultConfig()
 	c := MustNewCore(cfg)
-	blk := &Block{Bundles: []Bundle{
+	blk := testBlock{Bundles: []Bundle{
 		pad(cfg,
 			Syllable{Kind: KMovI, Dst: 5, Imm: 1},
 			Syllable{Kind: KMovI, Dst: 5, Imm: 2}),
-	}}
+	}}.pack()
 	var regs [NumRegs]uint64
 	var cycles uint64
 	if ei := c.Exec(blk, &regs, newTestBus(), &cycles); ei.Fault == nil {
@@ -104,12 +104,12 @@ func TestExecLoadStoreAndMissStall(t *testing.T) {
 	c := MustNewCore(cfg)
 	b := newTestBus()
 	_ = b.Mem.Write(0x20000, 8, 0xCAFE)
-	blk := &Block{Bundles: []Bundle{
+	blk := testBlock{Bundles: []Bundle{
 		pad(cfg, Syllable{Kind: KMovI, Dst: 5, Imm: 0x20000}),
 		pad(cfg, Syllable{Kind: KLoad, Op: riscv.LD, Dst: 6, Ra: 5}),          // miss
 		pad(cfg, Syllable{Kind: KLoad, Op: riscv.LD, Dst: 7, Ra: 5}),          // hit
 		pad(cfg, Syllable{Kind: KStore, Op: riscv.SD, Ra: 5, Rb: 6, Imm: 64}), // miss
-	}}
+	}}.pack()
 	var regs [NumRegs]uint64
 	var cycles uint64
 	ei := c.Exec(blk, &regs, b, &cycles)
@@ -132,14 +132,14 @@ func TestExecLoadStoreAndMissStall(t *testing.T) {
 func TestExecSideExit(t *testing.T) {
 	cfg := DefaultConfig()
 	c := MustNewCore(cfg)
-	blk := &Block{
+	blk := testBlock{
 		FallPC: 0x300,
 		Bundles: []Bundle{
 			pad(cfg, Syllable{Kind: KMovI, Dst: 5, Imm: 1}),
 			pad(cfg, Syllable{Kind: KBrExit, Op: riscv.BNE, Ra: 5, Rb: 0, Imm: 0x500}),
 			pad(cfg, Syllable{Kind: KMovI, Dst: 6, Imm: 99}), // skipped
 		},
-	}
+	}.pack()
 	var regs [NumRegs]uint64
 	var cycles uint64
 	ei := c.Exec(blk, &regs, newTestBus(), &cycles)
@@ -160,13 +160,13 @@ func TestExecSideExit(t *testing.T) {
 func TestExecBranchNotTakenFallsThrough(t *testing.T) {
 	cfg := DefaultConfig()
 	c := MustNewCore(cfg)
-	blk := &Block{
+	blk := testBlock{
 		FallPC: 0x300,
 		Bundles: []Bundle{
 			pad(cfg, Syllable{Kind: KBrExit, Op: riscv.BNE, Ra: 5, Rb: 0, Imm: 0x500}),
 			pad(cfg, Syllable{Kind: KMovI, Dst: 6, Imm: 99}),
 		},
-	}
+	}.pack()
 	var regs [NumRegs]uint64
 	var cycles uint64
 	ei := c.Exec(blk, &regs, newTestBus(), &cycles)
@@ -178,10 +178,10 @@ func TestExecBranchNotTakenFallsThrough(t *testing.T) {
 func TestExecJumpR(t *testing.T) {
 	cfg := DefaultConfig()
 	c := MustNewCore(cfg)
-	blk := &Block{Bundles: []Bundle{
+	blk := testBlock{Bundles: []Bundle{
 		pad(cfg, Syllable{Kind: KMovI, Dst: 1, Imm: 0x4242}),
 		pad(cfg, Syllable{Kind: KJumpR, Ra: 1, Imm: 8}),
-	}}
+	}}.pack()
 	var regs [NumRegs]uint64
 	var cycles uint64
 	ei := c.Exec(blk, &regs, newTestBus(), &cycles)
@@ -194,11 +194,11 @@ func TestExecDismissableLoadSquashAndCommitFault(t *testing.T) {
 	cfg := DefaultConfig()
 	c := MustNewCore(cfg)
 	// ldd from an unmapped address: squashed, poison set; commit faults.
-	blk := &Block{Bundles: []Bundle{
+	blk := testBlock{Bundles: []Bundle{
 		pad(cfg, Syllable{Kind: KMovI, Dst: 40, Imm: 0x7FFFFFFF}),
 		pad(cfg, Syllable{Kind: KLoadD, Op: riscv.LD, Dst: 41, Ra: 40}),
 		pad(cfg, Syllable{Kind: KCommit, Dst: 6, Ra: 41}),
-	}}
+	}}.pack()
 	var regs [NumRegs]uint64
 	var cycles uint64
 	ei := c.Exec(blk, &regs, newTestBus(), &cycles)
@@ -215,7 +215,7 @@ func TestExecDismissableLoadSquashDiscardedOnExit(t *testing.T) {
 	c := MustNewCore(cfg)
 	// ldd squashes, but the side exit is taken before the commit: the
 	// squashed fault disappears, exactly like misspeculation.
-	blk := &Block{
+	blk := testBlock{
 		FallPC: 0x300,
 		Bundles: []Bundle{
 			pad(cfg,
@@ -224,7 +224,7 @@ func TestExecDismissableLoadSquashDiscardedOnExit(t *testing.T) {
 			pad(cfg, Syllable{Kind: KBrExit, Op: riscv.BNE, Ra: 5, Rb: 0, Imm: 0x500}),
 			pad(cfg, Syllable{Kind: KCommit, Dst: 6, Ra: 41}),
 		},
-	}
+	}.pack()
 	var regs [NumRegs]uint64
 	var cycles uint64
 	ei := c.Exec(blk, &regs, newTestBus(), &cycles)
@@ -241,9 +241,9 @@ func TestExecDismissableLoadFillsCache(t *testing.T) {
 	b := newTestBus()
 	_ = b.Mem.Write(0x30000, 8, 42)
 	b.Mem.Protect(0x30000, 0x30008)
-	blk := &Block{Bundles: []Bundle{
+	blk := testBlock{Bundles: []Bundle{
 		pad(cfg, Syllable{Kind: KLoadD, Op: riscv.LD, Dst: 41, Ra: 0, Imm: 0x30000}),
-	}}
+	}}.pack()
 	var regs [NumRegs]uint64
 	var cycles uint64
 	if ei := c.Exec(blk, &regs, b, &cycles); ei.Fault != nil {
@@ -265,7 +265,7 @@ func TestExecMCBConflictRecovery(t *testing.T) {
 	b := newTestBus()
 	_ = b.Mem.Write(0x20000, 8, 1) // old value
 
-	blk := &Block{
+	blk := testBlock{
 		FallPC: 0x300,
 		Bundles: []Bundle{
 			// speculative load (hoisted above the store), reads old value
@@ -283,7 +283,7 @@ func TestExecMCBConflictRecovery(t *testing.T) {
 			{Kind: KLoad, Op: riscv.LD, Dst: 40, Ra: 0, Imm: 0x20000},
 			{Kind: KAluRI, Op: riscv.ADDI, Dst: 41, Ra: 40, Imm: 100},
 		}},
-	}
+	}.pack()
 	var regs [NumRegs]uint64
 	var cycles uint64
 	ei := c.Exec(blk, &regs, b, &cycles)
@@ -304,7 +304,7 @@ func TestExecMCBNoConflict(t *testing.T) {
 	c := MustNewCore(cfg)
 	b := newTestBus()
 	_ = b.Mem.Write(0x20000, 8, 7)
-	blk := &Block{
+	blk := testBlock{
 		FallPC: 0x300,
 		Bundles: []Bundle{
 			pad(cfg, Syllable{Kind: KLoadS, Op: riscv.LD, Dst: 40, Ra: 0, Imm: 0x20000, Tag: 3},
@@ -316,7 +316,7 @@ func TestExecMCBNoConflict(t *testing.T) {
 		Recoveries: [][]Syllable{{
 			{Kind: KLoad, Op: riscv.LD, Dst: 40, Ra: 0, Imm: 0x20000},
 		}},
-	}
+	}.pack()
 	var regs [NumRegs]uint64
 	var cycles uint64
 	ei := c.Exec(blk, &regs, b, &cycles)
@@ -334,12 +334,12 @@ func TestExecMCBNoConflict(t *testing.T) {
 func TestExecMCBOutstandingAtExitFaults(t *testing.T) {
 	cfg := DefaultConfig()
 	c := MustNewCore(cfg)
-	blk := &Block{
+	blk := testBlock{
 		FallPC: 0x300,
 		Bundles: []Bundle{
 			pad(cfg, Syllable{Kind: KLoadS, Op: riscv.LD, Dst: 40, Ra: 0, Imm: 0x10000, Tag: 0}),
 		},
-	}
+	}.pack()
 	var regs [NumRegs]uint64
 	var cycles uint64
 	if ei := c.Exec(blk, &regs, newTestBus(), &cycles); ei.Fault == nil {
@@ -350,14 +350,14 @@ func TestExecMCBOutstandingAtExitFaults(t *testing.T) {
 func TestExecSideExitClearsMCB(t *testing.T) {
 	cfg := DefaultConfig()
 	c := MustNewCore(cfg)
-	blk := &Block{
+	blk := testBlock{
 		FallPC: 0x300,
 		Bundles: []Bundle{
 			pad(cfg, Syllable{Kind: KLoadS, Op: riscv.LD, Dst: 40, Ra: 0, Imm: 0x10000, Tag: 0},
 				Syllable{Kind: KMovI, Dst: 5, Imm: 1}),
 			pad(cfg, Syllable{Kind: KBrExit, Op: riscv.BNE, Ra: 5, Rb: 0, Imm: 0x500}),
 		},
-	}
+	}.pack()
 	var regs [NumRegs]uint64
 	var cycles uint64
 	ei := c.Exec(blk, &regs, newTestBus(), &cycles)
@@ -373,14 +373,14 @@ func TestExecRdcycleObservesStalls(t *testing.T) {
 	cfg := DefaultConfig()
 	c := MustNewCore(cfg)
 	b := newTestBus()
-	blk := &Block{
+	blk := testBlock{
 		FallPC: 0x300,
 		Bundles: []Bundle{
 			pad(cfg, Syllable{Kind: KCsr, Dst: 5, Imm: riscv.CSRCycle}),
 			pad(cfg, Syllable{Kind: KLoad, Op: riscv.LD, Dst: 6, Ra: 0, Imm: 0x10000}), // miss
 			pad(cfg, Syllable{Kind: KCsr, Dst: 7, Imm: riscv.CSRCycle}),
 		},
-	}
+	}.pack()
 	var regs [NumRegs]uint64
 	var cycles uint64
 	if ei := c.Exec(blk, &regs, b, &cycles); ei.Fault != nil {
@@ -397,10 +397,10 @@ func TestExecFlush(t *testing.T) {
 	c := MustNewCore(cfg)
 	b := newTestBus()
 	b.DC.Access(0x10000)
-	blk := &Block{Bundles: []Bundle{
+	blk := testBlock{Bundles: []Bundle{
 		pad(cfg, Syllable{Kind: KMovI, Dst: 5, Imm: 0x10000}),
 		pad(cfg, Syllable{Kind: KFlush, Op: riscv.CFLUSH, Ra: 5}),
-	}}
+	}}.pack()
 	var regs [NumRegs]uint64
 	var cycles uint64
 	if ei := c.Exec(blk, &regs, b, &cycles); ei.Fault != nil {
@@ -411,7 +411,7 @@ func TestExecFlush(t *testing.T) {
 	}
 	// flushall
 	b.DC.Access(0x10000)
-	blk2 := &Block{Bundles: []Bundle{pad(cfg, Syllable{Kind: KFlush, Op: riscv.CFLUSHALL})}}
+	blk2 := testBlock{Bundles: []Bundle{pad(cfg, Syllable{Kind: KFlush, Op: riscv.CFLUSHALL})}}.pack()
 	if ei := c.Exec(blk2, &regs, b, &cycles); ei.Fault != nil {
 		t.Fatal(ei.Fault)
 	}
@@ -423,10 +423,10 @@ func TestExecFlush(t *testing.T) {
 func TestExecArchUseOfPoisonFaults(t *testing.T) {
 	cfg := DefaultConfig()
 	mk := func(use Syllable) *Block {
-		return &Block{Bundles: []Bundle{
+		return testBlock{Bundles: []Bundle{
 			pad(cfg, Syllable{Kind: KLoadD, Op: riscv.LD, Dst: 40, Ra: 0, Imm: 0x7FFFFF00}), // squash
 			pad(cfg, use),
-		}}
+		}}.pack()
 	}
 	uses := []Syllable{
 		{Kind: KStore, Op: riscv.SD, Ra: 40, Rb: 0, Imm: 0},
@@ -449,12 +449,12 @@ func TestExecArchUseOfPoisonFaults(t *testing.T) {
 func TestExecPoisonPropagatesThroughALU(t *testing.T) {
 	cfg := DefaultConfig()
 	c := MustNewCore(cfg)
-	blk := &Block{Bundles: []Bundle{
+	blk := testBlock{Bundles: []Bundle{
 		pad(cfg, Syllable{Kind: KLoadD, Op: riscv.LD, Dst: 40, Ra: 0, Imm: 0x7FFFFF00}),
 		pad(cfg, Syllable{Kind: KAluRI, Op: riscv.ADDI, Dst: 41, Ra: 40, Imm: 1}),
 		pad(cfg, Syllable{Kind: KLoadD, Op: riscv.LD, Dst: 42, Ra: 41}), // poisoned addr: squash again
 		pad(cfg, Syllable{Kind: KCommit, Dst: 6, Ra: 42}),
-	}}
+	}}.pack()
 	var regs [NumRegs]uint64
 	var cycles uint64
 	ei := c.Exec(blk, &regs, newTestBus(), &cycles)
@@ -566,7 +566,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	ops := []riscv.Op{riscv.ADD, riscv.MUL, riscv.LD, riscv.LW, riscv.SD, riscv.BEQ, riscv.CFLUSH, riscv.ADDI, riscv.SLLI}
 	for trial := 0; trial < 200; trial++ {
 		width := 1 + r.Intn(8)
-		blk := &Block{
+		tb := testBlock{
 			EntryPC:    uint64(r.Uint32()),
 			FallPC:     uint64(r.Uint32()),
 			GuestInsts: r.Intn(100),
@@ -586,20 +586,21 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 				}
 				switch r.Intn(3) { // GuestPC: padding, nearby, or anywhere
 				case 1:
-					bun[j].GuestPC = blk.EntryPC + uint64(4*r.Intn(64))
+					bun[j].GuestPC = tb.EntryPC + uint64(4*r.Intn(64))
 				case 2:
 					bun[j].GuestPC = r.Uint64()
 				}
 			}
-			blk.Bundles = append(blk.Bundles, bun)
+			tb.Bundles = append(tb.Bundles, bun)
 		}
 		for i := 0; i < r.Intn(3); i++ {
 			var rec []Syllable
 			for j := 0; j < 1+r.Intn(4); j++ {
 				rec = append(rec, Syllable{Kind: KLoad, Op: riscv.LD, Dst: uint8(r.Intn(64)), Ra: uint8(r.Intn(64)), Imm: int64(r.Intn(1 << 20)), GuestPC: r.Uint64()})
 			}
-			blk.Recoveries = append(blk.Recoveries, rec)
+			tb.Recoveries = append(tb.Recoveries, rec)
 		}
+		blk := tb.pack()
 		full, err := AppendBlock([]byte("prefix"), blk)
 		if err != nil {
 			t.Fatalf("append: %v", err)
@@ -615,7 +616,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsCorrupt(t *testing.T) {
-	blk := &Block{Bundles: []Bundle{{Syllable{Kind: KMovI, Dst: 5, Imm: 1}}}}
+	blk := testBlock{Bundles: []Bundle{{Syllable{Kind: KMovI, Dst: 5, Imm: 1}}}}.pack()
 	data, err := AppendBlock(nil, blk)
 	if err != nil {
 		t.Fatal(err)
@@ -677,7 +678,7 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 }
 
 func TestBlockString(t *testing.T) {
-	blk := &Block{
+	blk := testBlock{
 		EntryPC: 0x100,
 		Bundles: []Bundle{{
 			Syllable{Kind: KLoadS, Op: riscv.LD, Dst: 40, Ra: 5, Imm: 8, Tag: 1},
@@ -686,7 +687,7 @@ func TestBlockString(t *testing.T) {
 			Syllable{Kind: KCommit, Dst: 5, Ra: 40},
 		}},
 		Recoveries: [][]Syllable{{{Kind: KLoad, Op: riscv.LD, Dst: 40, Ra: 5, Imm: 8}}},
-	}
+	}.pack()
 	s := blk.String()
 	for _, want := range []string{"lds", "chk", "br.", "commit", "rec0"} {
 		if !strings.Contains(s, want) {
@@ -706,7 +707,7 @@ func TestExecRecoveryReplaysCommitAndRefreshesLDS(t *testing.T) {
 	_ = b.Mem.Write(0x20200, 8, 0x20300) // corrected pointer
 	_ = b.Mem.Write(0x20300, 8, 9)       // corrected target value
 
-	blk := &Block{
+	blk := testBlock{
 		FallPC: 0x300,
 		Bundles: []Bundle{
 			// lds1 reads the pointer slot speculatively (stale).
@@ -733,7 +734,7 @@ func TestExecRecoveryReplaysCommitAndRefreshesLDS(t *testing.T) {
 				{Kind: KLoad, Op: riscv.LD, Dst: 41, Ra: 40},
 			},
 		},
-	}
+	}.pack()
 	var regs [NumRegs]uint64
 	var cycles uint64
 	ei := c.Exec(blk, &regs, b, &cycles)
@@ -755,9 +756,9 @@ func TestExecInstretCSR(t *testing.T) {
 	cfg := DefaultConfig()
 	c := MustNewCore(cfg)
 	c.Instret = 123
-	blk := &Block{Bundles: []Bundle{
+	blk := testBlock{Bundles: []Bundle{
 		pad(cfg, Syllable{Kind: KCsr, Dst: 5, Imm: riscv.CSRInstret}),
-	}, GuestInsts: 7}
+	}, GuestInsts: 7}.pack()
 	var regs [NumRegs]uint64
 	var cycles uint64
 	if ei := c.Exec(blk, &regs, newTestBus(), &cycles); ei.Fault != nil {
@@ -774,12 +775,12 @@ func TestExecInstretCSR(t *testing.T) {
 func TestExecJumpOverridesFallthrough(t *testing.T) {
 	cfg := DefaultConfig()
 	c := MustNewCore(cfg)
-	blk := &Block{
+	blk := testBlock{
 		FallPC: 0x999,
 		Bundles: []Bundle{
 			pad(cfg, Syllable{Kind: KJump, Imm: 0x1234}),
 		},
-	}
+	}.pack()
 	var regs [NumRegs]uint64
 	var cycles uint64
 	ei := c.Exec(blk, &regs, newTestBus(), &cycles)
@@ -791,7 +792,7 @@ func TestExecJumpOverridesFallthrough(t *testing.T) {
 func TestZeroBundleBlockCostsACycle(t *testing.T) {
 	cfg := DefaultConfig()
 	c := MustNewCore(cfg)
-	blk := &Block{FallPC: 0x10}
+	blk := testBlock{FallPC: 0x10}.pack()
 	var regs [NumRegs]uint64
 	var cycles uint64
 	if ei := c.Exec(blk, &regs, newTestBus(), &cycles); ei.Fault != nil {
@@ -805,10 +806,10 @@ func TestZeroBundleBlockCostsACycle(t *testing.T) {
 func TestWritesToR0Discarded(t *testing.T) {
 	cfg := DefaultConfig()
 	c := MustNewCore(cfg)
-	blk := &Block{Bundles: []Bundle{
+	blk := testBlock{Bundles: []Bundle{
 		pad(cfg, Syllable{Kind: KMovI, Dst: 0, Imm: 99},
 			Syllable{Kind: KAluRI, Op: riscv.ADDI, Dst: 5, Ra: 0, Imm: 1}),
-	}}
+	}}.pack()
 	var regs [NumRegs]uint64
 	var cycles uint64
 	if ei := c.Exec(blk, &regs, newTestBus(), &cycles); ei.Fault != nil {
@@ -921,7 +922,7 @@ func TestWriteSchedule(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			blk := &Block{Bundles: []Bundle{pad(cfg, tc.sylls...)}}
+			blk := testBlock{Bundles: []Bundle{pad(cfg, tc.sylls...)}}.pack()
 			ops := buildDecoded(blk).ops
 			var modes []uint8
 			for _, d := range ops[:len(ops)-1] {
@@ -959,6 +960,7 @@ func TestDecodedSpecialisation(t *testing.T) {
 	} {
 		name[reflect.ValueOf(fn).Pointer()] = n
 	}
+	terms := map[string]bool{"opEndBundle": true, "opEndBundlePlain": true, "opEndBlock": true}
 	direct := map[string]bool{
 		"opAluRRDirect": true, "opAluRIDirect": true, "opAddDirect": true,
 		"opAddIDirect": true, "opMovIDirect": true, "opCommitDirect": true,
@@ -1073,27 +1075,26 @@ func TestDecodedSpecialisation(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			blk := &Block{Recoveries: tc.recoveries}
+			tb := testBlock{Recoveries: tc.recoveries}
 			for _, b := range tc.bundles {
-				blk.Bundles = append(blk.Bundles, pad(cfg, b...))
+				tb.Bundles = append(tb.Bundles, pad(cfg, b...))
 			}
+			blk := tb.pack()
 			ops := buildDecoded(blk).ops
-			end := len(ops)
-			for _, seq := range blk.Recoveries {
-				end -= len(seq)
-			}
+			end := len(ops) - (len(blk.Syls) - blk.bundleSyls())
 			var got []string
 			first := 0
 			for i := range ops {
 				d := &ops[i]
 				n := name[reflect.ValueOf(d.fn).Pointer()]
 				got = append(got, n)
-				if d.sy != nil {
+				if !terms[n] {
+					sy := &blk.Syls[d.sy]
 					if direct[n] && (d.wm != wmDirect || d.dst == 0) {
-						t.Errorf("%s (write mode %d, r%d) got the direct handler %s", d.sy, d.wm, d.dst, n)
+						t.Errorf("%s (write mode %d, r%d) got the direct handler %s", sy, d.wm, d.dst, n)
 					}
-					if i >= end && d.dst != 0 && writesDst(d.sy.Kind) && d.wm != wmDirect {
-						t.Errorf("recovery op %s has write mode %d, want direct", d.sy, d.wm)
+					if i >= end && d.dst != 0 && writesDst(sy.Kind) && d.wm != wmDirect {
+						t.Errorf("recovery op %s has write mode %d, want direct", sy, d.wm)
 					}
 					continue
 				}
@@ -1106,9 +1107,9 @@ func TestDecodedSpecialisation(t *testing.T) {
 						t.Errorf("terminator %d is plain after a bundle that stages %#x", i, d.imm)
 					}
 					for _, o := range ops[first:i] {
-						switch o.sy.Kind {
+						switch sy := &blk.Syls[o.sy]; sy.Kind {
 						case KChk, KBrExit, KJump, KJumpR:
-							t.Errorf("terminator %d is plain after a bundle holding %s", i, o.sy)
+							t.Errorf("terminator %d is plain after a bundle holding %s", i, sy)
 						}
 					}
 				}
@@ -1137,7 +1138,7 @@ func TestExecFaultMidBundleCommitsNothing(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := MustNewCore(cfg)
-			blk := &Block{Bundles: []Bundle{
+			blk := testBlock{Bundles: []Bundle{
 				// Squashed dismissable loads poison r9 and r10.
 				pad(cfg,
 					Syllable{Kind: KLoadD, Op: riscv.LD, Dst: 9, Ra: 0, Imm: 8},
@@ -1146,7 +1147,7 @@ func TestExecFaultMidBundleCommitsNothing(t *testing.T) {
 					Syllable{Kind: KAluRI, Op: riscv.ADDI, Dst: 5, Ra: 5, Imm: 1},
 					Syllable{Kind: KMovI, Dst: 10, Imm: 7},
 					tc.last),
-			}}
+			}}.pack()
 			var regs [NumRegs]uint64
 			for r := range regs {
 				regs[r] = uint64(r) * 11
@@ -1172,18 +1173,37 @@ func TestExecFaultMidBundleCommitsNothing(t *testing.T) {
 	}
 }
 
-// A dop is one 64-byte cache line: the write mode fits the padding the
-// other byte-sized fields leave.
-func TestDopIsOneCacheLine(t *testing.T) {
-	if n := unsafe.Sizeof(dop{}); n != 64 {
-		t.Fatalf("sizeof(dop) = %d, want 64", n)
-	}
-}
-
 // A Syllable is three words: the byte-sized fields and Rec share the
 // first, ahead of Imm.
 func TestSyllableSize(t *testing.T) {
 	if n := unsafe.Sizeof(Syllable{}); n != 24 {
 		t.Fatalf("sizeof(Syllable) = %d, want 24", n)
 	}
+}
+
+// A dop is four words, two to a cache line: the handler, the one
+// semantic function, the immediate, and the syllable index with the
+// byte-sized fields.
+func TestDopSize(t *testing.T) {
+	if n := unsafe.Sizeof(dop{}); n != 32 {
+		t.Fatalf("sizeof(dop) = %d, want 32", n)
+	}
+}
+
+// testBlock is a block as the tests write it, with full-width bundles;
+// pack builds the dense Block the core runs.
+type testBlock struct {
+	EntryPC, FallPC uint64
+	Bundles         []Bundle
+	Recoveries      [][]Syllable
+	GuestInsts      int
+}
+
+func (tb testBlock) pack() *Block {
+	b, err := Pack(tb.Bundles, tb.Recoveries)
+	if err != nil {
+		panic(err)
+	}
+	b.EntryPC, b.FallPC, b.GuestInsts = tb.EntryPC, tb.FallPC, tb.GuestInsts
+	return b
 }

@@ -91,9 +91,10 @@ func TestDecodeBlockAllocs(t *testing.T) {
 }
 
 // Prepare sizes the threaded-dispatch table exactly (one op per non-nop
-// syllable plus one terminator per bundle, then one op per recovery
-// syllable), so building it allocates two objects whatever the block's
-// size: the table and its op slice.
+// bundle syllable plus one terminator per bundle, then one op per
+// recovery syllable) and indexes the block's dense syllables instead of
+// copying them, so building it allocates two objects whatever the
+// block's size: the table and its op slice.
 func TestPrepareAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	withRecoveries := func(cfg Config) *Block {

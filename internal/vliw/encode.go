@@ -20,7 +20,7 @@ import (
 //	magic, EntryPC, FallPC
 //	GuestInsts (low 32) | bundle width (high 32)
 //	bundle count (low 32) | recovery count (high 32)
-//	bundle syllables, width per bundle, nops included
+//	bundle slots, width per bundle, padding included
 //	per recovery: its length, then its syllables
 //	constant-pool length, then the pool
 //

@@ -40,8 +40,9 @@ func (m *Machine) Audit() *Audit {
 		return nil
 	}
 	a := &Audit{Mode: m.cfg.Mitigation}
-	for pc, e := range m.trans {
-		if e.audit == nil {
+	for pc, ps := range m.pcs {
+		e := ps.e
+		if e == nil || e.audit == nil {
 			continue
 		}
 		a.Blocks = append(a.Blocks, BlockAudit{PC: pc, IsTrace: e.Trace, Report: e.audit, IR: e.auditIR})

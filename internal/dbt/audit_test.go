@@ -112,8 +112,8 @@ func TestAuditDisabled(t *testing.T) {
 	if m.Audit() != nil {
 		t.Fatal("Audit() non-nil with auditing off")
 	}
-	for pc, e := range m.trans {
-		if e.audit != nil || e.auditIR != nil {
+	for pc, ps := range m.pcs {
+		if e := ps.e; e != nil && (e.audit != nil || e.auditIR != nil) {
 			t.Fatalf("entry @%#x retained audit state with auditing off", pc)
 		}
 	}

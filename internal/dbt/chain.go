@@ -15,55 +15,50 @@ import (
 )
 
 // This file implements direct block chaining, the dispatch layer of the
-// fast execution backend: once a translated region's successor is
-// resolved, block→block transfers run in a tight inner loop that never
-// touches the m.trans map or copies the register file — registers live
-// in m.vregs across the whole chained run, and the architectural state
-// is synchronised only when the chain surfaces (interpreter handoff,
-// fault, interrupt, budget exhaustion).
+// fast execution backend: translated regions run back to back in
+// runChain, which never copies the register file — registers live in
+// m.vregs across the whole chained run, and the architectural state is
+// synchronised only when the chain surfaces (interpreter handoff, fault,
+// interrupt, cycle budget). Every translated dispatch runs here, traced
+// and fault-injected runs included.
 //
-// Links are cached per region and validated against Machine.chainEpoch:
-// any translation-cache mutation (new install, blacklist, SMC
-// invalidation) bumps the epoch, severing every link at once. A link
-// may also carry the successor's profile counter so the per-entry
-// profiling of the outer loop (m.entries) is preserved without a map
-// lookup per transfer.
+// The machine keeps one record per guest PC (pcState): its entry count,
+// its branch profile, the region installed there now and whether its
+// translation failed for good. A record never moves during a run, so a
+// chain link caches the successor's record, not its region: installs,
+// trace upgrades, blacklisting and SMC invalidation all update the
+// record in place, and no link can go stale.
 
 // chainLinks is the per-region successor cache size: fall-through,
 // branch-taken and a couple of side-exit targets cover almost every
 // region; anything beyond round-robins through the slots.
 const chainLinks = 4
 
-// chainBudget bounds how many blocks chain back-to-back before the
-// inner loop surfaces to the outer dispatch loop (profiling fairness
-// and prompt interrupt delivery).
-const chainBudget = 64
-
-// chainLink is one resolved successor: target entry PC, its translated
-// region, and its profile counter (nil when the PC is blacklisted, in
-// which case the slow path would not count it either).
+// chainLink is one resolved successor: its entry PC and record.
 type chainLink struct {
-	pc  uint64
-	e   *transEntry
-	cnt *uint64
+	pc uint64
+	ps *pcState
+}
+
+// pcState is everything the machine knows about one guest PC.
+type pcState struct {
+	entries uint64      // profiled block entries (interpreter and chain)
+	br      brStat      // branch profile, when pc holds a conditional branch
+	e       *transEntry // the region installed at pc now, or nil
+	bad     bool        // translation failed for good: never count or translate again
 }
 
 // transState is what one machine hands to the next of the same guest
-// memory geometry: the guest image, the profile and translation maps,
-// the memory its regions compile through (the front end's builder and
-// visited set, the poison analysis and the scheduling graph), the
-// machine's parts (bus, data cache, VLIW core and interpreter predecode
-// table), the translation-cache key's fingerprint buffer and run view,
-// and the slabs its installed regions and profile counters live in.
-// entries values are pointers so chain links can bump a block's
-// profile counter without a map lookup.
+// memory geometry: the guest image, the per-PC records, the memory its
+// regions compile through (the front end's builder and visited set, the
+// poison analysis and the scheduling graph), the machine's parts (bus,
+// data cache, VLIW core and interpreter predecode table), the
+// translation-cache key's fingerprint buffer and run view, and the slabs
+// its installed regions and records live in.
 type transState struct {
 	mem *guestmem.Memory
 
-	entries  map[uint64]*uint64
-	branches map[uint64]*brStat
-	trans    map[uint64]*transEntry
-	noTrans  map[uint64]struct{}
+	pcs map[uint64]*pcState
 
 	front    ir.Builder
 	visited  map[uint64]struct{}
@@ -89,41 +84,50 @@ type transState struct {
 	owner     *Machine
 	storeHook func(addr uint64, size int)
 
-	// regions, counters and brStats hold what trans, entries and
-	// branches point at.
-	regions  slab[transEntry]
-	counters slab[uint64]
-	brStats  slab[brStat]
+	// regions and records hold what the records and pcs point at.
+	regions slab[transEntry]
+	records slab[pcState]
 }
 
 // newTransState makes an empty transState over the guest image mem.
 func newTransState(mem *guestmem.Memory) *transState {
 	ts := &transState{
-		mem:      mem,
-		entries:  make(map[uint64]*uint64),
-		branches: make(map[uint64]*brStat),
-		trans:    make(map[uint64]*transEntry),
-		noTrans:  make(map[uint64]struct{}),
-		visited:  make(map[uint64]struct{}),
+		mem:     mem,
+		pcs:     make(map[uint64]*pcState),
+		visited: make(map[uint64]struct{}),
 	}
 	ts.storeHook = func(addr uint64, size int) { ts.owner.onGuestStore(addr, size) }
 	return ts
 }
 
-// reset empties the set for the next machine: the maps and slabs, the
+// record returns pc's record, making it on first use.
+func (ts *transState) record(pc uint64) *pcState {
+	ps := ts.pcs[pc]
+	if ps == nil {
+		ps = ts.records.next()
+		ts.pcs[pc] = ps
+	}
+	return ps
+}
+
+// regionAt returns the region installed at pc, or nil.
+func (ts *transState) regionAt(pc uint64) *transEntry {
+	if ps := ts.pcs[pc]; ps != nil {
+		return ps.e
+	}
+	return nil
+}
+
+// reset empties the set for the next machine: the map and slabs, the
 // guest image, and every part. A part keeps its memory but nothing of
 // the machine that used it: the bus and cache hooks close over that
 // machine, and the core's frame points at its registers and last block.
 func (ts *transState) reset() {
-	// Emptied maps keep their buckets; zeroing the slabs drops the
+	// The emptied map keeps its buckets; zeroing the slabs drops the
 	// translated blocks.
-	clear(ts.entries)
-	clear(ts.branches)
-	clear(ts.trans)
-	clear(ts.noTrans)
+	clear(ts.pcs)
 	ts.regions.reset()
-	ts.counters.reset()
-	ts.brStats.reset()
+	ts.records.reset()
 	ts.mem.Reset()
 	ts.membus = bus.Bus{}
 	ts.dcache.Reset(ts.dcache.Config())
@@ -201,8 +205,8 @@ func blockExtent(blk *vliw.Block) (lo, hi uint64) {
 
 // onGuestStore is the bus store hook: it invalidates interpreter
 // predecode entries and, when the store lands inside guest text covered
-// by translated code, drops the overlapping regions and severs chain
-// links into them — a stale chained successor must never execute.
+// by translated code, drops the overlapping regions from their records —
+// a stale chained successor must never execute.
 func (m *Machine) onGuestStore(addr uint64, size int) {
 	if m.pred != nil {
 		m.pred.Invalidate(addr, size)
@@ -220,88 +224,58 @@ func (m *Machine) onGuestStore(addr uint64, size int) {
 }
 
 // invalidateRange drops every translated region overlapping
-// [addr, addr+size) and severs all chain links.
+// [addr, addr+size). Links name records, so they stay valid: a link to a
+// dropped region now leads to the interpreter.
 func (m *Machine) invalidateRange(addr, size uint64) {
 	end := addr + size
-	dropped := false
-	for pc, e := range m.trans {
-		if e.Lo < end && addr < e.Hi {
-			delete(m.trans, pc)
+	for _, ps := range m.pcs {
+		if e := ps.e; e != nil && e.Lo < end && addr < e.Hi {
+			ps.e = nil
 			m.stats.SMCInvalidations++
-			dropped = true
 		}
-	}
-	if dropped {
-		m.chainEpoch++
 	}
 }
 
-// chainTo returns the cached link from e to next, or nil when no valid
-// link exists. A stale epoch clears the whole link set first.
-func (e *transEntry) chainTo(next, epoch uint64) *chainLink {
-	if e.linkEpoch != epoch {
-		e.links = [chainLinks]chainLink{}
-		e.linkVictim = 0
-		e.linkEpoch = epoch
-		return nil
-	}
+// addLink caches next's record on e, evicting round-robin when the
+// slots are full.
+func (e *transEntry) addLink(next uint64, ps *pcState) {
 	for i := range e.links {
-		if e.links[i].pc == next && e.links[i].e != nil {
-			return &e.links[i]
-		}
-	}
-	return nil
-}
-
-// addLink caches a resolved successor on e, evicting round-robin when
-// the slots are full.
-func (e *transEntry) addLink(next uint64, succ *transEntry, cnt *uint64) {
-	for i := range e.links {
-		if e.links[i].e == nil {
-			e.links[i] = chainLink{pc: next, e: succ, cnt: cnt}
+		if e.links[i].ps == nil {
+			e.links[i] = chainLink{pc: next, ps: ps}
 			return
 		}
 	}
-	e.links[e.linkVictim] = chainLink{pc: next, e: succ, cnt: cnt}
+	e.links[e.linkVictim] = chainLink{pc: next, ps: ps}
 	e.linkVictim = (e.linkVictim + 1) % chainLinks
 }
 
-// chainStep performs the block-boundary bookkeeping of the outer
-// dispatch loop (profile count, translation thresholds) for the
-// transfer e→next, and resolves next's translated region. A nil result
-// surfaces the chain to the outer loop (next is interpreted, or was
-// just translated and will be dispatched there).
-func (m *Machine) chainStep(e *transEntry, next uint64) *transEntry {
-	if lk := e.chainTo(next, m.chainEpoch); lk != nil {
-		if lk.cnt != nil {
-			*lk.cnt++
-			// onEnter's thresholds, minus its map lookups. A trace
-			// upgrade replaces the entry and bumps the epoch, so resolve
-			// the successor fresh from the map.
-			if asTrace, due := m.promotion(lk.e, *lk.cnt); due {
-				m.translateWith(next, asTrace)
-				return m.trans[next]
+// follow takes the transfer e→next: it finds next's record through e's
+// links (through the map with DisableChaining), profiles the entry the
+// way onEnter does, and returns the region to run next. A nil result
+// surfaces the chain: next is interpreted.
+func (m *Machine) follow(e *transEntry, next uint64) *transEntry {
+	var ps *pcState
+	if !m.cfg.DisableChaining {
+		for i := range e.links {
+			if e.links[i].pc == next && e.links[i].ps != nil {
+				ps = e.links[i].ps
+				break
 			}
 		}
-		return lk.e
 	}
-	// No valid link: run the full entry protocol, then cache the
-	// resolution when the successor is translated. onEnter may itself
-	// translate (and bump the epoch); re-check before caching so a
-	// fresh link is never stamped with a stale epoch.
-	m.onEnter(next)
-	succ := m.trans[next]
-	if succ == nil {
-		return nil
-	}
-	if e.linkEpoch == m.chainEpoch {
-		var cnt *uint64
-		if _, bad := m.noTrans[next]; !bad {
-			cnt = m.entries[next]
+	if ps == nil {
+		ps = m.record(next)
+		if !m.cfg.DisableChaining {
+			e.addLink(next, ps)
 		}
-		e.addLink(next, succ, cnt)
 	}
-	return succ
+	if !ps.bad {
+		ps.entries++
+		if asTrace, due := m.promotion(ps.e, ps.entries); due {
+			m.translateWith(next, asTrace)
+		}
+	}
+	return ps.e
 }
 
 // syncState writes the chained register file back to the architectural
@@ -314,25 +288,27 @@ func (m *Machine) syncState(pc uint64) {
 
 // runChain executes translated blocks back-to-back starting at pc/e.
 // On return the architectural state is synchronised. A non-nil error is
-// terminal — a raised fault or an interrupt; nil means the chain
-// surfaced cleanly and the outer loop continues at m.state.PC.
+// terminal — a raised fault, the cycle budget or an interrupt; nil means
+// the chain reached interpreted code and the outer loop continues at
+// m.state.PC.
 //
 // Each transfer takes the outer loop's own steps — dispatch (profile
-// attribution), the entry protocol (chainStep) and the
-// MaxCycles/interrupt guard — so only the map lookups, register-file
-// copies and tracer events are elided. The differential tests pin this
-// equivalence down to exact cycle counts and trap identity.
+// attribution and trace events), the entry protocol (follow) and the
+// MaxCycles/interrupt guard — so only the register-file copies are
+// elided. The differential tests pin the link scan against a map lookup
+// per transfer (DisableChaining) down to exact cycle counts, trace
+// events and trap identity.
 func (m *Machine) runChain(pc uint64, e *transEntry) error {
 	copy(m.vregs[:32], m.state.X[:])
-	for n := 1; ; n++ {
+	for {
 		ei := m.dispatch(pc, e)
 		if ei.Fault != nil {
 			m.syncState(pc)
 			return m.raise(ei.Fault, ei.FaultPC)
 		}
 		next := ei.NextPC
-		succ := m.chainStep(e, next)
-		if succ == nil || n >= chainBudget {
+		succ := m.follow(e, next)
+		if succ == nil {
 			m.syncState(next)
 			return nil
 		}

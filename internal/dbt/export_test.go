@@ -21,7 +21,7 @@ func (m *Machine) CompileRegion(pc uint64, asTrace, fresh bool) (*ir.Block, *vli
 	if fresh {
 		// Fresh compile memory over the machine's own image and profile.
 		ts := newTransState(m.mem)
-		ts.entries, ts.branches, ts.trans, ts.noTrans = m.entries, m.branches, m.trans, m.noTrans
+		ts.pcs = m.pcs
 		m.transState = ts
 	}
 	e := m.compile(pc, asTrace)

@@ -96,11 +96,11 @@ func runSpin(t *testing.T, cfg Config) (*Machine, error) {
 
 // TestMaxCyclesParityUnderChaining pins the quota contract the serving
 // layer's cycle budgets rest on: block chaining must not let a guest
-// coast past Config.MaxCycles. The budget check runs once per block
-// transfer inside the chain loop — the same cadence as the unchained
-// dispatch loop — so the chained and unchained runs must trap at the
-// exact same cycle, and the overshoot past the limit is bounded by a
-// single block execution, far less than one chain budget of 64 blocks.
+// coast past Config.MaxCycles. The budget check runs before every block
+// transfer inside the chain loop — the cadence of the outer loop — so
+// the runs with links and with a map lookup per transfer must trap at
+// the exact same cycle, and the overshoot past the limit is bounded by
+// a single block execution: a chain never runs on unchecked.
 func TestMaxCyclesParityUnderChaining(t *testing.T) {
 	const limit = 100_000
 
@@ -125,7 +125,7 @@ func TestMaxCyclesParityUnderChaining(t *testing.T) {
 	if c, u := faults["chained"].Cycle, faults["unchained"].Cycle; c != u {
 		t.Errorf("budget cadence diverges under chaining: chained trap at cycle %d, unchained at %d", c, u)
 	}
-	// "Promptly" quantified: the overshoot is one block, not one chain.
+	// "Promptly" quantified: the overshoot is one block.
 	if over := faults["chained"].Cycle - limit; over > 5_000 {
 		t.Errorf("chained run overshot the budget by %d cycles", over)
 	}

@@ -44,14 +44,12 @@ type Config struct {
 	DisableTranslation bool // pure interpreter (debugging/reference)
 	DisableTraces      bool // first-pass blocks only
 
-	// DisableChaining turns off direct block chaining: every translated
-	// block dispatch then goes through the outer loop's translation-
-	// cache lookup and register-file copies. Chaining is a pure host-
-	// side accelerator — guest-visible behaviour (cycle counts,
-	// results, trap identity) is identical either way, and the
-	// differential tests assert it. Chaining also disables itself
-	// whenever a tracer or fault injector is active, so per-dispatch
-	// observation windows stay exact.
+	// DisableChaining turns off the chain links: every transfer between
+	// translated regions then finds its successor's record by a map
+	// lookup instead of the links cached on the region it leaves. The
+	// links are a pure host-side accelerator — guest-visible behaviour
+	// (cycle counts, results, trace events, trap identity) is identical
+	// either way, and the differential tests assert it.
 	DisableChaining bool
 
 	// TransCache, when non-nil, is the persistent translation cache:
@@ -217,13 +215,9 @@ type Result struct {
 type transEntry struct {
 	tcache.Region
 
-	// Direct-chaining link cache: resolved successors of this region,
-	// patched lazily on first chained dispatch. linkEpoch validates the
-	// links against Machine.chainEpoch — any mutation of the
-	// translation cache bumps the epoch and thereby severs every link
-	// in one step (see chain.go).
+	// Direct-chaining link cache: the records of this region's
+	// successors, added on the first transfer to each (see chain.go).
 	links      [chainLinks]chainLink
-	linkEpoch  uint64
 	linkVictim uint8
 
 	// Cycle-attributed profile, maintained on every dispatch (cheap:
@@ -279,15 +273,11 @@ type Machine struct {
 
 	cycles uint64
 
-	// chainEpoch versions the chain links cached on transEntries: it
-	// starts at 1 and is bumped by every translation-cache mutation
-	// (install, blacklist, SMC invalidation), lazily severing
-	// all links. transLo/transHi bound the guest text covered by any
-	// translated region, so the store hook can reject non-code stores
-	// with two compares.
-	chainEpoch uint64
-	transLo    uint64
-	transHi    uint64
+	// transLo/transHi bound the guest text covered by any translated
+	// region, so the store hook can reject non-code stores with two
+	// compares.
+	transLo uint64
+	transHi uint64
 
 	// poll counts transfers since the last Interrupt poll and cycleCap
 	// is MaxCycles, or the largest count when unlimited (see guard).
@@ -344,7 +334,6 @@ func New(cfg Config) (*Machine, error) {
 		cfg:        cfg,
 		b:          &ts.membus,
 		core:       &ts.vcore,
-		chainEpoch: 1,
 		transLo:    ^uint64(0),
 	}
 	ts.owner = m
@@ -411,9 +400,9 @@ func (m *Machine) Load(p *riscv.Program) error {
 		m.pred = &m.predTab
 	}
 	// The store hook serves two invalidation duties: interpreter
-	// predecode entries and translated regions (plus their chain
-	// links). It is wired even with predecode disabled — translated
-	// code must never survive the guest overwriting it.
+	// predecode entries and translated regions. It is wired even with
+	// predecode disabled — translated code must never survive the guest
+	// overwriting it.
 	m.b.OnStore = m.storeHook
 	m.textLo = p.TextBase
 	m.textHi = p.TextBase + uint64(4*len(p.Text))
@@ -557,11 +546,11 @@ const (
 
 // oracle reports the biased direction of a profiled branch.
 func (m *Machine) oracle(pc uint64) (taken, follow bool) {
-	st := m.branches[pc]
-	if st == nil || st.total < minBranchProfile {
+	ps := m.pcs[pc]
+	if ps == nil || ps.br.total < minBranchProfile {
 		return false, false
 	}
-	bias := float64(st.taken) / float64(st.total)
+	bias := float64(ps.br.taken) / float64(ps.br.total)
 	if bias >= biasThreshold {
 		return true, true
 	}
@@ -571,22 +560,19 @@ func (m *Machine) oracle(pc uint64) (taken, follow bool) {
 	return false, false
 }
 
-// onEnter profiles a block entry and triggers translation when the
-// thresholds are crossed.
+// onEnter profiles a block entry from the interpreter and triggers
+// translation when the thresholds are crossed; follow does the same for
+// transfers between translated regions.
 func (m *Machine) onEnter(pc uint64) {
 	if m.cfg.DisableTranslation {
 		return
 	}
-	if _, bad := m.noTrans[pc]; bad {
+	ps := m.record(pc)
+	if ps.bad {
 		return
 	}
-	cnt := m.entries[pc]
-	if cnt == nil {
-		cnt = m.counters.next()
-		m.entries[pc] = cnt
-	}
-	*cnt++
-	if asTrace, due := m.promotion(m.trans[pc], *cnt); due {
+	ps.entries++
+	if asTrace, due := m.promotion(ps.e, ps.entries); due {
 		m.translateWith(pc, asTrace)
 	}
 }
@@ -595,7 +581,7 @@ func (m *Machine) onEnter(pc uint64) {
 // entry of a PC whose installed region is e (nil when the PC is
 // interpreted): a hot entry is due its first-pass block, a hotter one
 // its trace. Both the outer dispatch loop (through onEnter) and chained
-// transfers (through chainStep) decide here.
+// transfers (through follow) decide here.
 func (m *Machine) promotion(e *transEntry, c uint64) (asTrace, due bool) {
 	if e == nil {
 		return false, c >= m.cfg.HotThreshold
@@ -622,11 +608,7 @@ func (m *Machine) transFail(pc uint64, injected bool, cause error) {
 		m.tr.Emit(obs.Event{Kind: obs.EvTranslateFail, Cycle: m.cycles, PC: pc, Str: f.Detail})
 	}
 	if !injected {
-		m.noTrans[pc] = struct{}{}
-		// Chain links cache a "keep profiling this successor" decision
-		// that blacklisting reverses; sever them so the decision is
-		// re-made against the updated noTrans set.
-		m.chainEpoch++
+		m.record(pc).bad = true
 	}
 }
 
@@ -666,8 +648,9 @@ func (m *Machine) translateWith(pc uint64, asTrace bool) {
 	if m.tcr != nil {
 		// Record a copy: a pointer into the entry would let the shared
 		// store keep this machine's chain links, and through them its
-		// other entries, alive. VerifyEncoding is off with the cache
-		// active, so the store shares the compiled block itself.
+		// records and other entries, alive. VerifyEncoding is off with
+		// the cache active, so the store shares the compiled block
+		// itself.
 		rg := e.Region
 		m.tcr.Record(&rg)
 	}
@@ -757,10 +740,7 @@ func (m *Machine) install(e *transEntry, t0 time.Time) {
 	blk.Prepare() // build the threaded-dispatch table off the hot path
 	e.transNS = time.Since(t0).Nanoseconds()
 	m.transHostNS += e.transNS
-	m.trans[e.PC] = e
-	// Links resolved against the old contents of m.trans must be
-	// re-resolved: the epoch bump severs them all.
-	m.chainEpoch++
+	m.record(e.PC).e = e
 	if e.Lo < m.transLo {
 		m.transLo = e.Lo
 	}
@@ -837,32 +817,16 @@ func (m *Machine) Run() (*Result, error) {
 	if m.cycleCap == 0 {
 		m.cycleCap = ^uint64(0)
 	}
-	// Chaining keeps per-dispatch observation out of the loop, so it
-	// stands down whenever a tracer or fault injector needs to see (or
-	// perturb) every dispatch.
-	chainOK := !m.cfg.DisableChaining && m.inj == nil && !m.tr.BlockOn()
 	for {
 		pc := m.state.PC
 		if err := m.guard(pc); err != nil {
 			return nil, err
 		}
-		if e := m.trans[pc]; e != nil {
+		if e := m.regionAt(pc); e != nil {
 			m.wasTrans = true
-			if chainOK {
-				if err := m.runChain(pc, e); err != nil {
-					return nil, err
-				}
-				continue
+			if err := m.runChain(pc, e); err != nil {
+				return nil, err
 			}
-			copy(m.vregs[:32], m.state.X[:])
-			ei := m.dispatch(pc, e)
-			copy(m.state.X[:], m.vregs[:32])
-			m.state.X[0] = 0
-			if ei.Fault != nil {
-				return nil, m.raise(ei.Fault, ei.FaultPC)
-			}
-			m.state.PC = ei.NextPC
-			m.onEnter(ei.NextPC)
 			continue
 		}
 
@@ -896,11 +860,7 @@ func (m *Machine) Run() (*Result, error) {
 					Arg1: res.Target, Str: res.Inst.Op.String()})
 			}
 			if res.Inst.Op.IsBranch() {
-				st := m.branches[pc]
-				if st == nil {
-					st = m.brStats.next()
-					m.branches[pc] = st
-				}
+				st := &m.record(pc).br
 				st.total++
 				if res.Taken {
 					st.taken++
@@ -948,10 +908,9 @@ func (m *Machine) trip(pc uint64) error {
 }
 
 // dispatch executes the region e, entered at pc, once on the register
-// file in m.vregs: the one dispatch step of both the outer loop and the
-// chained inner loop. It attributes the execution to e's profile and
-// emits the dispatch's trace events; a tracer turns chaining off, so only
-// the outer loop ever has one. A fault comes back with Block set to pc.
+// file in m.vregs: the one dispatch step of the chain loop. It
+// attributes the execution to e's profile and emits the dispatch's trace
+// events. A fault comes back with Block set to pc.
 func (m *Machine) dispatch(pc uint64, e *transEntry) vliw.ExitInfo {
 	tron := m.tr.BlockOn()
 	if tron {
@@ -1023,16 +982,13 @@ func (m *Machine) result(ev riscv.Event) *Result {
 // TranslatedAt reports whether pc currently has translated code and
 // whether it is a trace (test introspection).
 func (m *Machine) TranslatedAt(pc uint64) (exists, isTrace bool) {
-	e := m.trans[pc]
-	if e == nil {
-		return false, false
-	}
-	return true, e.Trace
+	e := m.regionAt(pc)
+	return e != nil, e != nil && e.Trace
 }
 
 // BlockAt returns the translated block at pc, for inspection.
 func (m *Machine) BlockAt(pc uint64) *vliw.Block {
-	if e := m.trans[pc]; e != nil {
+	if e := m.regionAt(pc); e != nil {
 		return e.Block
 	}
 	return nil
@@ -1046,7 +1002,7 @@ func (m *Machine) BlockAt(pc uint64) *vliw.Block {
 // (dashed red), guards annotated: the paper's Figure 3 for arbitrary
 // guest code, under the machine's own mitigation mode.
 func (m *Machine) DumpIR(pc uint64) (string, error) {
-	e := m.trans[pc]
+	e := m.regionAt(pc)
 	irBlk, _, err := m.frontEnd(&m.front, pc, e != nil && e.Trace)
 	if err != nil {
 		return "", fmt.Errorf("dbt: DumpIR(%#x): %w", pc, err)
@@ -1091,15 +1047,15 @@ type HotRegion struct {
 // simulated cycles (hottest first; dispatch count and PC break ties) —
 // the DBT engine's own view of where time goes.
 func (m *Machine) ProfileReport() []HotRegion {
-	out := make([]HotRegion, 0, len(m.trans))
-	for pc, e := range m.trans {
-		var entered uint64
-		if cnt := m.entries[pc]; cnt != nil {
-			entered = *cnt
+	var out []HotRegion
+	for pc, ps := range m.pcs {
+		e := ps.e
+		if e == nil {
+			continue
 		}
 		out = append(out, HotRegion{
 			PC:              pc,
-			Entries:         entered,
+			Entries:         ps.entries,
 			Dispatches:      e.execs,
 			GuestInsts:      e.Block.GuestInsts,
 			Bundles:         len(e.Block.Slots),
@@ -1132,9 +1088,11 @@ func (m *Machine) ProfileReport() []HotRegion {
 // TranslatedPCs returns the entry points that currently have translated
 // code, in ascending order (gbdump address validation, tooling).
 func (m *Machine) TranslatedPCs() []uint64 {
-	pcs := make([]uint64, 0, len(m.trans))
-	for pc := range m.trans {
-		pcs = append(pcs, pc)
+	var pcs []uint64
+	for pc, ps := range m.pcs {
+		if ps.e != nil {
+			pcs = append(pcs, pc)
+		}
 	}
 	sort.Slice(pcs, func(a, b int) bool { return pcs[a] < pcs[b] })
 	return pcs

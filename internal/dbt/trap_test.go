@@ -265,8 +265,10 @@ loop:
 	}
 	// Injected failures are transient: the region must NOT be
 	// blacklisted the way persistently untranslatable code is.
-	if len(m.noTrans) != 0 {
-		t.Fatalf("injected translation failures blacklisted %d regions", len(m.noTrans))
+	for pc, ps := range m.pcs {
+		if ps.bad {
+			t.Fatalf("injected translation failures blacklisted the region at %#x", pc)
+		}
 	}
 }
 
@@ -303,5 +305,56 @@ func TestSpuriousInterruptInjection(t *testing.T) {
 	}
 	if got := m.stats.Traps.Get(trap.SpuriousInterrupt); got == 0 {
 		t.Fatal("no spurious-interrupt traps recorded")
+	}
+}
+
+// A fault-injected run takes the chained path, so the injector must
+// draw the same decisions with the chain links on and with a map lookup
+// per transfer (DisableChaining): one seed with every injection point
+// active ends both runs with the same fault, at the same PC and cycle,
+// and leaves the same statistics. The guest's loop loads and stores on
+// every iteration, so the cache-fault draws run inside translated code;
+// with seed 4 some translations fail first.
+func TestFaultInjectionParityUnderChaining(t *testing.T) {
+	src := `
+main:
+	li s1, 0
+	li t0, 50000000
+loop:
+	sw s1, 0(sp)
+	lw t1, 0(sp)
+	add s2, s2, t1
+	addi s1, s1, 1
+	blt s1, t0, loop
+	ecall
+`
+	type outcome struct {
+		err   string
+		fault trap.Fault
+		stats Stats
+	}
+	run := func(disable bool) outcome {
+		cfg := DefaultConfig()
+		cfg.DisableChaining = disable
+		cfg.FaultInject = &FaultInject{Seed: 4,
+			TranslationFailureRate: 0.5, CacheFaultRate: 1e-5, SpuriousInterruptRate: 1e-3}
+		f, m := runForFault(t, src, nil, cfg)
+		if m.stats.Translations == 0 {
+			t.Fatalf("chaining disabled=%v: loop was never translated", disable)
+		}
+		if f.Block == 0 || m.stats.Traps.Get(trap.TranslationFailure) == 0 {
+			t.Fatalf("chaining disabled=%v: %v (traps %v); want an injected translation failure, then a fault in translated code",
+				disable, f, m.stats.Traps)
+		}
+		return outcome{f.Error(), *f, m.result(riscv.Event{}).Stats}
+	}
+	on, off := run(false), run(true)
+	if on.err != off.err || on.fault.Kind != off.fault.Kind ||
+		on.fault.PC != off.fault.PC || on.fault.Cycle != off.fault.Cycle {
+		t.Errorf("faults differ:\nchained:   %v (pc %#x, cycle %d)\nunchained: %v (pc %#x, cycle %d)",
+			on.err, on.fault.PC, on.fault.Cycle, off.err, off.fault.PC, off.fault.Cycle)
+	}
+	if on.stats != off.stats {
+		t.Errorf("stats differ:\nchained:   %+v\nunchained: %+v", on.stats, off.stats)
 	}
 }

@@ -121,10 +121,10 @@ func TestPredecodeDifferential(t *testing.T) {
 }
 
 // Direct block chaining is the dispatch layer of the fast backend:
-// registers stay in the chained register file across regions and the
-// outer-loop bookkeeping is inlined, so every guest-visible quantity —
-// cycles, statistics, rendered tables, attack outcomes — must be
-// bit-identical with chaining disabled. Unlike the predecode
+// each region caches links to its successors' records, so every
+// guest-visible quantity — cycles, statistics, rendered tables, attack
+// outcomes — must be bit-identical with the links off (a map lookup
+// per transfer). Unlike the predecode
 // differential there is nothing to mask: chaining owns no counters.
 func TestChainingDifferential(t *testing.T) {
 	n := 8

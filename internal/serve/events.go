@@ -75,42 +75,71 @@ func (s *Server) appendEvent(j *Job, ev JobEvent) {
 // job_finished row. Reconnecting replays the full buffer (events are
 // retained with the job).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	j := s.startStream(w, r)
+	if j == nil {
+		return
+	}
+	streamNDJSON(w, r, nil, func(next int) ([]JobEvent, <-chan struct{}, bool) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		// finish() appends job_finished under the same lock that sets
+		// the terminal state, so a drained buffer on a terminal job is
+		// complete.
+		return j.events[next:], j.wake, j.state == StateDone || j.state == StateFailed || j.state == StateCanceled
+	}, func(b []byte, ev *JobEvent) []byte {
+		row, _ := json.Marshal(ev) // flat strings and numbers: cannot fail
+		return append(b, row...)
+	})
+}
+
+// startStream looks up the job named in the request path and starts its
+// NDJSON response, or answers 404 and returns nil.
+func (s *Server) startStream(w http.ResponseWriter, r *http.Request) *Job {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
 		writeError(w, http.StatusNotFound, &APIError{Code: CodeNotFound, Message: "no such job"})
-		return
+		return nil
 	}
 	setJobHeaders(w, j)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
+	return j
+}
+
+// streamNDJSON replays an append-only buffer as NDJSON and then follows
+// it: it writes head, then every row buffered so far, flushing after
+// each batch, and sleeps until more rows arrive. It ends once a drained
+// buffer is complete, or when the client goes away. snap returns the
+// rows from index next on (a stable view, since the buffer only grows),
+// a channel closed on the next append, and whether the buffer was
+// complete when read; row appends one row's JSON to b.
+func streamNDJSON[T any](w http.ResponseWriter, r *http.Request, head []byte,
+	snap func(next int) (rows []T, wake <-chan struct{}, done bool),
+	row func(b []byte, v *T) []byte) {
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
-	next := 0
-	for {
-		s.mu.Lock()
-		pending := j.events[next:] // append-only: the snapshot is stable
-		wake := j.wake
-		terminal := j.state == StateDone || j.state == StateFailed || j.state == StateCanceled
-		s.mu.Unlock()
-
-		for _, ev := range pending {
-			if err := enc.Encode(ev); err != nil {
-				return
-			}
-			next++
-		}
-		if len(pending) > 0 && flusher != nil {
-			flusher.Flush()
-		}
-		// finish() appends job_finished under the same lock that sets
-		// the terminal state, so a drained buffer on a terminal job is
-		// complete.
-		if terminal && len(pending) == 0 {
+	if len(head) > 0 {
+		if _, err := w.Write(head); err != nil {
 			return
 		}
-		if len(pending) > 0 {
+	}
+	var b []byte
+	for next := 0; ; {
+		rows, wake, done := snap(next)
+		for i := range rows {
+			b = append(row(b[:0], &rows[i]), '\n')
+			if _, err := w.Write(b); err != nil {
+				return
+			}
+		}
+		next += len(rows)
+		if len(rows) > 0 {
+			if flusher != nil {
+				flusher.Flush()
+			}
 			continue // drain everything buffered before sleeping
+		}
+		if done {
+			return
 		}
 		select {
 		case <-wake:

@@ -14,52 +14,16 @@ import (
 // child). Reconnecting replays the full buffer, exactly like the
 // events stream: spans are retained with the job.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
+	j := s.startStream(w, r)
 	if j == nil {
-		writeError(w, http.StatusNotFound, &APIError{Code: CodeNotFound, Message: "no such job"})
 		return
 	}
-	setJobHeaders(w, j)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	buf := append(obs.SpanHeaderJSON(s.spans.Base()), '\n')
-	if _, err := w.Write(buf); err != nil {
-		return
-	}
-
-	next := 0
-	for {
+	head := append(obs.SpanHeaderJSON(s.spans.Base()), '\n')
+	streamNDJSON(w, r, head, func(next int) ([]obs.SpanRecord, <-chan struct{}, bool) {
 		j.spanMu.Lock()
-		pending := j.spans[next:] // append-only: the snapshot is stable
-		wake := j.spanWake
-		done := j.spansDone
-		j.spanMu.Unlock()
-
-		for i := range pending {
-			buf = pending[i].AppendJSON(buf[:0])
-			buf = append(buf, '\n')
-			if _, err := w.Write(buf); err != nil {
-				return
-			}
-			next++
-		}
-		if len(pending) > 0 && flusher != nil {
-			flusher.Flush()
-		}
+		defer j.spanMu.Unlock()
 		// The root record is emitted after every child span, so a
 		// drained buffer with spansDone set is the complete tree.
-		if done && len(pending) == 0 {
-			return
-		}
-		if len(pending) > 0 {
-			continue // drain everything buffered before sleeping
-		}
-		select {
-		case <-wake:
-		case <-r.Context().Done():
-			return
-		}
-	}
+		return j.spans[next:], j.spanWake, j.spansDone
+	}, func(b []byte, rec *obs.SpanRecord) []byte { return rec.AppendJSON(b) })
 }

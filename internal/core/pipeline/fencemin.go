@@ -1,7 +1,7 @@
 package pipeline
 
 import (
-	"sort"
+	"math/bits"
 
 	"ghostbusters/internal/core"
 	"ghostbusters/internal/ir"
@@ -26,23 +26,63 @@ import (
 // edges); covered pure sources only need their relaxable in-edges
 // pinned. A sink left uncovered is safe because every source feeding
 // it is covered; a source left uncovered only feeds covered sinks.
-func fenceMin(b *ir.Block, _ core.Report, _ [][]int, _ *ir.AuditReport) int {
-	sinkSrcs, sinkGuards := poisonFlow(b)
-	if len(sinkSrcs) == 0 {
+func fenceMin(b *ir.Block, _ core.Report, _ [][]int, mem *Memory, _ *ir.AuditReport) int {
+	f := &mem.flow
+	f.poisonFlow(b)
+	if len(f.sinks) == 0 {
 		return 0
 	}
+	f.minVertexCover()
 
 	added := 0
-	cover := minVertexCover(sinkSrcs)
-	for _, node := range cover {
-		if guards, isSink := sinkGuards[node]; isSink {
-			added += core.PinRisky(b, node, guards)
+	for v := range f.n {
+		if !f.zSrc[v] && (f.sinkAddr[v] < 0 || f.zSink[v]) {
+			continue // not in the cover
+		}
+		if f.sinkAddr[v] >= 0 {
+			f.list = appendMembers(f.list[:0], f.guards(v))
+			added += core.PinRisky(b, v, f.list)
 		} else {
-			b.PinInto(node)
+			b.PinInto(v)
 		}
 	}
 	return added
 }
+
+// flowMem is fence-min's reusable memory: the poison flow as bitset
+// rows over the block's instructions, and the matching's tables. Every
+// table is index-addressed and keeps its backing array from one block
+// to the next. It shares no code with core.Analysis, whose sink rules
+// differ (see poisonFlow).
+type flowMem struct {
+	n, words int
+	// rows holds three rows of words per instruction: the poison
+	// sources reaching its value (srcs), the speculation causes that
+	// poison is conditional on (guards), and the relaxable in-edges of
+	// a load (self).
+	rows []uint64
+	// sinkAddr[i] is the instruction that computes sink i's address, -1
+	// when i is no sink; sinks lists the sinks in program order. A
+	// sink's sources are srcs(sinkAddr[i]) and its guards guards(i).
+	sinkAddr []int
+	sinks    []int
+
+	// The matching (-1 when unmatched) and König's alternating search.
+	matchOfSink, matchOfSrc []int
+	visited, zSink, zSrc    []bool
+	queue                   []int
+
+	list []int // a sink's guard list, as PinRisky takes it
+}
+
+func (f *flowMem) row(k, i int) []uint64 {
+	lo := (k*f.n + i) * f.words
+	return f.rows[lo : lo+f.words]
+}
+
+func (f *flowMem) srcs(i int) []uint64   { return f.row(0, i) }
+func (f *flowMem) guards(i int) []uint64 { return f.row(1, i) }
+func (f *flowMem) self(i int) []uint64   { return f.row(2, i) }
 
 // poisonFlow runs the poison propagation tracking, for every sink, the
 // set of sources whose poison reaches its address and the guard set
@@ -51,161 +91,168 @@ func fenceMin(b *ir.Block, _ core.Report, _ [][]int, _ *ir.AuditReport) int {
 // the sink itself as a fresh source), because the min-cut may leave
 // the sink speculating — only core's analysis, which always pins every
 // sink, may assume a pinned access reads clean data.
-func poisonFlow(b *ir.Block) (sinkSrcs map[int][]int, sinkGuards map[int][]int) {
+func (f *flowMem) poisonFlow(b *ir.Block) {
 	n := len(b.Insts)
-	type set map[int]struct{}
-	union := func(dst, src set) set {
-		if len(src) == 0 {
-			return dst
-		}
-		if dst == nil {
-			dst = make(set, len(src))
-		}
-		for k := range src {
-			dst[k] = struct{}{}
-		}
-		return dst
-	}
-	sorted := func(s set) []int {
-		out := make([]int, 0, len(s))
-		for k := range s {
-			out = append(out, k)
-		}
-		sort.Ints(out)
-		return out
-	}
-
-	selfGuards := make([]set, n)
+	f.n, f.words = n, (n+63)/64
+	f.rows = resize(f.rows, 3*n*f.words)
+	clear(f.rows)
+	f.sinkAddr = fill(f.sinkAddr, n, -1)
+	f.sinks = f.sinks[:0]
 	for _, e := range b.Edges {
 		if e.Relaxable && b.Insts[e.To].IsLoad() {
-			if selfGuards[e.To] == nil {
-				selfGuards[e.To] = make(set)
-			}
-			selfGuards[e.To][e.From] = struct{}{}
+			setMember(f.self(e.To), e.From)
 		}
 	}
-
-	srcs := make([]set, n)   // poison origins reaching each value
-	guards := make([]set, n) // speculation causes that poison is conditional on
-	opSrcs := func(op ir.Operand) set {
-		if op.Kind == ir.OpInst {
-			return srcs[op.Inst]
-		}
-		return nil
-	}
-	opGuards := func(op ir.Operand) set {
-		if op.Kind == ir.OpInst {
-			return guards[op.Inst]
-		}
-		return nil
-	}
-
-	sinkSrcs = make(map[int][]int)
-	sinkGuards = make(map[int][]int)
 	for i := range b.Insts {
 		in := &b.Insts[i]
-		var s, g set
-		s = union(s, opSrcs(in.A))
-		g = union(g, opGuards(in.A))
+		s, g := f.srcs(i), f.guards(i)
+		f.flowFrom(s, g, in.A)
 		if !in.IsLoad() { // a load's B operand is unused; stores leak via address only
-			s = union(s, opSrcs(in.B))
-			g = union(g, opGuards(in.B))
+			f.flowFrom(s, g, in.B)
+			continue
 		}
-		if in.IsLoad() && len(selfGuards[i]) > 0 {
-			if len(opSrcs(in.A)) > 0 {
-				// The Spectre pattern. Record the flow; the value stays
-				// poisoned with i as a fresh source (see doc comment).
-				sinkSrcs[i] = sorted(opSrcs(in.A))
-				var pg set
-				pg = union(pg, opGuards(in.A))
-				pg = union(pg, selfGuards[i])
-				sinkGuards[i] = sorted(pg)
-				srcs[i] = set{i: {}}
-				guards[i] = pg
-				continue
-			}
-			// Clean-address speculative load: a poison source.
-			s = union(s, set{i: {}})
-			g = union(g, selfGuards[i])
+		self := f.self(i)
+		if empty(self) {
+			continue
 		}
-		srcs[i], guards[i] = s, g
+		union(g, self)
+		if in.A.Kind == ir.OpInst && !empty(f.srcs(in.A.Inst)) {
+			// The Spectre pattern. Record the flow; the value stays
+			// poisoned with i as a fresh source (see doc comment).
+			f.sinkAddr[i] = in.A.Inst
+			f.sinks = append(f.sinks, i)
+			clear(s)
+		}
+		// A clean-address speculative load is a poison source, and so
+		// is a sink.
+		setMember(s, i)
 	}
-	return sinkSrcs, sinkGuards
+}
+
+// flowFrom adds what reaches operand op to the rows s and g.
+func (f *flowMem) flowFrom(s, g []uint64, op ir.Operand) {
+	if op.Kind == ir.OpInst {
+		union(s, f.srcs(op.Inst))
+		union(g, f.guards(op.Inst))
+	}
 }
 
 // minVertexCover computes a minimum vertex cover of the bipartite
-// sink/source graph via Kuhn's maximum matching and König's theorem,
-// returning the covered instruction indices sorted. All iteration
-// orders are sorted, so the cover is deterministic.
-func minVertexCover(sinkSrcs map[int][]int) []int {
-	sinks := make([]int, 0, len(sinkSrcs))
-	for t := range sinkSrcs {
-		sinks = append(sinks, t)
-	}
-	sort.Ints(sinks)
-
-	matchOfSink := map[int]int{} // sink -> matched source
-	matchOfSrc := map[int]int{}  // source -> matched sink
-	var augment func(t int, visited map[int]bool) bool
-	augment = func(t int, visited map[int]bool) bool {
-		for _, s := range sinkSrcs[t] {
-			if visited[s] {
-				continue
-			}
-			visited[s] = true
-			u, taken := matchOfSrc[s]
-			if !taken || augment(u, visited) {
-				matchOfSrc[s] = t
-				matchOfSink[t] = s
-				return true
-			}
-		}
-		return false
-	}
-	for _, t := range sinks {
-		augment(t, map[int]bool{})
+// sink/source graph via Kuhn's maximum matching and König's theorem:
+// the cover is the sinks zSink leaves out and the sources zSrc holds.
+// Sinks and sources are visited in ascending order, so the cover is
+// deterministic.
+func (f *flowMem) minVertexCover() {
+	n := f.n
+	f.matchOfSink = fill(f.matchOfSink, n, -1)
+	f.matchOfSrc = fill(f.matchOfSrc, n, -1)
+	f.visited = resize(f.visited, n)
+	for _, t := range f.sinks {
+		clear(f.visited)
+		f.augment(t)
 	}
 
 	// König: alternate from unmatched sinks (non-matching edge to a
 	// source, matching edge back to a sink). Cover = sinks not reached
 	// ∪ sources reached.
-	zSink := map[int]bool{}
-	zSrc := map[int]bool{}
-	var queue []int
-	for _, t := range sinks {
-		if _, ok := matchOfSink[t]; !ok {
-			zSink[t] = true
+	f.zSink = fill(f.zSink, n, false)
+	f.zSrc = fill(f.zSrc, n, false)
+	queue := f.queue[:0]
+	for _, t := range f.sinks {
+		if f.matchOfSink[t] < 0 {
+			f.zSink[t] = true
 			queue = append(queue, t)
 		}
 	}
-	for len(queue) > 0 {
-		t := queue[0]
-		queue = queue[1:]
-		for _, s := range sinkSrcs[t] {
-			if matchOfSink[t] == s || zSrc[s] {
+	for h := 0; h < len(queue); h++ {
+		t := queue[h]
+		srcs := f.srcs(f.sinkAddr[t])
+		for s := nextMember(srcs, 0); s >= 0; s = nextMember(srcs, s+1) {
+			if f.matchOfSink[t] == s || f.zSrc[s] {
 				continue
 			}
-			zSrc[s] = true
-			if u, ok := matchOfSrc[s]; ok && !zSink[u] {
-				zSink[u] = true
+			f.zSrc[s] = true
+			if u := f.matchOfSrc[s]; u >= 0 && !f.zSink[u] {
+				f.zSink[u] = true
 				queue = append(queue, u)
 			}
 		}
 	}
+	f.queue = queue
+}
 
-	coverSet := map[int]bool{}
-	for _, t := range sinks {
-		if !zSink[t] {
-			coverSet[t] = true
+// augment looks for an augmenting path from sink t (Kuhn).
+func (f *flowMem) augment(t int) bool {
+	srcs := f.srcs(f.sinkAddr[t])
+	for s := nextMember(srcs, 0); s >= 0; s = nextMember(srcs, s+1) {
+		if f.visited[s] {
+			continue
+		}
+		f.visited[s] = true
+		if u := f.matchOfSrc[s]; u < 0 || f.augment(u) {
+			f.matchOfSrc[s] = t
+			f.matchOfSink[t] = s
+			return true
 		}
 	}
-	for s := range zSrc {
-		coverSet[s] = true
+	return false
+}
+
+// Bitset rows: bit i of row[i/64] is instruction i.
+
+func setMember(row []uint64, i int) { row[i/64] |= 1 << (i % 64) }
+
+func union(dst, src []uint64) {
+	for w := range dst {
+		dst[w] |= src[w]
 	}
-	cover := make([]int, 0, len(coverSet))
-	for v := range coverSet {
-		cover = append(cover, v)
+}
+
+func empty(row []uint64) bool {
+	for _, w := range row {
+		if w != 0 {
+			return false
+		}
 	}
-	sort.Ints(cover)
-	return cover
+	return true
+}
+
+// nextMember returns the first member of row at or after i, or -1.
+func nextMember(row []uint64, i int) int {
+	for w := i / 64; w < len(row); w++ {
+		word := row[w]
+		if w == i/64 {
+			word &= ^uint64(0) << (i % 64)
+		}
+		if word != 0 {
+			return w*64 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
+}
+
+// appendMembers appends row's members to dst in ascending order.
+func appendMembers(dst []int, row []uint64) []int {
+	for i := nextMember(row, 0); i >= 0; i = nextMember(row, i+1) {
+		dst = append(dst, i)
+	}
+	return dst
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough; the contents are stale.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// fill returns s resized to n with every element set to v.
+func fill[T any](s []T, n int, v T) []T {
+	s = resize(s, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }

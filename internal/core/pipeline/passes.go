@@ -9,12 +9,12 @@ import (
 // detectOnly is the unsafe baseline: the analysis runs for the report
 // (and the audit's explanation of what would leak), and the block keeps
 // full speculation.
-func detectOnly(*ir.Block, core.Report, [][]int, *ir.AuditReport) int { return 0 }
+func detectOnly(*ir.Block, core.Report, [][]int, *Memory, *ir.AuditReport) int { return 0 }
 
 // ghostBusters is the paper's mitigation (Fig. 3C): each risky load is
 // made non-speculative and receives a guard edge from every instruction
 // that caused its poisoning; every other load keeps speculating.
-func ghostBusters(b *ir.Block, rep core.Report, pins [][]int, _ *ir.AuditReport) int {
+func ghostBusters(b *ir.Block, rep core.Report, pins [][]int, _ *Memory, _ *ir.AuditReport) int {
 	added := 0
 	for k, load := range rep.RiskyLoads {
 		added += core.PinRisky(b, load, pins[k])
@@ -24,7 +24,7 @@ func ghostBusters(b *ir.Block, rep core.Report, pins [][]int, _ *ir.AuditReport)
 
 // fence is the coarse baseline: no speculation may cross a guard the
 // analysis implicated in a Spectre pattern.
-func fence(b *ir.Block, rep core.Report, _ [][]int, _ *ir.AuditReport) int {
+func fence(b *ir.Block, rep core.Report, _ [][]int, _ *Memory, _ *ir.AuditReport) int {
 	for _, g := range rep.Guards {
 		b.PinFrom(g)
 	}
@@ -33,7 +33,7 @@ func fence(b *ir.Block, rep core.Report, _ [][]int, _ *ir.AuditReport) int {
 
 // noSpec is the naive baseline: both speculation mechanisms off. It
 // needs no analysis; the report is kept for symmetry with the others.
-func noSpec(b *ir.Block, _ core.Report, _ [][]int, _ *ir.AuditReport) int {
+func noSpec(b *ir.Block, _ core.Report, _ [][]int, _ *Memory, _ *ir.AuditReport) int {
 	b.PinAll()
 	return 0
 }
@@ -43,7 +43,7 @@ func noSpec(b *ir.Block, _ core.Report, _ [][]int, _ *ir.AuditReport) int {
 // Spectre pattern cannot arise. ALU work keeps speculating, which
 // keeps it cheaper than nospec. The detection analysis still runs for
 // the report (and the audit explanation of what would have leaked).
-func loadFence(b *ir.Block, _ core.Report, _ [][]int, _ *ir.AuditReport) int {
+func loadFence(b *ir.Block, _ core.Report, _ [][]int, _ *Memory, _ *ir.AuditReport) int {
 	for k := range b.Edges {
 		e := &b.Edges[k]
 		if e.Relaxable && b.Insts[e.To].IsLoad() {
@@ -68,7 +68,7 @@ func loadFence(b *ir.Block, _ core.Report, _ [][]int, _ *ir.AuditReport) int {
 // hidden registers, are never committed, and mark an already-clamped
 // access for idempotence. Accesses guarded by a store (the v4 pattern —
 // no predicate to materialise) fall back to ghostbusters pinning.
-func sfiClamp(b *ir.Block, rep core.Report, pins [][]int, aud *ir.AuditReport) int {
+func sfiClamp(b *ir.Block, rep core.Report, pins [][]int, _ *Memory, aud *ir.AuditReport) int {
 	added := 0
 	var masked []int // rep.RiskyLoads positions of the loads to clamp, program order
 	for k, load := range rep.RiskyLoads {

@@ -27,9 +27,18 @@ import (
 // report rep and pins[k], the sorted guard list of risky load
 // rep.RiskyLoads[k] — and returns the number of guard edges it
 // inserted. A rewrite that renumbers the block renumbers rep's lists
-// in place. aud is nil when the caller did not ask for provenance
-// bookkeeping.
-type mitigation func(b *ir.Block, rep core.Report, pins [][]int, aud *ir.AuditReport) (guardEdges int)
+// in place. mem is the step's reusable memory, and aud is nil when the
+// caller did not ask for provenance bookkeeping.
+type mitigation func(b *ir.Block, rep core.Report, pins [][]int, mem *Memory, aud *ir.AuditReport) (guardEdges int)
+
+// Memory is the mitigation step's reusable memory: the poison
+// analysis's and fence-min's poison flow's. Each keeps its tables from
+// one block to the next, so a caller that mitigates its blocks through
+// one Memory stops allocating for them once it has grown.
+type Memory struct {
+	analysis core.Analysis
+	flow     flowMem
+}
 
 // mitigations holds each mode's function, indexed like core's mode
 // table.
@@ -43,15 +52,18 @@ var mitigations = [...]mitigation{
 	core.ModeFenceMin:      fenceMin,
 }
 
-// Apply runs the poison analysis over b once, in a's memory, and
-// mitigates b under mode, returning the analysis report with the
-// mitigation's counters. The report's lists live in a until its next
-// use; a nil a analyses through fresh memory. With a non-nil aud the
-// analysis records its provenance chains there and aud.GuardEdges takes
-// the report's count. mode must be valid (core.Mode.Valid).
-func Apply(a *core.Analysis, mode core.Mode, b *ir.Block, aud *ir.AuditReport) core.Report {
-	rep, pins := a.AnalyzePins(b, aud)
-	rep.GuardEdges = mitigations[mode](b, rep, pins, aud)
+// Apply runs the poison analysis over b once, in mem, and mitigates b
+// under mode, returning the analysis report with the mitigation's
+// counters. The report's lists live in mem until its next use; a nil
+// mem works through fresh memory. With a non-nil aud the analysis
+// records its provenance chains there and aud.GuardEdges takes the
+// report's count. mode must be valid (core.Mode.Valid).
+func Apply(mem *Memory, mode core.Mode, b *ir.Block, aud *ir.AuditReport) core.Report {
+	if mem == nil {
+		mem = new(Memory)
+	}
+	rep, pins := mem.analysis.AnalyzePins(b, aud)
+	rep.GuardEdges = mitigations[mode](b, rep, pins, mem, aud)
 	if aud != nil {
 		aud.GuardEdges = rep.GuardEdges
 	}

@@ -6,7 +6,7 @@ import (
 
 	"ghostbusters/internal/bus"
 	"ghostbusters/internal/cache"
-	"ghostbusters/internal/core"
+	"ghostbusters/internal/core/pipeline"
 	"ghostbusters/internal/guestmem"
 	"ghostbusters/internal/ir"
 	"ghostbusters/internal/riscv"
@@ -51,10 +51,11 @@ type pcState struct {
 // transState is what one machine hands to the next of the same guest
 // memory geometry: the guest image, the per-PC records, the memory its
 // regions compile through (the front end's builder and visited set, the
-// poison analysis and the scheduling graph), the machine's parts (bus,
-// data cache, VLIW core and interpreter predecode table), the
-// translation-cache key's fingerprint buffer and run view, and the slabs
-// its installed regions and records live in.
+// mitigation step's memory and the scheduling graph), the machine's
+// parts (bus, data cache, VLIW core and interpreter predecode table),
+// the translation-cache key's fingerprint buffer and run view, the
+// slabs its installed regions and records live in, and the arena its
+// compiled blocks live in.
 type transState struct {
 	mem *guestmem.Memory
 
@@ -62,7 +63,7 @@ type transState struct {
 
 	front    ir.Builder
 	visited  map[uint64]struct{}
-	analysis core.Analysis
+	mitigate pipeline.Memory
 	sched    graph
 
 	// The machine's parts; New and Load fit them to its configuration
@@ -87,6 +88,11 @@ type transState struct {
 	// regions and records hold what the records and pcs point at.
 	regions slab[transEntry]
 	records slab[pcState]
+
+	// code holds every block the machine compiles and its dispatch
+	// table; blocks from the translation cache are shared and stay on
+	// the heap. sched builds its blocks here.
+	code vliw.Arena
 }
 
 // newTransState makes an empty transState over the guest image mem.
@@ -97,6 +103,7 @@ func newTransState(mem *guestmem.Memory) *transState {
 		visited: make(map[uint64]struct{}),
 	}
 	ts.storeHook = func(addr uint64, size int) { ts.owner.onGuestStore(addr, size) }
+	ts.sched.code = &ts.code
 	return ts
 }
 
@@ -123,11 +130,12 @@ func (ts *transState) regionAt(pc uint64) *transEntry {
 // the machine that used it: the bus and cache hooks close over that
 // machine, and the core's frame points at its registers and last block.
 func (ts *transState) reset() {
-	// The emptied map keeps its buckets; zeroing the slabs drops the
-	// translated blocks.
+	// The emptied map keeps its buckets; zeroing the slabs and the arena
+	// drops the translated blocks.
 	clear(ts.pcs)
 	ts.regions.reset()
 	ts.records.reset()
+	ts.code.Reset()
 	ts.mem.Reset()
 	ts.membus = bus.Bus{}
 	ts.dcache.Reset(ts.dcache.Config())

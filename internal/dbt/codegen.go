@@ -29,17 +29,19 @@ type CompileResult struct {
 // compile runs the full back end on one IR block: mitigation, graph
 // construction, list scheduling, syllable emission, recovery-slice
 // generation. guestInsts is the number of guest instructions the block
-// covers. It analyses and schedules through fresh memory.
+// covers. It analyses, schedules and builds the block through fresh
+// memory.
 func compile(b *ir.Block, guestInsts int, cfg *vliw.Config, mode core.Mode) (CompileResult, error) {
-	return compileWith(new(graph), new(core.Analysis), b, guestInsts, cfg, mode, false)
+	return compileWith(&graph{code: new(vliw.Arena)}, nil, b, guestInsts, cfg, mode, false)
 }
 
-// compileWith is compile analysing through a and scheduling through g,
-// the caller's reusable memory; the result's Report lists live in a
-// until its next use. audit collects the poison-provenance audit report
-// during mitigation; b stays the caller's, and with audit the result
-// retains it for replay and rendering.
-func compileWith(g *graph, a *core.Analysis, b *ir.Block, guestInsts int, cfg *vliw.Config, mode core.Mode, audit bool) (CompileResult, error) {
+// compileWith is compile mitigating through pm and scheduling through
+// g, the caller's reusable memory, and building the block in g.code;
+// the result's Report lists live in pm until its next use. audit
+// collects the poison-provenance audit report during mitigation; b
+// stays the caller's, and with audit the result retains it for replay
+// and rendering.
+func compileWith(g *graph, pm *pipeline.Memory, b *ir.Block, guestInsts int, cfg *vliw.Config, mode core.Mode, audit bool) (CompileResult, error) {
 	if err := b.Verify(); err != nil {
 		return CompileResult{}, err
 	}
@@ -47,8 +49,9 @@ func compileWith(g *graph, a *core.Analysis, b *ir.Block, guestInsts int, cfg *v
 	if audit {
 		aud = &ir.AuditReport{}
 	}
-	rep := pipeline.Apply(a, mode, b, aud)
+	rep := pipeline.Apply(pm, mode, b, aud)
 
+	// A failed try leaves nothing in g.code.
 	try := func(ctrlSpec, memSpec bool) (*vliw.Block, error) {
 		if err := g.buildGraph(b, cfg, ctrlSpec, memSpec); err != nil {
 			return nil, err
@@ -57,7 +60,12 @@ func compileWith(g *graph, a *core.Analysis, b *ir.Block, guestInsts int, cfg *v
 		if err != nil {
 			return nil, err
 		}
-		return g.emit(place, numBundles, guestInsts)
+		mark := g.code.Mark()
+		blk, err := g.emit(place, numBundles, guestInsts)
+		if err != nil {
+			g.code.Rewind(mark)
+		}
+		return blk, err
 	}
 	blk, err := try(true, true)
 	if err == errHiddenOverflow {
@@ -170,18 +178,15 @@ func (g *graph) syllable(id int) (vliw.Syllable, error) {
 	return s, nil
 }
 
-// emit builds the final vliw.Block in its dense form: syllables placed
-// into bundles, dependent loads promoted to dismissable form, recovery
-// slices attached to each chk. The block's syllables, bundles' and
-// recoveries' alike, share one array that is not g's memory.
+// emit builds the final vliw.Block in its dense form, in g.code:
+// syllables placed into bundles, dependent loads promoted to dismissable
+// form, recovery slices attached to each chk. The block's syllables,
+// bundles' and recoveries' alike, share one array.
 func (g *graph) emit(place []placement, numBundles, guestInsts int) (*vliw.Block, error) {
-	blk := &vliw.Block{
-		EntryPC:    g.b.EntryPC,
-		FallPC:     g.b.FallPC,
-		GuestInsts: guestInsts,
-	}
+	blk := g.code.NewBlock()
+	blk.EntryPC, blk.FallPC, blk.GuestInsts = g.b.EntryPC, g.b.FallPC, guestInsts
 	if numBundles > 0 {
-		blk.Slots, blk.Width = make([]vliw.Slots, numBundles), g.cfg.Width()
+		blk.Slots, blk.Width = g.code.Slots(numBundles), g.cfg.Width()
 	}
 	// Every node fills one slot; the slot masks fix where each bundle's
 	// syllables start.
@@ -301,12 +306,12 @@ func (g *graph) emit(place []placement, numBundles, guestInsts int) (*vliw.Block
 	if nbs+len(sliceNodes) > vliw.MaxSyllables {
 		return nil, fmt.Errorf("dbt: block of %d syllables exceeds %d", nbs+len(sliceNodes), vliw.MaxSyllables)
 	}
-	blk.Syls = make([]vliw.Syllable, nbs+len(sliceNodes))
+	blk.Syls = g.code.Syls(nbs + len(sliceNodes))
 
 	// Recovery sequences, one per chk, in tag (program) order:
 	// recovery k belongs to specLoads[k].
 	if len(g.specLoads) > 0 {
-		blk.RecStart = make([]uint16, len(g.specLoads))
+		blk.RecStart = g.code.RecStart(len(g.specLoads))
 		for k, l := range g.specLoads {
 			lo, hi := sliceOff[k], sliceOff[k+1]
 			blk.RecStart[k] = uint16(nbs + lo)

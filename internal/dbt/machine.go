@@ -510,11 +510,13 @@ func (w *fpWriter) bool(name string, v bool) {
 	w.b = strconv.AppendBool(w.b, v)
 }
 
-// Release puts the machine's guest image, translation state and parts
-// (bus, data cache, core, predecode table) back on the spare list, each
-// reset to how a fresh one starts, for the next New of the same
-// geometry. Call it once all results have been read out of the machine;
-// the machine (including Mem and Bus) must not be used afterwards.
+// Release puts the machine's guest image, translation state, parts
+// (bus, data cache, core, predecode table) and code arena back on the
+// spare list, each reset to how a fresh one starts, for the next New of
+// the same geometry. Call it once all results have been read out of the
+// machine; the machine (including Mem and Bus) and every block BlockAt
+// returned must not be used afterwards: the next machine builds its own
+// blocks in their memory (Block.Clone keeps one).
 // Release is idempotent, and skipping it is always safe: the set is then
 // collected by the GC instead of being reused.
 func (m *Machine) Release() {
@@ -634,6 +636,7 @@ func (m *Machine) translateWith(pc uint64, asTrace bool) {
 			m.stats.TCacheHits++
 			e := m.regions.next()
 			e.Region = *rg
+			rg.Block.Prepare() // shared with other machines: its table stays on the heap
 			m.install(e, t0)
 			return
 		}
@@ -648,10 +651,11 @@ func (m *Machine) translateWith(pc uint64, asTrace bool) {
 	if m.tcr != nil {
 		// Record a copy: a pointer into the entry would let the shared
 		// store keep this machine's chain links, and through them its
-		// records and other entries, alive. VerifyEncoding is off with
-		// the cache active, so the store shares the compiled block
-		// itself.
+		// records and other entries, alive. The block lives in the
+		// machine's arena until Release, so the store gets a heap clone,
+		// dispatch table included.
 		rg := e.Region
+		rg.Block = rg.Block.Clone()
 		m.tcr.Record(&rg)
 	}
 }
@@ -677,10 +681,10 @@ func (m *Machine) frontEnd(bu *ir.Builder, pc uint64, asTrace bool) (*ir.Block, 
 
 // compile runs the DBT engine on the region at pc: front end, the
 // mitigation pipeline, scheduling and codegen, all through the
-// machine's reused compile memory (transState), so that what it
-// allocates is what the installed region keeps. The audit keeps the
-// mitigated IR block, so with Config.Audit the front end builds it in
-// a builder of its own. A failure is recorded (transFail) and yields
+// machine's reused compile memory (transState), and builds the block in
+// the machine's arena, so that it allocates nothing once the memory
+// and the arena have grown. The audit keeps the mitigated IR block, so
+// with Config.Audit the front end builds it in a builder of its own. A failure is recorded (transFail) and yields
 // nil.
 func (m *Machine) compile(pc uint64, asTrace bool) *transEntry {
 	bu := &m.front
@@ -692,7 +696,7 @@ func (m *Machine) compile(pc uint64, asTrace bool) *transEntry {
 		m.transFail(pc, false, err)
 		return nil
 	}
-	res, err := compileWith(&m.sched, &m.analysis, irBlk, guestInsts, &m.cfg.Core, m.cfg.Mitigation, m.cfg.Audit)
+	res, err := compileWith(&m.sched, &m.mitigate, irBlk, guestInsts, &m.cfg.Core, m.cfg.Mitigation, m.cfg.Audit)
 	if err != nil {
 		m.stats.CompileErrs++
 		m.transFail(pc, false, err)
@@ -712,6 +716,7 @@ func (m *Machine) compile(pc uint64, asTrace bool) *transEntry {
 			m.transFail(pc, false, err)
 			return nil
 		}
+		blk.Prepare() // the decoded block is on the heap, and so is its table
 	}
 	lo, hi := blockExtent(blk)
 	e := m.regions.next()
@@ -737,7 +742,7 @@ func (m *Machine) compile(pc uint64, asTrace bool) *transEntry {
 // translation request started.
 func (m *Machine) install(e *transEntry, t0 time.Time) {
 	blk := e.Block
-	blk.Prepare() // build the threaded-dispatch table off the hot path
+	m.code.Prepare(blk) // build the threaded-dispatch table off the hot path
 	e.transNS = time.Since(t0).Nanoseconds()
 	m.transHostNS += e.transNS
 	m.record(e.PC).e = e
@@ -986,7 +991,9 @@ func (m *Machine) TranslatedAt(pc uint64) (exists, isTrace bool) {
 	return e != nil, e != nil && e.Trace
 }
 
-// BlockAt returns the translated block at pc, for inspection.
+// BlockAt returns the translated block at pc, for inspection. A block
+// the machine compiled lives in its code arena and is valid until
+// Release; clone it (vliw.Block.Clone) to keep it longer.
 func (m *Machine) BlockAt(pc uint64) *vliw.Block {
 	if e := m.regionAt(pc); e != nil {
 		return e.Block
@@ -1008,7 +1015,7 @@ func (m *Machine) DumpIR(pc uint64) (string, error) {
 		return "", fmt.Errorf("dbt: DumpIR(%#x): %w", pc, err)
 	}
 	aud := &ir.AuditReport{}
-	pipeline.Apply(&m.analysis, m.cfg.Mitigation, irBlk, aud)
+	pipeline.Apply(&m.mitigate, m.cfg.Mitigation, irBlk, aud)
 	return irBlk.Dot(aud.Overlay()), nil
 }
 

@@ -86,11 +86,15 @@ type writer struct {
 // allocating for them once the graph has grown to its largest region.
 // buildGraph resets it; compileWith drops the region's block and core
 // configuration afterwards. The vliw.Block emit returns shares no
-// memory with it.
+// memory with it: emit builds it in code.
 type graph struct {
 	b     *ir.Block
 	cfg   *vliw.Config
 	nodes []schedNode
+
+	// code is where emit builds blocks: the machine's arena
+	// (transState.code).
+	code *vliw.Arena
 
 	// edges holds every dependency in insertion order. index derives
 	// the CSR views from it: node id's predecessors are

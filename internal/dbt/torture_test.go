@@ -10,6 +10,7 @@ import (
 	"ghostbusters/internal/bus"
 	"ghostbusters/internal/cache"
 	"ghostbusters/internal/core"
+	"ghostbusters/internal/core/pipeline"
 	"ghostbusters/internal/guestmem"
 	"ghostbusters/internal/ir"
 	"ghostbusters/internal/riscv"
@@ -163,11 +164,11 @@ func TestSchedulerTorture(t *testing.T) {
 	if testing.Short() {
 		trials = 60
 	}
-	// One analysis and one scheduler memory shared by every trial, mode
+	// One mitigation and one scheduler memory shared by every trial, mode
 	// and width, the way a machine reuses them region after region:
 	// each compile through them must equal the fresh-memory compile, so
 	// no table may carry stale data from a larger earlier region.
-	reused, reusedAnalysis := new(graph), new(core.Analysis)
+	reused, reusedMitigate := &graph{code: new(vliw.Arena)}, new(pipeline.Memory)
 	for trial := 0; trial < trials; trial++ {
 		blk := genBlock(r)
 		if err := blk.Verify(); err != nil {
@@ -202,7 +203,7 @@ func TestSchedulerTorture(t *testing.T) {
 				t.Fatalf("trial %d mode %s: compile: %v\n%s", trial, mode, err, blk)
 			}
 			blk3 := genBlockCopy(blk)
-			again, err := compileWith(reused, reusedAnalysis, blk3, len(blk3.Insts), &coreCfg, mode, false)
+			again, err := compileWith(reused, reusedMitigate, blk3, len(blk3.Insts), &coreCfg, mode, false)
 			if err != nil {
 				t.Fatalf("trial %d mode %s: compile through reused memory: %v\n%s", trial, mode, err, blk)
 			}

@@ -142,6 +142,9 @@ func (c *Core) Exec(blk *Block, regs *[NumRegs]uint64, b *bus.Bus, cycles *uint6
 	// Dispatching any block costs at least one cycle (the chain jump),
 	// so zero-bundle blocks (pure jumps) cannot loop for free.
 	if len(blk.Slots) == 0 {
+		if blk.dec.Load() == &released {
+			panic("vliw: executing a block whose arena was reset")
+		}
 		*cycles++
 		if n := c.MCB.Outstanding(); n != 0 {
 			c.fail(errInternal(0, "vliw: %d MCB entries outstanding at block fallthrough", n), 0)

@@ -12,9 +12,10 @@ import (
 	"ghostbusters/internal/vliw"
 )
 
-// translatedBlocks runs src under every Fig. 4 mode and returns each
-// block the machine translated. Kernel inputs stay zero: the seeds need
-// the code shapes, not the results.
+// translatedBlocks runs src under every Fig. 4 mode and returns a heap
+// copy of each block the machine translated: a machine's blocks live in
+// its arena, which Release hands to the next machine. Kernel inputs stay
+// zero: the seeds need the code shapes, not the results.
 func translatedBlocks(t testing.TB, src string) []*vliw.Block {
 	p, err := riscv.Assemble(src)
 	if err != nil {
@@ -33,7 +34,7 @@ func translatedBlocks(t testing.TB, src string) []*vliw.Block {
 		}
 		m.Run() // a trapping guest still leaves its translations behind
 		for _, pc := range m.TranslatedPCs() {
-			blocks = append(blocks, m.BlockAt(pc))
+			blocks = append(blocks, m.BlockAt(pc).Clone())
 		}
 		m.Release()
 	}

@@ -180,10 +180,10 @@ type Block struct {
 	GuestInsts int
 
 	// dec caches the block's threaded-dispatch table (see threaded.go).
-	// Built once — at translation time via Prepare, or lazily on first
-	// Exec — and immutable afterwards; atomic so blocks installed from
-	// a shared translation cache can be executed by concurrent
-	// machines without a lock.
+	// Built once — at translation time via Prepare or Arena.Prepare, or
+	// lazily on first Exec — and immutable afterwards; atomic so blocks
+	// installed from a shared translation cache can be executed by
+	// concurrent machines without a lock.
 	dec atomic.Pointer[decoded]
 }
 
@@ -262,7 +262,7 @@ func (b *Block) decoded() *decoded {
 	if d := b.dec.Load(); d != nil {
 		return d
 	}
-	d := buildDecoded(b)
+	d := &decoded{ops: buildDecoded(b, make([]dop, 0, dopCount(b)))}
 	b.dec.Store(d)
 	return d
 }

@@ -501,20 +501,31 @@ func opEndBlock(c *Core, d *dop) ctl {
 	return ctlStop
 }
 
-// buildDecoded flattens a block into its threaded-dispatch table: one
-// op per non-nop bundle syllable plus one terminator per bundle, then
-// one op per recovery syllable, allocated once at that exact size, with
-// each bundle's write schedule fixed.
-func buildDecoded(blk *Block) *decoded {
-	syls := blk.Syls
-	nbs := blk.bundleSyls()
+// dopCount is how many ops blk's threaded-dispatch table holds.
+func dopCount(blk *Block) int {
+	return bundleOps(blk) + len(blk.Syls) - blk.bundleSyls()
+}
+
+// bundleOps is how many ops of blk's table belong to its bundles: one
+// per non-nop syllable and one terminator per bundle.
+func bundleOps(blk *Block) int {
 	nb := len(blk.Slots)
-	for i := range syls[:nbs] {
-		if syls[i].Kind != KNop {
+	for _, sy := range blk.Syls[:blk.bundleSyls()] {
+		if sy.Kind != KNop {
 			nb++
 		}
 	}
-	ops := make([]dop, 0, nb+len(syls)-nbs)
+	return nb
+}
+
+// buildDecoded flattens a block into its threaded-dispatch table in
+// ops, which has room for dopCount(blk) of them: one op per non-nop
+// bundle syllable plus one terminator per bundle, then one op per
+// recovery syllable, with each bundle's write schedule fixed.
+func buildDecoded(blk *Block, ops []dop) []dop {
+	syls := blk.Syls
+	nbs := blk.bundleSyls()
+	nb := bundleOps(blk)
 	for bi, s := range blk.Slots {
 		first := len(ops)
 		for i := int(s.Start); i < int(s.Start)+bits.OnesCount16(s.Mask); i++ {
@@ -557,7 +568,7 @@ func buildDecoded(blk *Block) *decoded {
 		writeSchedule(ops[len(ops)-1:], syls)
 		specialise(d, syls)
 	}
-	return &decoded{ops: ops}
+	return ops
 }
 
 // newDop predecodes syllable i of syls: its operands, its semantic

@@ -923,7 +923,7 @@ func TestWriteSchedule(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			blk := testBlock{Bundles: []Bundle{pad(cfg, tc.sylls...)}}.pack()
-			ops := buildDecoded(blk).ops
+			ops := blk.decoded().ops
 			var modes []uint8
 			for _, d := range ops[:len(ops)-1] {
 				modes = append(modes, d.wm)
@@ -1080,7 +1080,7 @@ func TestDecodedSpecialisation(t *testing.T) {
 				tb.Bundles = append(tb.Bundles, pad(cfg, b...))
 			}
 			blk := tb.pack()
-			ops := buildDecoded(blk).ops
+			ops := blk.decoded().ops
 			end := len(ops) - (len(blk.Syls) - blk.bundleSyls())
 			var got []string
 			first := 0

@@ -113,8 +113,8 @@ type Config struct {
 	Tracer *obs.Tracer
 
 	// VerifyEncoding round-trips every translated block through the
-	// binary VLIW encoding the disk cache stores (words plus GuestPC
-	// side table) and executes the decoded form — an integrity check
+	// binary VLIW encoding the disk cache stores (the dense form plus
+	// its GuestPCs) and executes the decoded form — an integrity check
 	// that the code cache contents are fully representable in the
 	// target ISA (debug builds; small translation-time cost).
 	VerifyEncoding bool

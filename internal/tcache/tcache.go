@@ -28,14 +28,15 @@
 // every machine with the same key (an experiment sweep translates each
 // kernel once per mode, not once per cell), and an optional on-disk
 // layer so separate processes share warm translations. A disk document
-// (schema ghostbusters/tcache/v2) is binary: each region's metadata and
-// its block in the VLIW encoding (vliw.AppendBlock: the syllable word
-// image plus a GuestPC side table), closed by a CRC-32C. Disk writes
-// are atomic (tmp + rename) and happen once per run key when a clean
-// run published new regions. A corrupt or truncated document, or a file
-// that is no document at all, degrades to a cold run and an Err(); a
-// document of another schema version or key is skipped quietly. None of
-// them can cause a wrong hit or a panic.
+// (schema ghostbusters/tcache/v3) is binary: each region's metadata and
+// its block in the VLIW encoding (vliw.AppendBlock: the block's dense
+// in-memory form, no padding), closed by a CRC-32C. Disk writes are
+// atomic (tmp + rename), happen once per run key when a clean run
+// published new regions, and remove the other-version documents beside
+// the new one. A corrupt or truncated document, or a file that is no
+// document at all, degrades to a cold run and an Err(); a document of
+// another schema version or key is skipped quietly. None of them can
+// cause a wrong hit or a panic.
 package tcache
 
 import (
@@ -46,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -59,7 +61,7 @@ import (
 // Schema identifies the on-disk document format. Bump it when Region or
 // the vliw.Block serialization changes incompatibly; loading rejects
 // other schemas and treats the key as cold.
-const Schema = "ghostbusters/tcache/v2"
+const Schema = "ghostbusters/tcache/v3"
 
 // Region is one cached translation: the compiled block (with guest PCs
 // preserved — self-modifying-code invalidation and fault attribution
@@ -172,7 +174,7 @@ func sanitize(s string) string {
 
 // The on-disk document of one key's region set, in order:
 //
-//	"ghostbusters/tcache/v2\n"       the schema line (Schema)
+//	"ghostbusters/tcache/v3\n"       the schema line (Schema)
 //	uvarint len(key), key            Key.Full
 //	uvarint region count
 //	per region, sorted by (PC, Trace):
@@ -193,8 +195,9 @@ const (
 const schemaFamily = "ghostbusters/tcache/"
 
 // minRegionBytes is the smallest encoded region: seven one-byte uvarints
-// and a six-word block image. It bounds a document's region count.
-const minRegionBytes = 7 + 6*8
+// and an empty block, which is the block header alone. It bounds a
+// document's region count.
+const minRegionBytes = 7 + 5*8
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -231,16 +234,17 @@ var errForeign = errors.New("foreign document")
 // truncation, a bad checksum, a malformed region — is an error, and no
 // region of a defective document is returned.
 func decodeDocument(data []byte, key string) ([]Region, error) {
-	nl := bytes.IndexByte(data[:min(len(data), len(Schema)+8)], '\n')
-	if nl < 0 {
+	schema, ok := schemaLine(data)
+	if !ok {
 		return nil, errors.New("not a translation-cache document")
 	}
-	if schema := string(data[:nl]); schema != Schema {
+	if schema != Schema {
 		if strings.HasPrefix(schema, schemaFamily) {
 			return nil, errForeign
 		}
 		return nil, fmt.Errorf("not a translation-cache document (first line %q)", schema)
 	}
+	nl := len(schema)
 	if len(data) < nl+1+4 {
 		return nil, errors.New("truncated document")
 	}
@@ -284,6 +288,19 @@ func decodeDocument(data []byte, key string) ([]Region, error) {
 	}
 	return regions, nil
 }
+
+// schemaLine returns the first line of a document that starts head, or
+// false when the head holds no line short enough to be a schema.
+func schemaLine(head []byte) (string, bool) {
+	nl := bytes.IndexByte(head[:min(len(head), schemaLineMax)], '\n')
+	if nl < 0 {
+		return "", false
+	}
+	return string(head[:nl]), true
+}
+
+// schemaLineMax bounds where a document's first newline may fall.
+const schemaLineMax = len(Schema) + 8
 
 // reader consumes a document body; the first short read sticks in err
 // and turns every later read into a zero.
@@ -456,7 +473,7 @@ func (c *Cache) persist(n names, regions []*Region) {
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
-		c.setErr(fmt.Errorf("tcache: writing %s: %w", path, err2(werr, cerr)))
+		c.setErr(fmt.Errorf("tcache: writing %s: %w", path, errors.Join(werr, cerr)))
 		return
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
@@ -465,13 +482,41 @@ func (c *Cache) persist(n names, regions []*Region) {
 		return
 	}
 	c.persisted.Add(1)
+	c.prune(filepath.Dir(path))
 }
 
-func err2(a, b error) error {
-	if a != nil {
-		return a
+// removeFile is os.Remove; tests replace it to make a removal fail.
+var removeFile = os.Remove
+
+// prune removes the .bin files in dir whose first line names another
+// schema of the family: this build never reads them, and their keys are
+// rewritten as their runs publish. Current-schema documents of other
+// configs, files that are no document and v1 .json leftovers stay.
+func (c *Cache) prune(dir string) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		c.setErr(fmt.Errorf("tcache: %w", err))
 	}
-	return b
+	for _, e := range entries {
+		path := filepath.Join(dir, e.Name())
+		if !e.Type().IsRegular() || filepath.Ext(path) != ".bin" {
+			continue
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			continue
+		}
+		var head [schemaLineMax]byte
+		n, _ := io.ReadFull(f, head[:])
+		f.Close()
+		if schema, ok := schemaLine(head[:n]); !ok || schema == Schema || !strings.HasPrefix(schema, schemaFamily) {
+			continue
+		}
+		// A document another process removed first is no error.
+		if err := removeFile(path); err != nil && !os.IsNotExist(err) {
+			c.setErr(fmt.Errorf("tcache: %w", err))
+		}
+	}
 }
 
 // Run is one machine's view of the cache: lookups against the shared

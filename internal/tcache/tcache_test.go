@@ -3,10 +3,12 @@ package tcache
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -285,8 +287,35 @@ func TestLoadRejectsBadDocuments(t *testing.T) {
 			t.Errorf("after republishing: served=%v err=%v, want a warm run", served, err)
 		}
 	})
+	t.Run("v2 document", func(t *testing.T) {
+		// A document the previous schema wrote for this very key (the
+		// padded block encoding): a quiet miss, rewritten as v3 by the
+		// next publish, after which the key is warm.
+		dir, doc, _ := publish(t)
+		v2, err := os.ReadFile(filepath.Join("testdata", "v2.bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		write(t, doc, v2)
+		if served, err := load(dir); served || err != nil {
+			t.Errorf("served=%v err=%v, want a quiet cold run", served, err)
+		}
+		c := New(dir)
+		r := open(c, k)
+		r.Record(testRegion(0x1000))
+		r.Publish()
+		if _, _, persisted := c.Stats(); persisted != 1 || c.Err() != nil {
+			t.Errorf("republishing wrote %d documents, err %v; want 1 and none", persisted, c.Err())
+		}
+		if data, err := os.ReadFile(doc); err != nil || !bytes.HasPrefix(data, []byte(Schema+"\n")) {
+			t.Errorf("document not rewritten as %s (err %v)", Schema, err)
+		}
+		if served, err := load(dir); !served || err != nil {
+			t.Errorf("after republishing: served=%v err=%v, want a warm run", served, err)
+		}
+	})
 	t.Run("leftover v1 json", func(t *testing.T) {
-		// A schema v1 document sits at <config>.json beside the v2 one;
+		// A schema v1 document sits at <config>.json beside the .bin;
 		// nothing reads it, with or without the .bin present.
 		dir, doc, _ := publish(t)
 		v1 := strings.TrimSuffix(doc, ".bin") + ".json"
@@ -386,5 +415,76 @@ func TestPublishIdempotent(t *testing.T) {
 	}
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Writing a document removes the documents of other schema versions in
+// its mode directory, and nothing else there.
+func TestPublishPrunesOtherSchemas(t *testing.T) {
+	v2, err := os.ReadFile(filepath.Join("testdata", "v2.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// setup publishes another config's document, then plants a v2
+	// document, a file that is no document and a v1 leftover beside it.
+	setup := func(t *testing.T) (dir string, keep []string, stale string) {
+		dir = t.TempDir()
+		c := New(dir)
+		other := testKey(testProg(), "unsafe", "other-cfg", "")
+		r := open(c, other)
+		r.Record(testRegion(0x1000))
+		r.Publish()
+		if c.Err() != nil {
+			t.Fatal(c.Err())
+		}
+		modeDir := filepath.Dir(c.path(other.names()))
+		stale = filepath.Join(modeDir, "0123456789abcdef01234567.bin")
+		notDoc := filepath.Join(modeDir, "notes.bin")
+		v1 := filepath.Join(modeDir, "0123456789abcdef01234567.json")
+		for path, data := range map[string][]byte{
+			stale:  v2,
+			notDoc: []byte("not a document\n"),
+			v1:     []byte(`{"schema":"ghostbusters/tcache/v1"}` + "\n"),
+		} {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir, []string{c.path(other.names()), notDoc, v1}, stale
+	}
+	k := testKey(testProg(), "unsafe", "cfg", "")
+	publish := func(dir string) *Cache {
+		c := New(dir)
+		r := open(c, k)
+		r.Record(testRegion(0x1000))
+		r.Publish()
+		return c
+	}
+
+	dir, keep, stale := setup(t)
+	c := publish(dir)
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]string{c.path(k.names())}, keep...)
+	slices.Sort(want)
+	if got := cacheFiles(t, dir); !slices.Equal(got, want) {
+		t.Errorf("after publishing, the directory holds\n%v\nwant\n%v (%s removed)", got, want, stale)
+	}
+
+	// A removal that fails is an error of the cache, not a panic, and
+	// the document it names stays.
+	dir, _, stale = setup(t)
+	removeFile = func(string) error { return errors.New("read-only directory") }
+	defer func() { removeFile = os.Remove }()
+	c = publish(dir)
+	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "read-only directory") {
+		t.Errorf("failed removal: Err() = %v", err)
+	}
+	if _, err := os.Stat(stale); err != nil {
+		t.Errorf("failed removal lost the document: %v", err)
+	}
+	if _, _, persisted := c.Stats(); persisted != 1 {
+		t.Errorf("persisted %d documents, want 1", persisted)
 	}
 }

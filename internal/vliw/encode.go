@@ -4,25 +4,30 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"ghostbusters/internal/riscv"
 )
 
-// Binary encoding of translated blocks. Each syllable packs into one
-// 64-bit word; immediates that do not fit in 16 bits go through a
-// per-block constant pool (the long-immediate mechanism of wide VLIWs).
-// The speculative memory operations keep distinct opcodes in the encoded
+// Binary encoding of translated blocks: the block's one dense form, as
+// the dispatch table indexes it. Each syllable packs into one 64-bit
+// word; immediates that do not fit in 16 bits go through a per-block
+// constant pool (the long-immediate mechanism of wide VLIWs). The
+// speculative memory operations keep distinct opcodes in the encoded
 // form, as the paper requires of the VLIW ISA.
 //
-// A block's encoding is its word image followed by a GuestPC side
-// table. Word image layout (64-bit little-endian words):
+// Block layout (little-endian throughout):
 //
-//	magic, EntryPC, FallPC
-//	GuestInsts (low 32) | bundle width (high 32)
-//	bundle count (low 32) | recovery count (high 32)
-//	bundle slots, width per bundle, padding included
-//	per recovery: its length, then its syllables
-//	constant-pool length, then the pool
+//	5 header words   magic, EntryPC, FallPC,
+//	                 GuestInsts (low 32) | bundle width (high 32),
+//	                 counts: bundles, recoveries, syllables and pool
+//	                 entries, 16 bits each from the low end
+//	uint16 per bundle     its Slots.Mask (Start is the running popcount)
+//	uint16 per recovery   its RecStart
+//	uint64 per syllable   Syls in order, recoveries included, no padding
+//	uint64 per pool entry the constant pool
+//	uvarint per syllable  zigzag GuestPC minus the previous syllable's
+//	                      (EntryPC before the first), in Syls order
 //
 // Syllable word layout (LSB first):
 //
@@ -36,13 +41,12 @@ import (
 //	[47]    immPool   (1 = imm is a pool index)
 //	[48:64) imm16 / pool index
 //
-// GuestPC is not part of the word image: AppendBlock writes it to the
-// side table after the words, so fault PCs, SMC extents and
-// speculative-load attribution all survive the codec.
-const blockMagic = 0x3130574C49564247 // "GBVLIW01", little-endian
+// GuestPCs ride along, so fault PCs, SMC extents and speculative-load
+// attribution all survive the codec.
+const blockMagic = 0x3330574C49564247 // "GBVLIW03", little-endian
 
-// padWord is the word of a padding slot, Syllable{}: Rec 0 is rec+1 = 1.
-const padWord = 1 << 35
+// headerBytes is the size of the header, and of an empty block.
+const headerBytes = 5 * 8
 
 // recMax is the largest value of the 12-bit rec+1 field; the encoder
 // never emits it, so the decoder rejects it.
@@ -50,9 +54,8 @@ const recMax = 1<<12 - 1
 
 var errTruncated = errors.New("vliw: truncated block image")
 
-// appendWords appends the word image of b to dst, each bundle at full
-// width.
-func appendWords(dst []byte, b *Block) ([]byte, error) {
+// AppendBlock appends the encoding of b to dst.
+func AppendBlock(dst []byte, b *Block) ([]byte, error) {
 	width := b.Width
 	if len(b.Slots) == 0 {
 		width = 0
@@ -60,22 +63,37 @@ func appendWords(dst []byte, b *Block) ([]byte, error) {
 	if width > MaxWidth {
 		return nil, fmt.Errorf("vliw: bundle width %d exceeds %d", width, MaxWidth)
 	}
-
-	put := func(w uint64) { dst = binary.LittleEndian.AppendUint64(dst, w) }
+	if len(b.Slots) > 0xFFFF || len(b.RecStart) > 0xFFFF || len(b.Syls) > MaxSyllables {
+		return nil, fmt.Errorf("vliw: %d bundles, %d recoveries or %d syllables exceed %d",
+			len(b.Slots), len(b.RecStart), len(b.Syls), 0xFFFF)
+	}
+	head := len(dst)
+	for _, w := range [...]uint64{blockMagic, b.EntryPC, b.FallPC, uint64(uint32(b.GuestInsts)) | uint64(width)<<32, 0} {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	for _, s := range b.Slots {
+		dst = binary.LittleEndian.AppendUint16(dst, s.Mask)
+	}
+	for _, r := range b.RecStart {
+		dst = binary.LittleEndian.AppendUint16(dst, r)
+	}
+	// The pool holds at most one entry per syllable, so its indices fit
+	// in 16 bits.
 	var pool []uint64
 	var poolIdx map[int64]int
-	encSyll := func(s *Syllable) error {
+	for i := range b.Syls {
+		s := &b.Syls[i]
 		if s.Kind > KCommit {
-			return fmt.Errorf("vliw: cannot encode kind %d", s.Kind)
+			return nil, fmt.Errorf("vliw: cannot encode kind %d", s.Kind)
 		}
 		if s.Dst > 63 || s.Ra > 63 || s.Rb > 63 {
-			return fmt.Errorf("vliw: register out of range in %s", s)
+			return nil, fmt.Errorf("vliw: register out of range in %s", s)
 		}
 		if s.Tag > 15 {
-			return fmt.Errorf("vliw: tag %d out of range", s.Tag)
+			return nil, fmt.Errorf("vliw: tag %d out of range", s.Tag)
 		}
 		if s.Rec < -1 || s.Rec >= recMax-1 {
-			return fmt.Errorf("vliw: recovery index %d out of range", s.Rec)
+			return nil, fmt.Errorf("vliw: recovery index %d out of range", s.Rec)
 		}
 		w := uint64(s.Kind) | uint64(s.Op)<<5 | uint64(s.Dst)<<13 |
 			uint64(s.Ra)<<19 | uint64(s.Rb)<<25 | uint64(s.Tag)<<31 |
@@ -92,148 +110,105 @@ func appendWords(dst []byte, b *Block) ([]byte, error) {
 				pool = append(pool, uint64(s.Imm))
 				poolIdx[s.Imm] = idx
 			}
-			if idx >= 1<<16 {
-				return fmt.Errorf("vliw: constant pool overflow")
-			}
 			w |= 1<<47 | uint64(idx)<<48
 		}
-		put(w)
-		return nil
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-
-	put(blockMagic)
-	put(b.EntryPC)
-	put(b.FallPC)
-	put(uint64(uint32(b.GuestInsts)) | uint64(width)<<32)
-	put(uint64(uint32(len(b.Slots))) | uint64(uint32(len(b.RecStart)))<<32)
-	var bun Bundle
-	for i := range b.Slots {
-		bun = b.AppendBundle(bun[:0], i)
-		for j := range bun {
-			if err := encSyll(&bun[j]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for k := range b.RecStart {
-		rec := b.Recovery(k)
-		put(uint64(len(rec)))
-		for i := range rec {
-			if err := encSyll(&rec[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	put(uint64(len(pool)))
 	for _, v := range pool {
-		put(v)
+		dst = binary.LittleEndian.AppendUint64(dst, v)
+	}
+	binary.LittleEndian.PutUint64(dst[head+32:], uint64(len(b.Slots))|uint64(len(b.RecStart))<<16|
+		uint64(len(b.Syls))<<32|uint64(len(pool))<<48)
+	prev := b.EntryPC
+	for i := range b.Syls {
+		d := b.Syls[i].GuestPC - prev
+		dst = binary.AppendUvarint(dst, d<<1^uint64(int64(d)>>63))
+		prev = b.Syls[i].GuestPC
 	}
 	return dst, nil
 }
 
 // ConsumeBlock decodes one block written by AppendBlock from the front
-// of src into its dense form, GuestPCs included, and returns it with the
-// number of bytes it read. It reads the word image and the side table in
-// place and in step, bounds every count against len(src) before using it
-// (the image may come from a shared, writable cache directory), and
-// validates every syllable word, padding included, before dropping the
-// padding. It rejects hostile input with an error, never a panic.
+// of src, GuestPCs included, and returns it with the number of bytes it
+// read. The image may come from a shared, writable cache directory, so
+// it checks every count against len(src) before using one and rejects
+// hostile input with an error, never a panic. It accepts only the
+// canonical dense form: every mask bit below the width, the bundles'
+// syllables followed by the recoveries in order, and no padding in an
+// occupied slot.
 func ConsumeBlock(src []byte) (*Block, int, error) {
-	nw := uint64(len(src) / 8)
-	word := func(i uint64) uint64 { return binary.LittleEndian.Uint64(src[8*i:]) }
-	if nw < 6 {
+	if len(src) < headerBytes {
 		return nil, 0, errTruncated
 	}
-	if m := word(0); m != blockMagic {
+	le := binary.LittleEndian
+	if m := le.Uint64(src); m != blockMagic {
 		return nil, 0, fmt.Errorf("vliw: bad magic %#x", m)
 	}
-	shape, counts := word(3), word(4)
-	width, nBundles, nRec := shape>>32, uint64(uint32(counts)), counts>>32
+	shape, counts := le.Uint64(src[24:]), le.Uint64(src[32:])
+	width := shape >> 32
+	nBundles, nRec, nSyl, nPool := int(uint16(counts)), int(uint16(counts>>16)), int(uint16(counts>>32)), int(counts>>48)
 	if width > MaxWidth || (width == 0) != (nBundles == 0) {
 		return nil, 0, fmt.Errorf("vliw: bad bundle width %d for %d bundles", width, nBundles)
 	}
-	// The body needs a word per bundle slot, a length word per recovery
-	// and the pool length word (slot words < 2^36, nRec < 2^32). The
-	// walk keeps rp + (recoveries left) + 1 <= nw, so no bound
-	// underflows. nSyl bounds the syllables the block keeps.
-	slotWords := nBundles * width
-	if 5+slotWords+nRec >= nw {
+	// Every count is below 2^16, so no offset overflows. Each GuestPC
+	// delta takes at least one byte.
+	recs := headerBytes + 2*nBundles
+	syls := recs + 2*nRec
+	pool := syls + 8*nSyl
+	pcs := pool + 8*nPool
+	if pcs+nSyl > len(src) {
 		return nil, 0, errTruncated
 	}
-	nSyl := uint64(0)
-	for i := uint64(5); i < 5+slotWords; i++ {
-		if word(i) != padWord {
-			nSyl++
-		}
-	}
-	rp := 5 + slotWords
-	for left := nRec; left > 0; left-- {
-		n := word(rp)
-		if n > nw-rp-1-left {
-			return nil, 0, errTruncated
-		}
-		rp += 1 + n
-		nSyl += n
-	}
-	if nSyl > MaxSyllables {
-		return nil, 0, fmt.Errorf("vliw: %d syllables exceed %d", nSyl, MaxSyllables)
-	}
-	poolLen := word(rp)
-	if poolLen > nw-rp-1 {
-		return nil, 0, errTruncated
-	}
-	pool := src[8*(rp+1) : 8*(rp+1+poolLen)]
 
-	b := &Block{EntryPC: word(1), FallPC: word(2), GuestInsts: int(uint32(shape)), Width: int(width)}
-	if nSyl > 0 {
-		b.Syls = make([]Syllable, 0, nSyl)
-	}
-	// next decodes the syllable at word pos and its GuestPC at byte off.
-	pos, off, pc := uint64(5), int(8*(rp+1+poolLen)), b.EntryPC
-	next := func() (sy Syllable, err error) {
-		if err := decodeSyllable(&sy, word(pos), pool); err != nil {
-			return sy, err
-		}
-		pos++
-		z, k := binary.Uvarint(src[off:])
-		if k <= 0 {
-			return sy, errors.New("vliw: truncated GuestPC table")
-		}
-		off += k
-		pc += z>>1 ^ -(z & 1)
-		sy.GuestPC = pc
-		return sy, nil
-	}
+	b := &Block{EntryPC: le.Uint64(src[8:]), FallPC: le.Uint64(src[16:]), GuestInsts: int(uint32(shape)), Width: int(width)}
+	inBundles := 0
 	if nBundles > 0 {
 		b.Slots = make([]Slots, nBundles)
 	}
 	for i := range b.Slots {
-		b.Slots[i].Start = uint16(len(b.Syls))
-		for j := range width {
-			sy, err := next()
-			if err != nil {
-				return nil, 0, err
-			}
-			if !padding(sy) {
-				b.Slots[i].Mask |= 1 << j
-				b.Syls = append(b.Syls, sy)
-			}
+		m := le.Uint16(src[headerBytes+2*i:])
+		if m>>width != 0 {
+			return nil, 0, fmt.Errorf("vliw: bundle %d mask %#x has a bit at or above width %d", i, m, width)
 		}
+		b.Slots[i] = Slots{Start: uint16(inBundles), Mask: m}
+		inBundles += bits.OnesCount16(m)
+	}
+	if inBundles > nSyl || nRec == 0 && inBundles != nSyl {
+		return nil, 0, fmt.Errorf("vliw: bundles hold %d syllables of %d with %d recoveries", inBundles, nSyl, nRec)
 	}
 	if nRec > 0 {
 		b.RecStart = make([]uint16, nRec)
 	}
+	// Recovery 0 starts where the bundles end; the others follow in
+	// order and end by the last syllable.
+	lo := inBundles
 	for k := range b.RecStart {
-		b.RecStart[k] = uint16(len(b.Syls))
-		n := word(pos)
-		pos++
-		for range n {
-			sy, err := next()
-			if err != nil {
-				return nil, 0, err
-			}
-			b.Syls = append(b.Syls, sy)
+		r := int(le.Uint16(src[recs+2*k:]))
+		if r < lo || r > nSyl || k == 0 && r != lo {
+			return nil, 0, fmt.Errorf("vliw: recovery %d starts out of order or range at syllable %d of %d", k, r, nSyl)
 		}
+		b.RecStart[k], lo = uint16(r), r
+	}
+
+	if nSyl > 0 {
+		b.Syls = make([]Syllable, nSyl)
+	}
+	poolWords, off, pc := src[pool:pcs], pcs, b.EntryPC
+	for i := range b.Syls {
+		sy := &b.Syls[i]
+		if err := decodeSyllable(sy, le.Uint64(src[syls+8*i:]), poolWords); err != nil {
+			return nil, 0, err
+		}
+		if i < inBundles && padding(*sy) {
+			return nil, 0, fmt.Errorf("vliw: padding in occupied slot (syllable %d)", i)
+		}
+		z, k := binary.Uvarint(src[off:])
+		if k <= 0 {
+			return nil, 0, errors.New("vliw: truncated GuestPC table")
+		}
+		off += k
+		pc += z>>1 ^ -(z & 1)
+		sy.GuestPC = pc
 	}
 	return b, off, nil
 }
@@ -265,30 +240,4 @@ func decodeSyllable(s *Syllable, w uint64, pool []byte) error {
 	}
 	s.Imm = int64(binary.LittleEndian.Uint64(pool[8*int(idx):]))
 	return nil
-}
-
-// AppendBlock appends the encoding of b to dst: its word image, then
-// the GuestPC side table — per syllable, bundle slots first (padding's
-// GuestPC is 0) and recoveries after, the zigzag uvarint of its GuestPC
-// minus the previous syllable's (EntryPC before the first).
-func AppendBlock(dst []byte, b *Block) ([]byte, error) {
-	dst, err := appendWords(dst, b)
-	if err != nil {
-		return nil, err
-	}
-	prev := b.EntryPC
-	put := func(s []Syllable) {
-		for i := range s {
-			d := s[i].GuestPC - prev
-			dst = binary.AppendUvarint(dst, d<<1^uint64(int64(d)>>63))
-			prev = s[i].GuestPC
-		}
-	}
-	var bun Bundle
-	for i := range b.Slots {
-		bun = b.AppendBundle(bun[:0], i)
-		put(bun)
-	}
-	put(b.Syls[b.bundleSyls():])
-	return dst, nil
 }

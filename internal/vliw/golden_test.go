@@ -3,6 +3,7 @@ package vliw_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,23 +15,32 @@ import (
 
 // Golden digests of every block a small Figure 4 + PoC sweep installs
 // under the Figure 4 modes: the SHA-256 of their AppendBlock encodings
-// (the tcache v2 document bytes) and of their Block.String renderings
-// (gbdump), each concatenated in translation order. A change to the
-// block's in-memory form must leave both unchanged, so that documents
-// written before it still load and hit, and dumps still diff clean.
+// (the block bytes of a tcache v3 document) and of their Block.String
+// renderings (gbdump), each concatenated in translation order. The
+// encoding digest moves only with a new document schema, since a
+// document of another schema is a miss; the rendering digest pins the
+// code itself, so dumps diff clean across codec changes.
 const (
 	goldenBlocks     = 448
 	goldenRecoveries = 161
-	goldenEncodeSHA  = "663908e236e889e3d88ad066f68678f8fd2d9940db646beeab930b9c3b8fec27"
+	goldenEncodeSHA  = "ae241ff57e1c5b0387fab59bdde90e4e5ffe0178c365a54dc44dd2eef13fdfc1"
 	goldenStringSHA  = "f43d8c03506ad085b17e24ba95364c20609b00a06bad874406536ae243a4d69d"
 )
 
 // blockDigests translates every source under the Figure 4 modes and
-// digests the blocks as the golden constants describe.
+// digests the blocks as the golden constants describe. Each block must
+// be in its canonical dense form, equal to the packing of its own
+// expanded bundles: the code generator never leaves padding in an
+// occupied slot, which ConsumeBlock would reject.
 func blockDigests(t *testing.T, srcs ...string) (n, recs int, encSHA, strSHA string) {
 	enc, str := sha256.New(), sha256.New()
 	for _, src := range srcs {
 		for _, b := range translatedBlocks(t, src) {
+			p, _, err := repack(b)
+			if err != nil || !slices.Equal(p.Syls, b.Syls) || !slices.Equal(p.Slots, b.Slots) ||
+				!slices.Equal(p.RecStart, b.RecStart) || p.Width != b.Width {
+				t.Fatalf("block %#x is not its canonical dense form (%v):\n%v\npacks to\n%v", b.EntryPC, err, b, p)
+			}
 			buf, err := vliw.AppendBlock(nil, b)
 			if err != nil {
 				t.Fatal(err)
@@ -75,7 +85,7 @@ func TestBlockBytesGolden(t *testing.T) {
 
 // A guest fence compiles to a nop that occupies its slot and keeps its
 // Op and guest PC, which the encoding carries; the sweep above holds no
-// fence. The digests were recorded from the nop-padded block form.
+// fence.
 func TestFenceBlockBytesGolden(t *testing.T) {
 	const src = `
 main:
@@ -90,7 +100,7 @@ loop:
 	ecall
 `
 	n, _, enc, str := blockDigests(t, src)
-	if want := "0e8438ad5c16f899bc7b6ee635f3b4a7cfefa963cbefe8f424fe450170200bae"; n != 4 || enc != want {
+	if want := "6f09932ef119c2d481057ab8d5344611d2f0111c8daeee6ddf9b9803c942146d"; n != 4 || enc != want {
 		t.Errorf("AppendBlock over %d blocks: sha256 %s, want 4 blocks, %s", n, enc, want)
 	}
 	if want := "f53b80371e2c6f32859ece15a3afffbb0221b93cbb5892ccef2be6ed073e3fc6"; str != want {

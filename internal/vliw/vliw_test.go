@@ -621,7 +621,7 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	words := len(data) - 1 // one GuestPC delta byte follows the word image
+	image := len(data) - 1 // one GuestPC delta byte follows the syllable
 	if _, _, err := ConsumeBlock(data[:8]); err == nil {
 		t.Error("truncated image accepted")
 	}
@@ -630,50 +630,95 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 	if _, _, err := ConsumeBlock(bad); err == nil {
 		t.Error("bad magic accepted")
 	}
-	if _, _, err := ConsumeBlock(data[:words-8]); err == nil {
-		t.Error("missing pool accepted")
+	if _, _, err := ConsumeBlock(data[:image-8]); err == nil {
+		t.Error("missing syllable accepted")
 	}
-	if _, _, err := ConsumeBlock(data[:words]); err == nil {
+	if _, _, err := ConsumeBlock(data[:image]); err == nil {
 		t.Error("missing GuestPC table accepted")
 	}
 }
 
-// Hostile images — counts that overflow or overrun the data — must be
-// rejected before any arithmetic on them can index out of range.
-func TestDecodeRejectsHostileCounts(t *testing.T) {
-	image := func(words ...uint64) []byte {
-		var b []byte
-		for _, w := range words {
-			b = binary.LittleEndian.AppendUint64(b, w)
-		}
-		return b
+// blockImage builds a block encoding: EntryPC, FallPC and GuestInsts
+// 0, the given width, masks and recovery starts, then words (the
+// syllables followed by nPool pool entries) and one GuestPC byte per
+// syllable.
+func blockImage(width, nPool uint64, masks, recStart []uint16, words ...uint64) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, blockMagic)
+	b = append(b, make([]byte, 16)...)
+	nSyl := uint64(len(words)) - nPool
+	b = binary.LittleEndian.AppendUint64(b, width<<32)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(masks))|uint64(len(recStart))<<16|nSyl<<32|nPool<<48)
+	for _, v := range append(masks, recStart...) {
+		b = binary.LittleEndian.AppendUint16(b, v)
 	}
-	nop := uint64(KNop) | 1<<35 // rec+1 = 1: Rec 0
+	for _, w := range words {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return append(b, make([]byte, nSyl)...)
+}
+
+// Syllable words for the hand-built images.
+const (
+	wordMovI  = uint64(KMovI) | 5<<13 | 1<<48 // movi r5, 1
+	wordLoad  = uint64(KLoad) | 7<<13         // ld r7, 0(r0)
+	wordPad   = uint64(1) << 35               // Syllable{}: rec+1 = 1
+	wordFence = uint64(KNop) | uint64(riscv.FENCE)<<5 | 1<<35
+)
+
+// Hostile images must be rejected before any arithmetic on them can
+// index out of range: counts that overflow or overrun the data, shapes
+// that are not a block's canonical dense form, and v2 images, which
+// padded every bundle to full width.
+func TestDecodeRejectsHostileCounts(t *testing.T) {
+	one := func() []byte { return blockImage(1, 0, []uint16{1}, nil, wordMovI) }
+	counts := func(c uint64) []byte {
+		data := one()
+		binary.LittleEndian.PutUint64(data[32:], c)
+		return data
+	}
+	v2 := one()
+	binary.LittleEndian.PutUint64(v2, 0x3130574C49564247) // "GBVLIW01"
 	cases := map[string][]byte{
-		// One recovery whose length word is 1<<63 (it once panicked
-		// with index out of range [-9223372036854775802]).
-		"recovery length 1<<63":                              image(blockMagic, 0, 0, 0, 1<<32, 1<<63, 0),
-		"recovery length past the end":                       image(blockMagic, 0, 0, 0, 1<<32, 2, 0),
-		"two recoveries, the first eats the second's length": image(blockMagic, 0, 0, 0, 2<<32, 1, nop, 0),
-		"recovery count 1<<32-1":                             image(blockMagic, 0, 0, 0, 0xFFFFFFFF<<32, 0, 0),
-		"bundle count 1<<32-1":                               image(blockMagic, 0, 0, 1<<32, 0xFFFFFFFF, nop, 0),
-		"width 65":                                           image(blockMagic, 0, 0, 65<<32, 1, nop, 0),
-		"width 0 with a bundle":                              image(blockMagic, 0, 0, 0, 1, nop, 0),
-		"width 1 with no bundles":                            image(blockMagic, 0, 0, 1<<32, 0, 0),
-		"pool length 1<<63":                                  image(blockMagic, 0, 0, 1<<32, 1, nop, 1<<63),
-		"pool index past the pool":                           image(blockMagic, 0, 0, 1<<32, 1, uint64(KMovI)|1<<47|3<<48, 1, 42),
-		"rec field 0xFFF":                                    image(blockMagic, 0, 0, 1<<32, 1, uint64(KChk)|0xFFF<<35, 0),
-		"kind past KCommit":                                  image(blockMagic, 0, 0, 1<<32, 1, uint64(KCommit+1), 0),
+		"bundle count 1<<16-1":     counts(0xFFFF | 1<<32),
+		"recovery count 1<<16-1":   counts(1 | 0xFFFF<<16 | 1<<32),
+		"syllable count 1<<16-1":   counts(1 | 0xFFFF<<32),
+		"pool length 1<<16-1":      counts(1 | 1<<32 | 0xFFFF<<48),
+		"width 17":                 blockImage(17, 0, []uint16{1}, nil, wordMovI),
+		"width 0 with a bundle":    blockImage(0, 0, []uint16{1}, nil, wordMovI),
+		"width 1 with no bundles":  blockImage(1, 0, nil, nil),
+		"pool index past the pool": blockImage(1, 1, []uint16{1}, nil, uint64(KMovI)|1<<47|3<<48, 42),
+		"rec field 0xFFF":          blockImage(1, 0, []uint16{1}, nil, uint64(KChk)|0xFFF<<35),
+		"kind past KCommit":        blockImage(1, 0, []uint16{1}, nil, uint64(KCommit+1)),
+		"GuestPC table cut off":    one()[:headerBytes+2+8],
+		"v2 block image":           v2,
+		"mask bit at the width":    blockImage(2, 0, []uint16{0b100}, nil, wordMovI),
+		"mask bit 15 at width 1":   blockImage(1, 0, []uint16{1 << 15}, nil, wordMovI),
+		"masks overrun syllables":  blockImage(2, 0, []uint16{0b11}, nil, wordMovI),
+		"masks leave syllables":    blockImage(2, 0, []uint16{0b01}, nil, wordMovI, wordMovI),
+		"recovery before bundles":  blockImage(1, 0, []uint16{1}, []uint16{0}, wordMovI, wordLoad),
+		"recovery after bundles":   blockImage(1, 0, []uint16{1}, []uint16{2}, wordMovI, wordLoad, wordLoad),
+		"recoveries out of order":  blockImage(1, 0, []uint16{1}, []uint16{1, 3, 2}, wordMovI, wordLoad, wordLoad, wordLoad),
+		"recovery past the end":    blockImage(1, 0, []uint16{1}, []uint16{1, 3}, wordMovI, wordLoad),
+		"padding in occupied slot": blockImage(2, 0, []uint16{0b11}, nil, wordMovI, wordPad),
 	}
 	for name, data := range cases {
-		if _, _, err := ConsumeBlock(append(data, 0, 0, 0)); err == nil {
+		if _, _, err := ConsumeBlock(data); err == nil {
 			t.Errorf("%s: ConsumeBlock accepted it", name)
 		}
 	}
-	// The well-formed neighbour of the cases above, with its one
-	// GuestPC delta, decodes.
-	if _, _, err := ConsumeBlock(append(image(blockMagic, 0, 0, 1<<32, 1, nop, 0), 0)); err != nil {
-		t.Errorf("one-nop image rejected: %v", err)
+	// The well-formed neighbours of the cases above decode, every byte.
+	for name, data := range map[string][]byte{
+		"one movi":                 one(),
+		"empty block":              blockImage(0, 0, nil, nil),
+		"empty bundle":             blockImage(2, 0, []uint16{0, 0b10}, nil, wordMovI),
+		"occupied nop":             blockImage(2, 0, []uint16{0b11}, nil, wordMovI, wordFence),
+		"bundle, two recoveries":   blockImage(1, 0, []uint16{1}, []uint16{1, 2}, wordMovI, wordLoad, wordLoad),
+		"padding in a recovery":    blockImage(1, 0, []uint16{1}, []uint16{1}, wordMovI, wordPad),
+		"long immediate from pool": blockImage(1, 1, []uint16{1}, nil, uint64(KMovI)|1<<47, 1<<40),
+	} {
+		if _, n, err := ConsumeBlock(data); err != nil || n != len(data) {
+			t.Errorf("%s: read %d of %d bytes, err %v", name, n, len(data), err)
+		}
 	}
 }
 
